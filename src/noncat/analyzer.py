@@ -55,7 +55,7 @@ VERDICT_KEYS = ("domain_completion", "noncat_domain", "ufd_completion",
 class AnalysisConfig:
     gb_step_budget: int = DEFAULT_GB_STEP_BUDGET
     regular_candidate_budget: int = DEFAULT_REGULAR_CANDIDATE_BUDGET
-    max_poset_vars: int = DEFAULT_MAX_POSET_VARS
+    max_poset_vars: int = DEFAULT_MAX_POSET_VARS  # CLI poset and DOT only
     order: MonomialOrder = GREVLEX
 
 
@@ -150,19 +150,12 @@ class _Analysis:
             self.mono = None
         self._poset = None
         self._depth = None
-        self._dim = None
-        self._m_assoc = None
 
     # -- shared facts --
 
     @property
     def dim(self):
-        if self._dim is None:
-            self._dim = self.handle.krull_dimension()
-            if self.mono is not None and self.mono.dimension() != self._dim:
-                raise AssertionError(
-                    "monomial and Groebner dimensions disagree")
-        return self._dim
+        return self.handle.krull_dimension()
 
     @property
     def is_field_case(self):
@@ -171,12 +164,6 @@ class _Analysis:
     @property
     def is_dvr_case(self):
         return self.v == 1 and self.handle.is_zero_ideal
-
-    @property
-    def m_associated(self):
-        if self._m_assoc is None:
-            self._m_assoc = self.handle.maximal_ideal_associated()
-        return self._m_assoc
 
     @property
     def depth(self):
@@ -189,7 +176,7 @@ class _Analysis:
     def poset(self):
         if self._poset is None:
             self.require_monomial("spectrum poset")
-            self._poset = build_poset(self.mono, self.config.max_poset_vars)
+            self._poset = build_poset(self.mono)
         return self._poset
 
     def require_monomial(self, what):
@@ -208,7 +195,8 @@ class _Analysis:
     def domain_completion(self):
         """Completion-of-a-domain test: automatic prime-subring condition
         plus the socle test, with the field carve-out."""
-        return True if self.is_field_case else not self.m_associated
+        return (self.is_field_case
+                or not self.handle.maximal_ideal_associated())
 
     def _qualifying_prime(self, lower):
         """First minimal prime (canonical order) with
@@ -327,7 +315,7 @@ class _Analysis:
         dims_domain_ok = all(d <= 1 or d == self.dim for d in profile)
         dims_ufd_ok = all(d <= 2 or d == self.dim for d in profile)
         has_dim2 = any(d == 2 for d in profile)
-        depth1 = not self.m_associated
+        depth1 = not self.handle.maximal_ideal_associated()
         depth2 = self.depth.verdict
         domain_forced = depth1 and dims_domain_ok
         ufd_forced = None if depth2 is None else (depth2 and dims_ufd_ok)
@@ -417,7 +405,7 @@ def analyze(ring, config=None):
     verdicts = dict.fromkeys(VERDICT_KEYS)
     conditions["lech_i"] = True  # field coefficients: the prime subring acts
     notes.append("lech_i: satisfied by construction over a field")
-    conditions["lech_ii"] = not a.m_associated
+    conditions["lech_ii"] = not a.handle.maximal_ideal_associated()
     conditions["depth_ge1"] = conditions["lech_ii"]
     depth = a.depth
     conditions["depth_ge2"] = depth.verdict

@@ -37,10 +37,16 @@ from .errors import (
     UnsupportedInputError,
 )
 from .families import FamilySpec, instantiate
-from .groebner import IdealHandle
+from .groebner import DEFAULT_REGULAR_CANDIDATE_BUDGET, IdealHandle
 from .monomial import MonomialIdeal, MonomialPrime
-from .poly import ORDERS, RingPresentation, VariableContext
+from .poly import (
+    DEFAULT_GB_STEP_BUDGET,
+    ORDERS,
+    RingPresentation,
+    VariableContext,
+)
 from .spectra import (
+    DEFAULT_MAX_POSET_VARS,
     PrimeChain,
     build_poset,
     chain_dot,
@@ -344,12 +350,16 @@ def _build_argparser():
                         default="text", help="output format")
     parser.add_argument("--order", choices=sorted(ORDERS), default="grevlex",
                         help="monomial order for Groebner computations")
-    parser.add_argument("--budget-gb-steps", type=int, default=200_000,
+    parser.add_argument("--budget-gb-steps", type=int,
+                        default=DEFAULT_GB_STEP_BUDGET,
                         metavar="N", help="reduction steps per Groebner run")
-    parser.add_argument("--budget-regular-candidates", type=int, default=200,
+    parser.add_argument("--budget-regular-candidates", type=int,
+                        default=DEFAULT_REGULAR_CANDIDATE_BUDGET,
                         metavar="N", help="candidates per regular-element search")
-    parser.add_argument("--max-poset-vars", type=int, default=16, metavar="N",
-                        help="largest variable count for poset construction")
+    parser.add_argument("--max-poset-vars", type=int,
+                        default=DEFAULT_MAX_POSET_VARS, metavar="N",
+                        help="largest variable count for the poset command "
+                             "and DOT renderings of the whole poset")
     return parser
 
 

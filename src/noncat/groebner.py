@@ -2,9 +2,11 @@
 
 Provides reduced Groebner bases (Buchberger with the coprime-lead and
 chain criteria, normal pair selection), ideal membership and equality,
-intersection and colon ideals via elimination, Krull dimension through
-independent variable sets of the leading-term ideal, and the colon-based
-regularity and depth tests the ring classifiers rely on.
+intersection and colon ideals via elimination, and the regularity and
+depth tests the ring classifiers rely on. Krull dimension is read off the
+leading-term ideal by the monomial engine, which also settles the socle
+test when the reduced basis consists of terms; the colon calculus serves
+every other ideal.
 
 Handles are immutable apart from fill-once caches guarded by a lock, so
 one handle can serve several threads.
@@ -18,6 +20,7 @@ import threading
 from dataclasses import dataclass
 
 from .errors import ContextMismatchError, DegenerateInputError, UnitIdealError
+from .monomial import MonomialIdeal, MonomialPrime
 from .poly import (
     DEFAULT_GB_STEP_BUDGET,
     GREVLEX,
@@ -31,7 +34,6 @@ from .poly import (
     exps_divides,
     exps_lcm,
     exps_sub,
-    exps_support,
     variables,
 )
 
@@ -174,7 +176,7 @@ class IdealHandle:
     ideal calculus built on them."""
 
     __slots__ = ("field", "context", "generators", "order", "gb_step_budget",
-                 "_lock", "_gb", "_dim")
+                 "_lock", "_gb", "_dim", "_m_assoc")
 
     def __init__(self, field, context, generators=(), order=GREVLEX,
                  gb_step_budget=DEFAULT_GB_STEP_BUDGET):
@@ -193,6 +195,7 @@ class IdealHandle:
         self._lock = threading.Lock()
         self._gb = {}
         self._dim = None
+        self._m_assoc = None
 
     @classmethod
     def from_presentation(cls, ring, order=GREVLEX,
@@ -329,34 +332,37 @@ class IdealHandle:
         return self.quotient_element(f).equals(self)
 
     def krull_dimension(self):
-        """dim K[x..]/I via the largest variable subset independent of the
-        leading-term ideal."""
+        """dim K[x..]/I, computed by the monomial engine on the leading-term
+        ideal, since dim R/I = dim R/LT(I) for any monomial order."""
         if self._dim is not None:
             return self._dim
-        basis = self.groebner_basis()
         if self.is_unit_ideal:
             raise UnitIdealError("the unit ideal has no Krull dimension")
-        supports = set()
-        for g in basis:
-            supports.add(frozenset(exps_support(g.leading_monomial(self.order).exponents)))
-        supports = [s for s in supports
-                    if not any(t < s for t in supports)]
-        v = self.context.count
-        for size in range(v, -1, -1):
-            for combo in itertools.combinations(range(v), size):
-                sset = frozenset(combo)
-                if not any(s <= sset for s in supports):
-                    with self._lock:
-                        self._dim = size
-                    return size
-        raise AssertionError("unreachable: the empty set is always independent")
+        lead = MonomialIdeal(self.context,
+                             (g.leading_monomial(self.order).exponents
+                              for g in self.groebner_basis()))
+        with self._lock:
+            self._dim = lead.dimension()
+        return self._dim
 
     def maximal_ideal_associated(self):
-        """Whether the maximal ideal M is associated to R/I, i.e. the socle
-        test (I : M) != I."""
+        """Whether the maximal ideal M is associated to R/I. A reduced basis
+        of terms means I is monomial, and the monomial engine's Ass decides;
+        any other ideal gets the socle test (I : M) != I."""
+        if self._m_assoc is not None:
+            return self._m_assoc
         if self.is_unit_ideal:
             raise UnitIdealError("the unit ideal does not present a ring")
-        return not self.quotient(self.maximal_ideal()).equals(self)
+        basis = self.groebner_basis()
+        if all(g.is_term for g in basis):
+            top = MonomialPrime(frozenset(range(self.context.count)))
+            ass = MonomialIdeal.from_polynomials(self.context, basis)
+            result = top in ass.associated_primes()
+        else:
+            result = not self.quotient(self.maximal_ideal()).equals(self)
+        with self._lock:
+            self._m_assoc = result
+        return result
 
     def depth_at_least_two(self, candidate_budget=DEFAULT_REGULAR_CANDIDATE_BUDGET):
         """Search for a depth >= 2 certificate.

@@ -234,35 +234,30 @@ class MonomialIdeal:
                      for comp in split(self.gens))
 
     def primary_components(self):
-        """Irredundant primary decomposition, as (prime, component) pairs:
-        irreducible components grouped by radical and intersected, then
-        redundant components dropped."""
+        """Irredundant primary decomposition, as (prime, component) pairs.
+        Irreducible monomial ideals are meet-prime, so an irreducible
+        component is redundant exactly when it contains another one; the
+        remaining components are grouped by radical and intersected. The
+        components of minimal primes are unique, those of embedded primes
+        are one valid choice."""
         if self.is_unit:
             raise UnitIdealError("the unit ideal has no decomposition")
         with self._lock:
             if self._primary is not None:
                 return self._primary
+        comps = [c.gens for c in self.irreducible_components()]
         groups = {}
-        for comp in self.irreducible_components():
-            prime = frozenset(i for g in comp.gens for i, e in enumerate(g) if e)
-            if prime in groups:
-                groups[prime] = groups[prime].intersect(comp)
-            else:
-                groups[prime] = comp
-        items = sorted(groups.items(), key=lambda kv: MonomialPrime(kv[0]).sort_key)
-        changed = True
-        while changed and len(items) > 1:
-            changed = False
-            for idx in range(len(items)):
-                rest = [c.gens for j, (_, c) in enumerate(items) if j != idx]
-                inter = rest[0]
-                for gens in rest[1:]:
-                    inter = _intersect_gens(inter, gens)
-                if _gens_contained(inter, items[idx][1].gens):
-                    del items[idx]
-                    changed = True
-                    break
-        result = tuple((MonomialPrime(p), comp) for p, comp in items)
+        for gens in comps:
+            if any(other != gens and _gens_contained(other, gens)
+                   for other in comps):
+                continue
+            prime = frozenset(i for g in gens for i, e in enumerate(g) if e)
+            groups[prime] = (_intersect_gens(groups[prime], gens)
+                             if prime in groups else gens)
+        result = tuple(sorted(
+            ((MonomialPrime(p), MonomialIdeal(self.context, gens))
+             for p, gens in groups.items()),
+            key=lambda pc: pc[0].sort_key))
         with self._lock:
             if self._primary is None:
                 self._primary = result

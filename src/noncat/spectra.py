@@ -17,43 +17,41 @@ from .errors import BudgetExceededError, ChainInfeasibleError, DegenerateInputEr
 from .monomial import MonomialIdeal, MonomialPrime
 
 DEFAULT_MAX_POSET_VARS = 16
-_EAGER_VARS = 12  # below this the node list is materialized at build time
 
 
 class SpecPoset:
     """Finite poset of the monomial primes containing a monomial ideal,
-    with the minimal and associated primes marked."""
+    with the minimal and associated primes marked. Heights and chains need
+    no node list; only `nodes`, which walks all 2^v variable subsets, is
+    capped at `max_vars` variables."""
 
     def __init__(self, ideal, max_vars=DEFAULT_MAX_POSET_VARS):
         if ideal.is_unit:
             raise DegenerateInputError("the unit ideal has an empty spectrum")
-        v = ideal.context.count
-        if v > max_vars:
-            raise BudgetExceededError(
-                f"poset over {v} variables exceeds the cap of {max_vars} "
-                f"(2^{v} nodes)")
         self.ideal = ideal
         self.context = ideal.context
+        self.max_vars = max_vars
         self.min_primes = ideal.minimal_primes()
         self.ass_primes = ideal.associated_primes()
-        self.top = MonomialPrime(frozenset(range(v)))
+        self.top = MonomialPrime(frozenset(range(ideal.context.count)))
         self._supports = [frozenset(i for i, e in enumerate(g) if e)
                           for g in ideal.gens]
-        self._nodes = self._enumerate() if v <= _EAGER_VARS else None
-
-    def _enumerate(self):
-        v = self.context.count
-        found = []
-        for mask in range(1 << v):
-            subset = frozenset(i for i in range(v) if mask >> i & 1)
-            if all(subset & s for s in self._supports):
-                found.append(MonomialPrime(subset))
-        found.sort(key=lambda p: p.sort_key)
-        return tuple(found)
+        self._nodes = None
 
     def nodes(self):
         if self._nodes is None:
-            self._nodes = self._enumerate()
+            v = self.context.count
+            if v > self.max_vars:
+                raise BudgetExceededError(
+                    f"poset over {v} variables exceeds the cap of "
+                    f"{self.max_vars} (2^{v} nodes)")
+            found = []
+            for mask in range(1 << v):
+                subset = frozenset(i for i in range(v) if mask >> i & 1)
+                if all(subset & s for s in self._supports):
+                    found.append(MonomialPrime(subset))
+            found.sort(key=lambda p: p.sort_key)
+            self._nodes = tuple(found)
         return self._nodes
 
     def is_node(self, prime):

@@ -9,7 +9,12 @@ import pytest
 
 from noncat.analyzer import analyze
 from noncat.cli import REPORT_SCHEMA, main, report_text
-from noncat.families import FAMILY_KINDS, FamilySpec, instantiate
+from noncat.families import (
+    FAMILY_KINDS,
+    FamilySpec,
+    expected_mismatches,
+    instantiate,
+)
 
 
 def run_cli(capsys, text, *args):
@@ -138,6 +143,14 @@ class TestOtherCommands:
         assert payload["verdicts"]["noncat_ufd"] is True
         assert payload["witnesses"]["ufd_witness_prime"] == \
             ["y1", "y2", "z1", "z2"]
+
+    def test_family_above_poset_cap(self, capsys, tmp_path):
+        # 17 variables: analyze needs no poset node list, so no cap applies
+        code, out, _ = invoke(capsys, "family example_ufd(8, 8)",
+                              "--format", "json", tmp_path=tmp_path)
+        assert code == 0
+        _, expected = instantiate(FamilySpec("example_ufd", (8, 8)))
+        assert expected_mismatches(json.loads(out), expected) == []
 
     def test_multiple_commands_one_line_each(self, capsys, tmp_path):
         script = ("ring Q[x,y,z,v]\nideal I = (x*y, x*z)\n"

@@ -2,6 +2,7 @@
 monomial ideals, cross-checked against brute force and the Groebner
 engine."""
 
+import itertools
 import random
 
 import pytest
@@ -186,6 +187,33 @@ class TestCrossEngine:
                     assert not by_avoidance
                     continue
                 assert h.is_regular_element(f) == by_avoidance
+
+    def test_ass_and_socle_test_match_colon_calculus(self):
+        def socle_by_colon(h):
+            return not h.quotient(h.maximal_ideal()).equals(h)
+
+        rng = random.Random(71)
+        for _ in range(30):
+            v = rng.randint(1, 4)
+            c = ctx(*[f"v{i}" for i in range(v)])
+            ideal = mono(c, *random_monomial_ideal(rng, v, 4))
+            if ideal.is_unit:
+                continue
+            ass = set(ideal.associated_primes())
+            supports = [frozenset(i for i, e in enumerate(g) if e)
+                        for g in ideal.gens]
+            for size in range(1, v + 1):
+                for combo in itertools.combinations(range(v), size):
+                    prime = MonomialPrime(frozenset(combo))
+                    if not all(prime.indices & s for s in supports):
+                        continue
+                    # localizing at the top prime changes nothing
+                    local = ideal.localize(prime)
+                    lh = IdealHandle(QQ, local.context,
+                                     local.to_polynomials(QQ))
+                    by_colon = socle_by_colon(lh)
+                    assert lh.maximal_ideal_associated() == by_colon
+                    assert (prime in ass) == by_colon
 
     def test_from_polynomials_rejects_sums(self):
         c = ctx("x", "y")

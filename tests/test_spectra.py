@@ -68,13 +68,12 @@ class TestBuildPoset:
     def test_variable_cap(self):
         c = ctx(*[f"v{i}" for i in range(18)])
         zero = MonomialIdeal(c, ())
+        # the cap guards only the 2^v node list; chains need no nodes
+        poset = build_poset(zero, max_vars=16)
         with pytest.raises(BudgetExceededError):
-            build_poset(zero, max_vars=16)
-        # chains still work lazily above the eager threshold
-        poset = build_poset(MonomialIdeal(ctx(*[f"v{i}" for i in range(14)]), ()),
-                            max_vars=16)
+            poset.nodes()
         chain = construct_chain(poset, MonomialPrime(frozenset()))
-        assert chain.length == 14
+        assert chain.length == 18
 
 
 class TestHeight:
