@@ -31,7 +31,7 @@ from .groebner import (
     IdealHandle,
 )
 from .monomial import MonomialIdeal, MonomialPrime
-from .poly import DEFAULT_GB_STEP_BUDGET, GREVLEX, MonomialOrder, Polynomial
+from .poly import DEFAULT_GB_STEP_BUDGET, Polynomial
 from .spectra import (
     DEFAULT_MAX_POSET_VARS,
     build_poset,
@@ -56,7 +56,6 @@ class AnalysisConfig:
     gb_step_budget: int = DEFAULT_GB_STEP_BUDGET
     regular_candidate_budget: int = DEFAULT_REGULAR_CANDIDATE_BUDGET
     max_poset_vars: int = DEFAULT_MAX_POSET_VARS  # CLI poset and DOT only
-    order: MonomialOrder = GREVLEX
 
 
 @dataclass(frozen=True)
@@ -137,17 +136,14 @@ class _Analysis:
         self.ring = ring
         self.config = config or AnalysisConfig()
         self.handle = IdealHandle.from_presentation(
-            ring, self.config.order, self.config.gb_step_budget)
+            ring, self.config.gb_step_budget)
         if self.handle.is_unit_ideal:
             raise UnitIdealError("the unit ideal does not present a ring")
         self.context = ring.context
         self.field = ring.field
         self.v = ring.context.count
-        try:
-            self.mono = MonomialIdeal.from_polynomials(
-                self.context, self.handle.generators)
-        except UnsupportedInputError:
-            self.mono = None
+        self.mono = (self.handle.monomial_ideal() if self.handle.is_monomial
+                     else None)
         self._poset = None
         self._depth = None
 
@@ -274,35 +270,34 @@ class _Analysis:
         local = self.mono.localize(qprime)
         lhandle = IdealHandle(self.field, local.context,
                               local.to_polynomials(self.field),
-                              self.config.order, self.config.gb_step_budget)
+                              self.config.gb_step_budget)
         ldepth = lhandle.depth_at_least_two(self.config.regular_candidate_budget)
         if ldepth.verdict is not True:
             return None
         return UfdWitness(qprime, chain, height, x_elem, ldepth)
 
     def _witness_regular_start(self, inside, avoid):
-        """A regular element inside the prime `inside` such that `avoid`
-        stays unassociated after cutting by it. Monomial candidates are
-        settled exactly by the monomial engine; binomial fallbacks use the
-        sufficient colon test (J : avoid) = J."""
-        for i in sorted(inside.indices):
-            exps = tuple(1 if j == i else 0 for j in range(self.v))
-            if not self.mono.is_regular_monomial(exps):
-                continue
-            if avoid not in self.mono.plus([exps]).associated_primes():
+        """A regular element f inside the prime `inside` such that `avoid`
+        stays unassociated after cutting by f: a variable whose cut leaves
+        `avoid` out of Ass, else a sum of two variables whose cut has no
+        associated prime containing `avoid`. Both tests run on the
+        monomial cut (MonomialIdeal.cut), which fixes `avoid` because
+        `avoid` contains `inside`."""
+        indices = sorted(inside.indices)
+        unit = [tuple(1 if j == i else 0 for j in range(self.v))
+                for i in range(self.v)]
+        for i in indices:
+            if (self.mono.is_regular([unit[i]])
+                    and avoid not in self.mono.cut([i]).associated_primes()):
                 return Polynomial.variable(self.field, self.context, i)
-        avoid_gens = [Polynomial.variable(self.field, self.context, i)
-                      for i in sorted(avoid.indices)]
-        for i, j in itertools.combinations(sorted(inside.indices), 2):
-            f = (Polynomial.variable(self.field, self.context, i)
-                 + Polynomial.variable(self.field, self.context, j))
-            if self.handle.contains(f):
+        for pair in itertools.combinations(indices, 2):
+            if not self.mono.is_regular([unit[k] for k in pair]):
                 continue
-            if not self.handle.quotient_element(f).equals(self.handle):
-                continue
-            extended = self.handle.plus(f)
-            if extended.quotient(extended.spawn(avoid_gens)).equals(extended):
-                return f
+            ass = self.mono.cut(pair).associated_primes()
+            if not any(q.contains(avoid) for q in ass):
+                i, j = pair
+                return (Polynomial.variable(self.field, self.context, i)
+                        + Polynomial.variable(self.field, self.context, j))
         return None
 
     def forced_catenary(self):
@@ -318,15 +313,8 @@ class _Analysis:
         depth1 = not self.handle.maximal_ideal_associated()
         depth2 = self.depth.verdict
         domain_forced = depth1 and dims_domain_ok
-        ufd_forced = None if depth2 is None else (depth2 and dims_ufd_ok)
-        if depth2 is None:
-            mixed = None
-        else:
-            mixed = depth2 and dims_ufd_ok and has_dim2 and self.dim > 3
-        if dims_ufd_ok is False:
-            ufd_forced = False
-        if not (dims_ufd_ok and has_dim2 and self.dim > 3):
-            mixed = False
+        ufd_forced = depth2 if dims_ufd_ok else False
+        mixed = depth2 if (dims_ufd_ok and has_dim2 and self.dim > 3) else False
         return domain_forced, ufd_forced, mixed
 
     def universally_catenary_obstructed(self):

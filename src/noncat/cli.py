@@ -12,7 +12,8 @@ import argparse
 import json
 import sys
 
-from .analyzer import AnalysisConfig, analyze
+from .analyzer import (CONDITION_KEYS, SEMANTICS_UNVERIFIED, VERDICT_KEYS,
+                       AnalysisConfig, analyze)
 from .dsl import (
     AnalyzeCmd,
     ChainCmd,
@@ -39,12 +40,7 @@ from .errors import (
 from .families import FamilySpec, instantiate
 from .groebner import DEFAULT_REGULAR_CANDIDATE_BUDGET, IdealHandle
 from .monomial import MonomialIdeal, MonomialPrime
-from .poly import (
-    DEFAULT_GB_STEP_BUDGET,
-    ORDERS,
-    RingPresentation,
-    VariableContext,
-)
+from .poly import DEFAULT_GB_STEP_BUDGET, RingPresentation, VariableContext
 from .spectra import (
     DEFAULT_MAX_POSET_VARS,
     PrimeChain,
@@ -56,6 +52,16 @@ from .spectra import (
 )
 
 _TRISTATE = {True: "true", False: "false", None: "inconclusive"}
+
+
+def _tristate_object(keys):
+    """Schema of an object with exactly these keys, each boolean or null."""
+    return {
+        "type": "object",
+        "additionalProperties": False,
+        "required": list(keys),
+        "properties": {k: {"type": ["boolean", "null"]} for k in keys},
+    }
 
 REPORT_SCHEMA = {
     "$schema": "http://json-schema.org/draft-07/schema#",
@@ -88,34 +94,8 @@ REPORT_SCHEMA = {
         },
         "profile": {"type": ["array", "null"],
                     "items": {"type": "integer"}},
-        "conditions": {
-            "type": "object",
-            "additionalProperties": False,
-            "required": ["lech_i", "lech_ii", "depth_ge1", "depth_ge2",
-                         "exists_P_domain", "exists_P_ufd", "equidimensional"],
-            "properties": {
-                k: {"type": ["boolean", "null"]}
-                for k in ("lech_i", "lech_ii", "depth_ge1", "depth_ge2",
-                          "exists_P_domain", "exists_P_ufd", "equidimensional")
-            },
-        },
-        "verdicts": {
-            "type": "object",
-            "additionalProperties": False,
-            "required": ["domain_completion", "noncat_domain",
-                         "ufd_completion", "noncat_ufd", "forced_cat_domain",
-                         "forced_cat_ufd", "mixed_class",
-                         "universally_catenary_obstructed",
-                         "regularity_at_min"],
-            "properties": {
-                k: {"type": ["boolean", "null"]}
-                for k in ("domain_completion", "noncat_domain",
-                          "ufd_completion", "noncat_ufd", "forced_cat_domain",
-                          "forced_cat_ufd", "mixed_class",
-                          "universally_catenary_obstructed",
-                          "regularity_at_min")
-            },
-        },
+        "conditions": _tristate_object(CONDITION_KEYS),
+        "verdicts": _tristate_object(VERDICT_KEYS),
         "witnesses": {
             "type": "object",
             "additionalProperties": False,
@@ -218,7 +198,7 @@ class _Runner:
             elif isinstance(stmt, FamilyCmd):
                 ring, _ = instantiate(FamilySpec(stmt.kind, stmt.params))
                 handle = IdealHandle.from_presentation(
-                    ring, self.config.order, self.config.gb_step_budget)
+                    ring, self.config.gb_step_budget)
                 yield self.do_analyze(handle)
             else:
                 raise TypeError(f"not a statement: {stmt!r}")
@@ -227,8 +207,7 @@ class _Runner:
         if isinstance(expr, GenList):
             f = expr.polys[0].field
             ctx = expr.polys[0].context
-            return IdealHandle(f, ctx, expr.polys, self.config.order,
-                               self.config.gb_step_budget)
+            return IdealHandle(f, ctx, expr.polys, self.config.gb_step_budget)
         if isinstance(expr, Intersect):
             return self.resolve(expr.left).intersection(self.resolve(expr.right))
         if isinstance(expr, Ref):
@@ -245,7 +224,7 @@ class _Runner:
     def do_analyze(self, handle):
         ring = RingPresentation(handle.field, handle.context, handle.generators)
         report = analyze(ring, self.config)
-        if any("unsupported input class" in s for s in report.inconclusive):
+        if report.semantics == SEMANTICS_UNVERIFIED:
             self.flagged_unsupported = True
         if self.fmt == "json":
             return json.dumps(report.to_json_dict(), sort_keys=False)
@@ -348,8 +327,6 @@ def _build_argparser():
                         help="script file, or - for stdin (default)")
     parser.add_argument("--format", choices=["text", "json", "dot"],
                         default="text", help="output format")
-    parser.add_argument("--order", choices=sorted(ORDERS), default="grevlex",
-                        help="monomial order for Groebner computations")
     parser.add_argument("--budget-gb-steps", type=int,
                         default=DEFAULT_GB_STEP_BUDGET,
                         metavar="N", help="reduction steps per Groebner run")
@@ -368,8 +345,7 @@ def main(argv=None):
     config = AnalysisConfig(
         gb_step_budget=args.budget_gb_steps,
         regular_candidate_budget=args.budget_regular_candidates,
-        max_poset_vars=args.max_poset_vars,
-        order=ORDERS[args.order])
+        max_poset_vars=args.max_poset_vars)
     if args.script == "-":
         text = sys.stdin.read()
     else:

@@ -1,12 +1,13 @@
 """Groebner-basis engine and ideal calculus.
 
 Provides reduced Groebner bases (Buchberger with the coprime-lead and
-chain criteria, normal pair selection), ideal membership and equality,
-intersection and colon ideals via elimination, and the regularity and
-depth tests the ring classifiers rely on. Krull dimension is read off the
-leading-term ideal by the monomial engine, which also settles the socle
-test when the reduced basis consists of terms; the colon calculus serves
-every other ideal.
+chain criteria, normal pair selection), ideal membership and equality on
+each handle's cached grevlex basis, intersection and colon ideals via
+elimination, and the regularity and depth tests the ring classifiers rely
+on. Krull dimension is read off the leading-term ideal by the monomial
+engine. When the reduced basis consists of terms, the monomial engine also
+settles the socle test and the depth search, apart from cuts by sums of
+three variables; the colon calculus serves every other ideal.
 
 Handles are immutable apart from fill-once caches guarded by a lock, so
 one handle can serve several threads.
@@ -20,14 +21,13 @@ import threading
 from dataclasses import dataclass
 
 from .errors import ContextMismatchError, DegenerateInputError, UnitIdealError
-from .monomial import MonomialIdeal, MonomialPrime
+from .monomial import MonomialIdeal
 from .poly import (
     DEFAULT_GB_STEP_BUDGET,
     GREVLEX,
     BlockEliminationOrder,
     Budget,
     Polynomial,
-    RingPresentation,
     VariableContext,
     divide,
     exps_add,
@@ -175,10 +175,10 @@ class IdealHandle:
     """An ideal of K[x1..xv] with cached reduced Groebner bases and the
     ideal calculus built on them."""
 
-    __slots__ = ("field", "context", "generators", "order", "gb_step_budget",
-                 "_lock", "_gb", "_dim", "_m_assoc")
+    __slots__ = ("field", "context", "generators", "gb_step_budget",
+                 "_lock", "_gb", "_mono", "_dim", "_m_assoc")
 
-    def __init__(self, field, context, generators=(), order=GREVLEX,
+    def __init__(self, field, context, generators=(),
                  gb_step_budget=DEFAULT_GB_STEP_BUDGET):
         gens = []
         for g in generators:
@@ -190,24 +190,20 @@ class IdealHandle:
         self.field = field
         self.context = context
         self.generators = tuple(gens)
-        self.order = order
         self.gb_step_budget = gb_step_budget
         self._lock = threading.Lock()
-        self._gb = {}
+        self._gb = None
+        self._mono = None
         self._dim = None
         self._m_assoc = None
 
     @classmethod
-    def from_presentation(cls, ring, order=GREVLEX,
-                          gb_step_budget=DEFAULT_GB_STEP_BUDGET):
-        return cls(ring.field, ring.context, ring.generators, order, gb_step_budget)
-
-    def presentation(self):
-        return RingPresentation(self.field, self.context, self.generators)
+    def from_presentation(cls, ring, gb_step_budget=DEFAULT_GB_STEP_BUDGET):
+        return cls(ring.field, ring.context, ring.generators, gb_step_budget)
 
     def spawn(self, generators):
         """Sibling handle over the same ring with the same budgets."""
-        return IdealHandle(self.field, self.context, generators, self.order,
+        return IdealHandle(self.field, self.context, generators,
                            self.gb_step_budget)
 
     def render(self):
@@ -216,24 +212,31 @@ class IdealHandle:
 
     # -- Groebner bases and membership --
 
-    def groebner_basis(self, order=None):
-        order = order or self.order
-        with self._lock:
-            cached = self._gb.get(order)
-        if cached is not None:
-            return cached
-        basis = buchberger(self.generators, order,
-                           Budget(self.gb_step_budget, "groebner step budget"))
-        with self._lock:
-            return self._gb.setdefault(order, basis)
+    def groebner_basis(self):
+        """The reduced grevlex Groebner basis, computed once."""
+        if self._gb is None:
+            basis = buchberger(self.generators, GREVLEX,
+                               Budget(self.gb_step_budget, "groebner step budget"))
+            mono = (MonomialIdeal.from_polynomials(self.context, basis)
+                    if all(g.is_term for g in basis) else None)
+            with self._lock:
+                if self._gb is None:
+                    self._gb, self._mono = basis, mono
+        return self._gb
 
-    def normal_form(self, f, order=None):
-        order = order or self.order
-        basis = self.groebner_basis(order)
+    def normal_form(self, f):
+        basis = self.groebner_basis()
         if not basis:
             return f
-        _, r = divide(f, basis, order)
+        _, r = divide(f, basis)
         return r
+
+    def monomial_ideal(self):
+        """I as a MonomialIdeal when its reduced basis consists of terms,
+        else None; built with the basis, so its Ass is computed once per
+        handle."""
+        self.groebner_basis()
+        return self._mono
 
     def contains(self, f):
         return self.normal_form(f).is_zero
@@ -244,7 +247,7 @@ class IdealHandle:
     def equals(self, other):
         if self.field != other.field or self.context != other.context:
             raise ContextMismatchError("ideals over different rings")
-        return self.groebner_basis(self.order) == other.groebner_basis(self.order)
+        return self.groebner_basis() == other.groebner_basis()
 
     @property
     def is_zero_ideal(self):
@@ -305,7 +308,7 @@ class IdealHandle:
         inter = self.intersection(self.spawn((f,)))
         quotients = []
         for g in inter.generators:
-            (q,), r = divide(g, (f,), self.order)
+            (q,), r = divide(g, (f,))
             if not r.is_zero:
                 raise ArithmeticError("intersection member not divisible by f")
             quotients.append(q)
@@ -339,7 +342,7 @@ class IdealHandle:
         if self.is_unit_ideal:
             raise UnitIdealError("the unit ideal has no Krull dimension")
         lead = MonomialIdeal(self.context,
-                             (g.leading_monomial(self.order).exponents
+                             (g.leading_monomial().exponents
                               for g in self.groebner_basis()))
         with self._lock:
             self._dim = lead.dimension()
@@ -353,11 +356,9 @@ class IdealHandle:
             return self._m_assoc
         if self.is_unit_ideal:
             raise UnitIdealError("the unit ideal does not present a ring")
-        basis = self.groebner_basis()
-        if all(g.is_term for g in basis):
-            top = MonomialPrime(frozenset(range(self.context.count)))
-            ass = MonomialIdeal.from_polynomials(self.context, basis)
-            result = top in ass.associated_primes()
+        mono = self.monomial_ideal()
+        if mono is not None:
+            result = mono.maximal_ideal_associated()
         else:
             result = not self.quotient(self.maximal_ideal()).equals(self)
         with self._lock:
@@ -369,23 +370,34 @@ class IdealHandle:
 
         Depth drops by exactly one modulo any regular element, so the first
         regular candidate f settles the question: depth >= 2 exactly when
-        M is not associated after cutting by f. Exhausting the candidate
-        stream without finding a regular element is reported as
+        M is not associated after cutting by f. For a monomial I the
+        monomial engine decides both steps: f is regular when no associated
+        prime contains all its variables, and a cut by one or two variables
+        is again monomial (MonomialIdeal.cut). A cut by three variables,
+        and any non-monomial I, take the colon calculus. Exhausting the
+        candidate stream without finding a regular element is reported as
         inconclusive, never as False.
         """
         if self.maximal_ideal_associated():
             return DepthResult(False, None,
                                "depth 0: the maximal ideal is associated")
+        mono = self.monomial_ideal()
         stream = itertools.islice(
             regular_element_candidates(self.field, self.context), candidate_budget)
         tried = 0
         for f in stream:
             tried += 1
-            if self.contains(f):
+            terms = [e for _, e in f.pairs()]
+            if mono is None:
+                if self.contains(f) or not self.quotient_element(f).equals(self):
+                    continue
+            elif not mono.is_regular(terms):
                 continue
-            if not self.quotient_element(f).equals(self):
-                continue
-            if self.plus(f).maximal_ideal_associated():
+            if mono is not None and len(terms) <= 2:
+                cut = mono.cut([e.index(1) for e in terms])
+            else:
+                cut = self.plus(f)
+            if cut.maximal_ideal_associated():
                 return DepthResult(
                     False, f,
                     f"depth 1: {f} is regular but the maximal ideal is "

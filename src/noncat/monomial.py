@@ -126,10 +126,6 @@ class MonomialIdeal:
     def is_squarefree(self):
         return all(all(e <= 1 for e in g) for g in self.gens)
 
-    def radical(self):
-        return MonomialIdeal(self.context,
-                             (tuple(min(e, 1) for e in g) for g in self.gens))
-
     def contains_exps(self, exps):
         return any(exps_divides(g, exps) for g in self.gens)
 
@@ -285,12 +281,36 @@ class MonomialIdeal:
         v = self.context.count
         return max(p.quotient_dim(v) for p in self.minimal_primes())
 
-    def is_regular_monomial(self, exps):
-        """A monomial is regular on the quotient exactly when it avoids
-        every associated prime."""
-        if self.contains_exps(exps):
-            return False
-        return not any(p.contains_exps(exps) for p in self.associated_primes())
+    def maximal_ideal_associated(self):
+        """Whether the ideal of all variables is an associated prime."""
+        top = MonomialPrime(frozenset(range(self.context.count)))
+        return top in self.associated_primes()
+
+    def is_regular(self, terms):
+        """Whether the element with these terms (exponent vectors) is a
+        non-zero-divisor on the quotient. Zero divisors form the union of
+        Ass, and a monomial prime contains an element exactly when it
+        contains each of its terms."""
+        return not any(all(p.contains_exps(e) for e in terms)
+                       for p in self.associated_primes())
+
+    def cut(self, indices):
+        """Monomial ideal J with R/(I + (f)) isomorphic to R/J, for f the
+        variable x_i (indices (i,)) or x_i + x_j (indices (i, j)).
+
+        J is I + (x_i) after substituting x_j for x_i. The automorphism
+        x_i -> x_i - x_j of R carries I + (x_i + x_j) to J up to the signs
+        of the generators, fixes every monomial prime that contains x_i and
+        x_j (the maximal ideal among them), and matches an associated prime
+        Q of J with (Q without x_i) + (f)."""
+        i = indices[0]
+        unit = tuple(1 if k == i else 0 for k in range(self.context.count))
+        if len(indices) == 1:
+            return self.plus([unit])
+        j, = indices[1:]
+        moved = (tuple(0 if k == i else e + g[i] if k == j else e
+                       for k, e in enumerate(g)) for g in self.gens)
+        return MonomialIdeal(self.context, (unit, *moved))
 
     def localize(self, prime):
         """Localization at a monomial prime: variables outside the prime

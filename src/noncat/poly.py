@@ -246,7 +246,6 @@ class _GrevlexOrder(MonomialOrder):
 
 LEX = _LexOrder()
 GREVLEX = _GrevlexOrder()
-ORDERS = {"grevlex": GREVLEX, "lex": LEX}
 
 
 @dataclass(frozen=True)

@@ -158,7 +158,7 @@ def test_criterion_6_oracle_equivalence():
                     continue
                 f = Polynomial(QQ, c, ((1, e),))
                 assert handle.is_regular_element(f) == \
-                    mono.is_regular_monomial(e)
+                    mono.is_regular([e])
                 regularity_checked += 1
         assert checked >= 200
         assert regularity_checked >= 100

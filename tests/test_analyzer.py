@@ -156,6 +156,17 @@ class TestUfdWitnessPrime:
         assert witness.prime == MonomialPrime.of(c, "y1", "y2", "y3",
                                                  "z1", "z2")
 
+    def test_regular_start_is_a_sum_of_two_variables(self):
+        """No variable of the chain node is a usable start here, so the
+        witness starts with x0 + x2, decided on the monomial cut."""
+        c = ctx("x0", "x1", "x2", "x3", "x4")
+        x0, x1, x2, x3, x4 = variables(QQ, c)
+        report = analyze(ring_of(c, x1 * x3, x0 * x2 ** 2 * x3,
+                                 x2 * x3 ** 2))
+        assert report.witnesses.ufd_witness_prime == ("x0", "x1", "x2", "x4")
+        assert any(n.startswith("ufd_witness: regular sequence starts with "
+                                "x0 + x2;") for n in report.notes)
+
     def test_witness_conditions_reverify(self):
         """A returned witness passes the independent condition checks:
         dim 1, height deficiency, regular start avoiding the prime after

@@ -361,6 +361,23 @@ class TestDepth:
         assert result.verdict is False
         assert result.regular_element is None
 
+    def test_three_variable_cut_depth_one(self):
+        """No variable or pair sum is regular on (xy, xz, yz); the cut by
+        x + y + z is not monomial and has the maximal ideal associated."""
+        c = ctx("x", "y", "z")
+        x, y, z = variables(QQ, c)
+        result = handle(c, x * y, x * z, y * z).depth_at_least_two()
+        assert result.verdict is False
+        assert result.regular_element == x + y + z
+
+    def test_three_variable_cut_depth_two(self):
+        c = ctx("x", "y", "z", "w")
+        x, y, z, w = variables(QQ, c)
+        result = handle(c, x * y * z, x * y * w, x * z * w,
+                        y * z * w).depth_at_least_two()
+        assert result.verdict is True
+        assert result.regular_element == x + y + z
+
     def test_depth_bound_by_associated_dims(self):
         """Depth verdicts never exceed min dim(T/P) over the associated
         primes computed by the monomial engine."""

@@ -8,9 +8,9 @@ import random
 import pytest
 
 from noncat.errors import EmptyLocalizationError, UnitIdealError, UnsupportedInputError
-from noncat.groebner import IdealHandle
+from noncat.groebner import IdealHandle, regular_element_candidates
 from noncat.monomial import MonomialIdeal, MonomialPrime
-from noncat.poly import Polynomial, variables
+from noncat.poly import FieldDescriptor, Polynomial, variables
 
 from conftest import QQ, brute_minimal_covers, brute_dimension, ctx, random_monomial_ideal
 
@@ -182,7 +182,7 @@ class TestCrossEngine:
                 if not any(e):
                     continue
                 f = Polynomial(QQ, c, ((1, e),))
-                by_avoidance = ideal.is_regular_monomial(e)
+                by_avoidance = ideal.is_regular([e])
                 if h.contains(f):
                     assert not by_avoidance
                     continue
@@ -214,6 +214,34 @@ class TestCrossEngine:
                     by_colon = socle_by_colon(lh)
                     assert lh.maximal_ideal_associated() == by_colon
                     assert (prime in ass) == by_colon
+
+    def test_depth_matches_colon_calculus(self):
+        """depth_at_least_two on monomial input agrees with a reference
+        that uses only the colon calculus: the first candidate f outside I
+        with (I : f) = I, then the socle test on I + (f)."""
+        def by_colon(h):
+            if not h.quotient(h.maximal_ideal()).equals(h):
+                return False, None
+            for f in regular_element_candidates(h.field, h.context):
+                if h.contains(f) or not h.quotient_element(f).equals(h):
+                    continue
+                g = h.plus(f)
+                return g.quotient(g.maximal_ideal()).equals(g), f
+            return None, None
+
+        rng = random.Random(89)
+        for field in (QQ, FieldDescriptor(32003)):
+            checked = 0
+            while checked < 20:
+                v = rng.randint(2, 5)
+                c = ctx(*[f"v{i}" for i in range(v)])
+                ideal = mono(c, *random_monomial_ideal(rng, v, 4))
+                if ideal.is_unit:
+                    continue
+                checked += 1
+                h = IdealHandle(field, c, ideal.to_polynomials(field))
+                result = h.depth_at_least_two()
+                assert (result.verdict, result.regular_element) == by_colon(h)
 
     def test_from_polynomials_rejects_sums(self):
         c = ctx("x", "y")
