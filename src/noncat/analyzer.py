@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import ChainInfeasibleError, UnitIdealError, UnsupportedInputError
 from .groebner import (
@@ -142,10 +143,7 @@ class _Analysis:
         self.context = ring.context
         self.field = ring.field
         self.v = ring.context.count
-        self.mono = (self.handle.monomial_ideal() if self.handle.is_monomial
-                     else None)
-        self._poset = None
-        self._depth = None
+        self.mono = self.handle.monomial_ideal()
 
     # -- shared facts --
 
@@ -153,7 +151,7 @@ class _Analysis:
     def dim(self):
         return self.handle.krull_dimension()
 
-    @property
+    @cached_property
     def is_field_case(self):
         return self.handle.is_maximal_ideal
 
@@ -161,19 +159,15 @@ class _Analysis:
     def is_dvr_case(self):
         return self.v == 1 and self.handle.is_zero_ideal
 
-    @property
+    @cached_property
     def depth(self):
-        if self._depth is None:
-            self._depth = self.handle.depth_at_least_two(
-                self.config.regular_candidate_budget)
-        return self._depth
+        return self.handle.depth_at_least_two(
+            self.config.regular_candidate_budget)
 
-    @property
+    @cached_property
     def poset(self):
-        if self._poset is None:
-            self.require_monomial("spectrum poset")
-            self._poset = build_poset(self.mono)
-        return self._poset
+        self.require_monomial("spectrum poset")
+        return build_poset(self.mono)
 
     def require_monomial(self, what):
         if self.mono is None:
@@ -181,7 +175,7 @@ class _Analysis:
                 f"{what} needs minimal primes, which are only computed for "
                 "monomial ideals")
 
-    @property
+    @cached_property
     def profile(self):
         self.require_monomial("noncatenarity profile")
         return noncat_profile(self.mono)

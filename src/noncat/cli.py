@@ -39,7 +39,7 @@ from .errors import (
 )
 from .families import FamilySpec, instantiate
 from .groebner import DEFAULT_REGULAR_CANDIDATE_BUDGET, IdealHandle
-from .monomial import MonomialIdeal, MonomialPrime
+from .monomial import MonomialPrime
 from .poly import DEFAULT_GB_STEP_BUDGET, RingPresentation, VariableContext
 from .spectra import (
     DEFAULT_MAX_POSET_VARS,
@@ -215,11 +215,12 @@ class _Runner:
         raise TypeError(f"not an ideal expression: {expr!r}")
 
     def monomial_of(self, handle, what):
-        if not handle.is_monomial:
+        mono = handle.monomial_ideal()
+        if mono is None:
             raise UnsupportedInputError(
-                f"{what} requires a monomial ideal; the presented generators "
-                "are not single terms")
-        return MonomialIdeal.from_polynomials(handle.context, handle.generators)
+                f"{what} requires a monomial ideal; the reduced basis is "
+                "not made of single terms")
+        return mono
 
     def do_analyze(self, handle):
         ring = RingPresentation(handle.field, handle.context, handle.generators)

@@ -4,10 +4,14 @@ Provides reduced Groebner bases (Buchberger with the coprime-lead and
 chain criteria, normal pair selection), ideal membership and equality on
 each handle's cached grevlex basis, intersection and colon ideals via
 elimination, and the regularity and depth tests the ring classifiers rely
-on. Krull dimension is read off the leading-term ideal by the monomial
-engine. When the reduced basis consists of terms, the monomial engine also
-settles the socle test and the depth search, apart from cuts by sums of
-three variables; the colon calculus serves every other ideal.
+on. A handle whose generators are all terms never runs Buchberger: the
+monomial engine supplies its reduced basis, the minimal generators. A
+handle's ideal is monomial when its reduced basis consists of terms,
+whatever its presentation (IdealHandle.monomial_ideal). Krull dimension is
+read off the leading-term ideal by the monomial engine. For monomial I the
+monomial engine also settles the socle test and the depth search, apart
+from cuts by sums of three variables; the colon calculus serves every
+other ideal.
 
 Handles are immutable apart from fill-once caches guarded by a lock, so
 one handle can serve several threads.
@@ -213,12 +217,25 @@ class IdealHandle:
     # -- Groebner bases and membership --
 
     def groebner_basis(self):
-        """The reduced grevlex Groebner basis, computed once."""
+        """The reduced grevlex Groebner basis, computed once. The reduced
+        basis of a monomial ideal is its minimal generating set, so term
+        generators go to the monomial engine and only other input runs
+        Buchberger; a basis of terms from Buchberger still means I is
+        monomial."""
         if self._gb is None:
-            basis = buchberger(self.generators, GREVLEX,
-                               Budget(self.gb_step_budget, "groebner step budget"))
-            mono = (MonomialIdeal.from_polynomials(self.context, basis)
-                    if all(g.is_term for g in basis) else None)
+            if all(g.is_term for g in self.generators):
+                mono = MonomialIdeal.from_polynomials(self.context,
+                                                      self.generators)
+                one = self.field.one
+                basis = tuple(
+                    Polynomial(self.field, self.context, ((one, e),))
+                    for e in sorted(mono.gens, key=GREVLEX.key, reverse=True))
+            else:
+                basis = buchberger(self.generators, GREVLEX,
+                                   Budget(self.gb_step_budget,
+                                          "groebner step budget"))
+                mono = (MonomialIdeal.from_polynomials(self.context, basis)
+                        if all(g.is_term for g in basis) else None)
             with self._lock:
                 if self._gb is None:
                     self._gb, self._mono = basis, mono
@@ -232,9 +249,10 @@ class IdealHandle:
         return r
 
     def monomial_ideal(self):
-        """I as a MonomialIdeal when its reduced basis consists of terms,
-        else None; built with the basis, so its Ass is computed once per
-        handle."""
+        """I as a MonomialIdeal when I is monomial, else None. This is the
+        one test of the monomial class: it reads the reduced basis, not the
+        presented generators, so (x+y, y) counts as monomial. Built with the
+        basis, so its Min and Ass are computed once per handle."""
         self.groebner_basis()
         return self._mono
 
@@ -264,10 +282,6 @@ class IdealHandle:
     @property
     def is_maximal_ideal(self):
         return self.equals(self.maximal_ideal())
-
-    @property
-    def is_monomial(self):
-        return all(g.is_term for g in self.generators)
 
     def plus(self, extra):
         extra = (extra,) if isinstance(extra, Polynomial) else tuple(extra)
@@ -336,14 +350,18 @@ class IdealHandle:
 
     def krull_dimension(self):
         """dim K[x..]/I, computed by the monomial engine on the leading-term
-        ideal, since dim R/I = dim R/LT(I) for any monomial order."""
+        ideal, since dim R/I = dim R/LT(I) for any monomial order. A
+        monomial I is its own leading-term ideal, so its MonomialIdeal
+        serves and Min is computed once per handle."""
         if self._dim is not None:
             return self._dim
         if self.is_unit_ideal:
             raise UnitIdealError("the unit ideal has no Krull dimension")
-        lead = MonomialIdeal(self.context,
-                             (g.leading_monomial().exponents
-                              for g in self.groebner_basis()))
+        lead = self.monomial_ideal()
+        if lead is None:
+            lead = MonomialIdeal(self.context,
+                                 (g.leading_monomial().exponents
+                                  for g in self.groebner_basis()))
         with self._lock:
             self._dim = lead.dimension()
         return self._dim

@@ -154,30 +154,11 @@ def exps_lcm(a, b):
     return tuple(max(x, y) for x, y in zip(a, b))
 
 
-def exps_degree(a):
-    return sum(a)
-
-
-def exps_support(a):
-    return tuple(i for i, e in enumerate(a) if e)
-
-
 @dataclass(frozen=True)
 class Monomial:
     """Exponent vector; the length must match the variable context."""
 
     exponents: tuple
-
-    @property
-    def total_degree(self):
-        return sum(self.exponents)
-
-    @property
-    def is_one(self):
-        return not any(self.exponents)
-
-    def support(self):
-        return exps_support(self.exponents)
 
     def _same_length(self, other):
         if len(self.exponents) != len(other.exponents):
@@ -315,17 +296,7 @@ class Polynomial:
         exps = tuple(1 if j == i else 0 for j in range(context.count))
         return cls(field, context, ((field.one, exps),))
 
-    @classmethod
-    def from_pairs(cls, field, context, pairs):
-        """pairs: iterable of (coefficient, exponent tuple)."""
-        return cls(field, context, pairs)
-
     # -- inspection --
-
-    @property
-    def terms(self):
-        """Terms as (coefficient, Monomial), descending under grevlex."""
-        return tuple((c, Monomial(e)) for c, e in self._terms)
 
     def pairs(self):
         """Raw (coefficient, exponent tuple) pairs, descending under grevlex."""

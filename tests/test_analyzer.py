@@ -23,6 +23,7 @@ from noncat.errors import (
     UnitIdealError,
     UnsupportedInputError,
 )
+from noncat.families import FamilySpec, instantiate
 from noncat.groebner import IdealHandle
 from noncat.monomial import MonomialIdeal, MonomialPrime
 from noncat.poly import (
@@ -373,6 +374,26 @@ def _parse_witness(text, ring):
     for part in text.split(" + "):
         out = out + Polynomial.variable(ring.field, ring.context, part.strip())
     return out
+
+
+class TestMonomialEngineOnly:
+    def test_monomial_rings_never_run_buchberger(self, monkeypatch):
+        ufd_ring, _ = instantiate(FamilySpec("example_ufd", (2, 2)))
+        c = ctx("x", "y", "z")
+        x, y, z = variables(QQ, c)
+        embedded = ring_of(c, x ** 2, x * y)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("buchberger ran on monomial input")
+
+        monkeypatch.setattr("noncat.groebner.buchberger", refuse)
+        report = analyze(ufd_ring)
+        assert report.semantics == "monomial-exact"
+        assert report.verdicts["noncat_ufd"] is True
+        report = analyze(embedded)
+        assert report.semantics == "monomial-exact"
+        assert report.associated_primes == (("x",), ("x", "y"))
+        assert report.conditions["depth_ge2"] is False
 
 
 class TestImplicationLattice:

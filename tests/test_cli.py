@@ -164,6 +164,30 @@ class TestOtherCommands:
             json.loads(line)
 
 
+class TestMonomialClassFromBasis:
+    """(x+y, y) equals (x, y): the class is read off the reduced basis,
+    not the presented generators."""
+
+    SCRIPT = "ring Q[x,y,z]\nideal I = (x+y, y)\n"
+
+    def test_analyze_is_monomial_exact(self, capsys, tmp_path):
+        code, out, _ = invoke(capsys, self.SCRIPT + "analyze I",
+                              "--format", "json", tmp_path=tmp_path)
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["semantics"] == "monomial-exact"
+        assert [p["gens"] for p in payload["minimal_primes"]] == [["x", "y"]]
+
+    def test_profile_poset_and_chain(self, capsys, tmp_path):
+        code, out, _ = invoke(
+            capsys, self.SCRIPT + "profile I\nposet I\nchain I from (x,y)",
+            tmp_path=tmp_path)
+        assert code == 0
+        lines = out.splitlines()
+        assert lines[0] == "profile {1}"
+        assert lines[-1] == "(x,y) < (x,y,z)  (length 1)"
+
+
 class TestExitCodes:
     def test_parse_error_exits_1(self, capsys, tmp_path):
         code, _, err = invoke(capsys, "ideal I = (x)", tmp_path=tmp_path)

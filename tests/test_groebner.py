@@ -4,6 +4,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from noncat.errors import BudgetExceededError, DegenerateInputError, UnitIdealError
 from noncat.groebner import IdealHandle, buchberger
@@ -11,6 +13,7 @@ from noncat.monomial import MonomialIdeal
 from noncat.poly import (
     GREVLEX,
     LEX,
+    FieldDescriptor,
     Monomial,
     Polynomial,
     variables,
@@ -102,6 +105,38 @@ class TestBuchberger:
             h.groebner_basis()
         # the same computation succeeds with room to work
         assert handle(c, *gens).groebner_basis()
+
+
+@st.composite
+def term_generators(draw):
+    """(field, context, generators): single terms with random nonzero
+    coefficients, redundant multiples mixed in, in random order."""
+    field = draw(st.sampled_from(
+        (QQ, FieldDescriptor(2), FieldDescriptor(32003))))
+    v = draw(st.integers(1, 4))
+    exps = st.tuples(*[st.integers(0, 3)] * v)
+    vectors = draw(st.lists(exps, max_size=5))
+    if vectors:
+        for _ in range(draw(st.integers(0, 3))):
+            base, extra = draw(st.sampled_from(vectors)), draw(exps)
+            vectors.append(tuple(a + b for a, b in zip(base, extra)))
+    vectors = draw(st.permutations(vectors))
+    p = field.characteristic
+    coeffs = (st.integers(1, p - 1) if p
+              else st.fractions(-9, 9, max_denominator=9).filter(bool))
+    c = ctx(*(f"x{i}" for i in range(v)))
+    gens = [Polynomial(field, c, ((draw(coeffs), e),)) for e in vectors]
+    return field, c, gens
+
+
+class TestMonomialBasis:
+    @settings(deadline=None)
+    @given(term_generators())
+    def test_monomial_engine_basis_matches_buchberger(self, case):
+        field, c, gens = case
+        h = IdealHandle(field, c, gens)
+        assert h.groebner_basis() == buchberger(gens)
+        assert h.monomial_ideal() is not None
 
 
 class TestMembership:
