@@ -32,7 +32,7 @@ from .groebner import (
     IdealHandle,
 )
 from .monomial import MonomialIdeal, MonomialPrime
-from .poly import DEFAULT_GB_STEP_BUDGET, Polynomial
+from .poly import DEFAULT_GB_STEP_BUDGET, Polynomial, RingPresentation
 from .spectra import (
     DEFAULT_MAX_POSET_VARS,
     build_poset,
@@ -130,20 +130,28 @@ class AnalysisReport:
 
 
 class _Analysis:
-    """Shared computation state for one ring; every fact is computed at
-    most once."""
+    """Every computed fact about one ideal, each computed at most once: the
+    handle caches the basis, Min, Ass, dim and the socle test, this class
+    the depth search, poset, profile, verdicts and report. The CLI keeps
+    one per ideal, so all its commands on that ideal share the work."""
 
-    def __init__(self, ring, config=None):
-        self.ring = ring
-        self.config = config or AnalysisConfig()
-        self.handle = IdealHandle.from_presentation(
-            ring, self.config.gb_step_budget)
-        if self.handle.is_unit_ideal:
+    def __init__(self, handle, config):
+        if handle.is_unit_ideal:
             raise UnitIdealError("the unit ideal does not present a ring")
-        self.context = ring.context
-        self.field = ring.field
-        self.v = ring.context.count
-        self.mono = self.handle.monomial_ideal()
+        self.handle = handle
+        self.config = config
+        self.context = handle.context
+        self.field = handle.field
+        self.v = handle.context.count
+        self.mono = handle.monomial_ideal()
+        self.ring = RingPresentation(handle.field, handle.context,
+                                     handle.generators).render()
+
+    @classmethod
+    def from_presentation(cls, ring, config=None):
+        config = config or AnalysisConfig()
+        return cls(IdealHandle.from_presentation(ring, config.gb_step_budget),
+                   config)
 
     # -- shared facts --
 
@@ -166,8 +174,8 @@ class _Analysis:
 
     @cached_property
     def poset(self):
-        self.require_monomial("spectrum poset")
-        return build_poset(self.mono)
+        self.require_monomial("the spectrum poset")
+        return build_poset(self.mono, self.config.max_poset_vars)
 
     def require_monomial(self, what):
         if self.mono is None:
@@ -177,11 +185,12 @@ class _Analysis:
 
     @cached_property
     def profile(self):
-        self.require_monomial("noncatenarity profile")
+        self.require_monomial("the noncatenarity profile")
         return noncat_profile(self.mono)
 
     # -- the individual checkers --
 
+    @cached_property
     def domain_completion(self):
         """Completion-of-a-domain test: automatic prime-subring condition
         plus the socle test, with the field carve-out."""
@@ -197,9 +206,10 @@ class _Analysis:
                 return p
         return None
 
+    @cached_property
     def noncat_domain(self):
         self.require_monomial("the noncatenary-domain verdict")
-        if not self.domain_completion():
+        if not self.domain_completion:
             return False, None, None
         p = self._qualifying_prime(1)
         if p is None:
@@ -216,6 +226,7 @@ class _Analysis:
             raise AssertionError(f"chain witness failed verification: {problems}")
         return True, p, chain
 
+    @cached_property
     def ufd_completion(self):
         """Field, DVR, or depth > 1; tri-state because the depth search can
         be inconclusive."""
@@ -224,6 +235,7 @@ class _Analysis:
         d = self.depth
         return d.verdict, d.regular_element
 
+    @cached_property
     def noncat_ufd(self):
         self.require_monomial("the noncatenary-UFD verdict")
         p = self._qualifying_prime(2)
@@ -234,11 +246,12 @@ class _Analysis:
             return None, p, None
         if not verdict:
             return False, p, None
-        witness = self.ufd_witness()
+        witness = self.ufd_witness
         if self.dim <= 3:
             raise AssertionError("noncatenary UFD verdict with dim <= 3")
         return True, p, witness
 
+    @cached_property
     def ufd_witness(self):
         """Search for the dimension-one witness prime Q' described in the
         module docstring; None when no qualifying minimal prime exists or
@@ -294,6 +307,7 @@ class _Analysis:
                         + Polynomial.variable(self.field, self.context, j))
         return None
 
+    @cached_property
     def forced_catenary(self):
         """The three forced-catenarity condition bundles: every domain
         completing to T is catenary; every UFD completing to T is
@@ -311,12 +325,14 @@ class _Analysis:
         mixed = depth2 if (dims_ufd_ok and has_dim2 and self.dim > 3) else False
         return domain_forced, ufd_forced, mixed
 
+    @cached_property
     def universally_catenary_obstructed(self):
         """Nonequidimensional T: no domain completing to it can be
         universally catenary."""
         self.require_monomial("the equidimensionality test")
         return len(set(self.profile)) > 1
 
+    @cached_property
     def regularity_at_min(self):
         """Sufficient quasi-excellence check: requires characteristic zero
         and no embedded primes; true when each minimal prime's primary
@@ -344,6 +360,10 @@ class _Analysis:
                 return False
         return True
 
+    @cached_property
+    def report(self):
+        return _report(self)
+
 
 def _implications(verdicts, dim):
     """The structural implication lattice; violations are internal bugs."""
@@ -366,10 +386,9 @@ def _implications(verdicts, dim):
     return [name for name, ok in checks if not ok]
 
 
-def analyze(ring, config=None):
-    """Full classification of the ring presentation; returns an
-    AnalysisReport whose every positive verdict carries its witness."""
-    a = _Analysis(ring, config)
+def _report(a):
+    """The AnalysisReport of an analysis; every positive verdict carries its
+    witness."""
     notes = []
     inconclusive = []
 
@@ -406,8 +425,8 @@ def analyze(ring, config=None):
         conditions["exists_P_ufd"] = any(2 < d < a.dim for d in profile)
         conditions["equidimensional"] = len(set(profile)) == 1
 
-    verdicts["domain_completion"] = a.domain_completion()
-    ufd_ok, _ = a.ufd_completion()
+    verdicts["domain_completion"] = a.domain_completion
+    ufd_ok, _ = a.ufd_completion
     verdicts["ufd_completion"] = ufd_ok
 
     if depth.verdict is True:
@@ -425,7 +444,7 @@ def analyze(ring, config=None):
                 f"{name}: unsupported input class (minimal primes are not "
                 "computed for non-monomial ideals)")
     else:
-        flag, p, chain = a.noncat_domain()
+        flag, p, chain = a.noncat_domain
         verdicts["noncat_domain"] = flag
         if flag:
             witnesses = Witnesses(
@@ -438,7 +457,7 @@ def analyze(ring, config=None):
                     "chain witness: no saturated avoidance chain exists "
                     "within the monomial subposet; the verdict stands on "
                     "the characterization conditions")
-        flag, p, ufd_witness = a.noncat_ufd()
+        flag, p, ufd_witness = a.noncat_ufd
         verdicts["noncat_ufd"] = flag
         if flag is None:
             inconclusive.append(
@@ -460,7 +479,7 @@ def analyze(ring, config=None):
                 f"{ufd_witness.localized_depth.regular_element} at "
                 f"{ufd_witness.prime.render(a.context)} "
                 f"(height {ufd_witness.height}, dim 1)")
-        domain_forced, ufd_forced, mixed = a.forced_catenary()
+        domain_forced, ufd_forced, mixed = a.forced_catenary
         verdicts["forced_cat_domain"] = domain_forced
         verdicts["forced_cat_ufd"] = ufd_forced
         verdicts["mixed_class"] = mixed
@@ -470,9 +489,9 @@ def analyze(ring, config=None):
         if mixed is None:
             inconclusive.append("mixed_class: depth search inconclusive")
         verdicts["universally_catenary_obstructed"] = (
-            a.universally_catenary_obstructed())
+            a.universally_catenary_obstructed)
         try:
-            verdicts["regularity_at_min"] = a.regularity_at_min()
+            verdicts["regularity_at_min"] = a.regularity_at_min
         except UnsupportedInputError as exc:
             inconclusive.append(f"regularity_at_min: unsupported ({exc})")
 
@@ -481,7 +500,7 @@ def analyze(ring, config=None):
         raise AssertionError(f"implication lattice violated: {problems}")
 
     return AnalysisReport(
-        ring=a.ring.render(),
+        ring=a.ring,
         dim=a.dim,
         semantics=semantics,
         minimal_primes=minimal,
@@ -495,41 +514,47 @@ def analyze(ring, config=None):
     )
 
 
+def analyze(ring, config=None):
+    """Full classification of the ring presentation; returns an
+    AnalysisReport whose every positive verdict carries its witness."""
+    return _Analysis.from_presentation(ring, config).report
+
+
 # -- standalone checkers (thin wrappers over the shared analysis state) --
 
 def check_domain_completion(ring, config=None):
-    return _Analysis(ring, config).domain_completion()
+    return _Analysis.from_presentation(ring, config).domain_completion
 
 
 def check_noncat_domain(ring, config=None):
     """(flag, witness prime, witness chain)."""
-    return _Analysis(ring, config).noncat_domain()
+    return _Analysis.from_presentation(ring, config).noncat_domain
 
 
 def check_ufd_completion(ring, config=None):
     """(verdict or None when inconclusive, depth certificate)."""
-    return _Analysis(ring, config).ufd_completion()
+    return _Analysis.from_presentation(ring, config).ufd_completion
 
 
 def check_noncat_ufd(ring, config=None):
     """(verdict or None, qualifying prime, UfdWitness or None)."""
-    return _Analysis(ring, config).noncat_ufd()
+    return _Analysis.from_presentation(ring, config).noncat_ufd
 
 
 def find_ufd_witness_prime(ring, config=None):
     """The dimension-one witness prime search; None when no minimal prime
     qualifies or the search is inconclusive."""
-    return _Analysis(ring, config).ufd_witness()
+    return _Analysis.from_presentation(ring, config).ufd_witness
 
 
 def check_forced_catenary(ring, config=None):
     """(domain_forced, ufd_forced, mixed)."""
-    return _Analysis(ring, config).forced_catenary()
+    return _Analysis.from_presentation(ring, config).forced_catenary
 
 
 def check_universal_catenarity_obstruction(ring, config=None):
-    return _Analysis(ring, config).universally_catenary_obstructed()
+    return _Analysis.from_presentation(ring, config).universally_catenary_obstructed
 
 
 def check_regularity_at_min(ring, config=None):
-    return _Analysis(ring, config).regularity_at_min()
+    return _Analysis.from_presentation(ring, config).regularity_at_min

@@ -13,7 +13,7 @@ import json
 import sys
 
 from .analyzer import (CONDITION_KEYS, SEMANTICS_UNVERIFIED, VERDICT_KEYS,
-                       AnalysisConfig, analyze)
+                       AnalysisConfig, _Analysis)
 from .dsl import (
     AnalyzeCmd,
     ChainCmd,
@@ -40,16 +40,8 @@ from .errors import (
 from .families import FamilySpec, instantiate
 from .groebner import DEFAULT_REGULAR_CANDIDATE_BUDGET, IdealHandle
 from .monomial import MonomialPrime
-from .poly import DEFAULT_GB_STEP_BUDGET, RingPresentation, VariableContext
-from .spectra import (
-    DEFAULT_MAX_POSET_VARS,
-    PrimeChain,
-    build_poset,
-    chain_dot,
-    construct_chain,
-    noncat_profile,
-    poset_dot,
-)
+from .poly import DEFAULT_GB_STEP_BUDGET
+from .spectra import DEFAULT_MAX_POSET_VARS, chain_dot, construct_chain, poset_dot
 
 _TRISTATE = {True: "true", False: "false", None: "inconclusive"}
 
@@ -170,36 +162,34 @@ def report_text(report):
 
 
 class _Runner:
-    """Executes a parsed script statement by statement."""
+    """Executes a parsed script statement by statement. Each ideal gets one
+    _Analysis at its first command, and every command on it reads that."""
 
     def __init__(self, config, fmt):
         self.config = config
         self.fmt = fmt
-        self.field = None
-        self.context = None
         self.handles = {}
+        self.analyses = {}
         self.flagged_unsupported = False
 
     def run(self, script):
         for stmt in script.statements:
             if isinstance(stmt, RingStmt):
-                self.field = stmt.field
-                self.context = VariableContext(stmt.names)
-            elif isinstance(stmt, IdealStmt):
+                continue  # the parser has built every polynomial in its ring
+            if isinstance(stmt, IdealStmt):
                 self.handles[stmt.name] = self.resolve(stmt.expr)
             elif isinstance(stmt, AnalyzeCmd):
-                yield self.do_analyze(self.handles[stmt.ideal])
+                yield self.do_analyze(self.analysis(stmt.ideal))
             elif isinstance(stmt, ProfileCmd):
-                yield self.do_profile(self.handles[stmt.ideal])
+                yield self.do_profile(self.analysis(stmt.ideal))
             elif isinstance(stmt, PosetCmd):
-                yield self.do_poset(self.handles[stmt.ideal])
+                yield self.do_poset(self.analysis(stmt.ideal))
             elif isinstance(stmt, ChainCmd):
-                yield self.do_chain(self.handles[stmt.ideal], stmt.from_vars)
+                yield self.do_chain(self.analysis(stmt.ideal), stmt.from_vars)
             elif isinstance(stmt, FamilyCmd):
                 ring, _ = instantiate(FamilySpec(stmt.kind, stmt.params))
-                handle = IdealHandle.from_presentation(
-                    ring, self.config.gb_step_budget)
-                yield self.do_analyze(handle)
+                yield self.do_analyze(
+                    _Analysis.from_presentation(ring, self.config))
             else:
                 raise TypeError(f"not a statement: {stmt!r}")
 
@@ -214,43 +204,30 @@ class _Runner:
             return self.handles[expr.name]
         raise TypeError(f"not an ideal expression: {expr!r}")
 
-    def monomial_of(self, handle, what):
-        mono = handle.monomial_ideal()
-        if mono is None:
-            raise UnsupportedInputError(
-                f"{what} requires a monomial ideal; the reduced basis is "
-                "not made of single terms")
-        return mono
+    def analysis(self, name):
+        """The shared analysis of the named ideal's handle."""
+        handle = self.handles[name]
+        if handle not in self.analyses:
+            self.analyses[handle] = _Analysis(handle, self.config)
+        return self.analyses[handle]
 
-    def do_analyze(self, handle):
-        ring = RingPresentation(handle.field, handle.context, handle.generators)
-        report = analyze(ring, self.config)
+    def do_analyze(self, a):
+        report = a.report
         if report.semantics == SEMANTICS_UNVERIFIED:
             self.flagged_unsupported = True
         if self.fmt == "json":
             return json.dumps(report.to_json_dict(), sort_keys=False)
         if self.fmt == "dot":
-            mono = self.monomial_of(handle, "the dot rendering")
-            poset = build_poset(mono, self.config.max_poset_vars)
-            chains = []
-            if report.verdicts["noncat_domain"]:
-                names = report.witnesses.chain
-                chains.append(self._chain_from_names(poset, names))
-            return poset_dot(poset, chains)
+            poset = a.poset
+            _, _, chain = a.noncat_domain
+            return poset_dot(poset, [chain] if chain else [])
         return report_text(report)
 
-    def _chain_from_names(self, poset, name_lists):
-        primes = tuple(MonomialPrime.of(poset.context, *names)
-                       for names in name_lists)
-        return PrimeChain(poset.context, primes, poset.height(primes[0]))
-
-    def do_profile(self, handle):
-        mono = self.monomial_of(handle, "the noncatenarity profile")
-        profile = noncat_profile(mono)
+    def do_profile(self, a):
+        profile = a.profile
         if self.fmt == "json":
             return json.dumps({
-                "ring": str(RingPresentation(handle.field, handle.context,
-                                             handle.generators)),
+                "ring": a.ring,
                 "dim": max(profile),
                 "profile": list(profile),
             })
@@ -259,9 +236,8 @@ class _Runner:
                 "the profile command has no dot rendering")
         return "profile {" + ", ".join(map(str, profile)) + "}"
 
-    def do_poset(self, handle):
-        mono = self.monomial_of(handle, "the spectrum poset")
-        poset = build_poset(mono, self.config.max_poset_vars)
+    def do_poset(self, a):
+        poset = a.poset
         if self.fmt == "dot":
             return poset_dot(poset)
         nodes = poset.nodes()
@@ -277,7 +253,6 @@ class _Runner:
                 "edges": [
                     [list(p.names(poset.context)), list(q.names(poset.context))]
                     for p in nodes for q in poset.upper_covers(p)
-                    if poset.is_node(q)
                 ],
             }
             return json.dumps(payload)
@@ -295,11 +270,9 @@ class _Runner:
                          f"height {poset.height(p)}{suffix}")
         return "\n".join(lines)
 
-    def do_chain(self, handle, from_vars):
-        mono = self.monomial_of(handle, "chain construction")
-        poset = build_poset(mono, self.config.max_poset_vars)
-        start = MonomialPrime.of(handle.context, *from_vars)
-        chain = construct_chain(poset, start)
+    def do_chain(self, a, from_vars):
+        poset = a.poset
+        chain = construct_chain(poset, MonomialPrime.of(a.context, *from_vars))
         if self.fmt == "dot":
             return chain_dot(poset, [chain])
         if self.fmt == "json":

@@ -267,6 +267,9 @@ class _Parser:
             name = self.ident("ideal").text
             if name not in self.ideal_contexts:
                 self.error(f"undeclared ideal {name!r}", tok, code="semantic")
+            if self.ideal_contexts[name] != (self.field, self.context):
+                self.error(f"ideal {name!r} belongs to another ring", tok,
+                           code="semantic")
             return Ref(name)
         self.error(f"expected an ideal expression, found {tok.text!r}",
                    expected={"(", "intersect", "IDENT"})

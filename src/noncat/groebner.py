@@ -10,8 +10,8 @@ handle's ideal is monomial when its reduced basis consists of terms,
 whatever its presentation (IdealHandle.monomial_ideal). Krull dimension is
 read off the leading-term ideal by the monomial engine. For monomial I the
 monomial engine also settles the socle test and the depth search, apart
-from cuts by sums of three variables; the colon calculus serves every
-other ideal.
+from cuts by sums of three or more variables; the colon calculus serves
+every other ideal.
 
 Handles are immutable apart from fill-once caches guarded by a lock, so
 one handle can serve several threads.
@@ -165,9 +165,12 @@ class DepthResult:
 def regular_element_candidates(field, context):
     """Deterministic candidate stream for regular elements: single
     variables in declared order, then sums of two distinct variables,
-    then sums of three."""
+    then sums of three, and last the sum of all variables. That sum lies
+    in no monomial prime but M, so it is regular on a monomial I whose
+    maximal ideal is not associated."""
     xs = variables(field, context)
-    for size in (1, 2, 3):
+    sizes = (1, 2, 3, len(xs)) if len(xs) > 3 else (1, 2, 3)
+    for size in sizes:
         for combo in itertools.combinations(xs, size):
             out = combo[0]
             for x in combo[1:]:
@@ -209,10 +212,6 @@ class IdealHandle:
         """Sibling handle over the same ring with the same budgets."""
         return IdealHandle(self.field, self.context, generators,
                            self.gb_step_budget)
-
-    def render(self):
-        gens = ", ".join(str(g) for g in self.generators)
-        return f"({gens or '0'})"
 
     # -- Groebner bases and membership --
 
@@ -391,10 +390,10 @@ class IdealHandle:
         M is not associated after cutting by f. For a monomial I the
         monomial engine decides both steps: f is regular when no associated
         prime contains all its variables, and a cut by one or two variables
-        is again monomial (MonomialIdeal.cut). A cut by three variables,
-        and any non-monomial I, take the colon calculus. Exhausting the
-        candidate stream without finding a regular element is reported as
-        inconclusive, never as False.
+        is again monomial (MonomialIdeal.cut). A cut by three or more
+        variables, and any non-monomial I, take the colon calculus.
+        Exhausting the candidate stream without finding a regular element
+        is reported as inconclusive, never as False.
         """
         if self.maximal_ideal_associated():
             return DepthResult(False, None,

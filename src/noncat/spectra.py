@@ -36,23 +36,23 @@ class SpecPoset:
         self.top = MonomialPrime(frozenset(range(ideal.context.count)))
         self._supports = [frozenset(i for i, e in enumerate(g) if e)
                           for g in ideal.gens]
-        self._nodes = None
 
     def nodes(self):
-        if self._nodes is None:
-            v = self.context.count
-            if v > self.max_vars:
-                raise BudgetExceededError(
-                    f"poset over {v} variables exceeds the cap of "
-                    f"{self.max_vars} (2^{v} nodes)")
-            found = []
-            for mask in range(1 << v):
-                subset = frozenset(i for i in range(v) if mask >> i & 1)
-                if all(subset & s for s in self._supports):
-                    found.append(MonomialPrime(subset))
-            found.sort(key=lambda p: p.sort_key)
-            self._nodes = tuple(found)
-        return self._nodes
+        """Every node, in canonical order. Walks all 2^v variable subsets on
+        each call and keeps nothing, so a poset shared by several commands
+        does not hold its nodes for the rest of a script."""
+        v = self.context.count
+        if v > self.max_vars:
+            raise BudgetExceededError(
+                f"poset over {v} variables exceeds the cap of "
+                f"{self.max_vars} (2^{v} nodes)")
+        found = []
+        for mask in range(1 << v):
+            subset = frozenset(i for i in range(v) if mask >> i & 1)
+            if all(subset & s for s in self._supports):
+                found.append(MonomialPrime(subset))
+        found.sort(key=lambda p: p.sort_key)
+        return tuple(found)
 
     def is_node(self, prime):
         return all(prime.indices & s for s in self._supports)
@@ -239,13 +239,11 @@ def poset_dot(poset, highlight_chains=()):
         attrs = _node_attrs(poset, p)
         suffix = f" [{','.join(attrs)}]" if attrs else ""
         lines.append(f"  {_quoted(p.render(ctx))}{suffix};")
-    node_set = set(nodes)
     for p in nodes:
         for q in poset.upper_covers(p):
-            if q in node_set:
-                extra = " [color=red,penwidth=2]" if (p, q) in highlight else ""
-                lines.append(
-                    f"  {_quoted(p.render(ctx))} -> {_quoted(q.render(ctx))}{extra};")
+            extra = " [color=red,penwidth=2]" if (p, q) in highlight else ""
+            lines.append(
+                f"  {_quoted(p.render(ctx))} -> {_quoted(q.render(ctx))}{extra};")
     lines.append("}")
     return "\n".join(lines)
 

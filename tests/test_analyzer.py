@@ -2,6 +2,7 @@
 verdicts with witnesses, forced catenarity, the universal-catenarity
 obstruction and the regularity check."""
 
+import itertools
 import random
 
 import pytest
@@ -366,6 +367,25 @@ class TestAnalyzeReports:
                                      *report.witnesses.ufd_witness_prime)
                 assert q.quotient_dim(ring.context.count) == 1
                 assert poset.height(q) + 1 < report.dim
+
+    @pytest.mark.parametrize("names,degree,depth_ge2", [
+        ("abcd", 2, False), ("abcde", 3, True)])
+    def test_squarefree_powers_decided(self, names, degree, depth_ge2):
+        """All squarefree monomials of one degree: no sum of at most three
+        variables certifies depth, the sum of all variables does."""
+        c = ctx(*names)
+        xs = variables(QQ, c)
+        gens = []
+        for combo in itertools.combinations(xs, degree):
+            g = combo[0]
+            for x in combo[1:]:
+                g = g * x
+            gens.append(g)
+        report = analyze(ring_of(c, *gens))
+        assert report.conditions["depth_ge2"] is depth_ge2
+        assert report.verdicts["ufd_completion"] is depth_ge2
+        assert report.verdicts["forced_cat_ufd"] is depth_ge2
+        assert report.inconclusive == ()
 
 
 def _parse_witness(text, ring):

@@ -7,14 +7,18 @@ import random
 import jsonschema
 import pytest
 
-from noncat.analyzer import analyze
-from noncat.cli import REPORT_SCHEMA, main, report_text
+from noncat import groebner
+from noncat.analyzer import AnalysisConfig, analyze
+from noncat.cli import REPORT_SCHEMA, main, report_text, run_script
+from noncat.dsl import parse_script
 from noncat.families import (
     FAMILY_KINDS,
     FamilySpec,
     expected_mismatches,
     instantiate,
 )
+from noncat.monomial import MonomialIdeal
+from noncat.spectra import SpecPoset
 
 
 def run_cli(capsys, text, *args):
@@ -186,6 +190,80 @@ class TestMonomialClassFromBasis:
         lines = out.splitlines()
         assert lines[0] == "profile {1}"
         assert lines[-1] == "(x,y) < (x,y,z)  (length 1)"
+
+
+def count_calls(monkeypatch, owner, name):
+    """Wrap owner.name for the rest of the test; returns the list that
+    grows by one entry per call."""
+    calls = []
+    original = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+class TestSharedAnalysis:
+    """All commands on one ideal read one analysis state."""
+
+    def test_dot_analyze_does_the_work_of_text(self, capsys, tmp_path,
+                                               monkeypatch):
+        counts = {}
+        for fmt in ("text", "dot"):
+            with monkeypatch.context() as m:
+                components = count_calls(m, MonomialIdeal,
+                                         "irreducible_components")
+                posets = count_calls(m, SpecPoset, "__init__")
+                code, _, _ = invoke(
+                    capsys, "ring Q[x,y,z,v]\nideal I = (x*y, x*z)\nanalyze I",
+                    "--format", fmt, tmp_path=tmp_path)
+                assert code == 0
+                counts[fmt] = (len(components), len(posets))
+        assert counts["dot"] == counts["text"]
+
+    def test_second_analyze_runs_no_buchberger(self, monkeypatch):
+        calls = count_calls(monkeypatch, groebner, "buchberger")
+        outputs = run_script(parse_script(
+            "ring Q[x,y,z]\nideal I = (x*y - z^2, x^2 - y*z)\n"
+            "analyze I\nanalyze I\n"), AnalysisConfig(), "text")
+        first = next(outputs)
+        ran = len(calls)
+        assert ran > 0
+        assert next(outputs) == first
+        assert len(calls) == ran
+
+    def test_unused_unit_ideal_exits_0(self, capsys, tmp_path):
+        code, out, err = invoke(capsys, "ring Q[x]\nideal I = (1)\n",
+                                tmp_path=tmp_path)
+        assert (code, out, err) == (0, "", "")
+
+    def test_dot_analyze_without_chain_witness(self, capsys, tmp_path):
+        """A noncatenary-domain verdict whose chain leaves the monomial
+        subposet: the DOT poset is drawn without a chain overlay."""
+        script = ("ring Q[x0,x1,x2,x3]\n"
+                  "ideal I = (x1*x3, x0*x1^2*x2^2*x3, x0*x2*x3^2)\n"
+                  "analyze I\n")
+        code, out, _ = invoke(capsys, script, "--format", "json",
+                              tmp_path=tmp_path)
+        payload = json.loads(out)
+        assert payload["verdicts"]["noncat_domain"] is True
+        assert payload["witnesses"]["chain"] is None
+        code, out, _ = invoke(capsys, script, "--format", "dot",
+                              tmp_path=tmp_path)
+        assert code == 0
+        assert out.startswith("digraph spec_poset {")
+        assert "color=red" not in out
+
+    def test_reference_to_another_ring_is_parse_error(self, capsys,
+                                                      tmp_path):
+        code, out, err = invoke(
+            capsys, "ring Q[x,y]\nideal I = (x)\nring Q[x,y,z]\n"
+            "ideal J = intersect(I, (z))\nanalyze J\n", tmp_path=tmp_path)
+        assert code == 1 and out == ""
+        assert "parse error" in err
 
 
 class TestExitCodes:

@@ -106,6 +106,12 @@ class TestErrors:
     def test_undeclared_ideal(self):
         self.expect_error("ring Q[x]\nanalyze J", "semantic", "undeclared")
 
+    def test_reference_to_another_ring(self):
+        e = self.expect_error(
+            "ring Q[x,y]\nideal I = (x)\nring Q[x,y,z]\n"
+            "ideal J = intersect(I, (z))", "semantic", "another ring")
+        assert (e.line, e.column) == (4, 21)
+
     def test_unknown_variable(self):
         self.expect_error("ring Q[x]\nideal I = (w)", "semantic",
                           "unknown variable")

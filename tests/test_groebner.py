@@ -413,6 +413,27 @@ class TestDepth:
         assert result.verdict is True
         assert result.regular_element == x + y + z
 
+    def test_sum_of_all_variables_depth_one(self):
+        """No variable, pair sum or triple sum is regular on the six
+        squarefree quadrics in four variables; a + b + c + d is, and the
+        maximal ideal is associated after cutting by it."""
+        c = ctx("a", "b", "c", "d")
+        a, b, cc, d = variables(QQ, c)
+        result = handle(c, a * b, a * cc, a * d, b * cc, b * d,
+                        cc * d).depth_at_least_two()
+        assert result.verdict is False
+        assert result.regular_element == a + b + cc + d
+
+    def test_sum_of_all_variables_depth_two(self):
+        """The ten squarefree cubics in five variables: depth 2, first
+        certified by the sum of all variables."""
+        c = ctx("a", "b", "c", "d", "e")
+        xs = variables(QQ, c)
+        cubics = [p * q * r for p, q, r in itertools.combinations(xs, 3)]
+        result = handle(c, *cubics).depth_at_least_two()
+        assert result.verdict is True
+        assert result.regular_element == sum(xs[1:], xs[0])
+
     def test_depth_bound_by_associated_dims(self):
         """Depth verdicts never exceed min dim(T/P) over the associated
         primes computed by the monomial engine."""
