@@ -31,7 +31,7 @@ from .groebner import (
     DepthResult,
     IdealHandle,
 )
-from .monomial import MonomialIdeal, MonomialPrime
+from .monomial import MonomialPrime
 from .poly import DEFAULT_GB_STEP_BUDGET, Polynomial, RingPresentation
 from .spectra import (
     DEFAULT_MAX_POSET_VARS,
@@ -285,26 +285,24 @@ class _Analysis:
 
     def _witness_regular_start(self, inside, avoid):
         """A regular element f inside the prime `inside` such that `avoid`
-        stays unassociated after cutting by f: a variable whose cut leaves
-        `avoid` out of Ass, else a sum of two variables whose cut has no
-        associated prime containing `avoid`. Both tests run on the
-        monomial cut (MonomialIdeal.cut), which fixes `avoid` because
-        `avoid` contains `inside`."""
+        stays out of Ass after cutting by f: the first variable, else the
+        first sum of two variables, of `inside` that passes. The test runs
+        on the monomial cut (MonomialIdeal.cut), which fixes `avoid`
+        because `avoid` contains `inside`. For a sum of two variables it is
+        exact as well: the only monomial primes above the dimension-one
+        prime `avoid` are `avoid` and M, and M is not associated to the
+        cut when depth T > 1, the only case in which the report asks."""
         indices = sorted(inside.indices)
         unit = [tuple(1 if j == i else 0 for j in range(self.v))
                 for i in range(self.v)]
-        for i in indices:
-            if (self.mono.is_regular([unit[i]])
-                    and avoid not in self.mono.cut([i]).associated_primes()):
-                return Polynomial.variable(self.field, self.context, i)
-        for pair in itertools.combinations(indices, 2):
-            if not self.mono.is_regular([unit[k] for k in pair]):
-                continue
-            ass = self.mono.cut(pair).associated_primes()
-            if not any(q.contains(avoid) for q in ass):
-                i, j = pair
-                return (Polynomial.variable(self.field, self.context, i)
-                        + Polynomial.variable(self.field, self.context, j))
+        cuts = itertools.chain(((i,) for i in indices),
+                               itertools.combinations(indices, 2))
+        for cut in cuts:
+            terms = [unit[k] for k in cut]
+            if (self.mono.is_regular(terms)
+                    and avoid not in self.mono.cut(cut).associated_primes()):
+                return Polynomial(self.field, self.context,
+                                  tuple((self.field.one, e) for e in terms))
         return None
 
     @cached_property
@@ -314,16 +312,16 @@ class _Analysis:
         catenary; T completes both a noncatenary domain and a catenary
         UFD (which needs dim T > 3 and a dim-2 minimal prime)."""
         self.require_monomial("the forced-catenarity verdicts")
-        profile = self.profile
-        dims_domain_ok = all(d <= 1 or d == self.dim for d in profile)
-        dims_ufd_ok = all(d <= 2 or d == self.dim for d in profile)
-        has_dim2 = any(d == 2 for d in profile)
-        depth1 = not self.handle.maximal_ideal_associated()
+        domain_prime = self._qualifying_prime(1)
+        domain_forced = (domain_prime is None
+                         and not self.handle.maximal_ideal_associated())
+        if self._qualifying_prime(2) is not None:
+            return domain_forced, False, False
+        # no minimal prime has 2 < dim(T/P) < dim T, so a domain-qualifying
+        # minimal prime has dim(T/P) = 2
         depth2 = self.depth.verdict
-        domain_forced = depth1 and dims_domain_ok
-        ufd_forced = depth2 if dims_ufd_ok else False
-        mixed = depth2 if (dims_ufd_ok and has_dim2 and self.dim > 3) else False
-        return domain_forced, ufd_forced, mixed
+        mixed = depth2 if domain_prime is not None and self.dim > 3 else False
+        return domain_forced, depth2, mixed
 
     @cached_property
     def universally_catenary_obstructed(self):
@@ -334,31 +332,19 @@ class _Analysis:
 
     @cached_property
     def regularity_at_min(self):
-        """Sufficient quasi-excellence check: requires characteristic zero
-        and no embedded primes; true when each minimal prime's primary
-        component is the prime itself, so each localization there is
-        regular."""
+        """Whether T is reduced, which for monomial I means squarefree: the
+        quasi-excellence condition in characteristic zero. Reduced is R0
+        plus S1 (Serre; Matsumura, Commutative Ring Theory, Thm 23.8), so
+        T is regular at its minimal primes and has no embedded prime. An
+        embedded Q in Ass T meets any domain A completing to T in (0),
+        because T is flat over A; T_Q, of depth 0 and positive dimension,
+        is then a non-regular local ring of the generic formal fibre, so no
+        such A is quasi-excellent and the answer is false."""
         self.require_monomial("the regularity-at-minimal-primes check")
         if self.field.is_prime_field:
             raise UnsupportedInputError(
                 "regularity remark check unavailable in characteristic p")
-        mins = self.mono.minimal_primes()
-        ass = self.mono.associated_primes()
-        if set(ass) != set(mins):
-            raise UnsupportedInputError(
-                "embedded primes present; the regularity check only covers "
-                "ideals with Ass = Min")
-        for p in mins:
-            if p.indices:
-                prime_ideal = MonomialIdeal(
-                    self.context,
-                    (tuple(1 if j == i else 0 for j in range(self.v))
-                     for i in p.indices))
-            else:
-                prime_ideal = MonomialIdeal(self.context, ())
-            if self.mono.primary_component(p) != prime_ideal:
-                return False
-        return True
+        return self.mono.is_squarefree
 
     @cached_property
     def report(self):
@@ -421,42 +407,38 @@ def _report(a):
             for p in a.mono.minimal_primes())
         associated = tuple(p.names(a.context)
                            for p in a.mono.associated_primes())
-        conditions["exists_P_domain"] = any(1 < d < a.dim for d in profile)
-        conditions["exists_P_ufd"] = any(2 < d < a.dim for d in profile)
-        conditions["equidimensional"] = len(set(profile)) == 1
+        conditions["exists_P_domain"] = a._qualifying_prime(1) is not None
+        conditions["exists_P_ufd"] = a._qualifying_prime(2) is not None
+        conditions["equidimensional"] = not a.universally_catenary_obstructed
 
     verdicts["domain_completion"] = a.domain_completion
     ufd_ok, _ = a.ufd_completion
     verdicts["ufd_completion"] = ufd_ok
 
+    regular_element = P = chain_names = ufd_witness_prime = None
     if depth.verdict is True:
-        witnesses = Witnesses(regular_element=str(depth.regular_element))
-    else:
-        witnesses = Witnesses()
-        if depth.verdict is False and depth.regular_element is not None:
-            notes.append(f"depth_ge2 refuted: {depth.detail}")
+        regular_element = str(depth.regular_element)
+    elif depth.verdict is False and depth.regular_element is not None:
+        notes.append(f"depth_ge2 refuted: {depth.detail}")
 
     if a.mono is None:
-        for name in ("noncat_domain", "noncat_ufd", "forced_cat_domain",
-                     "forced_cat_ufd", "mixed_class",
-                     "universally_catenary_obstructed", "regularity_at_min"):
-            inconclusive.append(
-                f"{name}: unsupported input class (minimal primes are not "
-                "computed for non-monomial ideals)")
+        for name in VERDICT_KEYS:
+            if name not in ("domain_completion", "ufd_completion"):
+                inconclusive.append(
+                    f"{name}: unsupported input class (minimal primes are "
+                    "not computed for non-monomial ideals)")
     else:
         flag, p, chain = a.noncat_domain
         verdicts["noncat_domain"] = flag
         if flag:
-            witnesses = Witnesses(
-                P=p.names(a.context),
-                chain=None if chain is None else tuple(
-                    q.names(a.context) for q in chain.primes),
-                regular_element=witnesses.regular_element)
+            P = p.names(a.context)
             if chain is None:
                 inconclusive.append(
                     "chain witness: no saturated avoidance chain exists "
                     "within the monomial subposet; the verdict stands on "
                     "the characterization conditions")
+            else:
+                chain_names = tuple(q.names(a.context) for q in chain.primes)
         flag, p, ufd_witness = a.noncat_ufd
         verdicts["noncat_ufd"] = flag
         if flag is None:
@@ -468,11 +450,7 @@ def _report(a):
                 "ufd_witness_prime: certificate search inconclusive; the "
                 "verdict stands on the characterization conditions")
         if ufd_witness is not None:
-            witnesses = Witnesses(
-                P=witnesses.P,
-                chain=witnesses.chain,
-                regular_element=witnesses.regular_element,
-                ufd_witness_prime=ufd_witness.prime.names(a.context))
+            ufd_witness_prime = ufd_witness.prime.names(a.context)
             notes.append(
                 "ufd_witness: regular sequence starts with "
                 f"{ufd_witness.regular_start}; localized depth certificate "
@@ -508,7 +486,8 @@ def _report(a):
         profile=profile,
         conditions=conditions,
         verdicts=verdicts,
-        witnesses=witnesses,
+        witnesses=Witnesses(P, chain_names, regular_element,
+                            ufd_witness_prime),
         inconclusive=tuple(inconclusive),
         notes=tuple(notes),
     )

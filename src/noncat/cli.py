@@ -291,6 +291,18 @@ def run_script(script, config, fmt):
     yield from runner.run(script)
 
 
+def _count(text):
+    """argparse type of the budget and cap options."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(
+            f"expected a nonnegative integer, got {text!r}")
+    return value
+
+
 def _build_argparser():
     parser = argparse.ArgumentParser(
         prog="noncat",
@@ -301,13 +313,13 @@ def _build_argparser():
                         help="script file, or - for stdin (default)")
     parser.add_argument("--format", choices=["text", "json", "dot"],
                         default="text", help="output format")
-    parser.add_argument("--budget-gb-steps", type=int,
+    parser.add_argument("--budget-gb-steps", type=_count,
                         default=DEFAULT_GB_STEP_BUDGET,
                         metavar="N", help="reduction steps per Groebner run")
-    parser.add_argument("--budget-regular-candidates", type=int,
+    parser.add_argument("--budget-regular-candidates", type=_count,
                         default=DEFAULT_REGULAR_CANDIDATE_BUDGET,
                         metavar="N", help="candidates per regular-element search")
-    parser.add_argument("--max-poset-vars", type=int,
+    parser.add_argument("--max-poset-vars", type=_count,
                         default=DEFAULT_MAX_POSET_VARS, metavar="N",
                         help="largest variable count for the poset command "
                              "and DOT renderings of the whole poset")

@@ -267,12 +267,6 @@ class MonomialIdeal:
         return tuple(sorted((p for p, _ in self.primary_components()),
                             key=lambda p: p.sort_key))
 
-    def primary_component(self, prime):
-        for p, comp in self.primary_components():
-            if p == prime:
-                return comp
-        raise ValueError(f"{prime} is not an associated prime of {self.render()}")
-
     # -- derived facts --
 
     def dimension(self):

@@ -6,6 +6,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from noncat.analyzer import (
     AnalysisConfig,
@@ -36,7 +38,7 @@ from noncat.poly import (
 )
 from noncat.spectra import build_poset, construct_chain, verify_chain
 
-from conftest import QQ, ctx, random_monomial_ideal
+from conftest import QQ, brute_minimal_covers, ctx, random_monomial_ideal
 
 
 def ring_of(context, *gens, field=QQ):
@@ -275,11 +277,12 @@ class TestRegularityAtMin:
         x, y = variables(QQ, c)
         assert check_regularity_at_min(ring_of(c, x * y)) is True
 
-    def test_embedded_primes_unsupported(self):
+    def test_embedded_primes_not_reduced(self):
         c = ctx("x", "y")
         x, y = variables(QQ, c)
-        with pytest.raises(UnsupportedInputError):
-            check_regularity_at_min(ring_of(c, x ** 2, x * y))
+        # (x^2, x*y) = (x) cap (x^2, y): the embedded prime (x, y) lies
+        # over (0) in any domain completing to T, and T is not regular there
+        assert check_regularity_at_min(ring_of(c, x ** 2, x * y)) is False
 
     def test_char_p_unsupported(self):
         f5 = FieldDescriptor(5)
@@ -287,6 +290,28 @@ class TestRegularityAtMin:
         x, y = variables(f5, c)
         with pytest.raises(UnsupportedInputError):
             check_regularity_at_min(ring_of(c, x * y, field=f5))
+
+    def test_reducedness_matches_groebner_oracle(self):
+        """Over Q the check is true exactly when I is radical, that is,
+        when I equals the Groebner intersection of the primes given by
+        the brute-force minimal vertex covers."""
+        rng = random.Random(8808)
+        c = ctx("a", "b", "c", "d")
+        xs = variables(QQ, c)
+        outcomes = set()
+        for _ in range(60):
+            gens = random_monomial_ideal(rng, 4, 4)
+            ring = ring_of(c, *(Polynomial(QQ, c, ((1, e),)) for e in gens))
+            supports = [{i for i, e in enumerate(g) if e} for g in gens]
+            radical = None
+            for cover in sorted(brute_minimal_covers(supports, 4), key=sorted):
+                prime = IdealHandle(QQ, c, [xs[i] for i in sorted(cover)])
+                radical = (prime if radical is None
+                           else radical.intersection(prime))
+            reduced = IdealHandle.from_presentation(ring).equals(radical)
+            assert check_regularity_at_min(ring) is reduced, gens
+            outcomes.add(reduced)
+        assert outcomes == {True, False}
 
 
 class TestAnalyzeReports:
@@ -394,6 +419,46 @@ def _parse_witness(text, ring):
     for part in text.split(" + "):
         out = out + Polynomial.variable(ring.field, ring.context, part.strip())
     return out
+
+
+@st.composite
+def monomial_ideals(draw):
+    """(variable count, exponent vectors) of a nonunit monomial ideal."""
+    v = draw(st.integers(1, 5))
+    exps = st.tuples(*[st.integers(0, 2)] * v).filter(any)
+    return v, draw(st.lists(exps, max_size=4))
+
+
+def monomial_ring(field, v, vectors):
+    c = ctx(*(f"x{i}" for i in range(v)))
+    return ring_of(c, *(Polynomial(field, c, ((field.one, e),))
+                        for e in vectors), field=field)
+
+
+class TestVerdictInvariance:
+    @settings(deadline=None)
+    @given(monomial_ideals(), st.data())
+    def test_permuting_variables(self, case, data):
+        v, vectors = case
+        perm = data.draw(st.permutations(range(v)))
+        moved = [tuple(e[k] for k in perm) for e in vectors]
+        a = analyze(monomial_ring(QQ, v, vectors))
+        b = analyze(monomial_ring(QQ, v, moved))
+        assert a.dim == b.dim
+        assert a.profile == b.profile
+        assert a.conditions == b.conditions
+        assert a.verdicts == b.verdicts
+
+    @settings(deadline=None)
+    @given(monomial_ideals())
+    def test_prime_field(self, case):
+        v, vectors = case
+        a = analyze(monomial_ring(QQ, v, vectors))
+        b = analyze(monomial_ring(FieldDescriptor(32003), v, vectors))
+        assert a.conditions == b.conditions
+        assert b.verdicts.pop("regularity_at_min") is None
+        del a.verdicts["regularity_at_min"]
+        assert a.verdicts == b.verdicts
 
 
 class TestMonomialEngineOnly:

@@ -266,6 +266,28 @@ class TestSharedAnalysis:
         assert "parse error" in err
 
 
+class TestRegularityAtMin:
+    SCRIPT = "ring {}[x,y,z]\nideal I = (x^2, x*y)\nanalyze I\n"
+
+    def test_embedded_prime_reads_false(self, capsys, tmp_path):
+        code, out, _ = invoke(capsys, self.SCRIPT.format("Q"),
+                              "--format", "json", tmp_path=tmp_path)
+        report = json.loads(out)
+        assert code == 0
+        assert report["verdicts"]["regularity_at_min"] is False
+        assert report["inconclusive"] == []
+
+    def test_characteristic_p_still_refused(self, capsys, tmp_path):
+        code, out, _ = invoke(capsys, self.SCRIPT.format("F 5"),
+                              "--format", "json", tmp_path=tmp_path)
+        report = json.loads(out)
+        assert code == 0
+        assert report["verdicts"]["regularity_at_min"] is None
+        assert report["inconclusive"] == [
+            "regularity_at_min: unsupported (regularity remark check "
+            "unavailable in characteristic p)"]
+
+
 class TestExitCodes:
     def test_parse_error_exits_1(self, capsys, tmp_path):
         code, _, err = invoke(capsys, "ideal I = (x)", tmp_path=tmp_path)
@@ -286,6 +308,17 @@ class TestExitCodes:
         script = (f"ring Q[{names}]\nideal I = (v0*v1)\nposet I\n")
         code, _, err = invoke(capsys, script, tmp_path=tmp_path)
         assert code == 3
+
+    @pytest.mark.parametrize("flag", ["--budget-gb-steps",
+                                      "--budget-regular-candidates",
+                                      "--max-poset-vars"])
+    def test_negative_count_exits_2(self, capsys, tmp_path, flag):
+        with pytest.raises(SystemExit) as exc:
+            invoke(capsys, "ring Q[x,y]\nideal I = (x*y)\nanalyze I\n",
+                   flag, "-1", tmp_path=tmp_path)
+        err = capsys.readouterr().err
+        assert exc.value.code == 2
+        assert "usage:" in err and "nonnegative" in err
 
     def test_missing_file_exits_1(self, capsys):
         code = main(["/nonexistent/script.ncat"])
