@@ -10,8 +10,11 @@ handle's ideal is monomial when its reduced basis consists of terms,
 whatever its presentation (IdealHandle.monomial_ideal). Krull dimension is
 read off the leading-term ideal by the monomial engine. For monomial I the
 monomial engine also settles the socle test and the depth search, apart
-from cuts by sums of three or more variables; the colon calculus serves
-every other ideal.
+from cuts by sums of three or more variables. Those cuts and every other
+homogeneous I read one grevlex basis per candidate linear form, moved to
+the last variable (Bayer-Stillman). The colon calculus serves
+non-homogeneous ideals, and the socle test of a homogeneous I on which no
+variable is regular.
 
 Handles are immutable apart from fill-once caches guarded by a lock, so
 one handle can serve several threads.
@@ -38,6 +41,7 @@ from .poly import (
     exps_divides,
     exps_lcm,
     exps_sub,
+    substitute_linear,
     variables,
 )
 
@@ -183,7 +187,7 @@ class IdealHandle:
     ideal calculus built on them."""
 
     __slots__ = ("field", "context", "generators", "gb_step_budget",
-                 "_lock", "_gb", "_mono", "_dim", "_m_assoc")
+                 "_lock", "_gb", "_mono", "_dim", "_m_assoc", "_moved")
 
     def __init__(self, field, context, generators=(),
                  gb_step_budget=DEFAULT_GB_STEP_BUDGET):
@@ -203,6 +207,7 @@ class IdealHandle:
         self._mono = None
         self._dim = None
         self._m_assoc = None
+        self._moved = {}
 
     @classmethod
     def from_presentation(cls, ring, gb_step_budget=DEFAULT_GB_STEP_BUDGET):
@@ -337,6 +342,64 @@ class IdealHandle:
             result = part if result is None else result.intersection(part)
         return result
 
+    # -- homogeneous I: regularity and cuts from one basis per linear form --
+
+    @property
+    def is_homogeneous(self):
+        """Whether I is homogeneous in the standard grading, read off the
+        reduced basis, which is homogeneous exactly when I is."""
+        return all(len({sum(e) for _, e in g.pairs()}) == 1
+                   for g in self.groebner_basis())
+
+    def _moved_to_last(self, support):
+        """For f the sum of x_i over `support`: I in coordinates where f is
+        the last variable. The substitution x_k -> x_k - (the other x_i of
+        f), k = max(support), sends f to x_k, which is then moved last, so
+        f is regular on R/I exactly when that variable is on the image.
+        Support (v-1,) is I itself; other images are cached per support."""
+        v = self.context.count
+        if support == (v - 1,):
+            return self
+        moved = self._moved.get(support)
+        if moved is None:
+            k = support[-1]
+            order = [i for i in range(v) if i != k] + [k]
+            place = {i: p for p, i in enumerate(order)}
+            one = self.field.one
+            forms = [((one, place[i]),) for i in range(v)]
+            forms[k] = ((one, v - 1),) + tuple(
+                (self.field.neg(one), place[i]) for i in support[:-1])
+            context = VariableContext(self.context.names[i] for i in order)
+            gens = [substitute_linear(g, forms, context)
+                    for g in self.generators]
+            moved = IdealHandle(self.field, context, gens, self.gb_step_budget)
+            with self._lock:
+                moved = self._moved.setdefault(support, moved)
+        return moved
+
+    def _last_variable_regular(self):
+        """For homogeneous I: whether the last variable l is a
+        non-zero-divisor on R/I. Under grevlex in(I : l) = in(I) : l
+        (Bayer-Stillman), so this holds exactly when l divides no leading
+        monomial of the reduced basis; l in I puts l itself in the basis."""
+        return not any(g.pairs()[0][1][-1] for g in self.groebner_basis())
+
+    def _cut_by_last_variable(self):
+        """For homogeneous I with a regular last variable l: I + (l) as a
+        handle over the other variables. Under grevlex
+        in(I + (l)) = in(I) + (l), so the reduced basis with l = 0 is the
+        reduced basis of the cut, and no Groebner run is needed."""
+        context = VariableContext(self.context.names[:-1])
+        basis = tuple(
+            Polynomial(self.field, context,
+                       ((c, e[:-1]) for c, e in g.pairs() if not e[-1]))
+            for g in self.groebner_basis())
+        cut = IdealHandle(self.field, context, basis, self.gb_step_budget)
+        cut._gb = basis
+        cut._mono = (MonomialIdeal.from_polynomials(context, basis)
+                     if all(g.is_term for g in basis) else None)
+        return cut
+
     # -- regularity, dimension and depth --
 
     def is_regular_element(self, f):
@@ -367,15 +430,23 @@ class IdealHandle:
 
     def maximal_ideal_associated(self):
         """Whether the maximal ideal M is associated to R/I. A reduced basis
-        of terms means I is monomial, and the monomial engine's Ass decides;
-        any other ideal gets the socle test (I : M) != I."""
+        of terms means I is monomial, and the monomial engine's Ass decides.
+        For homogeneous I a regular variable proves M not associated: the
+        last one is read off I's own basis, the others off one basis each
+        with that variable moved last. Any other ideal, or a homogeneous one
+        on which no variable is regular, gets the socle test (I : M) != I."""
         if self._m_assoc is not None:
             return self._m_assoc
         if self.is_unit_ideal:
             raise UnitIdealError("the unit ideal does not present a ring")
         mono = self.monomial_ideal()
+        v = self.context.count
         if mono is not None:
             result = mono.maximal_ideal_associated()
+        elif self.is_homogeneous and any(
+                self._moved_to_last((i,))._last_variable_regular()
+                for i in (v - 1, *range(v - 1))):
+            result = False
         else:
             result = not self.quotient(self.maximal_ideal()).equals(self)
         with self._lock:
@@ -390,8 +461,11 @@ class IdealHandle:
         M is not associated after cutting by f. For a monomial I the
         monomial engine decides both steps: f is regular when no associated
         prime contains all its variables, and a cut by one or two variables
-        is again monomial (MonomialIdeal.cut). A cut by three or more
-        variables, and any non-monomial I, take the colon calculus.
+        is again monomial (MonomialIdeal.cut). For homogeneous I, f is moved
+        to the last variable of one grevlex basis, which shows whether f is
+        regular and gives the basis of the cut. The cut of a monomial I by
+        three or more variables is homogeneous, so its socle test takes
+        that path; a non-homogeneous I takes the colon calculus.
         Exhausting the candidate stream without finding a regular element
         is reported as inconclusive, never as False.
         """
@@ -399,20 +473,26 @@ class IdealHandle:
             return DepthResult(False, None,
                                "depth 0: the maximal ideal is associated")
         mono = self.monomial_ideal()
+        homogeneous = mono is None and self.is_homogeneous
         stream = itertools.islice(
             regular_element_candidates(self.field, self.context), candidate_budget)
         tried = 0
         for f in stream:
             tried += 1
             terms = [e for _, e in f.pairs()]
-            if mono is None:
+            support = tuple(sorted(e.index(1) for e in terms))
+            if mono is not None:
+                if not mono.is_regular(terms):
+                    continue
+                cut = mono.cut(support) if len(support) <= 2 else self.plus(f)
+            elif homogeneous:
+                moved = self._moved_to_last(support)
+                if not moved._last_variable_regular():
+                    continue
+                cut = moved._cut_by_last_variable()
+            else:
                 if self.contains(f) or not self.quotient_element(f).equals(self):
                     continue
-            elif not mono.is_regular(terms):
-                continue
-            if mono is not None and len(terms) <= 2:
-                cut = mono.cut([e.index(1) for e in terms])
-            else:
                 cut = self.plus(f)
             if cut.maximal_ideal_associated():
                 return DepthResult(

@@ -466,6 +466,42 @@ def variables(field, context):
                  for i in range(context.count))
 
 
+def substitute_linear(f, forms, context):
+    """f with each variable x_i replaced by the linear form forms[i], given
+    as (coefficient, variable index) pairs over the target context. A form
+    that is a single variable renames it, so this also reorders variables."""
+    field = f.field
+    one = (0,) * context.count
+    powers = {}
+
+    def times(left, right):
+        out = {}
+        for a, ca in left.items():
+            for b, cb in right.items():
+                t = exps_add(a, b)
+                out[t] = field.add(out.get(t, field.zero), field.mul(ca, cb))
+        return out
+
+    def power(i, p):
+        # forms[i] ** p as an {exponents: coefficient} dict, built once
+        if (i, p) not in powers:
+            form = {}
+            for c, j in forms[i]:
+                t = one[:j] + (1,) + one[j + 1:]
+                form[t] = field.add(form.get(t, field.zero), field.coerce(c))
+            powers[i, p] = times(power(i, p - 1), form) if p > 1 else form
+        return powers[i, p]
+
+    pairs = []
+    for c, e in f.pairs():
+        term = {one: c}
+        for i, p in enumerate(e):
+            if p:
+                term = times(term, power(i, p))
+        pairs.extend((tc, t) for t, tc in term.items())
+    return Polynomial(field, context, pairs)
+
+
 class Budget:
     """Countdown of abstract work steps; raises once exhausted."""
 

@@ -11,6 +11,7 @@ from fractions import Fraction
 
 import pytest
 
+from noncat.groebner import regular_element_candidates
 from noncat.poly import (
     FieldDescriptor,
     GREVLEX,
@@ -126,6 +127,34 @@ def la_membership(f, gens):
     base_rank = _row_reduce([row[:] for row in rows])
     extended_rank = _row_reduce([row[:] for row in rows] + [vectorize(f)])
     return base_rank == extended_rank
+
+
+def depth_by_colon(h):
+    """(verdict, regular element) of the depth >= 2 search from the colon
+    calculus alone: the socle test, the first candidate f outside I with
+    (I : f) = I, then the socle test on I + (f)."""
+    if not h.quotient(h.maximal_ideal()).equals(h):
+        return False, None
+    for f in regular_element_candidates(h.field, h.context):
+        if h.contains(f) or not h.quotient_element(f).equals(h):
+            continue
+        g = h.plus(f)
+        return g.quotient(g.maximal_ideal()).equals(g), f
+    return None, None
+
+
+def count_calls(monkeypatch, owner, name):
+    """Wrap owner.name for the rest of the test; returns the list that
+    grows by one entry per call."""
+    calls = []
+    original = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
 
 
 # -- randomized inputs --

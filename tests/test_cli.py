@@ -20,6 +20,8 @@ from noncat.families import (
 from noncat.monomial import MonomialIdeal
 from noncat.spectra import SpecPoset
 
+from conftest import count_calls
+
 
 def run_cli(capsys, text, *args):
     code = main([*args]) if text is None else None
@@ -192,20 +194,6 @@ class TestMonomialClassFromBasis:
         assert lines[-1] == "(x,y) < (x,y,z)  (length 1)"
 
 
-def count_calls(monkeypatch, owner, name):
-    """Wrap owner.name for the rest of the test; returns the list that
-    grows by one entry per call."""
-    calls = []
-    original = getattr(owner, name)
-
-    def counted(*args, **kwargs):
-        calls.append(name)
-        return original(*args, **kwargs)
-
-    monkeypatch.setattr(owner, name, counted)
-    return calls
-
-
 class TestSharedAnalysis:
     """All commands on one ideal read one analysis state."""
 
@@ -234,6 +222,34 @@ class TestSharedAnalysis:
         assert ran > 0
         assert next(outputs) == first
         assert len(calls) == ran
+
+    def test_twisted_cubic_analyze_makes_no_colon(self, monkeypatch):
+        """Homogeneous input: the socle test and depth read one revlex
+        basis per candidate instead of colon ideals."""
+        colons = count_calls(monkeypatch, groebner.IdealHandle,
+                             "quotient_element")
+        out = next(run_script(parse_script(
+            "ring Q[a,b,c,d]\nideal C = (a*c - b^2, a*d - b*c, b*d - c^2)\n"
+            "analyze C\n"), AnalysisConfig(), "json"))
+        report = json.loads(out)
+        assert report["conditions"]["depth_ge2"] is True
+        assert report["witnesses"]["regular_element"] == "a"
+        assert colons == []
+
+    @pytest.mark.parametrize("ideal,depth_ge2", [
+        ("intersect((x + y), (x^2, y^2, z^2, x*y, x*z, y*z))", False),
+        ("(x*y - z)", True),
+    ], ids=["homogeneous-depth-0", "non-homogeneous"])
+    def test_colon_path_still_taken(self, monkeypatch, ideal, depth_ge2):
+        """No regular linear candidate, or non-homogeneous input: the
+        colon calculus decides, as before."""
+        colons = count_calls(monkeypatch, groebner.IdealHandle,
+                             "quotient_element")
+        out = next(run_script(parse_script(
+            f"ring Q[x,y,z]\nideal I = {ideal}\nanalyze I\n"),
+            AnalysisConfig(), "json"))
+        assert json.loads(out)["conditions"]["depth_ge2"] is depth_ge2
+        assert colons
 
     def test_unused_unit_ideal_exits_0(self, capsys, tmp_path):
         code, out, err = invoke(capsys, "ring Q[x]\nideal I = (1)\n",
@@ -302,6 +318,18 @@ class TestExitCodes:
                               tmp_path=tmp_path)
         assert code == 3
         assert "budget" in err
+
+    def test_tilted_budget_exceeded_exits_3(self, capsys, tmp_path):
+        """The generators are a reduced basis, so the handle's own basis
+        fits in one step, and the revlex basis after moving a candidate
+        to the last variable runs out of budget."""
+        script = ("ring Q[x,y1,y2]\n"
+                  "ideal I = (x*y1 + y1^2 - 2*y1*y2, x*y2 + y1*y2 - 2*y2^2)\n"
+                  "analyze I\n")
+        code, out, err = invoke(capsys, script, "--budget-gb-steps", "1",
+                                tmp_path=tmp_path)
+        assert code == 3 and out == ""
+        assert "groebner step budget exceeded" in err
 
     def test_poset_cap_exits_3(self, capsys, tmp_path):
         names = ",".join(f"v{i}" for i in range(18))

@@ -4,7 +4,7 @@ import itertools
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from noncat.errors import BudgetExceededError, DegenerateInputError, UnitIdealError
@@ -21,7 +21,9 @@ from noncat.poly import (
 
 from conftest import (
     QQ,
+    count_calls,
     ctx,
+    depth_by_colon,
     la_membership,
     monomials_of_degree,
     random_monomial_ideal,
@@ -31,6 +33,32 @@ from conftest import (
 
 def handle(context, *gens, **kwargs):
     return IdealHandle(QQ, context, gens, **kwargs)
+
+
+def embedded_origin(field=QQ):
+    """(x + y) cap (x, y, z)^2: a plane with an embedded point at the
+    origin. M is associated, yet x, y and z are not all zero divisors
+    for the same reason, so every linear candidate has to be tried."""
+    c = ctx("x", "y", "z")
+    x, y, z = variables(field, c)
+    line = IdealHandle(field, c, (x + y,))
+    square = IdealHandle(field, c, (x * x, y * y, z * z, x * y, x * z, y * z))
+    return line.intersection(square)
+
+
+def tilted_line_and_plane(field=QQ):
+    """(x + y1 - 2*y2) cap (y1 + y2, y2): depth exactly 1."""
+    c = ctx("x", "y1", "y2")
+    x, y1, y2 = variables(field, c)
+    return IdealHandle(field, c, (x + y1 - 2 * y2,)).intersection(
+        IdealHandle(field, c, (y1 + y2, y2)))
+
+
+def twisted_cubic(field=QQ):
+    c = ctx("a", "b", "cc", "d")
+    a, b, cc, d = variables(field, c)
+    return IdealHandle(field, c, (a * cc - b * b, a * d - b * cc,
+                                  b * d - cc * cc))
 
 
 class TestBuchberger:
@@ -346,6 +374,32 @@ class TestDimension:
 
 
 class TestMaximalIdealAssociated:
+    def test_homogeneous_without_regular_variable_uses_colon(self,
+                                                             monkeypatch):
+        h = embedded_origin()
+        assert h.is_homogeneous and h.monomial_ideal() is None
+        colons = count_calls(monkeypatch, IdealHandle, "quotient_element")
+        assert h.maximal_ideal_associated()
+        assert colons
+
+    def test_homogeneous_regular_variable_needs_no_colon(self, monkeypatch):
+        h = tilted_line_and_plane()
+        colons = count_calls(monkeypatch, IdealHandle, "quotient_element")
+        assert not h.maximal_ideal_associated()
+        assert not colons
+
+    @pytest.mark.parametrize("names,gens", [
+        (("x", "y", "z"), lambda x, y, z: (x * y - z,)),
+        (("x", "y"), lambda x, y: (y - x ** 2,)),
+    ], ids=["xy-z", "y-x^2"])
+    def test_non_homogeneous_uses_colon(self, monkeypatch, names, gens):
+        c = ctx(*names)
+        h = handle(c, *gens(*variables(QQ, c)))
+        assert not h.is_homogeneous
+        colons = count_calls(monkeypatch, IdealHandle, "quotient_element")
+        assert not h.maximal_ideal_associated()
+        assert colons
+
     def test_embedded_at_origin(self):
         c = ctx("x", "y")
         x, y = variables(QQ, c)
@@ -434,6 +488,53 @@ class TestDepth:
         assert result.verdict is True
         assert result.regular_element == sum(xs[1:], xs[0])
 
+    def test_tilted_line_and_plane_depth_one(self, monkeypatch):
+        """x is regular; the cut by it has M associated and no regular
+        variable, so only the cut's socle test takes the colon fallback,
+        one colon per variable of the cut."""
+        h = tilted_line_and_plane()
+        x = variables(QQ, h.context)[0]
+        colons = count_calls(monkeypatch, IdealHandle, "quotient_element")
+        result = h.depth_at_least_two()
+        assert (result.verdict, result.regular_element) == (False, x)
+        assert len(colons) == 2
+
+    def test_twisted_cubic_depth_two_without_colon(self, monkeypatch):
+        h = twisted_cubic()
+        a = variables(QQ, h.context)[0]
+        colons = count_calls(monkeypatch, IdealHandle, "quotient_element")
+        result = h.depth_at_least_two()
+        assert (result.verdict, result.regular_element) == (True, a)
+        assert not colons
+
+    def test_embedded_origin_depth_zero(self):
+        result = embedded_origin().depth_at_least_two()
+        assert (result.verdict, result.regular_element) == (False, None)
+
+    @pytest.mark.parametrize("names,gens,verdict", [
+        (("x", "y", "z"), lambda x, y, z: (x * y - z,), True),
+        (("x", "y"), lambda x, y: (y - x ** 2,), False),
+    ], ids=["xy-z", "y-x^2"])
+    def test_non_homogeneous_uses_colon(self, monkeypatch, names, gens,
+                                        verdict):
+        c = ctx(*names)
+        h = handle(c, *gens(*variables(QQ, c)))
+        colons = count_calls(monkeypatch, IdealHandle, "quotient_element")
+        result = h.depth_at_least_two()
+        assert (result.verdict, result.regular_element) == (
+            verdict, variables(QQ, c)[0])
+        assert colons
+
+    def test_new_groebner_runs_draw_on_the_step_budget(self):
+        """The tilted generators are already a reduced basis, so the
+        handle's own basis fits in one step; the basis after moving a
+        candidate to the last variable does not."""
+        gens = tilted_line_and_plane().groebner_basis()
+        h = IdealHandle(QQ, gens[0].context, gens, gb_step_budget=1)
+        assert h.groebner_basis() == gens
+        with pytest.raises(BudgetExceededError):
+            h.depth_at_least_two()
+
     def test_depth_bound_by_associated_dims(self):
         """Depth verdicts never exceed min dim(T/P) over the associated
         primes computed by the monomial engine."""
@@ -450,3 +551,57 @@ class TestDepth:
             result = h.depth_at_least_two()
             if result.verdict is True:
                 assert bound >= 2
+
+
+FIELDS = (QQ, FieldDescriptor(2), FieldDescriptor(32003))
+
+
+@st.composite
+def homogeneous_ideals(draw):
+    """Homogeneous ideals in at most four variables over Q, GF(2) and
+    GF(32003): monomial ideals under a random unitriangular change of
+    coordinates, or binomial ideals."""
+    field = draw(st.sampled_from(FIELDS))
+    v = draw(st.integers(2, 4))
+    c = ctx(*(f"x{i}" for i in range(v)))
+    xs = variables(field, c)
+    zero = Polynomial.zero_poly(field, c)
+    gens = []
+    if draw(st.booleans()):
+        forms = [xs[i] + sum((draw(st.integers(-2, 2)) * xs[j]
+                              for j in range(i + 1, v)), zero)
+                 for i in range(v)]
+        vectors = st.tuples(*[st.integers(0, 2)] * v).filter(any)
+        for e in draw(st.lists(vectors, min_size=1, max_size=3)):
+            g = Polynomial.constant(field, c, 1)
+            for form, p in zip(forms, e):
+                g = g * form ** p
+            gens.append(g)
+    else:
+        def monomial(d):
+            g = Polynomial.constant(field, c, 1)
+            for i in draw(st.lists(st.integers(0, v - 1),
+                                   min_size=d, max_size=d)):
+                g = g * xs[i]
+            return g
+
+        for _ in range(draw(st.integers(1, 3))):
+            d = draw(st.integers(1, 3))
+            coeff = draw(st.sampled_from((1, -1, 2)))
+            gens.append(monomial(d) - coeff * monomial(d))
+    return IdealHandle(field, c, gens)
+
+
+class TestHomogeneousCrossEngine:
+    @settings(deadline=None, max_examples=40)
+    @given(homogeneous_ideals())
+    @example(embedded_origin(FieldDescriptor(2)))
+    @example(tilted_line_and_plane(FieldDescriptor(32003)))
+    @example(twisted_cubic())
+    def test_socle_test_and_depth_match_colon_calculus(self, h):
+        if h.is_unit_ideal:
+            return
+        expected = depth_by_colon(h.spawn(h.generators))
+        result = h.depth_at_least_two()
+        assert h.maximal_ideal_associated() == (expected == (False, None))
+        assert (result.verdict, result.regular_element) == expected

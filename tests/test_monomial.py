@@ -8,11 +8,18 @@ import random
 import pytest
 
 from noncat.errors import EmptyLocalizationError, UnitIdealError, UnsupportedInputError
-from noncat.groebner import IdealHandle, regular_element_candidates
+from noncat.groebner import IdealHandle
 from noncat.monomial import MonomialIdeal, MonomialPrime
 from noncat.poly import FieldDescriptor, Polynomial, variables
 
-from conftest import QQ, brute_minimal_covers, brute_dimension, ctx, random_monomial_ideal
+from conftest import (
+    QQ,
+    brute_dimension,
+    brute_minimal_covers,
+    ctx,
+    depth_by_colon,
+    random_monomial_ideal,
+)
 
 
 def mono(context, *vectors):
@@ -217,18 +224,7 @@ class TestCrossEngine:
 
     def test_depth_matches_colon_calculus(self):
         """depth_at_least_two on monomial input agrees with a reference
-        that uses only the colon calculus: the first candidate f outside I
-        with (I : f) = I, then the socle test on I + (f)."""
-        def by_colon(h):
-            if not h.quotient(h.maximal_ideal()).equals(h):
-                return False, None
-            for f in regular_element_candidates(h.field, h.context):
-                if h.contains(f) or not h.quotient_element(f).equals(h):
-                    continue
-                g = h.plus(f)
-                return g.quotient(g.maximal_ideal()).equals(g), f
-            return None, None
-
+        that uses only the colon calculus."""
         rng = random.Random(89)
         for field in (QQ, FieldDescriptor(32003)):
             checked = 0
@@ -241,7 +237,7 @@ class TestCrossEngine:
                 checked += 1
                 h = IdealHandle(field, c, ideal.to_polynomials(field))
                 result = h.depth_at_least_two()
-                assert (result.verdict, result.regular_element) == by_colon(h)
+                assert (result.verdict, result.regular_element) == depth_by_colon(h)
 
     def test_from_polynomials_rejects_sums(self):
         c = ctx("x", "y")

@@ -15,6 +15,7 @@ from noncat.poly import (
     VariableContext,
     compare_monomials,
     divide,
+    substitute_linear,
     variables,
 )
 
@@ -193,3 +194,53 @@ class TestDivision:
     def test_zero_divisor_rejected(self):
         with pytest.raises(ValueError):
             divide(self.x, [Polynomial.zero_poly(QQ, self.ctx)])
+
+
+FIELDS = (QQ, FieldDescriptor(2), FieldDescriptor(32003))
+
+
+def expand(f, forms, target):
+    """f with x_i replaced by forms[i], by Polynomial arithmetic."""
+    ys = variables(f.field, target)
+    zero = Polynomial.zero_poly(f.field, target)
+    out = zero
+    for c, e in f.pairs():
+        term = Polynomial.constant(f.field, target, c)
+        for i, p in enumerate(e):
+            form = sum((a * ys[j] for a, j in forms[i]), zero)
+            term = term * form ** p
+        out = out + term
+    return out
+
+
+class TestSubstituteLinear:
+    @pytest.mark.parametrize("field", FIELDS, ids=str)
+    def test_agrees_with_expansion(self, field):
+        rng = random.Random(31)
+        source, target = ctx("x", "y", "z"), ctx("u", "v", "w", "t")
+        for _ in range(40):
+            f = random_polynomial(rng, source, max_terms=4, field=field)
+            forms = [tuple((rng.randint(-3, 3), rng.randrange(4))
+                           for _ in range(rng.randint(1, 3)))
+                     for _ in range(3)]
+            assert (substitute_linear(f, forms, target)
+                    == expand(f, forms, target))
+
+    @pytest.mark.parametrize("field", FIELDS, ids=str)
+    def test_inverse_change_restores(self, field):
+        """y -> y - x with y moved last sends x + y to the last variable;
+        y -> y + x moves it back. Over GF(2), where -1 = 1, both changes
+        have the same coefficients."""
+        rng = random.Random(47)
+        source, moved = ctx("x", "y", "z"), ctx("x", "z", "y")
+        one, minus = field.one, field.neg(field.one)
+        forward = [((one, 0),), ((one, 2), (minus, 0)), ((one, 1),)]
+        back = [((one, 0),), ((one, 2),), ((one, 1), (one, 0))]
+        x, y, z = variables(field, source)
+        assert (substitute_linear(x + y, forward, moved)
+                == variables(field, moved)[2])
+        for _ in range(40):
+            f = random_polynomial(rng, source, max_terms=4, field=field)
+            image = substitute_linear(f, forward, moved)
+            assert image == expand(f, forward, moved)
+            assert substitute_linear(image, back, source) == f
