@@ -47,6 +47,10 @@ from .poly import (
 
 DEFAULT_REGULAR_CANDIDATE_BUDGET = 200
 
+# the one order instance intersection uses, so every polynomial's cached
+# lead under it is found again (Polynomial.leading_term compares by identity)
+_ELIMINATE_T = BlockEliminationOrder(1)
+
 
 def s_polynomial(f, g, order=GREVLEX):
     """S-polynomial of f and g: both leading terms scaled to their lcm and
@@ -310,7 +314,7 @@ class IdealHandle:
         one = Polynomial.constant(field, ext, 1)
         gens = [t * lift(f) for f in self.generators]
         gens += [(one - t) * lift(g) for g in other.generators]
-        basis = buchberger(gens, BlockEliminationOrder(1),
+        basis = buchberger(gens, _ELIMINATE_T,
                            Budget(self.gb_step_budget, "groebner step budget"))
         kept = []
         for g in basis:

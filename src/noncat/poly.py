@@ -2,12 +2,16 @@
 
 Every value in this module is immutable and every operation is a pure
 function, so contexts, monomials and polynomials can be shared freely
-between threads.
+between threads. The one lazily filled slot, a polynomial's leading term
+under a non-grevlex order, is idempotent: every thread that fills it
+writes the same value, so a lost or repeated write changes nothing.
 """
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
+from operator import add, le, neg, sub
 from fractions import Fraction
 
 from .errors import BudgetExceededError, ContextMismatchError
@@ -138,20 +142,20 @@ class VariableContext:
 # -- exponent-vector helpers (shared with the Groebner and monomial engines) --
 
 def exps_add(a, b):
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(add, a, b))
 
 
 def exps_sub(a, b):
-    return tuple(x - y for x, y in zip(a, b))
+    return tuple(map(sub, a, b))
 
 
 def exps_divides(a, b):
     """Whether x^a divides x^b."""
-    return all(x <= y for x, y in zip(a, b))
+    return all(map(le, a, b))
 
 
 def exps_lcm(a, b):
-    return tuple(max(x, y) for x, y in zip(a, b))
+    return tuple(map(max, a, b))
 
 
 @dataclass(frozen=True)
@@ -196,11 +200,17 @@ class Monomial:
 
 class MonomialOrder:
     """A total monomial order, presented as a sort key on exponent vectors
-    (key(a) < key(b) exactly when a is smaller in the order)."""
+    (key(a) < key(b) exactly when a is smaller in the order), and as a
+    descending key (descending_key(a) < descending_key(b) exactly when a is
+    larger), which sorts or heaps the largest monomial first without
+    reverse=True."""
 
     name = "order"
 
     def key(self, exps):
+        raise NotImplementedError
+
+    def descending_key(self, exps):
         raise NotImplementedError
 
     def __repr__(self):
@@ -213,6 +223,9 @@ class _LexOrder(MonomialOrder):
     def key(self, exps):
         return exps
 
+    def descending_key(self, exps):
+        return tuple(map(neg, exps))
+
 
 class _GrevlexOrder(MonomialOrder):
     """Degree first; ties broken on the reversed exponent vector with the
@@ -222,7 +235,10 @@ class _GrevlexOrder(MonomialOrder):
     name = "grevlex"
 
     def key(self, exps):
-        return (sum(exps), tuple(-e for e in reversed(exps)))
+        return (sum(exps), tuple(map(neg, reversed(exps))))
+
+    def descending_key(self, exps):
+        return (-sum(exps), exps[::-1])
 
 
 LEX = _LexOrder()
@@ -242,6 +258,10 @@ class BlockEliminationOrder(MonomialOrder):
         b = self.block
         return (GREVLEX.key(exps[:b]), GREVLEX.key(exps[b:]))
 
+    def descending_key(self, exps):
+        head, tail = exps[:self.block], exps[self.block:]
+        return (-sum(head), head[::-1], -sum(tail), tail[::-1])
+
 
 def compare_monomials(a, b, order=GREVLEX):
     """Return -1, 0 or 1 as a is below, equal to, or above b in the order."""
@@ -253,11 +273,17 @@ def compare_monomials(a, b, order=GREVLEX):
     return 1 if ka > kb else 0
 
 
+_grevlex_first = GREVLEX.descending_key
+
+
 class Polynomial:
     """Immutable polynomial stored as canonically sorted nonzero terms,
-    so structural equality coincides with mathematical equality."""
+    so structural equality coincides with mathematical equality.
 
-    __slots__ = ("field", "context", "_terms")
+    The public constructor checks and normalizes outside input. Results
+    that are canonical by construction go through `_canonical` instead."""
+
+    __slots__ = ("field", "context", "_terms", "_lead")
 
     def __init__(self, field, context, terms=()):
         acc = {}
@@ -276,9 +302,20 @@ class Polynomial:
                 acc[exps] = c
         self.field = field
         self.context = context
-        self._terms = tuple(
-            (acc[e], e) for e in sorted(acc, key=GREVLEX.key, reverse=True)
-        )
+        self._terms = tuple((acc[e], e) for e in sorted(acc, key=_grevlex_first))
+        self._lead = None
+
+    @classmethod
+    def _canonical(cls, field, context, terms):
+        """A polynomial from a tuple of terms already in canonical form:
+        nonzero field elements, distinct exponent tuples of the context's
+        length, sorted descending under grevlex. Nothing is checked."""
+        p = object.__new__(cls)
+        p.field = field
+        p.context = context
+        p._terms = terms
+        p._lead = None
+        return p
 
     # -- construction helpers --
 
@@ -318,13 +355,19 @@ class Polynomial:
         return bool(self._terms)
 
     def leading_term(self, order=GREVLEX):
+        """(coefficient, Monomial) of the largest term under the order. The
+        terms are stored in grevlex order; the lead under any other order
+        is found once and kept with that order until another is asked."""
         if not self._terms:
             raise ValueError("the zero polynomial has no leading term")
         if order is GREVLEX:
             c, e = self._terms[0]
-        else:
+            return c, Monomial(e)
+        lead = self._lead
+        if lead is None or lead[0] is not order:
             c, e = max(self._terms, key=lambda t: order.key(t[1]))
-        return c, Monomial(e)
+            lead = self._lead = (order, c, Monomial(e))
+        return lead[1], lead[2]
 
     def leading_monomial(self, order=GREVLEX):
         return self.leading_term(order)[1]
@@ -338,11 +381,10 @@ class Polynomial:
         c = self.leading_coefficient(order)
         if c == self.field.one:
             return self
-        inv = self.field.inv(c)
-        return Polynomial(
-            self.field, self.context,
-            ((self.field.mul(inv, c0), e) for c0, e in self._terms),
-        )
+        f = self.field
+        inv = f.inv(c)
+        return Polynomial._canonical(
+            f, self.context, tuple((f.mul(inv, c0), e) for c0, e in self._terms))
 
     # -- arithmetic --
 
@@ -356,23 +398,48 @@ class Polynomial:
             return Polynomial.constant(self.field, self.context, other)
         return NotImplemented
 
+    def _merge(self, terms, negate):
+        """self plus (or, with negate, minus) the canonical terms of a
+        polynomial of the same ring. Shared exponents are combined and the
+        result is sorted once: it is two descending runs, which the sort
+        merges in linear time."""
+        f = self.field
+        zero = f.zero
+        acc = {e: c for c, e in self._terms}
+        for c, e in terms:
+            if negate:
+                c = f.neg(c)
+            old = acc.get(e)
+            if old is None:
+                acc[e] = c
+            else:
+                c = f.add(old, c)
+                if c == zero:
+                    del acc[e]
+                else:
+                    acc[e] = c
+        return Polynomial._canonical(
+            f, self.context,
+            tuple((acc[e], e) for e in sorted(acc, key=_grevlex_first)))
+
     def __add__(self, other):
         other = self._coerce_operand(other)
         if other is NotImplemented:
             return NotImplemented
-        return Polynomial(self.field, self.context, self._terms + other._terms)
+        return self._merge(other._terms, False)
 
     __radd__ = __add__
 
     def __neg__(self):
         f = self.field
-        return Polynomial(f, self.context, ((f.neg(c), e) for c, e in self._terms))
+        return Polynomial._canonical(
+            f, self.context, tuple((f.neg(c), e) for c, e in self._terms))
 
     def __sub__(self, other):
         other = self._coerce_operand(other)
         if other is NotImplemented:
             return NotImplemented
-        return self + (-other)
+        return self._merge(other._terms, True)
 
     def __rsub__(self, other):
         other = self._coerce_operand(other)
@@ -395,7 +462,9 @@ class Polynomial:
                     acc.pop(e, None)
                 else:
                     acc[e] = c
-        return Polynomial(f, self.context, ((c, e) for e, c in acc.items()))
+        return Polynomial._canonical(
+            f, self.context,
+            tuple((acc[e], e) for e in sorted(acc, key=_grevlex_first)))
 
     __rmul__ = __mul__
 
@@ -408,13 +477,21 @@ class Polynomial:
         return out
 
     def term_multiple(self, coeff, exps):
-        """self multiplied by coeff * x^exps."""
+        """self multiplied by coeff * x^exps. Multiplying by a monomial
+        keeps the grevlex order of the terms, so nothing is re-sorted."""
         f = self.field
+        exps = tuple(exps)
+        if len(exps) != self.context.count:
+            raise ContextMismatchError("term length does not match the context")
         c0 = f.coerce(coeff)
-        return Polynomial(
-            f, self.context,
-            ((f.mul(c0, c), exps_add(e, exps)) for c, e in self._terms),
-        )
+        if c0 == f.zero:
+            terms = ()
+        elif c0 == f.one:
+            terms = tuple((c, exps_add(e, exps)) for c, e in self._terms)
+        else:
+            terms = tuple((f.mul(c0, c), exps_add(e, exps))
+                          for c, e in self._terms)
+        return Polynomial._canonical(f, self.context, terms)
 
     # -- equality and rendering --
 
@@ -432,7 +509,7 @@ class Polynomial:
     def render(self, order=GREVLEX):
         if not self._terms:
             return "0"
-        ordered = sorted(self._terms, key=lambda t: order.key(t[1]), reverse=True)
+        ordered = sorted(self._terms, key=lambda t: order.descending_key(t[1]))
         rational = not self.field.is_prime_field
         pieces = []
         for c, e in ordered:
@@ -524,7 +601,9 @@ def divide(f, divisors, order=GREVLEX, budget=None):
 
     Deterministic given the order and the listed divisor sequence: at each
     step the first divisor whose leading monomial divides the current
-    leading monomial is used.
+    leading monomial is used. The current leading monomial comes off a
+    heap (Monagan-Pearce), each monomial's order key computed once when it
+    enters the work set; each step spends one unit of the budget.
     """
     divisors = list(divisors)
     field, context = f.field, f.context
@@ -537,39 +616,47 @@ def divide(f, divisors, order=GREVLEX, budget=None):
         c, m = g.leading_term(order)
         leads.append((m.exponents, c, g._terms))
 
-    key = order.key
+    key = order.descending_key
     zero = field.zero
+    # work maps each monomial on the heap to its coefficient; one that
+    # cancels stays with coefficient zero, so it is never pushed twice
     work = {e: c for c, e in f._terms}
-    quotients = [dict() for _ in divisors]
-    remainder = {}
-    while work:
-        m = max(work, key=key)
+    heap = [(key(e), e) for e in work]
+    heapq.heapify(heap)
+    quotients = [[] for _ in divisors]
+    remainder = []
+    while heap:
+        m = heapq.heappop(heap)[1]
         c = work[m]
-        for i, (lm, lc, gterms) in enumerate(leads):
-            if exps_divides(lm, m):
-                if budget is not None:
-                    budget.spend()
-                u = exps_sub(m, lm)
-                factor = field.div(c, lc)
-                q = quotients[i]
-                q[u] = field.add(q.get(u, zero), factor)
-                for gc, ge in gterms:
-                    t = exps_add(ge, u)
-                    nv = field.sub(work.get(t, zero), field.mul(factor, gc))
-                    if nv == zero:
-                        work.pop(t, None)
-                    else:
-                        work[t] = nv
-                break
-        else:
-            remainder[m] = c
-            del work[m]
-    qs = tuple(
-        Polynomial(field, context, ((c, e) for e, c in q.items()))
-        for q in quotients
-    )
-    r = Polynomial(field, context, ((c, e) for e, c in remainder.items()))
-    return qs, r
+        if c != zero:
+            for i, (lm, lc, gterms) in enumerate(leads):
+                if exps_divides(lm, m):
+                    if budget is not None:
+                        budget.spend()
+                    u = exps_sub(m, lm)
+                    factor = field.div(c, lc)
+                    quotients[i].append((factor, u))
+                    for gc, ge in gterms:
+                        t = exps_add(ge, u)
+                        old = work.get(t)
+                        if old is None:
+                            work[t] = field.neg(field.mul(factor, gc))
+                            heapq.heappush(heap, (key(t), t))
+                        else:
+                            work[t] = field.sub(old, field.mul(factor, gc))
+                    break
+            else:
+                remainder.append((c, m))
+        del work[m]
+    # every leading monomial is smaller than the one before, so each
+    # quotient and the remainder are already descending under the order
+    if order is not GREVLEX:
+        quotients = [sorted(q, key=lambda t: _grevlex_first(t[1]))
+                     for q in quotients]
+        remainder.sort(key=lambda t: _grevlex_first(t[1]))
+    qs = tuple(Polynomial._canonical(field, context, tuple(q))
+               for q in quotients)
+    return qs, Polynomial._canonical(field, context, tuple(remainder))
 
 
 @dataclass(frozen=True)

@@ -234,16 +234,16 @@ def poset_dot(poset, highlight_chains=()):
         for a, b in zip(chain.primes, chain.primes[1:]):
             highlight.add((a, b))
     lines = ["digraph spec_poset {", "  rankdir=BT;"]
-    nodes = poset.nodes()
-    for p in nodes:
+    # an upper cover of a node is a node, so every edge end has a label
+    labels = {p: _quoted(p.render(ctx)) for p in poset.nodes()}
+    for p, label in labels.items():
         attrs = _node_attrs(poset, p)
         suffix = f" [{','.join(attrs)}]" if attrs else ""
-        lines.append(f"  {_quoted(p.render(ctx))}{suffix};")
-    for p in nodes:
+        lines.append(f"  {label}{suffix};")
+    for p, label in labels.items():
         for q in poset.upper_covers(p):
             extra = " [color=red,penwidth=2]" if (p, q) in highlight else ""
-            lines.append(
-                f"  {_quoted(p.render(ctx))} -> {_quoted(q.render(ctx))}{extra};")
+            lines.append(f"  {label} -> {labels[q]}{extra};")
     lines.append("}")
     return "\n".join(lines)
 

@@ -11,12 +11,16 @@ from fractions import Fraction
 
 import pytest
 
+from noncat.errors import ContextMismatchError
 from noncat.groebner import regular_element_candidates
 from noncat.poly import (
     FieldDescriptor,
     GREVLEX,
     Polynomial,
     VariableContext,
+    exps_add,
+    exps_divides,
+    exps_sub,
     variables,
 )
 
@@ -141,6 +145,58 @@ def depth_by_colon(h):
         g = h.plus(f)
         return g.quotient(g.maximal_ideal()).equals(g), f
     return None, None
+
+
+def divide_reference(f, divisors, order=GREVLEX, budget=None):
+    """Multivariate division that picks each leading monomial by a linear
+    max over the work set and builds its results through the checked
+    constructor: the oracle for the heap division of noncat.poly.divide,
+    with the same selection rule (the first divisor whose leading monomial
+    divides) and one budget unit per step."""
+    divisors = list(divisors)
+    field, context = f.field, f.context
+    leads = []
+    for g in divisors:
+        if not isinstance(g, Polynomial) or g.field != field or g.context != context:
+            raise ContextMismatchError("divisors must live in the same ring as f")
+        if g.is_zero:
+            raise ValueError("division by the zero polynomial")
+        c, m = g.leading_term(order)
+        leads.append((m.exponents, c, g.pairs()))
+
+    key = order.key
+    zero = field.zero
+    work = {e: c for c, e in f.pairs()}
+    quotients = [dict() for _ in divisors]
+    remainder = {}
+    while work:
+        m = max(work, key=key)
+        c = work[m]
+        for i, (lm, lc, gterms) in enumerate(leads):
+            if exps_divides(lm, m):
+                if budget is not None:
+                    budget.spend()
+                u = exps_sub(m, lm)
+                factor = field.div(c, lc)
+                q = quotients[i]
+                q[u] = field.add(q.get(u, zero), factor)
+                for gc, ge in gterms:
+                    t = exps_add(ge, u)
+                    nv = field.sub(work.get(t, zero), field.mul(factor, gc))
+                    if nv == zero:
+                        work.pop(t, None)
+                    else:
+                        work[t] = nv
+                break
+        else:
+            remainder[m] = c
+            del work[m]
+    qs = tuple(
+        Polynomial(field, context, ((c, e) for e, c in q.items()))
+        for q in quotients
+    )
+    r = Polynomial(field, context, ((c, e) for e, c in remainder.items()))
+    return qs, r
 
 
 def count_calls(monkeypatch, owner, name):

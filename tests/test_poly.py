@@ -1,14 +1,19 @@
 """Polynomial arithmetic, monomial orders and multivariate division."""
 
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from noncat.errors import ContextMismatchError
+from noncat.errors import BudgetExceededError, ContextMismatchError
 from noncat.poly import (
     GREVLEX,
     LEX,
+    BlockEliminationOrder,
+    Budget,
     FieldDescriptor,
     Monomial,
     Polynomial,
@@ -19,7 +24,13 @@ from noncat.poly import (
     variables,
 )
 
-from conftest import QQ, ctx, random_nonzero_polynomial, random_polynomial
+from conftest import (
+    QQ,
+    ctx,
+    divide_reference,
+    random_nonzero_polynomial,
+    random_polynomial,
+)
 
 
 class TestField:
@@ -244,3 +255,116 @@ class TestSubstituteLinear:
             image = substitute_linear(f, forward, moved)
             assert image == expand(f, forward, moved)
             assert substitute_linear(image, back, source) == f
+
+
+ORDERS = (GREVLEX, LEX, BlockEliminationOrder(1), BlockEliminationOrder(2))
+
+
+@st.composite
+def polynomials(draw, field, context, max_terms=5, nonzero=False):
+    """Random polynomial through the checked constructor; with nonzero, a
+    draw that cancels to zero is replaced by the constant 1."""
+    exps = st.tuples(*[st.integers(0, 3)] * context.count)
+    terms = draw(st.lists(st.tuples(st.integers(-5, 5), exps),
+                          max_size=max_terms))
+    f = Polynomial(field, context, terms)
+    if nonzero and f.is_zero:
+        return Polynomial.constant(field, context, 1)
+    return f
+
+
+@st.composite
+def division_problems(draw):
+    """(f, divisors, order) over Q, GF(2) or GF(32003) in 1-4 variables."""
+    field = draw(st.sampled_from(FIELDS))
+    c = ctx(*(f"x{i}" for i in range(draw(st.integers(1, 4)))))
+    f = draw(polynomials(field, c, max_terms=6))
+    divisors = draw(st.lists(polynomials(field, c, 4, nonzero=True),
+                             min_size=1, max_size=3))
+    return f, divisors, draw(st.sampled_from(ORDERS))
+
+
+class TestHeapDivision:
+    """The heap division against the linear-max reference of conftest."""
+
+    @settings(deadline=None, max_examples=150)
+    @given(division_problems())
+    def test_matches_reference(self, problem):
+        f, divisors, order = problem
+        budget, expected_budget = Budget(10 ** 6), Budget(10 ** 6)
+        assert (divide(f, divisors, order, budget)
+                == divide_reference(f, divisors, order, expected_budget))
+        assert budget.used == expected_budget.used
+
+    @settings(deadline=None, max_examples=100)
+    @given(division_problems(), st.integers(0, 6))
+    def test_budget_runs_out_with_reference(self, problem, limit):
+        f, divisors, order = problem
+
+        def outcome(fn):
+            budget = Budget(limit)
+            try:
+                return fn(f, divisors, order, budget), budget.used
+            except BudgetExceededError:
+                return "exceeded", budget.used
+
+        assert outcome(divide) == outcome(divide_reference)
+
+
+def typed_pairs(p):
+    return tuple((type(c), c, e) for c, e in p.pairs())
+
+
+class TestCanonicalForm:
+    """Results built without the checked constructor are what it would
+    build, and a polynomial's cached lead follows the order asked for."""
+
+    @settings(deadline=None, max_examples=60)
+    @given(st.data())
+    def test_results_match_checked_constructor(self, data):
+        field = data.draw(st.sampled_from(FIELDS))
+        c, target = ctx("x", "y", "z"), ctx("u", "v", "w", "t")
+        f, g = (data.draw(polynomials(field, c)) for _ in range(2))
+        h = data.draw(polynomials(field, c, nonzero=True))
+        coeff = data.draw(st.integers(-3, 3))
+        shift = data.draw(st.tuples(*[st.integers(0, 2)] * 3))
+        order = data.draw(st.sampled_from(ORDERS))
+        forms = data.draw(st.lists(
+            st.lists(st.tuples(st.integers(-3, 3), st.integers(0, 3)),
+                     min_size=1, max_size=3).map(tuple),
+            min_size=3, max_size=3))
+        qs, r = divide(f, (g, h) if g else (h,), order)
+        results = [f + g, f - g, -f, f * g, f.term_multiple(coeff, shift),
+                   f.monic(order), *qs, r,
+                   substitute_linear(f, forms, target)]
+        for p in results:
+            rebuilt = Polynomial(p.field, p.context, p.pairs())
+            assert typed_pairs(rebuilt) == typed_pairs(p)
+            assert hash(rebuilt) == hash(p)
+
+    @settings(deadline=None, max_examples=60)
+    @given(st.sampled_from(FIELDS).flatmap(
+        lambda field: polynomials(field, ctx("x", "y", "z"), nonzero=True)),
+        st.lists(st.sampled_from((BlockEliminationOrder(1), LEX, GREVLEX,
+                                  BlockEliminationOrder(2))),
+                 min_size=2, max_size=6))
+    def test_lead_follows_the_order(self, f, orders):
+        for order in orders:
+            c, m = f.leading_term(order)
+            assert (c, m.exponents) == max(
+                f.pairs(), key=lambda t: order.key(t[1]))
+
+    def test_four_orders_four_leads(self):
+        """x*z^3 + x*y + y^2*z^2 + y^3 has a different lead under each
+        order; every call sequence, on a fresh polynomial and on one
+        already asked, reads the lead of the order asked for."""
+        c = ctx("x", "y", "z")
+        x, y, z = variables(QQ, c)
+        expected = {GREVLEX: (0, 2, 2), LEX: (1, 1, 0),
+                    ORDERS[2]: (1, 0, 3), ORDERS[3]: (0, 3, 0)}
+        asked = x * z ** 3 + x * y + y ** 2 * z ** 2 + y ** 3
+        for sequence in itertools.permutations(ORDERS):
+            fresh = x * z ** 3 + x * y + y ** 2 * z ** 2 + y ** 3
+            for f in (fresh, asked):
+                for order in sequence:
+                    assert f.leading_monomial(order).exponents == expected[order]
