@@ -12,9 +12,9 @@ read off the leading-term ideal by the monomial engine. For monomial I the
 monomial engine also settles the socle test and the depth search, apart
 from cuts by sums of three or more variables. Those cuts and every other
 homogeneous I read one grevlex basis per candidate linear form, moved to
-the last variable (Bayer-Stillman). The colon calculus serves
-non-homogeneous ideals, and the socle test of a homogeneous I on which no
-variable is regular.
+the last variable (Bayer-Stillman); when no variable is regular, the same
+bases give each (I : x_i) for the socle test. The colon calculus serves
+only non-homogeneous ideals, and is the oracle in the tests.
 
 Handles are immutable apart from fill-once caches guarded by a lock, so
 one handle can serve several threads.
@@ -404,6 +404,27 @@ class IdealHandle:
                      if all(g.is_term for g in basis) else None)
         return cut
 
+    def _colon_by_variable(self, i):
+        """For homogeneous I: (I : x_i), read off the reduced basis with x_i
+        moved last. Under grevlex, x_i dividing in(g) means x_i divides g,
+        so dividing those basis elements by x_i gives a Groebner basis of
+        (I : x_i) (Eisenbud, Prop. 15.12). It is mapped back to the declared
+        variable order; no colon ideal is computed by elimination."""
+        gens = []
+        for g in self._moved_to_last((i,)).groebner_basis():
+            shift = 1 if g.pairs()[0][1][-1] else 0
+            gens.append(Polynomial(self.field, self.context, (
+                (c, e[:i] + (e[-1] - shift,) + e[i:-1]) for c, e in g.pairs())))
+        return self.spawn(gens)
+
+    def _colon_by_maximal_ideal(self):
+        """For homogeneous I: (I : M) as the intersection of the (I : x_i),
+        v - 1 intersections in all."""
+        result = self._colon_by_variable(0)
+        for i in range(1, self.context.count):
+            result = result.intersection(self._colon_by_variable(i))
+        return result
+
     # -- regularity, dimension and depth --
 
     def is_regular_element(self, f):
@@ -437,8 +458,10 @@ class IdealHandle:
         of terms means I is monomial, and the monomial engine's Ass decides.
         For homogeneous I a regular variable proves M not associated: the
         last one is read off I's own basis, the others off one basis each
-        with that variable moved last. Any other ideal, or a homogeneous one
-        on which no variable is regular, gets the socle test (I : M) != I."""
+        with that variable moved last. When no variable is regular, the same
+        bases give each (I : x_i), and M is associated exactly when their
+        intersection (I : M) is not I. A non-homogeneous ideal gets that
+        socle test from the colon calculus."""
         if self._m_assoc is not None:
             return self._m_assoc
         if self.is_unit_ideal:
@@ -447,10 +470,11 @@ class IdealHandle:
         v = self.context.count
         if mono is not None:
             result = mono.maximal_ideal_associated()
-        elif self.is_homogeneous and any(
+        elif self.is_homogeneous:
+            result = not any(
                 self._moved_to_last((i,))._last_variable_regular()
-                for i in (v - 1, *range(v - 1))):
-            result = False
+                for i in (v - 1, *range(v - 1))
+            ) and not self._colon_by_maximal_ideal().equals(self)
         else:
             result = not self.quotient(self.maximal_ideal()).equals(self)
         with self._lock:

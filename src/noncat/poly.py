@@ -11,8 +11,8 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from operator import add, le, neg, sub
 from fractions import Fraction
+from operator import add, le, neg, sub
 
 from .errors import BudgetExceededError, ContextMismatchError
 

@@ -236,13 +236,23 @@ class TestSharedAnalysis:
         assert report["witnesses"]["regular_element"] == "a"
         assert colons == []
 
+    def test_homogeneous_depth_0_analyze_makes_no_colon(self, monkeypatch):
+        """No variable is regular and M is associated: the socle test
+        reads each (I : x_i) off the basis with x_i moved last."""
+        colons = count_calls(monkeypatch, groebner.IdealHandle,
+                             "quotient_element")
+        out = next(run_script(parse_script(
+            "ring Q[x,y,z]\n"
+            "ideal I = intersect((x + y), (x^2, y^2, z^2, x*y, x*z, y*z))\n"
+            "analyze I\n"), AnalysisConfig(), "json"))
+        assert json.loads(out)["conditions"]["depth_ge2"] is False
+        assert colons == []
+
     @pytest.mark.parametrize("ideal,depth_ge2", [
-        ("intersect((x + y), (x^2, y^2, z^2, x*y, x*z, y*z))", False),
         ("(x*y - z)", True),
-    ], ids=["homogeneous-depth-0", "non-homogeneous"])
+    ], ids=["non-homogeneous"])
     def test_colon_path_still_taken(self, monkeypatch, ideal, depth_ge2):
-        """No regular linear candidate, or non-homogeneous input: the
-        colon calculus decides, as before."""
+        """Non-homogeneous input: the colon calculus decides, as before."""
         colons = count_calls(monkeypatch, groebner.IdealHandle,
                              "quotient_element")
         out = next(run_script(parse_script(

@@ -374,13 +374,15 @@ class TestDimension:
 
 
 class TestMaximalIdealAssociated:
-    def test_homogeneous_without_regular_variable_uses_colon(self,
-                                                             monkeypatch):
+    def test_homogeneous_without_regular_variable_needs_no_colon(
+            self, monkeypatch):
+        """No variable is regular, so M may be associated; (I : M) is the
+        intersection of the (I : x_i) read off the moved bases."""
         h = embedded_origin()
         assert h.is_homogeneous and h.monomial_ideal() is None
         colons = count_calls(monkeypatch, IdealHandle, "quotient_element")
         assert h.maximal_ideal_associated()
-        assert colons
+        assert not colons
 
     def test_homogeneous_regular_variable_needs_no_colon(self, monkeypatch):
         h = tilted_line_and_plane()
@@ -490,14 +492,14 @@ class TestDepth:
 
     def test_tilted_line_and_plane_depth_one(self, monkeypatch):
         """x is regular; the cut by it has M associated and no regular
-        variable, so only the cut's socle test takes the colon fallback,
-        one colon per variable of the cut."""
+        variable, and its socle test reads each (I : x_i) off a moved
+        basis instead of computing a colon."""
         h = tilted_line_and_plane()
         x = variables(QQ, h.context)[0]
         colons = count_calls(monkeypatch, IdealHandle, "quotient_element")
         result = h.depth_at_least_two()
         assert (result.verdict, result.regular_element) == (False, x)
-        assert len(colons) == 2
+        assert not colons
 
     def test_twisted_cubic_depth_two_without_colon(self, monkeypatch):
         h = twisted_cubic()
@@ -605,3 +607,17 @@ class TestHomogeneousCrossEngine:
         result = h.depth_at_least_two()
         assert h.maximal_ideal_associated() == (expected == (False, None))
         assert (result.verdict, result.regular_element) == expected
+
+    @settings(deadline=None, max_examples=30)
+    @given(homogeneous_ideals())
+    @example(embedded_origin())
+    @example(embedded_origin(FieldDescriptor(2)))
+    @example(embedded_origin(FieldDescriptor(32003)))
+    @example(twisted_cubic(FieldDescriptor(32003)))
+    def test_colon_by_variable_matches_colon_calculus(self, h):
+        """(I : x_i) read off the basis with x_i moved last has the same
+        reduced basis as the colon computed by elimination."""
+        if h.is_unit_ideal:
+            return
+        for i, x in enumerate(variables(h.field, h.context)):
+            assert h._colon_by_variable(i).equals(h.quotient_element(x))
