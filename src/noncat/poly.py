@@ -485,13 +485,9 @@ class Polynomial:
             raise ContextMismatchError("term length does not match the context")
         c0 = f.coerce(coeff)
         if c0 == f.zero:
-            terms = ()
-        elif c0 == f.one:
-            terms = tuple((c, exps_add(e, exps)) for c, e in self._terms)
-        else:
-            terms = tuple((f.mul(c0, c), exps_add(e, exps))
-                          for c, e in self._terms)
-        return Polynomial._canonical(f, self.context, terms)
+            return Polynomial._canonical(f, self.context, ())
+        return Polynomial._canonical(f, self.context, tuple(
+            (f.mul(c0, c), exps_add(e, exps)) for c, e in self._terms))
 
     # -- equality and rendering --
 
@@ -509,7 +505,7 @@ class Polynomial:
     def render(self, order=GREVLEX):
         if not self._terms:
             return "0"
-        ordered = sorted(self._terms, key=lambda t: order.descending_key(t[1]))
+        ordered = sorted(self._terms, key=lambda t: order.key(t[1]), reverse=True)
         rational = not self.field.is_prime_field
         pieces = []
         for c, e in ordered:
