@@ -3,8 +3,10 @@
 Every value in this module is immutable and every operation is a pure
 function, so contexts, monomials and polynomials can be shared freely
 between threads. The one lazily filled slot, a polynomial's leading term
-under a non-grevlex order, is idempotent: every thread that fills it
-writes the same value, so a lost or repeated write changes nothing.
+under the last non-grevlex order asked for, is idempotent: each write is
+a whole (order, lead) tuple that is a function of the polynomial and the
+order, and a reader that finds another order there computes its own, so
+a lost or repeated write changes no result.
 """
 
 from __future__ import annotations

@@ -2,6 +2,8 @@
 
 import itertools
 import random
+import sys
+import threading
 from fractions import Fraction
 
 import pytest
@@ -345,9 +347,7 @@ class TestCanonicalForm:
     @settings(deadline=None, max_examples=60)
     @given(st.sampled_from(FIELDS).flatmap(
         lambda field: polynomials(field, ctx("x", "y", "z"), nonzero=True)),
-        st.lists(st.sampled_from((BlockEliminationOrder(1), LEX, GREVLEX,
-                                  BlockEliminationOrder(2))),
-                 min_size=2, max_size=6))
+        st.lists(st.sampled_from(ORDERS), min_size=2, max_size=6))
     def test_lead_follows_the_order(self, f, orders):
         for order in orders:
             c, m = f.leading_term(order)
@@ -368,3 +368,32 @@ class TestCanonicalForm:
             for f in (fresh, asked):
                 for order in sequence:
                     assert f.leading_monomial(order).exponents == expected[order]
+
+    def test_lead_shared_between_threads(self):
+        """Threads asking one polynomial for its lead under different orders
+        each read the lead of their own order."""
+        c = ctx("x", "y", "z")
+        x, y, z = variables(QQ, c)
+        f = x * z ** 3 + x * y + y ** 2 * z ** 2 + y ** 3
+        expected = {order: max(f.pairs(), key=lambda t: order.key(t[1]))[1]
+                    for order in ORDERS}
+        wrong = []
+
+        def ask(start):
+            for k in range(2000):
+                order = ORDERS[(start + k) % len(ORDERS)]
+                if f.leading_monomial(order).exponents != expected[order]:
+                    wrong.append(order)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=ask, args=(i,)) for i in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert wrong == []
