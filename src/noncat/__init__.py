@@ -37,11 +37,9 @@ from .poly import (
     GREVLEX,
     LEX,
     FieldDescriptor,
-    Monomial,
     Polynomial,
     RingPresentation,
     VariableContext,
-    compare_monomials,
     divide,
     variables,
 )
@@ -70,9 +68,8 @@ __all__ = [
     "FamilySpec", "expected_mismatches", "instantiate",
     "DepthResult", "IdealHandle", "buchberger", "s_polynomial",
     "MonomialIdeal", "MonomialPrime",
-    "GREVLEX", "LEX", "FieldDescriptor", "Monomial", "Polynomial",
-    "RingPresentation", "VariableContext", "compare_monomials", "divide",
-    "variables",
+    "GREVLEX", "LEX", "FieldDescriptor", "Polynomial", "RingPresentation",
+    "VariableContext", "divide", "variables",
     "PrimeChain", "SpecPoset", "build_poset", "chain_dot", "construct_chain",
     "noncat_profile", "poset_dot", "verify_chain",
 ]

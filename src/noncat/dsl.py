@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import FamilyParameterError, ParseError
-from .families import FAMILY_ARITY, FAMILY_KINDS, FamilySpec, check_constraints
+from .families import FAMILY_KINDS, FamilySpec, check_constraints
 from .poly import FieldDescriptor, Polynomial, VariableContext
 
 KEYWORDS = frozenset({"ring", "ideal", "intersect", "analyze", "profile",
@@ -380,10 +380,6 @@ class _Parser:
             while self.accept(","):
                 params.append(int(self.expect("int", "parameter").text))
             self.expect(")")
-        if len(params) != FAMILY_ARITY[tok.text]:
-            self.error(
-                f"{tok.text} takes {FAMILY_ARITY[tok.text]} parameter(s), "
-                f"got {len(params)}", tok, code="semantic")
         try:
             check_constraints(FamilySpec(tok.text, tuple(params)))
         except FamilyParameterError as exc:

@@ -24,14 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import FamilyParameterError
-from .poly import (
-    FieldDescriptor,
-    Polynomial,
-    RingPresentation,
-    VariableContext,
-)
-
-RATIONALS = FieldDescriptor(0)
+from .poly import RATIONALS, Polynomial, RingPresentation, VariableContext
 
 FAMILY_KINDS = ("example_domain", "example_catenary", "example_ufd",
                 "prop41", "prop42")

@@ -57,9 +57,9 @@ def s_polynomial(f, g, order=GREVLEX):
     subtracted, cancelling the leads."""
     cf, mf = f.leading_term(order)
     cg, mg = g.leading_term(order)
-    lcm = exps_lcm(mf.exponents, mg.exponents)
-    left = f.term_multiple(f.field.inv(cf), exps_sub(lcm, mf.exponents))
-    right = g.term_multiple(g.field.inv(cg), exps_sub(lcm, mg.exponents))
+    lcm = exps_lcm(mf, mg)
+    left = f.term_multiple(f.field.inv(cf), exps_sub(lcm, mf))
+    right = g.term_multiple(g.field.inv(cg), exps_sub(lcm, mg))
     return left - right
 
 
@@ -68,9 +68,9 @@ def _reduce_basis(basis, order):
     fully reduced tails, monic, sorted descending by leading monomial."""
     key = order.key
     minimal = []
-    for g in sorted(basis, key=lambda g: key(g.leading_monomial(order).exponents)):
-        lm = g.leading_monomial(order).exponents
-        if any(exps_divides(h.leading_monomial(order).exponents, lm) for h in minimal):
+    for g in sorted(basis, key=lambda g: key(g.leading_monomial(order))):
+        lm = g.leading_monomial(order)
+        if any(exps_divides(h.leading_monomial(order), lm) for h in minimal):
             continue
         minimal.append(g)
     for i in range(len(minimal)):
@@ -80,7 +80,7 @@ def _reduce_basis(basis, order):
         else:
             r = minimal[i]
         minimal[i] = r.monic(order)
-    minimal.sort(key=lambda g: key(g.leading_monomial(order).exponents), reverse=True)
+    minimal.sort(key=lambda g: key(g.leading_monomial(order)), reverse=True)
     return tuple(minimal)
 
 
@@ -102,7 +102,7 @@ def buchberger(generators, order=GREVLEX, budget=None):
 
     def append(g):
         basis.append(g)
-        lm = g.leading_monomial(order).exponents
+        lm = g.leading_monomial(order)
         leads.append(lm)
         j = len(basis) - 1
         for i in range(j):
@@ -191,7 +191,7 @@ class IdealHandle:
     ideal calculus built on them."""
 
     __slots__ = ("field", "context", "generators", "gb_step_budget",
-                 "_lock", "_gb", "_mono", "_dim", "_m_assoc", "_moved")
+                 "_lock", "_gb", "_dim", "_m_assoc", "_moved")
 
     def __init__(self, field, context, generators=(),
                  gb_step_budget=DEFAULT_GB_STEP_BUDGET):
@@ -207,8 +207,7 @@ class IdealHandle:
         self.generators = tuple(gens)
         self.gb_step_budget = gb_step_budget
         self._lock = threading.Lock()
-        self._gb = None
-        self._mono = None
+        self._gb = None  # (reduced basis, MonomialIdeal or None), one store
         self._dim = None
         self._m_assoc = None
         self._moved = {}
@@ -229,7 +228,8 @@ class IdealHandle:
         basis of a monomial ideal is its minimal generating set, so term
         generators go to the monomial engine and only other input runs
         Buchberger; a basis of terms from Buchberger still means I is
-        monomial."""
+        monomial. The basis is published together with monomial_ideal()'s
+        answer, in one store."""
         if self._gb is None:
             if all(g.is_term for g in self.generators):
                 mono = MonomialIdeal.from_polynomials(self.context,
@@ -246,8 +246,8 @@ class IdealHandle:
                         if all(g.is_term for g in basis) else None)
             with self._lock:
                 if self._gb is None:
-                    self._gb, self._mono = basis, mono
-        return self._gb
+                    self._gb = (basis, mono)
+        return self._gb[0]
 
     def normal_form(self, f):
         basis = self.groebner_basis()
@@ -262,7 +262,7 @@ class IdealHandle:
         presented generators, so (x+y, y) counts as monomial. Built with the
         basis, so its Min and Ass are computed once per handle."""
         self.groebner_basis()
-        return self._mono
+        return self._gb[1]
 
     def contains(self, f):
         return self.normal_form(f).is_zero
@@ -399,9 +399,8 @@ class IdealHandle:
                        ((c, e[:-1]) for c, e in g.pairs() if not e[-1]))
             for g in self.groebner_basis())
         cut = IdealHandle(self.field, context, basis, self.gb_step_budget)
-        cut._gb = basis
-        cut._mono = (MonomialIdeal.from_polynomials(context, basis)
-                     if all(g.is_term for g in basis) else None)
+        cut._gb = (basis, MonomialIdeal.from_polynomials(context, basis)
+                   if all(g.is_term for g in basis) else None)
         return cut
 
     def _colon_by_variable(self, i):
@@ -439,16 +438,18 @@ class IdealHandle:
         """dim K[x..]/I, computed by the monomial engine on the leading-term
         ideal, since dim R/I = dim R/LT(I) for any monomial order. A
         monomial I is its own leading-term ideal, so its MonomialIdeal
-        serves and Min is computed once per handle."""
+        serves and its decomposition is computed once per handle."""
         if self._dim is not None:
             return self._dim
         if self.is_unit_ideal:
             raise UnitIdealError("the unit ideal has no Krull dimension")
         lead = self.monomial_ideal()
         if lead is None:
-            lead = MonomialIdeal(self.context,
-                                 (g.leading_monomial().exponents
-                                  for g in self.groebner_basis()))
+            # dim sees only the radical, and the supports of the leads
+            # generate a squarefree ideal, which splits into primes only
+            lead = MonomialIdeal(self.context, (
+                tuple(min(e, 1) for e in g.leading_monomial())
+                for g in self.groebner_basis()))
         with self._lock:
             self._dim = lead.dimension()
         return self._dim

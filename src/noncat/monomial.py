@@ -1,6 +1,8 @@
-"""Combinatorics of monomial ideals: minimal primes as minimal vertex
-covers of generator supports, associated primes through irreducible
-decomposition, and localization at monomial primes.
+"""Combinatorics of monomial ideals: one irreducible decomposition gives
+the associated primes, the minimal primes (the minimal members of Ass)
+and the dimension; localization at monomial primes. An irreducible
+monomial ideal is generated by pure powers, so it is held as one exponent
+vector a, standing for (x_i^a_i : a_i > 0).
 
 Exact for monomial ideals, where the polynomial model and the
 power-series quotient share Min, Ass and dimension. All values are
@@ -67,12 +69,6 @@ def _minimalize(vectors):
 
 def _intersect_gens(a, b):
     return _minimalize(exps_lcm(x, y) for x in a for y in b)
-
-
-def _gens_contained(a, b):
-    """Whether the monomial ideal generated by a is inside the one
-    generated by b."""
-    return all(any(exps_divides(g, m) for g in b) for m in a)
 
 
 class MonomialIdeal:
@@ -163,35 +159,15 @@ class MonomialIdeal:
     # -- primes --
 
     def minimal_primes(self):
-        """Minimal primes over the ideal: minimal hitting sets of the
-        generator supports."""
+        """Minimal primes over the ideal: the minimal members of Ass."""
         if self.is_unit:
             raise UnitIdealError("the unit ideal has no minimal primes")
         with self._lock:
             if self._min is not None:
                 return self._min
-        if self.is_zero:
-            result = (MonomialPrime(frozenset()),)
-        else:
-            supports = sorted(
-                {frozenset(i for i, e in enumerate(g) if e) for g in self.gens},
-                key=lambda s: (len(s), sorted(s)))
-            supports = [s for s in supports
-                        if not any(t < s for t in supports)]
-            found = set()
-
-            def cover(chosen):
-                for s in supports:
-                    if not (s & chosen):
-                        for var in sorted(s):
-                            cover(chosen | {var})
-                        return
-                found.add(frozenset(chosen))
-
-            cover(frozenset())
-            minimal = [s for s in found if not any(t < s for t in found)]
-            result = tuple(sorted((MonomialPrime(s) for s in minimal),
-                                  key=lambda p: p.sort_key))
+        ass = self.associated_primes()
+        result = tuple(p for p in ass
+                       if not any(q.indices < p.indices for q in ass))
         with self._lock:
             if self._min is None:
                 self._min = result
@@ -199,10 +175,14 @@ class MonomialIdeal:
 
     def irreducible_components(self):
         """Irreducible decomposition by recursively splitting a generator
-        with at least two variables into coprime factors; components are
-        ideals generated by pure variable powers."""
+        with at least two variables into coprime factors. A leaf of the
+        split is a set of pure powers in distinct variables, so each
+        component is returned as one exponent vector a, the sum of that
+        set, standing for the ideal (x_i^a_i : a_i > 0); the zero ideal's
+        one component is the zero vector."""
         if self.is_unit:
             raise UnitIdealError("the unit ideal has no decomposition")
+        zero = (0,) * self.context.count
         memo = {}
 
         def split(gens):
@@ -215,7 +195,7 @@ class MonomialIdeal:
                     target = (m, support[0])
                     break
             if target is None:
-                result = (gens,)
+                result = (tuple(map(sum, zip(zero, *gens))),)
             else:
                 m, i = target
                 u = tuple(e if j == i else 0 for j, e in enumerate(m))
@@ -226,28 +206,31 @@ class MonomialIdeal:
             memo[gens] = result
             return result
 
-        return tuple(MonomialIdeal(self.context, comp)
-                     for comp in split(self.gens))
+        return split(self.gens)
 
     def primary_components(self):
         """Irredundant primary decomposition, as (prime, component) pairs.
         Irreducible monomial ideals are meet-prime, so an irreducible
-        component is redundant exactly when it contains another one; the
-        remaining components are grouped by radical and intersected. The
-        components of minimal primes are unique, those of embedded primes
-        are one valid choice."""
+        component is redundant exactly when it contains another one; C_a
+        contains C_b when 0 < a_i <= b_i wherever b_i > 0. The remaining
+        components are grouped by radical and intersected. The components
+        of minimal primes are unique, those of embedded primes are one
+        valid choice."""
         if self.is_unit:
             raise UnitIdealError("the unit ideal has no decomposition")
         with self._lock:
             if self._primary is not None:
                 return self._primary
-        comps = [c.gens for c in self.irreducible_components()]
+        comps = self.irreducible_components()
+        zero = (0,) * self.context.count
         groups = {}
-        for gens in comps:
-            if any(other != gens and _gens_contained(other, gens)
-                   for other in comps):
+        for a in comps:
+            if any(b != a and all(0 < x <= y for x, y in zip(a, b) if y)
+                   for b in comps):
                 continue
-            prime = frozenset(i for g in gens for i, e in enumerate(g) if e)
+            prime = frozenset(i for i, x in enumerate(a) if x)
+            gens = tuple(zero[:i] + (x,) + zero[i + 1:]
+                         for i, x in enumerate(a) if x)
             groups[prime] = (_intersect_gens(groups[prime], gens)
                              if prime in groups else gens)
         result = tuple(sorted(
@@ -260,12 +243,9 @@ class MonomialIdeal:
             return self._primary
 
     def associated_primes(self):
-        """Exact Ass(R/I): radicals of the irredundant primary components.
-        Always a superset of the minimal primes."""
-        if self.is_zero:
-            return (MonomialPrime(frozenset()),)
-        return tuple(sorted((p for p, _ in self.primary_components()),
-                            key=lambda p: p.sort_key))
+        """Exact Ass(R/I): radicals of the irredundant primary components,
+        sorted by MonomialPrime.sort_key."""
+        return tuple(p for p, _ in self.primary_components())
 
     # -- derived facts --
 

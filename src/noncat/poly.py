@@ -1,12 +1,13 @@
 """Exact multivariate polynomials over Q or GF(p) with total monomial orders.
 
+A monomial is its exponent tuple, indexed against a variable context.
 Every value in this module is immutable and every operation is a pure
-function, so contexts, monomials and polynomials can be shared freely
-between threads. The one lazily filled slot, a polynomial's leading term
-under the last non-grevlex order asked for, is idempotent: each write is
-a whole (order, lead) tuple that is a function of the polynomial and the
-order, and a reader that finds another order there computes its own, so
-a lost or repeated write changes no result.
+function, so contexts, exponent tuples and polynomials can be shared
+freely between threads. The one lazily filled slot, a polynomial's
+leading term under the last non-grevlex order asked for, is idempotent:
+each write is a whole (order, lead) tuple that is a function of the
+polynomial and the order, and a reader that finds another order there
+computes its own, so a lost or repeated write changes no result.
 """
 
 from __future__ import annotations
@@ -21,16 +22,32 @@ from .errors import BudgetExceededError, ContextMismatchError
 DEFAULT_GB_STEP_BUDGET = 200_000
 
 
+# strong-pseudoprime bases: the twelve primes up to 37 leave no composite
+# below 3.1 * 10^23, so Miller-Rabin with them is exact below 2^64
+# (Sorenson-Webster, Math. Comp. 86, 2017)
+_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
 def _is_prime(n):
+    """Primality of n < 2^64, in a few modular powers."""
     if n < 2:
         return False
-    if n % 2 == 0:
-        return n == 2
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
+    for p in _WITNESSES:
+        if n % p == 0:
+            return n == p
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _WITNESSES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 2
     return True
 
 
@@ -42,6 +59,9 @@ class FieldDescriptor:
 
     def __post_init__(self):
         p = self.characteristic
+        if p >= 2 ** 64:
+            raise ValueError(
+                f"field characteristic must be below 2^64, got {p}")
         if p != 0 and not _is_prime(p):
             raise ValueError(f"field characteristic must be 0 or a prime, got {p}")
 
@@ -160,44 +180,6 @@ def exps_lcm(a, b):
     return tuple(map(max, a, b))
 
 
-@dataclass(frozen=True)
-class Monomial:
-    """Exponent vector; the length must match the variable context."""
-
-    exponents: tuple
-
-    def _same_length(self, other):
-        if len(self.exponents) != len(other.exponents):
-            raise ContextMismatchError("monomials from different variable contexts")
-
-    def __mul__(self, other):
-        self._same_length(other)
-        return Monomial(exps_add(self.exponents, other.exponents))
-
-    def divides(self, other):
-        self._same_length(other)
-        return exps_divides(self.exponents, other.exponents)
-
-    def __truediv__(self, other):
-        self._same_length(other)
-        if not exps_divides(other.exponents, self.exponents):
-            raise ValueError("inexact monomial division")
-        return Monomial(exps_sub(self.exponents, other.exponents))
-
-    def lcm(self, other):
-        self._same_length(other)
-        return Monomial(exps_lcm(self.exponents, other.exponents))
-
-    def render(self, context):
-        parts = []
-        for name, e in zip(context.names, self.exponents):
-            if e == 1:
-                parts.append(name)
-            elif e:
-                parts.append(f"{name}^{e}")
-        return "*".join(parts) if parts else "1"
-
-
 # -- monomial orders --
 
 class MonomialOrder:
@@ -263,16 +245,6 @@ class BlockEliminationOrder(MonomialOrder):
     def descending_key(self, exps):
         head, tail = exps[:self.block], exps[self.block:]
         return (-sum(head), head[::-1], -sum(tail), tail[::-1])
-
-
-def compare_monomials(a, b, order=GREVLEX):
-    """Return -1, 0 or 1 as a is below, equal to, or above b in the order."""
-    if len(a.exponents) != len(b.exponents):
-        raise ContextMismatchError("monomials from different variable contexts")
-    ka, kb = order.key(a.exponents), order.key(b.exponents)
-    if ka < kb:
-        return -1
-    return 1 if ka > kb else 0
 
 
 _grevlex_first = GREVLEX.descending_key
@@ -357,30 +329,27 @@ class Polynomial:
         return bool(self._terms)
 
     def leading_term(self, order=GREVLEX):
-        """(coefficient, Monomial) of the largest term under the order. The
-        terms are stored in grevlex order; the lead under any other order
-        is found once and kept with that order until another is asked."""
+        """(coefficient, exponent tuple) of the largest term under the
+        order. The terms are stored in grevlex order, so the grevlex lead
+        is the first stored term; the lead under any other order is found
+        once and kept with that order until another is asked."""
         if not self._terms:
             raise ValueError("the zero polynomial has no leading term")
         if order is GREVLEX:
-            c, e = self._terms[0]
-            return c, Monomial(e)
+            return self._terms[0]
         lead = self._lead
         if lead is None or lead[0] is not order:
-            c, e = max(self._terms, key=lambda t: order.key(t[1]))
-            lead = self._lead = (order, c, Monomial(e))
-        return lead[1], lead[2]
+            lead = self._lead = (
+                order, max(self._terms, key=lambda t: order.key(t[1])))
+        return lead[1]
 
     def leading_monomial(self, order=GREVLEX):
         return self.leading_term(order)[1]
 
-    def leading_coefficient(self, order=GREVLEX):
-        return self.leading_term(order)[0]
-
     def monic(self, order=GREVLEX):
         if self.is_zero:
             return self
-        c = self.leading_coefficient(order)
+        c = self.leading_term(order)[0]
         if c == self.field.one:
             return self
         f = self.field
@@ -504,23 +473,24 @@ class Polynomial:
     def __hash__(self):
         return hash((self.field, self.context, self._terms))
 
-    def render(self, order=GREVLEX):
+    def render(self):
         if not self._terms:
             return "0"
-        ordered = sorted(self._terms, key=lambda t: order.key(t[1]), reverse=True)
-        rational = not self.field.is_prime_field
+        field, names = self.field, self.context.names
+        rational = not field.is_prime_field
         pieces = []
-        for c, e in ordered:
-            mono = Monomial(e).render(self.context)
+        for c, e in self._terms:
+            mono = "*".join(n if k == 1 else f"{n}^{k}"
+                            for n, k in zip(names, e) if k)
             sign = "+"
             if rational and c < 0:
                 sign, c = "-", -c
-            if mono == "1":
-                body = self.field.render(c)
-            elif c == self.field.one:
+            if not mono:
+                body = field.render(c)
+            elif c == field.one:
                 body = mono
             else:
-                body = f"{self.field.render(c)}*{mono}"
+                body = f"{field.render(c)}*{mono}"
             pieces.append((sign, body))
         first_sign, first_body = pieces[0]
         out = ("-" if first_sign == "-" else "") + first_body
@@ -612,7 +582,7 @@ def divide(f, divisors, order=GREVLEX, budget=None):
         if g.is_zero:
             raise ValueError("division by the zero polynomial")
         c, m = g.leading_term(order)
-        leads.append((m.exponents, c, g._terms))
+        leads.append((m, c, g._terms))
 
     key = order.descending_key
     zero = field.zero

@@ -162,7 +162,7 @@ def divide_reference(f, divisors, order=GREVLEX, budget=None):
         if g.is_zero:
             raise ValueError("division by the zero polynomial")
         c, m = g.leading_term(order)
-        leads.append((m.exponents, c, g.pairs()))
+        leads.append((m, c, g.pairs()))
 
     key = order.key
     zero = field.zero

@@ -320,6 +320,21 @@ class TestExitCodes:
         assert code == 1
         assert "parse error" in err
 
+    def test_large_prime_characteristic_exits_0(self, capsys, tmp_path):
+        code, out, _ = invoke(
+            capsys, "ring F 2305843009213693951[x,y]\nideal I = (x*y)\n"
+                    "analyze I\n", tmp_path=tmp_path)
+        assert code == 0
+        assert out.startswith("ring               F2305843009213693951[[x,y]]")
+
+    def test_characteristic_from_2_to_the_64_exits_1(self, capsys, tmp_path):
+        code, _, err = invoke(
+            capsys, "ring F 18446744073709551629[x,y]\nideal I = (x)\n",
+            tmp_path=tmp_path)
+        assert code == 1
+        assert "parse error (semantic): line 1, col 6" in err
+        assert "below 2^64" in err
+
     def test_budget_exceeded_exits_3(self, capsys, tmp_path):
         script = ("ring Q[x,y,z]\n"
                   "ideal I = (x^2 + y*z, y^2 + x*z, z^2 + x*y)\n"

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import sys
 
 import pytest
 from hypothesis import example, given, settings
@@ -14,7 +15,6 @@ from noncat.poly import (
     GREVLEX,
     LEX,
     FieldDescriptor,
-    Monomial,
     Polynomial,
     variables,
 )
@@ -110,6 +110,37 @@ class TestBuchberger:
             t.join()
         assert len(results) == 8
         assert all(r == results[0] for r in results)
+
+    def test_basis_and_monomial_class_published_together(self):
+        """A reader running right after the filling call stores the basis,
+        before that call returns, already finds the monomial ideal. An
+        opcode trace on the filling call plays that reader at every
+        instruction once the slot is set."""
+        c = ctx("x", "y", "z")
+        x, y, z = variables(QQ, c)
+        h = handle(c, x * y, x * z)
+        code = IdealHandle.groebner_basis.__code__
+        seen = []
+
+        def each_opcode(frame, event, arg):
+            if event == "opcode" and h._gb is not None:
+                seen.append(h.monomial_ideal())
+            return each_opcode
+
+        def on_call(frame, event, arg):
+            if frame.f_code is code and frame.f_locals.get("self") is h:
+                frame.f_trace_opcodes = True
+                return each_opcode
+            return None
+
+        previous = sys.gettrace()
+        sys.settrace(on_call)
+        try:
+            h.groebner_basis()
+        finally:
+            sys.settrace(previous)
+        assert seen
+        assert seen == [MonomialIdeal(c, ((1, 1, 0), (1, 0, 1)))] * len(seen)
 
     def test_canonicity_under_shuffling(self):
         rng = random.Random(31337)

@@ -68,16 +68,19 @@ class TestMinimalPrimes:
             mono(c, (0,)).minimal_primes()
 
     def test_brute_force_agreement(self):
+        """Min is filtered out of Ass, so non-squarefree ideals, which can
+        have embedded primes, check that filter too."""
         rng = random.Random(11)
-        for _ in range(120):
-            v = rng.randint(1, 5)
-            c = ctx(*[f"v{i}" for i in range(v)])
-            gens = random_monomial_ideal(rng, v, 6, squarefree=True)
-            ideal = mono(c, *gens)
-            supports = [frozenset(i for i, e in enumerate(g) if e)
-                        for g in ideal.gens]
-            expected = brute_minimal_covers(supports, v)
-            assert {p.indices for p in ideal.minimal_primes()} == expected
+        for squarefree in (True, False):
+            for _ in range(120):
+                v = rng.randint(1, 5)
+                c = ctx(*[f"v{i}" for i in range(v)])
+                gens = random_monomial_ideal(rng, v, 6, squarefree=squarefree)
+                ideal = mono(c, *gens)
+                supports = [frozenset(i for i, e in enumerate(g) if e)
+                            for g in ideal.gens]
+                expected = brute_minimal_covers(supports, v)
+                assert {p.indices for p in ideal.minimal_primes()} == expected
 
 
 class TestAssociatedPrimes:
@@ -112,11 +115,31 @@ class TestAssociatedPrimes:
                 assert mins == ass
 
     def test_irreducible_components_are_pure_powers(self):
+        """Each component is an exponent vector a standing for the ideal
+        (x_i^a_i : a_i > 0); together they intersect back to I."""
+        def pure_powers(context, a):
+            zero = (0,) * context.count
+            return mono(context, *(zero[:i] + (x,) + zero[i + 1:]
+                                   for i, x in enumerate(a) if x))
+
         c = ctx("x", "y", "z")
-        ideal = mono(c, (2, 1, 0), (0, 1, 2))
-        for comp in ideal.irreducible_components():
-            for g in comp.gens:
-                assert sum(1 for e in g if e) == 1
+        example = mono(c, (2, 1, 0), (0, 1, 2))  # (x^2*y, y*z^2)
+        # (y) cap (x^2, z^2), with possibly redundant components beside
+        assert {(0, 1, 0), (2, 0, 2)} <= set(example.irreducible_components())
+        assert mono(c).irreducible_components() == ((0, 0, 0),)
+        rng = random.Random(29)
+        ideals = [example, mono(c), mono(ctx("x"))]
+        for _ in range(80):
+            v = rng.randint(1, 5)
+            ideals.append(mono(ctx(*[f"v{i}" for i in range(v)]),
+                               *random_monomial_ideal(rng, v, 5, max_exp=3)))
+        for ideal in ideals:
+            comps = ideal.irreducible_components()
+            assert all(len(a) == ideal.context.count for a in comps)
+            back = pure_powers(ideal.context, comps[0])
+            for a in comps[1:]:
+                back = back.intersect(pure_powers(ideal.context, a))
+            assert back == ideal
 
     def test_primary_component_example(self):
         c = ctx("x", "y")
