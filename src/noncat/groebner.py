@@ -2,9 +2,12 @@
 
 Provides reduced Groebner bases (Buchberger with the coprime-lead and
 chain criteria, normal pair selection), ideal membership and equality on
-each handle's cached grevlex basis, intersection and colon ideals via
-elimination, and the regularity and depth tests the ring classifiers rely
-on. A handle whose generators are all terms never runs Buchberger: the
+each handle's cached grevlex basis, intersection and colon ideals, and
+the regularity and depth tests the ring classifiers rely on. Two ideals
+generated by linear forms meet in W + I*J, where W is the intersection of
+their spans (one Zassenhaus row reduction), and one Buchberger run
+reduces that; every other intersection eliminates an auxiliary variable.
+A handle whose generators are all terms never runs Buchberger: the
 monomial engine supplies its reduced basis, the minimal generators. A
 handle's ideal is monomial when its reduced basis consists of terms,
 whatever its presentation (IdealHandle.monomial_ideal). Krull dimension is
@@ -144,6 +147,70 @@ def buchberger(generators, order=GREVLEX, budget=None):
             append(r)
 
     return _reduce_basis(basis, order)
+
+
+def _all_linear(gens):
+    """Whether every term of every generator has degree exactly 1."""
+    return all(sum(e) == 1 for g in gens for _, e in g.pairs())
+
+
+def _coefficients(f):
+    """The coefficient vector of a linear form, as a list."""
+    row = [f.field.zero] * f.context.count
+    for c, e in f.pairs():
+        row[e.index(1)] = c
+    return row
+
+
+def _row_reduce(field, rows):
+    """Reduced row echelon form of a nonempty list of rows (lists over the
+    field): the nonzero rows, monic at their pivots, pivots left to right
+    and cleared from every other row."""
+    rows = [r[:] for r in rows]
+    done = []
+    for col in range(len(rows[0])):
+        pivot = next((r for r in rows if r[col]), None)
+        if pivot is None:
+            continue
+        rows.remove(pivot)
+        inv = field.inv(pivot[col])
+        pivot[:] = [field.mul(inv, a) for a in pivot]
+        for r in rows + done:
+            if r[col]:
+                scale = r[col]
+                r[:] = [field.sub(a, field.mul(scale, b))
+                        for a, b in zip(r, pivot)]
+        done.append(pivot)
+    return done
+
+
+def _linear_forms(field, context, rows):
+    """The linear forms whose coefficient vectors are the rows."""
+    units = [tuple(int(i == j) for j in range(context.count))
+             for i in range(context.count)]
+    return [Polynomial(field, context,
+                       ((c, units[i]) for i, c in enumerate(r) if c))
+            for r in rows]
+
+
+def _linear_meet(left, right):
+    """Generators of I cap J = W + I*J for nonempty lists of linear forms
+    over one ring. A basis of W, the intersection of the spans, comes from
+    Zassenhaus: in the reduced echelon form of the rows (f, f) for f in
+    left and (g, 0) for g in right, the rows zero on the left half carry it
+    on the right half. I*J is generated by the products of the reduced
+    bases of the two spans, which already form a Groebner basis of I*J
+    when I or J is principal."""
+    field, context = left[0].field, left[0].context
+    v = context.count
+    a = [_coefficients(f) for f in left]
+    b = [_coefficients(g) for g in right]
+    stacked = [r + r for r in a] + [r + [field.zero] * v for r in b]
+    meet = [r[v:] for r in _row_reduce(field, stacked) if not any(r[:v])]
+    xs = _linear_forms(field, context, _row_reduce(field, a))
+    ys = _linear_forms(field, context, _row_reduce(field, b))
+    return (_linear_forms(field, context, meet)
+            + [f * g for f in xs for g in ys])
 
 
 def _fresh_name(context):
@@ -297,13 +364,36 @@ class IdealHandle:
 
     # -- intersection and colon ideals --
 
+    def _with_basis(self, context, basis):
+        """Handle over `context` whose generators are `basis`, already the
+        reduced grevlex basis of the ideal they span. The basis is stored
+        with monomial_ideal()'s answer, so the handle never runs
+        Buchberger."""
+        handle = IdealHandle(self.field, context, basis, self.gb_step_budget)
+        handle._gb = (handle.generators,
+                      MonomialIdeal.from_polynomials(context, basis)
+                      if all(g.is_term for g in basis) else None)
+        return handle
+
     def intersection(self, other):
-        """I cap J, by eliminating an auxiliary variable t from
-        t*I + (1-t)*J."""
+        """I cap J, whose generators are its reduced grevlex basis. When
+        every generator of both is a linear form, I cap J = W + I*J with W
+        the intersection of the spans: in coordinates where I = (W, X) and
+        J = (W, Y), both are monomial in disjoint variables. One Buchberger
+        run reduces W + I*J. Any other input is eliminated."""
         if self.field != other.field or self.context != other.context:
             raise ContextMismatchError("ideals over different rings")
         if not self.generators or not other.generators:
-            return self.spawn(())
+            return self._with_basis(self.context, ())
+        if _all_linear(self.generators) and _all_linear(other.generators):
+            return self._with_basis(self.context, buchberger(
+                _linear_meet(self.generators, other.generators), GREVLEX,
+                Budget(self.gb_step_budget, "groebner step budget")))
+        return self._eliminate(other)
+
+    def _eliminate(self, other):
+        """I cap J by eliminating an auxiliary variable t from
+        t*I + (1-t)*J, for nonzero I and J over one ring."""
         field, context = self.field, self.context
         ext = VariableContext((_fresh_name(context),) + context.names)
 
@@ -316,12 +406,15 @@ class IdealHandle:
         gens += [(one - t) * lift(g) for g in other.generators]
         basis = buchberger(gens, _ELIMINATE_T,
                            Budget(self.gb_step_budget, "groebner step budget"))
+        # the t-free elements of the reduced basis are the reduced basis of
+        # I cap J: the block order is grevlex on t-free monomials, and they
+        # are monic, fully reduced and sorted descending
         kept = []
         for g in basis:
             if all(e[0] == 0 for _, e in g.pairs()):
                 kept.append(Polynomial(field, context,
                                        ((c, e[1:]) for c, e in g.pairs())))
-        return self.spawn(kept)
+        return self._with_basis(context, kept)
 
     def quotient_element(self, f):
         """(I : f) for a single polynomial; (I : 0) degenerates to (1)."""
@@ -394,14 +487,10 @@ class IdealHandle:
         in(I + (l)) = in(I) + (l), so the reduced basis with l = 0 is the
         reduced basis of the cut, and no Groebner run is needed."""
         context = VariableContext(self.context.names[:-1])
-        basis = tuple(
+        return self._with_basis(context, [
             Polynomial(self.field, context,
                        ((c, e[:-1]) for c, e in g.pairs() if not e[-1]))
-            for g in self.groebner_basis())
-        cut = IdealHandle(self.field, context, basis, self.gb_step_budget)
-        cut._gb = (basis, MonomialIdeal.from_polynomials(context, basis)
-                   if all(g.is_term for g in basis) else None)
-        return cut
+            for g in self.groebner_basis()])
 
     def _colon_by_variable(self, i):
         """For homogeneous I: (I : x_i), read off the reduced basis with x_i

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import BudgetExceededError, ChainInfeasibleError, DegenerateInputError
-from .monomial import MonomialIdeal, MonomialPrime
+from .monomial import MonomialPrime
 
 DEFAULT_MAX_POSET_VARS = 16
 

@@ -5,8 +5,6 @@ and dimension by brute-force subset enumeration, and ideal membership by
 degree-truncated linear algebra over the rationals.
 """
 
-import itertools
-import random
 from fractions import Fraction
 
 import pytest

@@ -6,8 +6,6 @@ import contextlib
 import random
 import time
 
-import pytest
-
 from noncat.analyzer import analyze
 from noncat.families import FamilySpec, instantiate
 from noncat.groebner import IdealHandle

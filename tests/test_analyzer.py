@@ -10,7 +10,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from noncat.analyzer import (
-    AnalysisConfig,
     analyze,
     check_domain_completion,
     check_forced_catenary,
@@ -33,7 +32,6 @@ from noncat.poly import (
     FieldDescriptor,
     Polynomial,
     RingPresentation,
-    VariableContext,
     variables,
 )
 from noncat.spectra import build_poset, construct_chain, verify_chain

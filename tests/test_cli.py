@@ -12,7 +12,6 @@ from noncat.analyzer import AnalysisConfig, analyze
 from noncat.cli import REPORT_SCHEMA, main, report_text, run_script
 from noncat.dsl import parse_script
 from noncat.families import (
-    FAMILY_KINDS,
     FamilySpec,
     expected_mismatches,
     instantiate,
@@ -49,6 +48,17 @@ class TestAnalyzeCommand:
         assert payload["verdicts"]["noncat_domain"] is True
         assert payload["witnesses"]["P"] == ["y", "z"]
         assert payload["profile"] == [3, 2]
+
+    def test_overlapping_linear_intersection_json(self, capsys, tmp_path):
+        """(x, y) cap (y, z) = (y, x*z): the spans share y."""
+        code, out, _ = invoke(
+            capsys, "ring Q[x,y,z]\nideal I = intersect((x, y), (y, z))\n"
+                    "analyze I\n", "--format", "json", tmp_path=tmp_path)
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["ring"] == "Q[[x,y,z]]/(x*z, y)"
+        assert payload["dim"] == 1
+        assert payload["semantics"] == "monomial-exact"
 
     def test_text_format(self, capsys, tmp_path):
         code, out, _ = invoke(
@@ -352,6 +362,18 @@ class TestExitCodes:
                   "ideal I = (x*y1 + y1^2 - 2*y1*y2, x*y2 + y1*y2 - 2*y2^2)\n"
                   "analyze I\n")
         code, out, err = invoke(capsys, script, "--budget-gb-steps", "1",
+                                tmp_path=tmp_path)
+        assert code == 3 and out == ""
+        assert "groebner step budget exceeded" in err
+
+    def test_linear_intersection_budget_exceeded_exits_3(self, capsys,
+                                                         tmp_path):
+        """An intersection of linear forms draws on the step budget."""
+        script = ("ring Q[x,y1,y2,z1]\n"
+                  "ideal I = intersect((x - y1 + 2*y2), (y1 + y2 - z1, "
+                  "y2 - 2*z1))\n"
+                  "analyze I\n")
+        code, out, err = invoke(capsys, script, "--budget-gb-steps", "0",
                                 tmp_path=tmp_path)
         assert code == 3 and out == ""
         assert "groebner step budget exceeded" in err

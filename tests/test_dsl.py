@@ -10,7 +10,6 @@ from noncat.dsl import (
     AnalyzeCmd,
     ChainCmd,
     FamilyCmd,
-    GenList,
     IdealStmt,
     Intersect,
     PosetCmd,

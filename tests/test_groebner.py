@@ -8,11 +8,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from noncat import groebner
 from noncat.errors import BudgetExceededError, DegenerateInputError, UnitIdealError
 from noncat.groebner import IdealHandle, buchberger
 from noncat.monomial import MonomialIdeal
 from noncat.poly import (
-    GREVLEX,
     LEX,
     FieldDescriptor,
     Polynomial,
@@ -259,6 +259,33 @@ class TestIdealEquality:
             handle(self.ctx, self.x, self.y))
 
 
+@st.composite
+def linear_pairs(draw):
+    """(I, J): ideals of linear forms in 2-6 variables over Q, GF(2) and
+    GF(32003), sharing zero to two random forms so that their spans
+    overlap, with redundant generators mixed in."""
+    field = draw(st.sampled_from(
+        (QQ, FieldDescriptor(2), FieldDescriptor(32003))))
+    v = draw(st.integers(2, 6))
+    c = ctx(*(f"x{i}" for i in range(v)))
+    xs = variables(field, c)
+    zero = Polynomial.zero_poly(field, c)
+    coeffs = st.lists(st.integers(-3, 3), min_size=v, max_size=v)
+
+    def form():
+        return sum((a * x for a, x in zip(draw(coeffs), xs)), zero)
+
+    shared = [form() for _ in range(draw(st.integers(0, 2)))]
+    sides = []
+    for _ in range(2):
+        gens = shared + [form() for _ in range(draw(st.integers(0, 3)))]
+        if draw(st.booleans()) and len(gens) >= 2:
+            gens.append(gens[0] + gens[1])
+        gens = [g for g in draw(st.permutations(gens)) if not g.is_zero]
+        sides.append(IdealHandle(field, c, gens or [xs[0]]))
+    return tuple(sides)
+
+
 class TestIntersection:
     def test_hyperplane_with_plane(self):
         c = ctx("x", "y", "z")
@@ -304,6 +331,99 @@ class TestIntersection:
             got = handle(c, *a.to_polynomials(QQ)).intersection(
                 handle(c, *b.to_polynomials(QQ)))
             assert got.equals(handle(c, *expected.to_polynomials(QQ)))
+
+    @settings(deadline=None, max_examples=80)
+    @given(linear_pairs())
+    def test_linear_path_matches_elimination(self, pair):
+        """Ideals of linear forms meet in W + I*J, W the intersection of
+        the spans, with no elimination; the elimination is the oracle."""
+        lhs, rhs = pair
+        got = lhs.intersection(rhs)
+        assert got.generators == lhs._eliminate(rhs).generators
+        assert got._gb[0] == got.generators
+
+    @pytest.mark.parametrize("names,lhs,rhs,expected", [
+        ("xyz", lambda x, y, z: (x, y), lambda x, y, z: (y, z),
+         lambda x, y, z: (x * z, y)),
+        ("xyz", lambda x, y, z: (x + y,), lambda x, y, z: (x, y),
+         lambda x, y, z: (x + y,)),
+        ("xyz", lambda x, y, z: (x - z, y + z), lambda x, y, z: (y + z, x - z),
+         lambda x, y, z: (x - z, y + z)),
+        ("xyz", lambda x, y, z: (x + 2 * y - z,), lambda x, y, z: (x, y, z),
+         lambda x, y, z: (x + 2 * y - z,)),
+        ("xy", lambda x, y: (x,), lambda x, y: (x + y,),
+         lambda x, y: (x ** 2 + x * y,)),
+    ], ids=["W-nonzero", "I-in-J", "I-equals-J", "I-cap-M", "x-cap-x+y"])
+    def test_known_linear_intersections(self, names, lhs, rhs, expected):
+        c = ctx(*names)
+        xs = variables(QQ, c)
+        i, j = handle(c, *lhs(*xs)), handle(c, *rhs(*xs))
+        got = i.intersection(j)
+        assert got.generators == expected(*xs)
+        assert got.generators == i._eliminate(j).generators
+        assert j.intersection(i).generators == got.generators
+
+    def test_linear_path_runs_one_buchberger_and_no_elimination(
+            self, monkeypatch):
+        c = ctx("x", "y1", "y2", "z1")
+        x, y1, y2, z1 = variables(QQ, c)
+        lhs = handle(c, x - y1 + 2 * y2)
+        rhs = handle(c, y1 + y2 - z1, y2 - 2 * z1)
+        runs = count_calls(monkeypatch, groebner, "buchberger")
+        contexts = count_calls(monkeypatch, groebner, "VariableContext")
+        eliminations = count_calls(monkeypatch, IdealHandle, "_eliminate")
+        got = lhs.intersection(rhs)
+        assert len(runs) == 1 and not contexts and not eliminations
+        got.groebner_basis()
+        got.monomial_ideal()
+        assert len(runs) == 1
+
+    @pytest.mark.parametrize("lhs,rhs", [
+        (lambda x, y, z: (x + 1,), lambda x, y, z: (y,)),
+        (lambda x, y, z: (x ** 2,), lambda x, y, z: (y, z)),
+        (lambda x, y, z: (x + y,),
+         lambda x, y, z: (x ** 2, y ** 2, z ** 2, x * y, x * z, y * z)),
+    ], ids=["x+1", "x^2", "homogeneous-E"])
+    def test_non_linear_input_is_eliminated(self, monkeypatch, lhs, rhs):
+        c = ctx("x", "y", "z")
+        xs = variables(QQ, c)
+        i, j = handle(c, *lhs(*xs)), handle(c, *rhs(*xs))
+        eliminations = count_calls(monkeypatch, IdealHandle, "_eliminate")
+        i.intersection(j)
+        assert len(eliminations) == 1
+
+    def test_step_budget_bounds_the_linear_path(self):
+        c = ctx("x", "y", "z")
+        x, y, z = variables(QQ, c)
+        lhs = handle(c, x, gb_step_budget=0)
+        with pytest.raises(BudgetExceededError, match="groebner step budget"):
+            lhs.intersection(handle(c, x + y, z))
+
+    def test_stored_basis_is_the_reduced_basis(self):
+        """Every intersection result, on either path, stores its reduced
+        basis at construction, and that basis is what Buchberger finds."""
+        rng = random.Random(2024)
+        for field in (QQ, FieldDescriptor(2), FieldDescriptor(32003)):
+            c = ctx("x", "y", "z", "w")
+            xs = variables(field, c)
+            for _ in range(15):
+                sides = []
+                for _ in range(2):
+                    if rng.random() < 0.5:
+                        gens = [sum((rng.randint(-2, 2) * x for x in xs),
+                                    xs[rng.randrange(4)])
+                                for _ in range(rng.randint(1, 3))]
+                    else:
+                        gens = [random_nonzero_polynomial(rng, c, field=field)
+                                for _ in range(rng.randint(1, 2))]
+                    sides.append(IdealHandle(field, c,
+                                             [g for g in gens if g]
+                                             or [xs[0]]))
+                got = sides[0].intersection(sides[1])
+                assert got._gb is not None
+                assert got._gb[0] == buchberger(got.generators)
+                assert (got._gb[1] is not None) == all(
+                    g.is_term for g in got.generators)
 
 
 class TestQuotient:
