@@ -41,7 +41,14 @@ from .families import FamilySpec, instantiate
 from .groebner import DEFAULT_REGULAR_CANDIDATE_BUDGET, IdealHandle
 from .monomial import MonomialPrime
 from .poly import DEFAULT_GB_STEP_BUDGET
-from .spectra import DEFAULT_MAX_POSET_VARS, chain_dot, construct_chain, poset_dot
+from .spectra import (
+    DEFAULT_MAX_POSET_VARS,
+    chain_dot,
+    construct_chain,
+    poset_dot,
+    poset_json,
+    poset_text,
+)
 
 _TRISTATE = {True: "true", False: "false", None: "inconclusive"}
 
@@ -240,35 +247,9 @@ class _Runner:
         poset = a.poset
         if self.fmt == "dot":
             return poset_dot(poset)
-        nodes = poset.nodes()
         if self.fmt == "json":
-            payload = {
-                "nodes": [{
-                    "gens": list(p.names(poset.context)),
-                    "dim": poset.dim_of(p),
-                    "height": poset.height(p),
-                    "minimal": p in poset.min_primes,
-                    "associated": p in poset.ass_primes,
-                } for p in nodes],
-                "edges": [
-                    [list(p.names(poset.context)), list(q.names(poset.context))]
-                    for p in nodes for q in poset.upper_covers(p)
-                ],
-            }
-            return json.dumps(payload)
-        lines = []
-        for p in nodes:
-            marks = []
-            if p in poset.min_primes:
-                marks.append("min")
-            if p in poset.ass_primes:
-                marks.append("ass")
-            if p == poset.top:
-                marks.append("max")
-            suffix = f"  [{','.join(marks)}]" if marks else ""
-            lines.append(f"{p.render(poset.context)}  dim {poset.dim_of(p)}  "
-                         f"height {poset.height(p)}{suffix}")
-        return "\n".join(lines)
+            return poset_json(poset)
+        return poset_text(poset)
 
     def do_chain(self, a, from_vars):
         poset = a.poset

@@ -51,9 +51,13 @@ class MonomialPrime:
     def names(self, context):
         return tuple(context.names[i] for i in sorted(self.indices))
 
-    def render(self, context):
-        names = self.names(context)
+    @staticmethod
+    def label(names):
+        """Rendering of the prime generated by the named variables."""
         return f"({','.join(names)})" if names else "(0)"
+
+    def render(self, context):
+        return self.label(self.names(context))
 
 
 def _minimalize(vectors):

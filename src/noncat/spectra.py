@@ -11,7 +11,9 @@ these are exactly the properties the downstream classifiers certify.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
+from itertools import combinations
 
 from .errors import BudgetExceededError, ChainInfeasibleError, DegenerateInputError
 from .monomial import MonomialPrime
@@ -19,11 +21,17 @@ from .monomial import MonomialPrime
 DEFAULT_MAX_POSET_VARS = 16
 
 
+def _mask(prime):
+    """The prime's variable subset as a bitmask, bit i for variable i."""
+    return sum(1 << i for i in prime.indices)
+
+
 class SpecPoset:
     """Finite poset of the monomial primes containing a monomial ideal,
     with the minimal and associated primes marked. Heights and chains need
-    no node list; only `nodes`, which walks all 2^v variable subsets, is
-    capped at `max_vars` variables."""
+    no node list; only the walk over all 2^v variable subsets, behind
+    `nodes` and the whole-poset renderings, is capped at `max_vars`
+    variables."""
 
     def __init__(self, ideal, max_vars=DEFAULT_MAX_POSET_VARS):
         if ideal.is_unit:
@@ -34,28 +42,41 @@ class SpecPoset:
         self.min_primes = ideal.minimal_primes()
         self.ass_primes = ideal.associated_primes()
         self.top = MonomialPrime(frozenset(range(ideal.context.count)))
-        self._supports = [frozenset(i for i, e in enumerate(g) if e)
-                          for g in ideal.gens]
+        self._support_masks = [sum(1 << i for i, e in enumerate(g) if e)
+                               for g in ideal.gens]
 
-    def nodes(self):
-        """Every node, in canonical order. Walks all 2^v variable subsets on
-        each call and keeps nothing, so a poset shared by several commands
-        does not hold its nodes for the rest of a script."""
+    def _walk(self):
+        """(mask, indices) of every node in canonical order, bit i of the
+        mask standing for variable i. Subsets come rank by rank, each rank
+        in the lexicographic order of `combinations`, which is the order
+        of `MonomialPrime.sort_key`. Keeps nothing, so a poset shared by
+        several commands does not hold its nodes for the rest of a
+        script."""
         v = self.context.count
         if v > self.max_vars:
             raise BudgetExceededError(
                 f"poset over {v} variables exceeds the cap of "
                 f"{self.max_vars} (2^{v} nodes)")
-        found = []
-        for mask in range(1 << v):
-            subset = frozenset(i for i in range(v) if mask >> i & 1)
-            if all(subset & s for s in self._supports):
-                found.append(MonomialPrime(subset))
-        found.sort(key=lambda p: p.sort_key)
-        return tuple(found)
+        supports = self._support_masks
+        bits = [1 << i for i in range(v)]
+        for rank in range(v + 1):
+            for indices, combo in zip(combinations(range(v), rank),
+                                      combinations(bits, rank)):
+                mask = sum(combo)
+                for s in supports:  # all(...) with a generator is 4x slower
+                    if not mask & s:
+                        break
+                else:
+                    yield mask, indices
+
+    def nodes(self):
+        """Every node, in canonical order."""
+        return tuple(MonomialPrime(frozenset(indices))
+                     for _, indices in self._walk())
 
     def is_node(self, prime):
-        return all(prime.indices & s for s in self._supports)
+        mask = _mask(prime)
+        return all(mask & s for s in self._support_masks)
 
     def upper_covers(self, prime):
         """Nodes obtained by adding exactly one variable."""
@@ -206,22 +227,51 @@ def noncat_profile(ideal):
                         reverse=True))
 
 
-# -- DOT emission --
+# -- whole-poset and chain renderings --
 
-def _node_attrs(poset, prime):
+def _marks(poset):
+    """Min, Ass and the maximal ideal of the poset as variable masks."""
+    return ({_mask(p) for p in poset.min_primes},
+            {_mask(p) for p in poset.ass_primes}, _mask(poset.top))
+
+
+def _node_attrs(mask, marks):
+    mins, ass, top = marks
     attrs = []
-    if prime in poset.min_primes:
+    if mask in mins:
         attrs.append("shape=box")
-    if prime in poset.ass_primes:
+    if mask in ass:
         attrs.append("style=filled")
         attrs.append("fillcolor=lightgray")
-    if prime == poset.top:
+    if mask == top:
         attrs.append("penwidth=2")
-    return attrs
+    return f" [{','.join(attrs)}]" if attrs else ""
 
 
 def _quoted(label):
     return '"' + label.replace('"', '\\"') + '"'
+
+
+def _covers(masks, var_count):
+    """(p, q) for every node p in the given order and every upper cover q
+    of p, by added variable; an upper cover of a node is a node."""
+    bits = [1 << i for i in range(var_count)]
+    for p in masks:
+        for bit in bits:
+            if not p & bit:
+                yield p, p | bit
+
+
+def _rows(poset):
+    """(mask, names, dim, height) of every node, in canonical order. The
+    height is the largest rank drop to a minimal prime below the node."""
+    names = poset.context.names
+    v = poset.context.count
+    mins = [(_mask(p), len(p.indices)) for p in poset.min_primes]
+    for mask, indices in poset._walk():
+        rank = len(indices)
+        lowest = min(r for m, r in mins if m & mask == m)
+        yield mask, [names[i] for i in indices], v - rank, rank - lowest
 
 
 def poset_dot(poset, highlight_chains=()):
@@ -229,22 +279,50 @@ def poset_dot(poset, highlight_chains=()):
     minimal primes boxed, associated primes filled, the maximal ideal
     bold. Optional chains are overlaid in red."""
     ctx = poset.context
+    marks = _marks(poset)
     highlight = set()
     for chain in highlight_chains:
         for a, b in zip(chain.primes, chain.primes[1:]):
-            highlight.add((a, b))
+            highlight.add((_mask(a), _mask(b)))
+    names = ctx.names
+    labels = {mask: _quoted(MonomialPrime.label([names[i] for i in indices]))
+              for mask, indices in poset._walk()}
     lines = ["digraph spec_poset {", "  rankdir=BT;"]
-    # an upper cover of a node is a node, so every edge end has a label
-    labels = {p: _quoted(p.render(ctx)) for p in poset.nodes()}
-    for p, label in labels.items():
-        attrs = _node_attrs(poset, p)
-        suffix = f" [{','.join(attrs)}]" if attrs else ""
-        lines.append(f"  {label}{suffix};")
-    for p, label in labels.items():
-        for q in poset.upper_covers(p):
-            extra = " [color=red,penwidth=2]" if (p, q) in highlight else ""
-            lines.append(f"  {label} -> {labels[q]}{extra};")
+    for mask, label in labels.items():
+        lines.append(f"  {label}{_node_attrs(mask, marks)};")
+    for p, q in _covers(labels, ctx.count):
+        extra = " [color=red,penwidth=2]" if (p, q) in highlight else ""
+        lines.append(f"  {labels[p]} -> {labels[q]}{extra};")
     lines.append("}")
+    return "\n".join(lines)
+
+
+def poset_json(poset):
+    """JSON document of the whole poset: every node with its generators,
+    dim, height and Min/Ass flags, and every covering relation."""
+    mins, ass, _ = _marks(poset)
+    gens = {}
+    nodes = []
+    for mask, names, dim, height in _rows(poset):
+        gens[mask] = names
+        nodes.append({"gens": names, "dim": dim, "height": height,
+                      "minimal": mask in mins, "associated": mask in ass})
+    edges = [[gens[p], gens[q]]
+             for p, q in _covers(gens, poset.context.count)]
+    return json.dumps({"nodes": nodes, "edges": edges})
+
+
+def poset_text(poset):
+    """One line per node: the prime, its dim and height, and its marks."""
+    mins, ass, top = _marks(poset)
+    lines = []
+    for mask, names, dim, height in _rows(poset):
+        marks = [mark for mark, on in (("min", mask in mins),
+                                       ("ass", mask in ass),
+                                       ("max", mask == top)) if on]
+        suffix = f"  [{','.join(marks)}]" if marks else ""
+        lines.append(f"{MonomialPrime.label(names)}  dim {dim}  "
+                     f"height {height}{suffix}")
     return "\n".join(lines)
 
 
@@ -252,23 +330,18 @@ def chain_dot(poset, chains):
     """DOT digraph of just the given chains (they meet at shared nodes);
     edge count equals the sum of the chain lengths."""
     ctx = poset.context
-    nodes = []
-    for chain in chains:
-        for p in chain.primes:
-            if p not in nodes:
-                nodes.append(p)
-    nodes.sort(key=lambda p: p.sort_key)
+    marks = _marks(poset)
+    nodes = {p for chain in chains for p in chain.primes}
+    labels = {p: _quoted(p.render(ctx))
+              for p in sorted(nodes, key=lambda p: p.sort_key)}
     lines = ["digraph prime_chains {", "  rankdir=BT;"]
-    for p in nodes:
-        attrs = _node_attrs(poset, p)
-        suffix = f" [{','.join(attrs)}]" if attrs else ""
-        lines.append(f"  {_quoted(p.render(ctx))}{suffix};")
+    for p, label in labels.items():
+        lines.append(f"  {label}{_node_attrs(_mask(p), marks)};")
     seen = set()
     for chain in chains:
         for a, b in zip(chain.primes, chain.primes[1:]):
             if (a, b) not in seen:
                 seen.add((a, b))
-                lines.append(
-                    f"  {_quoted(a.render(ctx))} -> {_quoted(b.render(ctx))};")
+                lines.append(f"  {labels[a]} -> {labels[b]};")
     lines.append("}")
     return "\n".join(lines)

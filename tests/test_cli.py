@@ -378,11 +378,21 @@ class TestExitCodes:
         assert code == 3 and out == ""
         assert "groebner step budget exceeded" in err
 
-    def test_poset_cap_exits_3(self, capsys, tmp_path):
-        names = ",".join(f"v{i}" for i in range(18))
-        script = (f"ring Q[{names}]\nideal I = (v0*v1)\nposet I\n")
-        code, _, err = invoke(capsys, script, tmp_path=tmp_path)
-        assert code == 3
+    @pytest.mark.parametrize("v", [18, 40])
+    @pytest.mark.parametrize("command,fmt", [("poset", "text"),
+                                             ("poset", "json"),
+                                             ("poset", "dot"),
+                                             ("analyze", "dot")])
+    def test_poset_cap_exits_3(self, capsys, tmp_path, command, fmt, v):
+        """Every whole-poset rendering stops at the cap. The 40-variable
+        ring finishing at all shows the cap is checked before the 2^v
+        walk starts."""
+        names = ",".join(f"v{i}" for i in range(v))
+        script = f"ring Q[{names}]\nideal I = (v0*v1)\n{command} I\n"
+        code, out, err = invoke(capsys, script, "--format", fmt,
+                                tmp_path=tmp_path)
+        assert code == 3 and out == ""
+        assert "resource budget exceeded" in err
 
     @pytest.mark.parametrize("flag", ["--budget-gb-steps",
                                       "--budget-regular-candidates",

@@ -1,10 +1,14 @@
 """Spectrum posets, saturated avoidance chains, profiles and DOT output."""
 
 import itertools
+import json
 import random
+from types import SimpleNamespace
 
 import pytest
 
+from noncat.analyzer import AnalysisConfig
+from noncat.cli import _Runner
 from noncat.errors import (
     BudgetExceededError,
     ChainInfeasibleError,
@@ -314,3 +318,142 @@ class TestDot:
         ideal = family_ideal(2, 2)
         poset = build_poset(ideal)
         assert poset_dot(poset) == poset_dot(build_poset(family_ideal(2, 2)))
+
+
+# -- reference renderings: the frozenset algorithm the mask walk replaced --
+
+def ref_nodes(poset):
+    """Every node by brute force over frozenset subsets, sorted."""
+    v = poset.context.count
+    supports = [frozenset(i for i, e in enumerate(g) if e)
+                for g in poset.ideal.gens]
+    found = []
+    for r in range(v + 1):
+        for subset in itertools.combinations(range(v), r):
+            subset = frozenset(subset)
+            if all(subset & s for s in supports):
+                found.append(MonomialPrime(subset))
+    found.sort(key=lambda p: p.sort_key)
+    return tuple(found)
+
+
+def ref_height(poset, q):
+    return max(len(q.indices) - len(p.indices)
+               for p in poset.min_primes if p.indices <= q.indices)
+
+
+def ref_covers(poset, p):
+    return [MonomialPrime(p.indices | {i})
+            for i in range(poset.context.count) if i not in p.indices]
+
+
+def ref_poset_dot(poset, chains=()):
+    ctx = poset.context
+    highlight = {(a, b) for c in chains for a, b in zip(c.primes, c.primes[1:])}
+    lines = ["digraph spec_poset {", "  rankdir=BT;"]
+    nodes = ref_nodes(poset)
+    for p in nodes:
+        attrs = []
+        if p in poset.min_primes:
+            attrs.append("shape=box")
+        if p in poset.ass_primes:
+            attrs += ["style=filled", "fillcolor=lightgray"]
+        if p == poset.top:
+            attrs.append("penwidth=2")
+        suffix = f" [{','.join(attrs)}]" if attrs else ""
+        lines.append(f'  "{p.render(ctx)}"{suffix};')
+    for p in nodes:
+        for q in ref_covers(poset, p):
+            extra = " [color=red,penwidth=2]" if (p, q) in highlight else ""
+            lines.append(f'  "{p.render(ctx)}" -> "{q.render(ctx)}"{extra};')
+    lines.append("}")
+    return "\n".join(lines)
+
+
+def ref_poset_json(poset):
+    ctx = poset.context
+    nodes = ref_nodes(poset)
+    return json.dumps({
+        "nodes": [{"gens": list(p.names(ctx)),
+                   "dim": p.quotient_dim(ctx.count),
+                   "height": ref_height(poset, p),
+                   "minimal": p in poset.min_primes,
+                   "associated": p in poset.ass_primes} for p in nodes],
+        "edges": [[list(p.names(ctx)), list(q.names(ctx))]
+                  for p in nodes for q in ref_covers(poset, p)],
+    })
+
+
+def ref_poset_text(poset):
+    ctx = poset.context
+    lines = []
+    for p in ref_nodes(poset):
+        marks = [m for m, on in (("min", p in poset.min_primes),
+                                 ("ass", p in poset.ass_primes),
+                                 ("max", p == poset.top)) if on]
+        suffix = f"  [{','.join(marks)}]" if marks else ""
+        lines.append(f"{p.render(ctx)}  dim {p.quotient_dim(ctx.count)}  "
+                     f"height {ref_height(poset, p)}{suffix}")
+    return "\n".join(lines)
+
+
+def oracle_ideals():
+    """Seeded random monomial ideals in 1-7 variables, with the zero
+    ideal, one-variable rings and ideals with embedded primes."""
+    yield MonomialIdeal(ctx("x", "y", "z"), ())
+    yield MonomialIdeal(ctx("x"), ())
+    yield MonomialIdeal(ctx("x"), ((3,),))
+    yield MonomialIdeal(ctx("x", "y"), ((2, 0), (1, 1)))  # (x) and (x,y)
+    yield MonomialIdeal(ctx("x", "y", "z"), ((2, 1, 0), (1, 0, 1)))
+    rng = random.Random(1729)
+    for _ in range(30):
+        v = rng.randint(1, 7)
+        c = ctx(*[f"v{i}" for i in range(v)])
+        ideal = MonomialIdeal(c, random_monomial_ideal(
+            rng, v, 4, squarefree=rng.random() < 0.5))
+        if not ideal.is_unit:
+            yield ideal
+
+
+def poset_chains(poset):
+    """Every avoidance chain the poset admits, from each minimal prime."""
+    chains = []
+    for p in poset.min_primes:
+        try:
+            chains.append(construct_chain(poset, p))
+        except (ChainInfeasibleError, DegenerateInputError):
+            pass
+    return chains
+
+
+class TestRenderingsMatchReference:
+    """nodes(), poset_dot and the CLI's JSON and text poset output equal
+    the frozenset renderings byte for byte."""
+
+    @pytest.fixture(scope="class")
+    def posets(self):
+        return [build_poset(ideal) for ideal in oracle_ideals()]
+
+    def test_cases_cover_embedded_primes_and_chains(self, posets):
+        assert len(posets) >= 30
+        assert any(len(p.ass_primes) > len(p.min_primes) for p in posets)
+        assert sum(len(poset_chains(p)) for p in posets) >= 15
+
+    def test_nodes(self, posets):
+        for poset in posets:
+            assert poset.nodes() == ref_nodes(poset)
+
+    def test_poset_dot(self, posets):
+        for poset in posets:
+            assert poset_dot(poset) == ref_poset_dot(poset)
+            chains = poset_chains(poset)
+            assert poset_dot(poset, chains) == ref_poset_dot(poset, chains)
+
+    @pytest.mark.parametrize("fmt,reference", [("json", ref_poset_json),
+                                               ("text", ref_poset_text)],
+                             ids=["json", "text"])
+    def test_cli_poset_output(self, posets, fmt, reference):
+        runner = _Runner(AnalysisConfig(), fmt)
+        for poset in posets:
+            assert runner.do_poset(SimpleNamespace(poset=poset)) \
+                == reference(poset)
