@@ -1,6 +1,6 @@
 """The poset of monomial primes containing a monomial ideal: heights,
 saturated chains with avoidance properties, the noncatenarity profile,
-and DOT renderings of posets and chains.
+DOT, JSON and text renderings of the poset, and DOT renderings of chains.
 
 Nodes are variable subsets that meet every generator's support, ordered
 by inclusion; the poset is graded, every covering step adding exactly
