@@ -32,7 +32,8 @@ from .groebner import (
     IdealHandle,
 )
 from .monomial import MonomialPrime
-from .poly import DEFAULT_GB_STEP_BUDGET, Polynomial, RingPresentation
+from .poly import (DEFAULT_GB_STEP_BUDGET, Polynomial, RingPresentation,
+                   variables)
 from .spectra import (
     DEFAULT_MAX_POSET_VARS,
     build_poset,
@@ -229,7 +230,7 @@ class _Analysis:
     @cached_property
     def ufd_completion(self):
         """Field, DVR, or depth > 1; tri-state because the depth search can
-        be inconclusive."""
+        be inconclusive on non-monomial input."""
         if self.is_field_case or self.is_dvr_case:
             return True, None
         d = self.depth
@@ -241,10 +242,7 @@ class _Analysis:
         p = self._qualifying_prime(2)
         if p is None:
             return False, None, None
-        verdict = self.depth.verdict
-        if verdict is None:
-            return None, p, None
-        if not verdict:
+        if not self.depth.verdict:
             return False, p, None
         witness = self.ufd_witness
         if self.dim <= 3:
@@ -271,7 +269,7 @@ class _Analysis:
         if not height + 1 < self.dim:
             return None
         second = chain.primes[-3]
-        x_elem = self._witness_regular_start(second, qprime)
+        x_elem = self._witness_regular_start(second)
         if x_elem is None:
             return None
         local = self.mono.localize(qprime)
@@ -283,26 +281,19 @@ class _Analysis:
             return None
         return UfdWitness(qprime, chain, height, x_elem, ldepth)
 
-    def _witness_regular_start(self, inside, avoid):
-        """A regular element f inside the prime `inside` such that `avoid`
-        stays out of Ass after cutting by f: the first variable, else the
-        first sum of two variables, of `inside` that passes. The test runs
-        on the monomial cut (MonomialIdeal.cut), which fixes `avoid`
-        because `avoid` contains `inside`. For a sum of two variables it is
-        exact as well: the only monomial primes above the dimension-one
-        prime `avoid` are `avoid` and M, and M is not associated to the
-        cut when depth T > 1, the only case in which the report asks."""
+    def _witness_regular_start(self, inside):
+        """The first variable, else the first sum of two variables, of the
+        prime `inside` that is regular on T. No cut test is needed: for f
+        regular and in Q' (above `inside`), Q' is associated to T/fT
+        exactly when depth T_Q' = 1, which the localized depth certificate
+        decides."""
+        xs = variables(self.field, self.context)
         indices = sorted(inside.indices)
-        unit = [tuple(1 if j == i else 0 for j in range(self.v))
-                for i in range(self.v)]
-        cuts = itertools.chain(((i,) for i in indices),
-                               itertools.combinations(indices, 2))
-        for cut in cuts:
-            terms = [unit[k] for k in cut]
-            if (self.mono.is_regular(terms)
-                    and avoid not in self.mono.cut(cut).associated_primes()):
-                return Polynomial(self.field, self.context,
-                                  tuple((self.field.one, e) for e in terms))
+        for cut in itertools.chain(((i,) for i in indices),
+                                   itertools.combinations(indices, 2)):
+            f = sum((xs[k] for k in cut[1:]), xs[cut[0]])
+            if self.mono.is_regular([e for _, e in f.pairs()]):
+                return f
         return None
 
     @cached_property
@@ -441,10 +432,6 @@ def _report(a):
                 chain_names = tuple(q.names(a.context) for q in chain.primes)
         flag, p, ufd_witness = a.noncat_ufd
         verdicts["noncat_ufd"] = flag
-        if flag is None:
-            inconclusive.append(
-                "noncat_ufd: depth search inconclusive; the verdict is "
-                "neither claimed nor denied")
         if flag and ufd_witness is None:
             inconclusive.append(
                 "ufd_witness_prime: certificate search inconclusive; the "
@@ -461,11 +448,6 @@ def _report(a):
         verdicts["forced_cat_domain"] = domain_forced
         verdicts["forced_cat_ufd"] = ufd_forced
         verdicts["mixed_class"] = mixed
-        if ufd_forced is None:
-            inconclusive.append(
-                "forced_cat_ufd: depth search inconclusive")
-        if mixed is None:
-            inconclusive.append("mixed_class: depth search inconclusive")
         verdicts["universally_catenary_obstructed"] = (
             a.universally_catenary_obstructed)
         try:
@@ -511,12 +493,14 @@ def check_noncat_domain(ring, config=None):
 
 
 def check_ufd_completion(ring, config=None):
-    """(verdict or None when inconclusive, depth certificate)."""
+    """(verdict, depth certificate); the verdict is None only when the
+    depth search on non-monomial input is inconclusive."""
     return _Analysis.from_presentation(ring, config).ufd_completion
 
 
 def check_noncat_ufd(ring, config=None):
-    """(verdict or None, qualifying prime, UfdWitness or None)."""
+    """(verdict, qualifying prime, UfdWitness or None). Monomial input
+    only, where depth is always decided, so the verdict is a bool."""
     return _Analysis.from_presentation(ring, config).noncat_ufd
 
 

@@ -12,12 +12,12 @@ monomial engine supplies its reduced basis, the minimal generators. A
 handle's ideal is monomial when its reduced basis consists of terms,
 whatever its presentation (IdealHandle.monomial_ideal). Krull dimension is
 read off the leading-term ideal by the monomial engine. For monomial I the
-monomial engine also settles the socle test and the depth search, apart
-from cuts by sums of three or more variables. Those cuts and every other
-homogeneous I read one grevlex basis per candidate linear form, moved to
-the last variable (Bayer-Stillman); when no variable is regular, the same
-bases give each (I : x_i) for the socle test. The colon calculus serves
-only non-homogeneous ideals, and is the oracle in the tests.
+monomial engine also settles the socle test and depth >= 2, so monomial
+input never runs Buchberger. Homogeneous non-monomial I reads one grevlex
+basis per candidate linear form, moved to the last variable
+(Bayer-Stillman); when no variable is regular, the same bases give each
+(I : x_i) for the socle test. The colon calculus serves only
+non-homogeneous ideals, and is the oracle in the tests.
 
 Handles are immutable apart from fill-once caches guarded by a lock, so
 one handle can serve several threads.
@@ -222,19 +222,28 @@ def _fresh_name(context):
 
 @dataclass(frozen=True)
 class DepthResult:
-    """Outcome of the depth >= 2 search.
+    """Outcome of the depth >= 2 test.
 
     verdict True carries a regular element f with the maximal ideal not
     associated to the quotient by f; verdict False carries either nothing
     (depth 0) or a regular f whose quotient has the maximal ideal
-    associated (depth exactly 1); verdict None means the candidate search
-    was exhausted without finding any regular element, which proves
-    nothing either way.
+    associated (depth exactly 1); verdict None, for non-monomial input
+    only, means the candidate search was exhausted without finding any
+    regular element, which proves nothing either way.
     """
 
     verdict: bool | None
     regular_element: Polynomial | None
     detail: str
+
+    @classmethod
+    def certified(cls, f, verdict):
+        """The result certified by the regular element f."""
+        if verdict:
+            return cls(True, f, f"regular element {f} with depth >= 1 quotient")
+        return cls(False, f,
+                   f"depth 1: {f} is regular but the maximal ideal is "
+                   "associated to the quotient by it")
 
 
 def regular_element_candidates(field, context):
@@ -247,10 +256,7 @@ def regular_element_candidates(field, context):
     sizes = (1, 2, 3, len(xs)) if len(xs) > 3 else (1, 2, 3)
     for size in sizes:
         for combo in itertools.combinations(xs, size):
-            out = combo[0]
-            for x in combo[1:]:
-                out = out + x
-            yield out
+            yield sum(combo[1:], combo[0])
 
 
 class IdealHandle:
@@ -572,38 +578,36 @@ class IdealHandle:
         return result
 
     def depth_at_least_two(self, candidate_budget=DEFAULT_REGULAR_CANDIDATE_BUDGET):
-        """Search for a depth >= 2 certificate.
+        """Decide depth >= 2 with a regular element as certificate.
 
-        Depth drops by exactly one modulo any regular element, so the first
-        regular candidate f settles the question: depth >= 2 exactly when
-        M is not associated after cutting by f. For a monomial I the
-        monomial engine decides both steps: f is regular when no associated
-        prime contains all its variables, and a cut by one or two variables
-        is again monomial (MonomialIdeal.cut). For homogeneous I, f is moved
-        to the last variable of one grevlex basis, which shows whether f is
-        regular and gives the basis of the cut. The cut of a monomial I by
-        three or more variables is homogeneous, so its socle test takes
-        that path; a non-homogeneous I takes the colon calculus.
-        Exhausting the candidate stream without finding a regular element
-        is reported as inconclusive, never as False.
+        Depth drops by exactly one modulo any regular element f, so
+        depth >= 2 exactly when M is not associated after cutting by f. A
+        monomial I is decided by the monomial engine
+        (MonomialIdeal.depth_at_least_two); f is the first candidate within
+        the budget that no associated prime contains, else the sum of all
+        variables. Otherwise the first regular candidate is cut: homogeneous
+        I moves it to the last variable of one grevlex basis, other I uses
+        the colon calculus, and a budget spent without a regular element is
+        reported as inconclusive, never as False.
         """
         if self.maximal_ideal_associated():
             return DepthResult(False, None,
                                "depth 0: the maximal ideal is associated")
         mono = self.monomial_ideal()
-        homogeneous = mono is None and self.is_homogeneous
         stream = itertools.islice(
             regular_element_candidates(self.field, self.context), candidate_budget)
+        if mono is not None:
+            xs = variables(self.field, self.context)
+            f = next((f for f in stream
+                      if mono.is_regular([e for _, e in f.pairs()])),
+                     sum(xs[1:], xs[0]))
+            return DepthResult.certified(f, mono.depth_at_least_two())
+        homogeneous = self.is_homogeneous
         tried = 0
         for f in stream:
             tried += 1
-            terms = [e for _, e in f.pairs()]
-            support = tuple(sorted(e.index(1) for e in terms))
-            if mono is not None:
-                if not mono.is_regular(terms):
-                    continue
-                cut = mono.cut(support) if len(support) <= 2 else self.plus(f)
-            elif homogeneous:
+            if homogeneous:
+                support = tuple(sorted(e.index(1) for _, e in f.pairs()))
                 moved = self._moved_to_last(support)
                 if not moved._last_variable_regular():
                     continue
@@ -612,14 +616,7 @@ class IdealHandle:
                 if self.contains(f) or not self.quotient_element(f).equals(self):
                     continue
                 cut = self.plus(f)
-            if cut.maximal_ideal_associated():
-                return DepthResult(
-                    False, f,
-                    f"depth 1: {f} is regular but the maximal ideal is "
-                    "associated to the quotient by it")
-            return DepthResult(
-                True, f,
-                f"regular element {f} with depth >= 1 quotient")
+            return DepthResult.certified(f, not cut.maximal_ideal_associated())
         return DepthResult(
             None, None,
             f"inconclusive: no regular element among the first {tried} candidates")

@@ -1,16 +1,17 @@
 """Combinatorics of monomial ideals: one irreducible decomposition gives
-the associated primes, the minimal primes (the minimal members of Ass)
-and the dimension; localization at monomial primes. An irreducible
-monomial ideal is generated by pure powers, so it is held as one exponent
-vector a, standing for (x_i^a_i : a_i > 0).
+the associated primes, the minimal primes (the minimal members of Ass),
+the dimension and whether depth >= 2; localization at monomial primes.
+An irreducible monomial ideal is generated by pure powers, so it is held
+as one exponent vector a, standing for (x_i^a_i : a_i > 0).
 
 Exact for monomial ideals, where the polynomial model and the
-power-series quotient share Min, Ass and dimension. All values are
+power-series quotient share Min, Ass, dimension and depth. All values are
 immutable apart from fill-once caches.
 """
 
 from __future__ import annotations
 
+import itertools
 import threading
 from dataclasses import dataclass
 
@@ -78,7 +79,7 @@ def _intersect_gens(a, b):
 class MonomialIdeal:
     """Monomial ideal held by its unique minimal generating set."""
 
-    __slots__ = ("context", "gens", "_lock", "_min", "_primary")
+    __slots__ = ("context", "gens", "_lock", "_min", "_decomposition")
 
     def __init__(self, context, exponent_vectors):
         vectors = []
@@ -93,7 +94,7 @@ class MonomialIdeal:
         self.gens = _minimalize(vectors)
         self._lock = threading.Lock()
         self._min = None
-        self._primary = None
+        self._decomposition = None
 
     @classmethod
     def from_polynomials(cls, context, polys):
@@ -128,9 +129,6 @@ class MonomialIdeal:
 
     def contains_exps(self, exps):
         return any(exps_divides(g, exps) for g in self.gens)
-
-    def plus(self, vectors):
-        return MonomialIdeal(self.context, self.gens + tuple(vectors))
 
     def intersect(self, other):
         if self.context != other.context:
@@ -212,26 +210,23 @@ class MonomialIdeal:
 
         return split(self.gens)
 
-    def primary_components(self):
-        """Irredundant primary decomposition, as (prime, component) pairs.
-        Irreducible monomial ideals are meet-prime, so an irreducible
-        component is redundant exactly when it contains another one; C_a
-        contains C_b when 0 < a_i <= b_i wherever b_i > 0. The remaining
-        components are grouped by radical and intersected. The components
-        of minimal primes are unique, those of embedded primes are one
-        valid choice."""
+    def _decompose(self):
+        """(irredundant irreducible components, primary components),
+        computed once. Irreducible monomial ideals are meet-prime, so C_a
+        is redundant exactly when it contains some C_b: 0 < a_i <= b_i
+        wherever b_i > 0. The rest are grouped by radical and intersected."""
         if self.is_unit:
             raise UnitIdealError("the unit ideal has no decomposition")
         with self._lock:
-            if self._primary is not None:
-                return self._primary
+            if self._decomposition is not None:
+                return self._decomposition
         comps = self.irreducible_components()
+        kept = tuple(a for a in comps if not any(
+            b != a and all(0 < x <= y for x, y in zip(a, b) if y)
+            for b in comps))
         zero = (0,) * self.context.count
         groups = {}
-        for a in comps:
-            if any(b != a and all(0 < x <= y for x, y in zip(a, b) if y)
-                   for b in comps):
-                continue
+        for a in kept:
             prime = frozenset(i for i, x in enumerate(a) if x)
             gens = tuple(zero[:i] + (x,) + zero[i + 1:]
                          for i, x in enumerate(a) if x)
@@ -242,9 +237,15 @@ class MonomialIdeal:
              for p, gens in groups.items()),
             key=lambda pc: pc[0].sort_key))
         with self._lock:
-            if self._primary is None:
-                self._primary = result
-            return self._primary
+            if self._decomposition is None:
+                self._decomposition = (kept, result)
+            return self._decomposition
+
+    def primary_components(self):
+        """Irredundant primary decomposition, as (prime, component) pairs.
+        The components of minimal primes are unique, those of embedded
+        primes are one valid choice."""
+        return self._decompose()[1]
 
     def associated_primes(self):
         """Exact Ass(R/I): radicals of the irredundant primary components,
@@ -272,23 +273,52 @@ class MonomialIdeal:
         return not any(all(p.contains_exps(e) for e in terms)
                        for p in self.associated_primes())
 
-    def cut(self, indices):
-        """Monomial ideal J with R/(I + (f)) isomorphic to R/J, for f the
-        variable x_i (indices (i,)) or x_i + x_j (indices (i, j)).
+    def depth_at_least_two(self):
+        """Whether depth R/I >= 2, read off the irredundant irreducible
+        components C_b = (x_i^b_i : i in supp b) by Takayama's formula for
+        H^1_M (Bull. Math. Soc. Sci. Math. Roumanie 48, 2005), where only
+        degrees with at most one negative entry count. With M not
+        associated, depth < 2 exactly when (a) some b with |supp b| = v - 1
+        has no other C_d with supp d a proper subset of supp b and d >= b
+        on supp d, or (b) some b, c whose supports cover all variables are
+        not joined in the graph on the C_d with d >= min(b, c) on supp d
+        (minimum over nonzero entries), two joined when their supports do
+        not cover all variables. (a) is the degree b - 1 with the missing
+        entry negative, whose complex is {empty face}; (b) is a
+        disconnected complex in degree min(b, c) - 1, and any disconnected
+        degree a >= 0 has such a pair with a <= min(b, c) - 1. For
+        squarefree I this is Hochster's "connected, no isolated vertex"."""
+        if self.maximal_ideal_associated():
+            return False
+        v = self.context.count
+        full = (1 << v) - 1
+        comps = self._decompose()[0]
+        masks = [sum(1 << i for i, x in enumerate(b) if x) for b in comps]
 
-        J is I + (x_i) after substituting x_j for x_i. The automorphism
-        x_i -> x_i - x_j of R carries I + (x_i + x_j) to J up to the signs
-        of the generators, fixes every monomial prime that contains x_i and
-        x_j (the maximal ideal among them), and matches an associated prime
-        Q of J with (Q without x_i) + (f)."""
-        i = indices[0]
-        unit = tuple(1 if k == i else 0 for k in range(self.context.count))
-        if len(indices) == 1:
-            return self.plus([unit])
-        j, = indices[1:]
-        moved = (tuple(0 if k == i else e + g[i] if k == j else e
-                       for k, e in enumerate(g)) for g in self.gens)
-        return MonomialIdeal(self.context, (unit, *moved))
+        def family(m):
+            """Indices of the components C_d with d >= m on supp d."""
+            return [k for k, d in enumerate(comps)
+                    if all(x >= y for x, y in zip(d, m) if x)]
+
+        for k, b in enumerate(comps):
+            if masks[k].bit_count() == v - 1 and not any(
+                    masks[j] | masks[k] == masks[k] != masks[j]
+                    for j in family(b)):
+                return False
+        for k, l in itertools.combinations(range(len(comps)), 2):
+            if masks[k] | masks[l] != full:
+                continue
+            members = family(tuple(min(x, y) if x and y else x + y
+                                   for x, y in zip(comps[k], comps[l])))
+            piece, stack = {k}, [k]
+            while stack:
+                j = stack.pop()
+                near = {i for i in members if masks[i] | masks[j] != full}
+                stack.extend(near - piece)
+                piece |= near
+            if l not in piece:
+                return False
+        return True
 
     def localize(self, prime):
         """Localization at a monomial prime: variables outside the prime

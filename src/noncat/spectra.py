@@ -78,17 +78,6 @@ class SpecPoset:
         mask = _mask(prime)
         return all(mask & s for s in self._support_masks)
 
-    def upper_covers(self, prime):
-        """Nodes obtained by adding exactly one variable."""
-        out = []
-        for i in range(self.context.count):
-            if i not in prime.indices:
-                out.append(MonomialPrime(prime.indices | {i}))
-        return out
-
-    def dim_of(self, prime):
-        return prime.quotient_dim(self.context.count)
-
     def height(self, prime):
         """Height inside the quotient ring: the best drop from a minimal
         prime below, dim(T/P) - dim(T/Q). Valid because the quotient by a

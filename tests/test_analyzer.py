@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from noncat import groebner
 from noncat.analyzer import (
     analyze,
     check_domain_completion,
@@ -36,7 +37,13 @@ from noncat.poly import (
 )
 from noncat.spectra import build_poset, construct_chain, verify_chain
 
-from conftest import QQ, brute_minimal_covers, ctx, random_monomial_ideal
+from conftest import (
+    QQ,
+    brute_minimal_covers,
+    count_calls,
+    ctx,
+    random_monomial_ideal,
+)
 
 
 def ring_of(context, *gens, field=QQ):
@@ -159,8 +166,8 @@ class TestUfdWitnessPrime:
                                                  "z1", "z2")
 
     def test_regular_start_is_a_sum_of_two_variables(self):
-        """No variable of the chain node is a usable start here, so the
-        witness starts with x0 + x2, decided on the monomial cut."""
+        """No variable of the chain node is regular here, so the witness
+        starts with x0 + x2."""
         c = ctx("x0", "x1", "x2", "x3", "x4")
         x0, x1, x2, x3, x4 = variables(QQ, c)
         report = analyze(ring_of(c, x1 * x3, x0 * x2 ** 2 * x3,
@@ -185,7 +192,7 @@ class TestUfdWitnessPrime:
             x = witness.regular_start
             handle = IdealHandle.from_presentation(ring)
             assert handle.is_regular_element(x)
-            cut = mono.plus([x.pairs()[0][1]])
+            cut = MonomialIdeal(mono.context, mono.gens + (x.pairs()[0][1],))
             assert witness.prime not in cut.associated_primes()
             local = mono.localize(witness.prime)
             lhandle = IdealHandle(QQ, local.context,
@@ -217,6 +224,12 @@ class TestUfdWitnessPrime:
             if witness is not None:
                 assert witness.prime.quotient_dim(v) == 1
                 assert witness.localized_depth.verdict is True
+                # the witness chose its start without a cut test; a
+                # variable start still keeps the prime out of Ass(T/fT)
+                start = witness.regular_start
+                if start.is_term:
+                    cut = MonomialIdeal(c, mono.gens + (start.pairs()[0][1],))
+                    assert witness.prime not in cut.associated_primes()
                 succeeded += 1
             else:
                 with pytest.raises(ChainInfeasibleError):
@@ -477,6 +490,25 @@ class TestMonomialEngineOnly:
         assert report.semantics == "monomial-exact"
         assert report.associated_primes == (("x",), ("x", "y"))
         assert report.conditions["depth_ge2"] is False
+
+    @pytest.mark.parametrize("n", range(5, 15))
+    def test_cycle_depth_two_without_buchberger(self, monkeypatch, n):
+        """The Stanley-Reisner ring of the n-cycle is Cohen-Macaulay of
+        dimension 2. From n = 7 no sum of at most three variables is
+        regular, and from n = 11 the default candidate budget ends before
+        the sum of all variables, which is the certificate either way."""
+        c = ctx(*(f"x{i}" for i in range(1, n + 1)))
+        xs = variables(QQ, c)
+        gens = [xs[i] * xs[j] for i, j in itertools.combinations(range(n), 2)
+                if j - i not in (1, n - 1)]
+        runs = count_calls(monkeypatch, groebner, "buchberger")
+        report = analyze(ring_of(c, *gens))
+        assert report.conditions["depth_ge2"] is True
+        assert report.verdicts["ufd_completion"] is True
+        assert report.inconclusive == ()
+        assert not runs
+        if n >= 7:
+            assert report.witnesses.regular_element == str(sum(xs[1:], xs[0]))
 
 
 class TestImplicationLattice:

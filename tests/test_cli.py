@@ -324,6 +324,40 @@ class TestRegularityAtMin:
             "unavailable in characteristic p)"]
 
 
+class TestRegularCandidateBudget:
+    """For monomial input the candidate budget bounds only the choice of
+    the certificate; depth is decided without it."""
+
+    def test_zero_budget_monomial_stays_decided(self, capsys, tmp_path):
+        code, out, _ = invoke(
+            capsys, "ring Q[x,y1,y2,z1,z2]\nideal I = (x*y1, x*y2)\n"
+                    "analyze I\n",
+            "--budget-regular-candidates", "0", "--format", "json",
+            tmp_path=tmp_path)
+        report = json.loads(out)
+        assert code == 0
+        assert report["conditions"]["depth_ge2"] is True
+        assert report["verdicts"]["ufd_completion"] is True
+        assert report["verdicts"]["noncat_ufd"] is True
+        assert report["witnesses"]["regular_element"] == "x + y1 + y2 + z1 + z2"
+        assert report["inconclusive"] == []
+
+    def test_zero_budget_homogeneous_stays_inconclusive(self, capsys,
+                                                        tmp_path):
+        code, out, _ = invoke(
+            capsys, "ring Q[a,b,c,d]\n"
+                    "ideal C = (a*c - b^2, a*d - b*c, b*d - c^2)\nanalyze C\n",
+            "--budget-regular-candidates", "0", "--format", "json",
+            tmp_path=tmp_path)
+        report = json.loads(out)
+        assert code == 2
+        assert report["conditions"]["depth_ge2"] is None
+        assert report["verdicts"]["ufd_completion"] is None
+        assert report["inconclusive"][0] == (
+            "depth_ge2: inconclusive: no regular element among the first 0 "
+            "candidates")
+
+
 class TestExitCodes:
     def test_parse_error_exits_1(self, capsys, tmp_path):
         code, _, err = invoke(capsys, "ideal I = (x)", tmp_path=tmp_path)

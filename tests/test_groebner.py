@@ -604,8 +604,8 @@ class TestDepth:
         assert result.regular_element is None
 
     def test_three_variable_cut_depth_one(self):
-        """No variable or pair sum is regular on (xy, xz, yz); the cut by
-        x + y + z is not monomial and has the maximal ideal associated."""
+        """No variable or pair sum is regular on (xy, xz, yz); x + y + z
+        is, and the maximal ideal is associated after cutting by it."""
         c = ctx("x", "y", "z")
         x, y, z = variables(QQ, c)
         result = handle(c, x * y, x * z, y * z).depth_at_least_two()

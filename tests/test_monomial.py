@@ -267,3 +267,84 @@ class TestCrossEngine:
         x, y = variables(QQ, c)
         with pytest.raises(UnsupportedInputError):
             MonomialIdeal.from_polynomials(c, (x + y,))
+
+
+def hochster_depth_at_least_two(ideal):
+    """depth >= 2 for a squarefree ideal I_Delta by Hochster's formula on
+    brute-force facets: the faces are the variable sets whose product lies
+    outside I. Depth >= 2 exactly when the facet graph (two facets joined
+    when they share a variable) is connected and no facet is empty (I = M)
+    or a single, hence isolated, vertex."""
+    v = ideal.context.count
+    faces = [f for f in itertools.product((0, 1), repeat=v)
+             if not ideal.contains_exps(f)]
+    facets = [set(i for i, x in enumerate(f) if x) for f in faces
+              if not any(g != f and all(a <= b for a, b in zip(f, g))
+                         for g in faces)]
+    if any(len(f) <= 1 for f in facets):
+        return False
+    reached, stack = {0}, [0]
+    while stack:
+        k = stack.pop()
+        for j, f in enumerate(facets):
+            if j not in reached and f & facets[k]:
+                reached.add(j)
+                stack.append(j)
+    return len(reached) == len(facets)
+
+
+def antichains(masks):
+    """Every antichain of the given variable-set bitmasks."""
+    if not masks:
+        yield ()
+        return
+    first, rest = masks[0], masks[1:]
+    yield from antichains(rest)
+    apart = [m for m in rest if m & first not in (m, first)]
+    for chain in antichains(apart):
+        yield (first,) + chain
+
+
+class TestDepthRule:
+    """MonomialIdeal.depth_at_least_two, read off the irreducible
+    components, against oracles that share none of its code."""
+
+    def test_every_squarefree_ideal_matches_hochster(self):
+        checked = 0
+        for v in range(1, 5):
+            c = ctx(*[f"v{i}" for i in range(v)])
+            for chain in antichains(list(range(1, 1 << v))):
+                ideal = mono(c, *(tuple(m >> i & 1 for i in range(v))
+                                  for m in chain))
+                assert ideal.depth_at_least_two() == \
+                    hochster_depth_at_least_two(ideal), ideal
+                checked += 1
+        # Dedekind numbers minus the unit ideal: 2 + 5 + 19 + 167
+        assert checked == 193
+
+    def test_non_squarefree_ideals_match_colon_calculus(self):
+        rng = random.Random(1601)
+        checked = 0
+        while checked < 40:
+            v = rng.randint(2, 5)
+            c = ctx(*[f"v{i}" for i in range(v)])
+            ideal = mono(c, *random_monomial_ideal(rng, v, 4, max_exp=3))
+            if ideal.is_unit or ideal.is_squarefree:
+                continue
+            checked += 1
+            h = IdealHandle(QQ, c, ideal.to_polynomials(QQ))
+            assert ideal.depth_at_least_two() == depth_by_colon(h)[0], ideal
+
+    def test_relabelling_variables_keeps_the_verdict(self):
+        rng = random.Random(1602)
+        for _ in range(200):
+            v = rng.randint(2, 6)
+            c = ctx(*[f"v{i}" for i in range(v)])
+            gens = random_monomial_ideal(rng, v, 5, max_exp=3)
+            perm = rng.sample(range(v), v)
+            ideal = mono(c, *gens)
+            if ideal.is_unit:
+                continue
+            moved = mono(c, *(tuple(g[perm[i]] for i in range(v))
+                              for g in gens))
+            assert ideal.depth_at_least_two() == moved.depth_at_least_two()

@@ -122,7 +122,7 @@ class TestHeight:
             best = max(p.quotient_dim(v) for p in poset.min_primes)
             assert best == dim
             for q in poset.nodes():
-                total = poset.height(q) + poset.dim_of(q)
+                total = poset.height(q) + q.quotient_dim(v)
                 assert total <= dim
                 below_max = any(p.quotient_dim(v) == dim
                                 for p in poset.min_primes if q.contains(p))
@@ -265,11 +265,16 @@ class TestGradedness:
             poset = build_poset(ideal)
             nodes = set(poset.nodes())
 
+            def upper_covers(prime):
+                """The primes one variable above, nodes or not."""
+                return [MonomialPrime(prime.indices | {i})
+                        for i in range(v) if i not in prime.indices]
+
             def saturated_lengths(lo, hi):
                 if lo == hi:
                     yield 0
                     return
-                for q in poset.upper_covers(lo):
+                for q in upper_covers(lo):
                     if q in nodes and q.indices <= hi.indices:
                         for rest in saturated_lengths(q, hi):
                             yield rest + 1
