@@ -13,10 +13,12 @@ The positive classifications are characterized by conditions on T alone:
 * completion of a noncatenary local UFD: depth > 1 and some minimal
   prime P has 2 < dim(T/P) < dim T.
 
-Witnesses are the qualifying minimal prime, a saturated avoidance chain
-from it, a depth certificate, and a dimension-one prime with small height
-and localized depth > 1. Inconclusive searches are reported as such and
-never coerced to a negative verdict.
+An analysis gathers the facts these conditions read into one record
+(_Facts), decides every verdict from it in one pure function (_verdicts),
+then attaches witnesses to the true verdicts: the qualifying minimal
+prime, a saturated avoidance chain from it, a depth certificate, and a
+dimension-one prime with small height and localized depth > 1. A verdict
+that reads a fact no engine supplies is None with the fact's reason.
 """
 
 from __future__ import annotations
@@ -51,6 +53,15 @@ VERDICT_KEYS = ("domain_completion", "noncat_domain", "ufd_completion",
                 "noncat_ufd", "forced_cat_domain", "forced_cat_ufd",
                 "mixed_class", "universally_catenary_obstructed",
                 "regularity_at_min")
+
+# the verdicts that read the dims of the minimal primes
+_PROFILE_VERDICTS = ("noncat_domain", "noncat_ufd", "forced_cat_domain",
+                     "forced_cat_ufd", "mixed_class",
+                     "universally_catenary_obstructed")
+_NO_MIN = ("unsupported input class (minimal primes are not computed for "
+           "non-monomial ideals)")
+_CHAR_P = ("unsupported (regularity remark check unavailable in "
+           "characteristic p)")
 
 
 @dataclass(frozen=True)
@@ -130,15 +141,76 @@ class AnalysisReport:
         }
 
 
+@dataclass(frozen=True)
+class _Facts:
+    """The facts the verdict table reads, each local to the origin. A fact
+    that no engine supplies is None, and `missing` maps its name
+    ("depth2", "profile" or "reduced") to the reason."""
+
+    dim: int
+    m_assoc: bool
+    depth2: bool | None
+    carve_out: str | None  # "field" or "dvr": T is regular of dim <= 1
+    profile: tuple | None  # dim(T/P) over the minimal primes P
+    reduced: bool | None  # decides regularity_at_min in characteristic 0
+    missing: dict
+
+
+def _verdicts(facts):
+    """The paper's table: (conditions, verdicts, inconclusive) from the
+    facts alone. A verdict that reads a missing fact is None, and
+    `inconclusive` holds the reason under that verdict's name; a missing
+    depth is stated once, under depth_ge2."""
+    lech_ii = not facts.m_assoc
+    domain = facts.carve_out == "field" or lech_ii
+    ufd = True if facts.carve_out else facts.depth2
+    conditions = dict.fromkeys(CONDITION_KEYS)
+    conditions.update(lech_i=True, lech_ii=lech_ii, depth_ge1=lech_ii,
+                      depth_ge2=facts.depth2)
+    verdicts = dict.fromkeys(VERDICT_KEYS)
+    verdicts.update(domain_completion=domain, ufd_completion=ufd,
+                    regularity_at_min=facts.reduced)
+    inconclusive = {}
+    if facts.depth2 is None:
+        inconclusive["depth_ge2"] = f"depth_ge2: {facts.missing['depth2']}"
+    profile, dim = facts.profile, facts.dim
+    if profile is None:
+        for name in _PROFILE_VERDICTS:
+            inconclusive[name] = f"{name}: {facts.missing['profile']}"
+    else:
+        domain_p = any(1 < d < dim for d in profile)
+        ufd_p = any(2 < d < dim for d in profile)
+        equidimensional = len(set(profile)) == 1
+        conditions.update(exists_P_domain=domain_p, exists_P_ufd=ufd_p,
+                          equidimensional=equidimensional)
+        verdicts.update(
+            noncat_domain=domain and domain_p,
+            noncat_ufd=ufd_p and ufd,
+            forced_cat_domain=domain and not domain_p,
+            forced_cat_ufd=not ufd_p and ufd,
+            # with no UFD-qualifying prime a domain-qualifying one has
+            # dim(T/P) = 2, and the catenary UFD needs dim T > 3
+            mixed_class=not ufd_p and domain_p and dim > 3 and ufd,
+            universally_catenary_obstructed=not equidimensional)
+    if facts.reduced is None:
+        inconclusive["regularity_at_min"] = (
+            f"regularity_at_min: {facts.missing['reduced']}")
+    return conditions, verdicts, inconclusive
+
+
 class _Analysis:
-    """Every computed fact about one ideal, each computed at most once: the
-    handle caches the basis, Min, Ass, dim and the socle test, this class
-    the depth search, poset, profile, verdicts and report. The CLI keeps
-    one per ideal, so all its commands on that ideal share the work."""
+    """One ideal's analysis in three steps, each computed at most once: the
+    facts the verdict table reads, the table, and the witnesses of its true
+    verdicts, which alone read the monomial engine's primes and the
+    spectrum poset. The handle caches the basis, Min, Ass, dim and the
+    socle test. The CLI keeps one analysis per ideal, so all its commands
+    on that ideal share the work."""
 
     def __init__(self, handle, config):
-        if handle.is_unit_ideal:
-            raise UnitIdealError("the unit ideal does not present a ring")
+        if any(not any(e) for g in handle.generators for _, e in g.pairs()):
+            raise UnitIdealError(
+                "the ideal is not inside the maximal ideal: a generator with "
+                "a nonzero constant term is a unit in K[[x]], so T = 0")
         self.handle = handle
         self.config = config
         self.context = handle.context
@@ -153,20 +225,6 @@ class _Analysis:
         config = config or AnalysisConfig()
         return cls(IdealHandle.from_presentation(ring, config.gb_step_budget),
                    config)
-
-    # -- shared facts --
-
-    @property
-    def dim(self):
-        return self.handle.krull_dimension()
-
-    @cached_property
-    def is_field_case(self):
-        return self.handle.is_maximal_ideal
-
-    @property
-    def is_dvr_case(self):
-        return self.v == 1 and self.handle.is_zero_ideal
 
     @cached_property
     def depth(self):
@@ -189,35 +247,61 @@ class _Analysis:
         self.require_monomial("the noncatenarity profile")
         return noncat_profile(self.mono)
 
-    # -- the individual checkers --
+    @cached_property
+    def facts(self):
+        """T is a field when its embedding dimension is 0 and a DVR when it
+        is 1 and M is not associated; either is a domain of dimension edim.
+        Otherwise the monomial engine supplies the profile and whether T is
+        reduced (I squarefree), which decides regularity_at_min in
+        characteristic zero (README, "Scope and semantics")."""
+        handle, depth = self.handle, self.depth
+        m_assoc = handle.maximal_ideal_associated()
+        edim = handle.embedding_dimension()
+        missing = {} if depth.verdict is not None else {"depth2": depth.detail}
+        carve_out = ("field" if edim == 0
+                     else "dvr" if edim == 1 and not m_assoc else None)
+        if carve_out:
+            dim, profile, reduced = edim, (edim,), True
+        else:
+            dim = handle.krull_dimension()
+            profile = reduced = None
+            if self.mono is None:
+                missing["profile"] = missing["reduced"] = _NO_MIN
+            else:
+                profile, reduced = self.profile, self.mono.is_squarefree
+        if reduced is not None and self.field.is_prime_field:
+            reduced, missing["reduced"] = None, _CHAR_P
+        return _Facts(dim, m_assoc, depth.verdict, carve_out, profile,
+                      reduced, missing)
 
     @cached_property
-    def domain_completion(self):
-        """Completion-of-a-domain test: automatic prime-subring condition
-        plus the socle test, with the field carve-out."""
-        return (self.is_field_case
-                or not self.handle.maximal_ideal_associated())
+    def table(self):
+        return _verdicts(self.facts)
+
+    def verdict(self, name):
+        """The table's verdict; UnsupportedInputError, with the reason,
+        when it reads a fact that no engine supplies."""
+        _, verdicts, inconclusive = self.table
+        if name in inconclusive:
+            raise UnsupportedInputError(inconclusive[name])
+        return verdicts[name]
 
     def _qualifying_prime(self, lower):
         """First minimal prime (canonical order) with
         lower < dim(T/P) < dim T, or None."""
-        for p in self.mono.minimal_primes():
-            d = p.quotient_dim(self.v)
-            if lower < d < self.dim:
-                return p
-        return None
+        return next((p for p in self.mono.minimal_primes()
+                     if lower < p.quotient_dim(self.v) < self.facts.dim), None)
 
     @cached_property
     def noncat_domain(self):
+        """(verdict, P, chain); P and its avoidance chain only on a true
+        verdict. The verdict stands on the characterization conditions; the
+        chain is None when it leaves the monomial subposet, rather than
+        faked."""
         self.require_monomial("the noncatenary-domain verdict")
-        if not self.domain_completion:
+        if not self.verdict("noncat_domain"):
             return False, None, None
         p = self._qualifying_prime(1)
-        if p is None:
-            return False, None, None
-        # the verdict stands on the characterization conditions; the chain
-        # witness may leave the monomial subposet, in which case it is
-        # reported as unavailable rather than faked
         try:
             chain = construct_chain(self.poset, p)
         except ChainInfeasibleError:
@@ -228,58 +312,36 @@ class _Analysis:
         return True, p, chain
 
     @cached_property
-    def ufd_completion(self):
-        """Field, DVR, or depth > 1; tri-state because the depth search can
-        be inconclusive on non-monomial input."""
-        if self.is_field_case or self.is_dvr_case:
-            return True, None
-        d = self.depth
-        return d.verdict, d.regular_element
-
-    @cached_property
-    def noncat_ufd(self):
-        self.require_monomial("the noncatenary-UFD verdict")
-        p = self._qualifying_prime(2)
-        if p is None:
-            return False, None, None
-        if not self.depth.verdict:
-            return False, p, None
-        witness = self.ufd_witness
-        if self.dim <= 3:
-            raise AssertionError("noncatenary UFD verdict with dim <= 3")
-        return True, p, witness
-
-    @cached_property
-    def ufd_witness(self):
-        """Search for the dimension-one witness prime Q' described in the
-        module docstring; None when no qualifying minimal prime exists or
-        the certificate search is inconclusive."""
+    def ufd_search(self):
+        """(P, UfdWitness or None) for the first minimal prime P with
+        2 < dim(T/P) < dim T, whatever the depth, or (None, None). The
+        witness is the prime Q' of the module docstring, reached by the
+        avoidance chain from P; None when the search is inconclusive."""
         self.require_monomial("the UFD witness prime")
         p = self._qualifying_prime(2)
         if p is None:
-            return None
+            return None, None
         try:
             chain = construct_chain(self.poset, p)
         except ChainInfeasibleError:
-            return None
+            return p, None
         qprime = chain.primes[-2]
         if qprime.quotient_dim(self.v) != 1:
             raise AssertionError("chain's last interior node has dim != 1")
         height = self.poset.height(qprime)
-        if not height + 1 < self.dim:
-            return None
-        second = chain.primes[-3]
-        x_elem = self._witness_regular_start(second)
+        if not height + 1 < self.facts.dim:
+            return p, None
+        x_elem = self._witness_regular_start(chain.primes[-3])
         if x_elem is None:
-            return None
+            return p, None
         local = self.mono.localize(qprime)
         lhandle = IdealHandle(self.field, local.context,
                               local.to_polynomials(self.field),
                               self.config.gb_step_budget)
         ldepth = lhandle.depth_at_least_two(self.config.regular_candidate_budget)
         if ldepth.verdict is not True:
-            return None
-        return UfdWitness(qprime, chain, height, x_elem, ldepth)
+            return p, None
+        return p, UfdWitness(qprime, chain, height, x_elem, ldepth)
 
     def _witness_regular_start(self, inside):
         """The first variable, else the first sum of two variables, of the
@@ -295,47 +357,6 @@ class _Analysis:
             if self.mono.is_regular([e for _, e in f.pairs()]):
                 return f
         return None
-
-    @cached_property
-    def forced_catenary(self):
-        """The three forced-catenarity condition bundles: every domain
-        completing to T is catenary; every UFD completing to T is
-        catenary; T completes both a noncatenary domain and a catenary
-        UFD (which needs dim T > 3 and a dim-2 minimal prime)."""
-        self.require_monomial("the forced-catenarity verdicts")
-        domain_prime = self._qualifying_prime(1)
-        domain_forced = (domain_prime is None
-                         and not self.handle.maximal_ideal_associated())
-        if self._qualifying_prime(2) is not None:
-            return domain_forced, False, False
-        # no minimal prime has 2 < dim(T/P) < dim T, so a domain-qualifying
-        # minimal prime has dim(T/P) = 2
-        depth2 = self.depth.verdict
-        mixed = depth2 if domain_prime is not None and self.dim > 3 else False
-        return domain_forced, depth2, mixed
-
-    @cached_property
-    def universally_catenary_obstructed(self):
-        """Nonequidimensional T: no domain completing to it can be
-        universally catenary."""
-        self.require_monomial("the equidimensionality test")
-        return len(set(self.profile)) > 1
-
-    @cached_property
-    def regularity_at_min(self):
-        """Whether T is reduced, which for monomial I means squarefree: the
-        quasi-excellence condition in characteristic zero. Reduced is R0
-        plus S1 (Serre; Matsumura, Commutative Ring Theory, Thm 23.8), so
-        T is regular at its minimal primes and has no embedded prime. An
-        embedded Q in Ass T meets any domain A completing to T in (0),
-        because T is flat over A; T_Q, of depth 0 and positive dimension,
-        is then a non-regular local ring of the generic formal fibre, so no
-        such A is quasi-excellent and the answer is false."""
-        self.require_monomial("the regularity-at-minimal-primes check")
-        if self.field.is_prime_field:
-            raise UnsupportedInputError(
-                "regularity remark check unavailable in characteristic p")
-        return self.mono.is_squarefree
 
     @cached_property
     def report(self):
@@ -364,11 +385,12 @@ def _implications(verdicts, dim):
 
 
 def _report(a):
-    """The AnalysisReport of an analysis; every positive verdict carries its
-    witness."""
+    """The AnalysisReport of an analysis: the table's verdicts, with a
+    witness attached to every true one."""
+    conditions, verdicts, entries = a.table
+    entries = dict(entries)
     notes = []
-    inconclusive = []
-
+    minimal = associated = None
     if a.mono is None:
         semantics = SEMANTICS_UNVERIFIED
         notes.append(
@@ -376,67 +398,39 @@ def _report(a):
             "primary decomposition may change under completion)")
     else:
         semantics = SEMANTICS_EXACT
-    if a.field.is_prime_field:
-        notes.append("char_p: regularity remark check unavailable")
-
-    conditions = dict.fromkeys(CONDITION_KEYS)
-    verdicts = dict.fromkeys(VERDICT_KEYS)
-    conditions["lech_i"] = True  # field coefficients: the prime subring acts
-    notes.append("lech_i: satisfied by construction over a field")
-    conditions["lech_ii"] = not a.handle.maximal_ideal_associated()
-    conditions["depth_ge1"] = conditions["lech_ii"]
-    depth = a.depth
-    conditions["depth_ge2"] = depth.verdict
-    if depth.verdict is None:
-        inconclusive.append(f"depth_ge2: {depth.detail}")
-
-    minimal = associated = profile = None
-    if a.mono is not None:
-        profile = a.profile
         minimal = tuple(
             PrimeSummary(p.names(a.context), p.quotient_dim(a.v), 0)
             for p in a.mono.minimal_primes())
         associated = tuple(p.names(a.context)
                            for p in a.mono.associated_primes())
-        conditions["exists_P_domain"] = a._qualifying_prime(1) is not None
-        conditions["exists_P_ufd"] = a._qualifying_prime(2) is not None
-        conditions["equidimensional"] = not a.universally_catenary_obstructed
+    if a.field.is_prime_field:
+        notes.append("char_p: regularity remark check unavailable")
+    notes.append("lech_i: satisfied by construction over a field")
 
-    verdicts["domain_completion"] = a.domain_completion
-    ufd_ok, _ = a.ufd_completion
-    verdicts["ufd_completion"] = ufd_ok
-
+    depth = a.depth
     regular_element = P = chain_names = ufd_witness_prime = None
     if depth.verdict is True:
         regular_element = str(depth.regular_element)
     elif depth.verdict is False and depth.regular_element is not None:
         notes.append(f"depth_ge2 refuted: {depth.detail}")
 
-    if a.mono is None:
-        for name in VERDICT_KEYS:
-            if name not in ("domain_completion", "ufd_completion"):
-                inconclusive.append(
-                    f"{name}: unsupported input class (minimal primes are "
-                    "not computed for non-monomial ideals)")
-    else:
-        flag, p, chain = a.noncat_domain
-        verdicts["noncat_domain"] = flag
-        if flag:
-            P = p.names(a.context)
-            if chain is None:
-                inconclusive.append(
-                    "chain witness: no saturated avoidance chain exists "
-                    "within the monomial subposet; the verdict stands on "
-                    "the characterization conditions")
-            else:
-                chain_names = tuple(q.names(a.context) for q in chain.primes)
-        flag, p, ufd_witness = a.noncat_ufd
-        verdicts["noncat_ufd"] = flag
-        if flag and ufd_witness is None:
-            inconclusive.append(
+    if verdicts["noncat_domain"]:
+        _, p, chain = a.noncat_domain
+        P = p.names(a.context)
+        if chain is None:
+            entries["noncat_domain"] = (
+                "chain witness: no saturated avoidance chain exists "
+                "within the monomial subposet; the verdict stands on "
+                "the characterization conditions")
+        else:
+            chain_names = tuple(q.names(a.context) for q in chain.primes)
+    if verdicts["noncat_ufd"]:
+        _, ufd_witness = a.ufd_search
+        if ufd_witness is None:
+            entries["noncat_ufd"] = (
                 "ufd_witness_prime: certificate search inconclusive; the "
                 "verdict stands on the characterization conditions")
-        if ufd_witness is not None:
+        else:
             ufd_witness_prime = ufd_witness.prime.names(a.context)
             notes.append(
                 "ufd_witness: regular sequence starts with "
@@ -444,33 +438,24 @@ def _report(a):
                 f"{ufd_witness.localized_depth.regular_element} at "
                 f"{ufd_witness.prime.render(a.context)} "
                 f"(height {ufd_witness.height}, dim 1)")
-        domain_forced, ufd_forced, mixed = a.forced_catenary
-        verdicts["forced_cat_domain"] = domain_forced
-        verdicts["forced_cat_ufd"] = ufd_forced
-        verdicts["mixed_class"] = mixed
-        verdicts["universally_catenary_obstructed"] = (
-            a.universally_catenary_obstructed)
-        try:
-            verdicts["regularity_at_min"] = a.regularity_at_min
-        except UnsupportedInputError as exc:
-            inconclusive.append(f"regularity_at_min: unsupported ({exc})")
 
-    problems = _implications(verdicts, a.dim)
+    problems = _implications(verdicts, a.facts.dim)
     if problems:
         raise AssertionError(f"implication lattice violated: {problems}")
 
     return AnalysisReport(
         ring=a.ring,
-        dim=a.dim,
+        dim=a.facts.dim,
         semantics=semantics,
         minimal_primes=minimal,
         associated_primes=associated,
-        profile=profile,
+        profile=a.facts.profile,
         conditions=conditions,
         verdicts=verdicts,
         witnesses=Witnesses(P, chain_names, regular_element,
                             ufd_witness_prime),
-        inconclusive=tuple(inconclusive),
+        inconclusive=tuple(entries[k] for k in ("depth_ge2",) + VERDICT_KEYS
+                           if k in entries),
         notes=tuple(notes),
     )
 
@@ -481,43 +466,54 @@ def analyze(ring, config=None):
     return _Analysis.from_presentation(ring, config).report
 
 
-# -- standalone checkers (thin wrappers over the shared analysis state) --
+# -- standalone checkers over the shared analysis state; each raises
+# UnsupportedInputError when its verdict reads a fact no engine supplies --
 
 def check_domain_completion(ring, config=None):
-    return _Analysis.from_presentation(ring, config).domain_completion
+    return _Analysis.from_presentation(ring, config).verdict(
+        "domain_completion")
 
 
 def check_noncat_domain(ring, config=None):
-    """(flag, witness prime, witness chain)."""
+    """(flag, witness prime, witness chain); monomial input only."""
     return _Analysis.from_presentation(ring, config).noncat_domain
 
 
 def check_ufd_completion(ring, config=None):
     """(verdict, depth certificate); the verdict is None only when the
     depth search on non-monomial input is inconclusive."""
-    return _Analysis.from_presentation(ring, config).ufd_completion
+    a = _Analysis.from_presentation(ring, config)
+    return (a.verdict("ufd_completion"),
+            None if a.facts.carve_out else a.depth.regular_element)
 
 
 def check_noncat_ufd(ring, config=None):
-    """(verdict, qualifying prime, UfdWitness or None). Monomial input
-    only, where depth is always decided, so the verdict is a bool."""
-    return _Analysis.from_presentation(ring, config).noncat_ufd
+    """(verdict, qualifying prime, UfdWitness or None), the last two on a
+    true verdict only. Monomial input only, so the verdict is a bool."""
+    a = _Analysis.from_presentation(ring, config)
+    a.require_monomial("the noncatenary-UFD verdict")
+    return (True, *a.ufd_search) if a.verdict("noncat_ufd") else (
+        False, None, None)
 
 
 def find_ufd_witness_prime(ring, config=None):
     """The dimension-one witness prime search; None when no minimal prime
     qualifies or the search is inconclusive."""
-    return _Analysis.from_presentation(ring, config).ufd_witness
+    return _Analysis.from_presentation(ring, config).ufd_search[1]
 
 
 def check_forced_catenary(ring, config=None):
     """(domain_forced, ufd_forced, mixed)."""
-    return _Analysis.from_presentation(ring, config).forced_catenary
+    a = _Analysis.from_presentation(ring, config)
+    return tuple(a.verdict(name) for name in
+                 ("forced_cat_domain", "forced_cat_ufd", "mixed_class"))
 
 
 def check_universal_catenarity_obstruction(ring, config=None):
-    return _Analysis.from_presentation(ring, config).universally_catenary_obstructed
+    return _Analysis.from_presentation(ring, config).verdict(
+        "universally_catenary_obstructed")
 
 
 def check_regularity_at_min(ring, config=None):
-    return _Analysis.from_presentation(ring, config).regularity_at_min
+    return _Analysis.from_presentation(ring, config).verdict(
+        "regularity_at_min")

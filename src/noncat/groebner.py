@@ -155,10 +155,11 @@ def _all_linear(gens):
 
 
 def _coefficients(f):
-    """The coefficient vector of a linear form, as a list."""
+    """The coefficient vector of the linear part of f, as a list."""
     row = [f.field.zero] * f.context.count
     for c, e in f.pairs():
-        row[e.index(1)] = c
+        if sum(e) == 1:
+            row[e.index(1)] = c
     return row
 
 
@@ -349,10 +350,6 @@ class IdealHandle:
         return self.groebner_basis() == other.groebner_basis()
 
     @property
-    def is_zero_ideal(self):
-        return not self.groebner_basis()
-
-    @property
     def is_unit_ideal(self):
         basis = self.groebner_basis()
         return bool(basis) and basis[0].is_constant
@@ -360,9 +357,12 @@ class IdealHandle:
     def maximal_ideal(self):
         return self.spawn(variables(self.field, self.context))
 
-    @property
-    def is_maximal_ideal(self):
-        return self.equals(self.maximal_ideal())
+    def embedding_dimension(self):
+        """v minus the rank of the generators' linear parts, which span
+        (I + M^2)/M^2: the embedding dimension of K[[x]]/I for I in M."""
+        rows = [_coefficients(g) for g in self.generators]
+        return self.context.count - len(
+            _row_reduce(self.field, rows) if rows else ())
 
     def plus(self, extra):
         extra = (extra,) if isinstance(extra, Polynomial) else tuple(extra)

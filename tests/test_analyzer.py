@@ -11,6 +11,10 @@ from hypothesis import strategies as st
 
 from noncat import groebner
 from noncat.analyzer import (
+    VERDICT_KEYS,
+    _Facts,
+    _implications,
+    _verdicts,
     analyze,
     check_domain_completion,
     check_forced_catenary,
@@ -259,6 +263,19 @@ class TestForcedCatenary:
     def test_ufd_family_not_forced(self):
         _, ufd_forced, _ = check_forced_catenary(family_ring(2, 2))
         assert ufd_forced is False
+
+    def test_non_monomial_needs_minimal_primes(self):
+        c = ctx("x", "y", "z")
+        x, y, z = variables(QQ, c)
+        with pytest.raises(UnsupportedInputError,
+                           match="forced_cat_domain: unsupported input"):
+            check_forced_catenary(ring_of(c, x * y - z ** 2))
+
+    def test_non_monomial_dvr_decided_by_its_carve_out(self):
+        c = ctx("x", "y")
+        x, y = variables(QQ, c)
+        assert check_forced_catenary(ring_of(c, y - x ** 2)) == (
+            True, True, False)
 
 
 class TestObstruction:
@@ -543,3 +560,112 @@ class TestImplicationLattice:
             self._assert_implications(report)
             analyzed += 1
         assert analyzed >= 25
+
+
+# The facts each verdict of the table reads.
+READS = {
+    "domain_completion": {"carve_out", "m_assoc"},
+    "ufd_completion": {"carve_out", "depth2"},
+    "noncat_domain": {"carve_out", "m_assoc", "profile"},
+    "noncat_ufd": {"carve_out", "depth2", "profile"},
+    "forced_cat_domain": {"carve_out", "m_assoc", "profile"},
+    "forced_cat_ufd": {"carve_out", "depth2", "profile"},
+    "mixed_class": {"carve_out", "depth2", "profile"},
+    "universally_catenary_obstructed": {"profile"},
+    "regularity_at_min": {"reduced"},
+}
+NO_MIN = ("unsupported input class (minimal primes are not computed for "
+          "non-monomial ideals)")
+CHAR_P = ("unsupported (regularity remark check unavailable in "
+          "characteristic p)")
+
+
+def fact_records():
+    """Every fact record the engines can produce: each profile that is a
+    multiset of dims 0..6 (each dim at most twice) with dim its maximum,
+    or no profile with any dim; each socle-test outcome with the depth
+    outcomes it allows (M associated means depth 0); reducedness known or
+    not; and the field and DVR carve-outs."""
+    socle_depth = ((True, False), (False, True), (False, False),
+                   (False, None))
+    for counts in itertools.product(range(3), repeat=7):
+        if any(counts):
+            profile = tuple(d for d in range(6, -1, -1)
+                            for _ in range(counts[d]))
+            for m_assoc, depth2 in socle_depth:
+                for reduced in (True, False, None):
+                    yield (profile[0], m_assoc, depth2, None, profile,
+                           reduced)
+    for dim in range(7):
+        for m_assoc, depth2 in socle_depth:
+            yield dim, m_assoc, depth2, None, None, None
+    for reduced in (True, None):
+        yield 0, True, False, "field", (0,), reduced
+        for depth2 in (False, None):
+            yield 1, False, depth2, "dvr", (1,), reduced
+
+
+def facts_of(dim, m_assoc, depth2, carve_out, profile, reduced):
+    missing = {}
+    if depth2 is None:
+        missing["depth2"] = "inconclusive: no regular element"
+    if profile is None:
+        missing["profile"] = missing["reduced"] = NO_MIN
+    elif reduced is None:
+        missing["reduced"] = CHAR_P
+    return _Facts(dim, m_assoc, depth2, carve_out, profile, reduced,
+                  missing)
+
+
+class TestVerdictTable:
+    """_verdicts on every fact record the engines can produce, against
+    the paper's table written out independently."""
+
+    def test_every_fact_record(self):
+        seen = 0
+        for record in fact_records():
+            dim, m_assoc, depth2, carve_out, profile, reduced = record
+            facts = facts_of(*record)
+            conditions, verdicts, inconclusive = _verdicts(facts)
+            assert _implications(verdicts, dim) == [], record
+            values = dict(m_assoc=m_assoc, depth2=depth2,
+                          carve_out=carve_out or "none", profile=profile,
+                          reduced=reduced)
+            missing = {name for name, value in values.items()
+                       if value is None}
+            for name, value in verdicts.items():
+                if value is None:
+                    assert READS[name] & missing, (record, name)
+                else:
+                    assert name not in inconclusive, (record, name)
+            assert conditions["depth_ge2"] is depth2
+            assert ("depth_ge2" in inconclusive) == (depth2 is None)
+            if profile is None:
+                assert [v for k, v in inconclusive.items()
+                        if k != "depth_ge2"] == [
+                    f"{name}: {NO_MIN}" for name in VERDICT_KEYS
+                    if name not in ("domain_completion", "ufd_completion")]
+            elif not missing:
+                assert verdicts == reference_table(*record), record
+            seen += 1
+        assert seen > 25000
+
+
+def reference_table(dim, m_assoc, depth2, carve_out, profile, reduced):
+    """The README's verdict table, with forced catenarity as "T completes
+    some domain (UFD), and every such one is catenary"."""
+    domain = carve_out == "field" or not m_assoc
+    ufd = carve_out is not None or depth2
+    noncat_domain = domain and any(1 < d < dim for d in profile)
+    noncat_ufd = depth2 and any(2 < d < dim for d in profile)
+    return {
+        "domain_completion": domain,
+        "noncat_domain": noncat_domain,
+        "ufd_completion": ufd,
+        "noncat_ufd": noncat_ufd,
+        "forced_cat_domain": domain and not noncat_domain,
+        "forced_cat_ufd": ufd and not noncat_ufd,
+        "mixed_class": noncat_domain and ufd and not noncat_ufd and dim > 3,
+        "universally_catenary_obstructed": len(set(profile)) > 1,
+        "regularity_at_min": reduced,
+    }

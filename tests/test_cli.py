@@ -324,6 +324,64 @@ class TestRegularityAtMin:
             "unavailable in characteristic p)"]
 
 
+class TestRegularCarveOuts:
+    """T a field or a DVR, read off the embedding dimension. Each of these
+    rings is regular of dimension at most one, so every verdict is that of
+    a regular local ring, with dim and profile local to the origin."""
+
+    REGULAR = {
+        "domain_completion": True, "noncat_domain": False,
+        "ufd_completion": True, "noncat_ufd": False,
+        "forced_cat_domain": True, "forced_cat_ufd": True,
+        "mixed_class": False, "universally_catenary_obstructed": False,
+        "regularity_at_min": True}
+
+    @pytest.mark.parametrize("script,dim,code", [
+        ("ring Q[x,y]\nideal I = (y)", 1, 0),
+        ("ring Q[x,y]\nideal I = (x, y)", 0, 0),
+        ("ring Q[x]\nideal I = (x + x^2)", 0, 2),
+        ("ring Q[x,y]\nideal I = (y - x^2)", 1, 2),
+        ("ring Q[x,y,z]\nideal I = intersect((x,y),(z-1))", 1, 2),
+    ], ids=["dvr-monomial", "field-monomial", "field", "dvr",
+            "dvr-component-away-from-origin"])
+    def test_regular_ring(self, capsys, tmp_path, script, dim, code):
+        got, out, _ = invoke(capsys, script + "\nanalyze I\n",
+                             "--format", "json", tmp_path=tmp_path)
+        report = json.loads(out)
+        jsonschema.validate(report, REPORT_SCHEMA)
+        assert got == code
+        assert (report["dim"], report["profile"]) == (dim, [dim])
+        assert report["verdicts"] == self.REGULAR
+        assert report["inconclusive"] == []
+
+
+class TestIdealOutsideMaximal:
+    """A generator with a nonzero constant term is a unit in K[[x]], so
+    T = 0: no report, exit 2."""
+
+    @pytest.mark.parametrize("script", [
+        "ring Q[x,y]\nideal I = (x - y - 1)",
+        "ring Q[x,y,z]\nideal I = (x*y - z - 1)",
+        "ring Q[x]\nideal I = (x - 1)",
+    ], ids=["x-y-1", "xy-z-1", "x-1"])
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_rejected(self, capsys, tmp_path, script, fmt):
+        code, out, err = invoke(capsys, script + "\nanalyze I\n",
+                                "--format", fmt, tmp_path=tmp_path)
+        assert (code, out) == (2, "")
+        assert "unsupported input class" in err
+        assert "nonzero constant term" in err
+
+    def test_component_away_from_origin_is_analyzed(self, capsys, tmp_path):
+        """(x, y) cap (z - 1) lies in M although z - 1 does not."""
+        code, out, _ = invoke(
+            capsys, "ring Q[x,y,z]\nideal I = intersect((x,y),(z-1))\n"
+                    "analyze I\n", tmp_path=tmp_path)
+        assert code == 2
+        assert out.startswith("ring ")
+        assert "dim T" in out
+
+
 class TestRegularCandidateBudget:
     """For monomial input the candidate budget bounds only the choice of
     the certificate; depth is decided without it."""
