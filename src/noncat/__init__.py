@@ -3,20 +3,7 @@ unique factorization domains can have them as completions, with checkable
 witnesses: minimal and associated primes, noncatenarity profiles, depth
 certificates and saturated avoidance chains."""
 
-from .analyzer import (
-    AnalysisConfig,
-    AnalysisReport,
-    UfdWitness,
-    analyze,
-    check_domain_completion,
-    check_forced_catenary,
-    check_noncat_domain,
-    check_noncat_ufd,
-    check_regularity_at_min,
-    check_ufd_completion,
-    check_universal_catenarity_obstruction,
-    find_ufd_witness_prime,
-)
+from .analyzer import AnalysisConfig, AnalysisReport, analyze
 from .dsl import Script, parse_script, render_script
 from .errors import (
     BudgetExceededError,
@@ -57,10 +44,7 @@ from .spectra import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AnalysisConfig", "AnalysisReport", "UfdWitness", "analyze",
-    "check_domain_completion", "check_forced_catenary", "check_noncat_domain",
-    "check_noncat_ufd", "check_regularity_at_min", "check_ufd_completion",
-    "check_universal_catenarity_obstruction", "find_ufd_witness_prime",
+    "AnalysisConfig", "AnalysisReport", "analyze",
     "Script", "parse_script", "render_script",
     "BudgetExceededError", "ChainInfeasibleError", "ContextMismatchError",
     "DegenerateInputError", "EmptyLocalizationError", "FamilyParameterError",

@@ -13,12 +13,14 @@ The positive classifications are characterized by conditions on T alone:
 * completion of a noncatenary local UFD: depth > 1 and some minimal
   prime P has 2 < dim(T/P) < dim T.
 
-An analysis gathers the facts these conditions read into one record
-(_Facts), decides every verdict from it in one pure function (_verdicts),
-then attaches witnesses to the true verdicts: the qualifying minimal
-prime, a saturated avoidance chain from it, a depth certificate, and a
-dimension-one prime with small height and localized depth > 1. A verdict
-that reads a fact no engine supplies is None with the fact's reason.
+`analyze` is the one entry point. It gathers the facts these conditions
+read into one record (_Facts), decides every verdict from it in one pure
+function (_verdicts), then attaches witnesses to the true verdicts: the
+qualifying minimal prime, a saturated avoidance chain from it, a depth
+certificate, and a dimension-one prime with small height and localized
+depth > 1. Each verdict is True, False or None; a None verdict reads a
+fact no engine supplies, and the report's `inconclusive` gives the reason.
+Both witness searches share one avoidance chain per minimal prime.
 """
 
 from __future__ import annotations
@@ -219,6 +221,7 @@ class _Analysis:
         self.mono = handle.monomial_ideal()
         self.ring = RingPresentation(handle.field, handle.context,
                                      handle.generators).render()
+        self._chains = {}  # minimal prime -> its avoidance chain or None
 
     @classmethod
     def from_presentation(cls, ring, config=None):
@@ -278,70 +281,67 @@ class _Analysis:
     def table(self):
         return _verdicts(self.facts)
 
-    def verdict(self, name):
-        """The table's verdict; UnsupportedInputError, with the reason,
-        when it reads a fact that no engine supplies."""
-        _, verdicts, inconclusive = self.table
-        if name in inconclusive:
-            raise UnsupportedInputError(inconclusive[name])
-        return verdicts[name]
-
     def _qualifying_prime(self, lower):
         """First minimal prime (canonical order) with
         lower < dim(T/P) < dim T, or None."""
         return next((p for p in self.mono.minimal_primes()
                      if lower < p.quotient_dim(self.v) < self.facts.dim), None)
 
+    def _chain(self, p):
+        """The avoidance chain from the minimal prime p, or None when it
+        leaves the monomial subposet; built once per prime and shared by
+        both witness searches."""
+        if p not in self._chains:
+            try:
+                self._chains[p] = construct_chain(self.poset, p)
+            except ChainInfeasibleError:
+                self._chains[p] = None
+        return self._chains[p]
+
     @cached_property
     def noncat_domain(self):
-        """(verdict, P, chain); P and its avoidance chain only on a true
-        verdict. The verdict stands on the characterization conditions; the
-        chain is None when it leaves the monomial subposet, rather than
-        faked."""
-        self.require_monomial("the noncatenary-domain verdict")
-        if not self.verdict("noncat_domain"):
-            return False, None, None
+        """(P, chain) on a true noncat_domain verdict, else (None, None).
+        The chain is None when it leaves the monomial subposet, rather
+        than faked; the verdict stands on the characterization
+        conditions."""
+        if not self.table[1]["noncat_domain"]:
+            return None, None
         p = self._qualifying_prime(1)
-        try:
-            chain = construct_chain(self.poset, p)
-        except ChainInfeasibleError:
-            return True, p, None
-        problems = verify_chain(self.poset, chain, p)
-        if problems:
-            raise AssertionError(f"chain witness failed verification: {problems}")
-        return True, p, chain
+        chain = self._chain(p)
+        if chain is not None:
+            problems = verify_chain(self.poset, chain, p)
+            if problems:
+                raise AssertionError(
+                    f"chain witness failed verification: {problems}")
+        return p, chain
 
     @cached_property
     def ufd_search(self):
-        """(P, UfdWitness or None) for the first minimal prime P with
-        2 < dim(T/P) < dim T, whatever the depth, or (None, None). The
-        witness is the prime Q' of the module docstring, reached by the
-        avoidance chain from P; None when the search is inconclusive."""
-        self.require_monomial("the UFD witness prime")
+        """The UfdWitness of the first minimal prime P with
+        2 < dim(T/P) < dim T, whatever the depth: the prime Q' of the
+        module docstring, reached by the avoidance chain from P. None when
+        no minimal prime qualifies or the search is inconclusive. Every
+        interior chain node has P as its only minimal prime, so
+        height(Q') = dim(T/P) - 1 < dim T - 1."""
         p = self._qualifying_prime(2)
-        if p is None:
-            return None, None
-        try:
-            chain = construct_chain(self.poset, p)
-        except ChainInfeasibleError:
-            return p, None
+        chain = None if p is None else self._chain(p)
+        if chain is None:
+            return None
         qprime = chain.primes[-2]
         if qprime.quotient_dim(self.v) != 1:
             raise AssertionError("chain's last interior node has dim != 1")
-        height = self.poset.height(qprime)
-        if not height + 1 < self.facts.dim:
-            return p, None
         x_elem = self._witness_regular_start(chain.primes[-3])
         if x_elem is None:
-            return p, None
+            return None
         local = self.mono.localize(qprime)
         lhandle = IdealHandle(self.field, local.context,
                               local.to_polynomials(self.field),
                               self.config.gb_step_budget)
         ldepth = lhandle.depth_at_least_two(self.config.regular_candidate_budget)
         if ldepth.verdict is not True:
-            return p, None
-        return p, UfdWitness(qprime, chain, height, x_elem, ldepth)
+            return None
+        return UfdWitness(qprime, chain, self.poset.height(qprime), x_elem,
+                          ldepth)
 
     def _witness_regular_start(self, inside):
         """The first variable, else the first sum of two variables, of the
@@ -415,7 +415,7 @@ def _report(a):
         notes.append(f"depth_ge2 refuted: {depth.detail}")
 
     if verdicts["noncat_domain"]:
-        _, p, chain = a.noncat_domain
+        p, chain = a.noncat_domain
         P = p.names(a.context)
         if chain is None:
             entries["noncat_domain"] = (
@@ -425,7 +425,7 @@ def _report(a):
         else:
             chain_names = tuple(q.names(a.context) for q in chain.primes)
     if verdicts["noncat_ufd"]:
-        _, ufd_witness = a.ufd_search
+        ufd_witness = a.ufd_search
         if ufd_witness is None:
             entries["noncat_ufd"] = (
                 "ufd_witness_prime: certificate search inconclusive; the "
@@ -464,56 +464,3 @@ def analyze(ring, config=None):
     """Full classification of the ring presentation; returns an
     AnalysisReport whose every positive verdict carries its witness."""
     return _Analysis.from_presentation(ring, config).report
-
-
-# -- standalone checkers over the shared analysis state; each raises
-# UnsupportedInputError when its verdict reads a fact no engine supplies --
-
-def check_domain_completion(ring, config=None):
-    return _Analysis.from_presentation(ring, config).verdict(
-        "domain_completion")
-
-
-def check_noncat_domain(ring, config=None):
-    """(flag, witness prime, witness chain); monomial input only."""
-    return _Analysis.from_presentation(ring, config).noncat_domain
-
-
-def check_ufd_completion(ring, config=None):
-    """(verdict, depth certificate); the verdict is None only when the
-    depth search on non-monomial input is inconclusive."""
-    a = _Analysis.from_presentation(ring, config)
-    return (a.verdict("ufd_completion"),
-            None if a.facts.carve_out else a.depth.regular_element)
-
-
-def check_noncat_ufd(ring, config=None):
-    """(verdict, qualifying prime, UfdWitness or None), the last two on a
-    true verdict only. Monomial input only, so the verdict is a bool."""
-    a = _Analysis.from_presentation(ring, config)
-    a.require_monomial("the noncatenary-UFD verdict")
-    return (True, *a.ufd_search) if a.verdict("noncat_ufd") else (
-        False, None, None)
-
-
-def find_ufd_witness_prime(ring, config=None):
-    """The dimension-one witness prime search; None when no minimal prime
-    qualifies or the search is inconclusive."""
-    return _Analysis.from_presentation(ring, config).ufd_search[1]
-
-
-def check_forced_catenary(ring, config=None):
-    """(domain_forced, ufd_forced, mixed)."""
-    a = _Analysis.from_presentation(ring, config)
-    return tuple(a.verdict(name) for name in
-                 ("forced_cat_domain", "forced_cat_ufd", "mixed_class"))
-
-
-def check_universal_catenarity_obstruction(ring, config=None):
-    return _Analysis.from_presentation(ring, config).verdict(
-        "universally_catenary_obstructed")
-
-
-def check_regularity_at_min(ring, config=None):
-    return _Analysis.from_presentation(ring, config).verdict(
-        "regularity_at_min")

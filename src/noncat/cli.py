@@ -226,7 +226,7 @@ class _Runner:
             return json.dumps(report.to_json_dict(), sort_keys=False)
         if self.fmt == "dot":
             poset = a.poset
-            _, _, chain = a.noncat_domain
+            _, chain = a.noncat_domain
             return poset_dot(poset, [chain] if chain else [])
         return report_text(report)
 

@@ -290,15 +290,15 @@ def poset_json(poset):
     """JSON document of the whole poset: every node with its generators,
     dim, height and Min/Ass flags, and every covering relation."""
     mins, ass, _ = _marks(poset)
-    gens = {}
+    gens = {}  # mask -> its generators, encoded once for all its edges
     nodes = []
     for mask, names, dim, height in _rows(poset):
-        gens[mask] = names
+        gens[mask] = json.dumps(names)
         nodes.append({"gens": names, "dim": dim, "height": height,
                       "minimal": mask in mins, "associated": mask in ass})
-    edges = [[gens[p], gens[q]]
-             for p, q in _covers(gens, poset.context.count)]
-    return json.dumps({"nodes": nodes, "edges": edges})
+    edges = ", ".join(f"[{gens[p]}, {gens[q]}]"
+                      for p, q in _covers(gens, poset.context.count))
+    return f'{{"nodes": {json.dumps(nodes)}, "edges": [{edges}]}}'
 
 
 def poset_text(poset):

@@ -4,32 +4,22 @@ obstruction and the regularity check."""
 
 import itertools
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from noncat import groebner
+from noncat import analyzer, groebner
 from noncat.analyzer import (
     VERDICT_KEYS,
+    _Analysis,
     _Facts,
     _implications,
     _verdicts,
     analyze,
-    check_domain_completion,
-    check_forced_catenary,
-    check_noncat_domain,
-    check_noncat_ufd,
-    check_regularity_at_min,
-    check_ufd_completion,
-    check_universal_catenarity_obstruction,
-    find_ufd_witness_prime,
 )
-from noncat.errors import (
-    ChainInfeasibleError,
-    UnitIdealError,
-    UnsupportedInputError,
-)
+from noncat.errors import ChainInfeasibleError, UnitIdealError
 from noncat.families import FamilySpec, instantiate
 from noncat.groebner import IdealHandle
 from noncat.monomial import MonomialIdeal, MonomialPrime
@@ -39,7 +29,12 @@ from noncat.poly import (
     RingPresentation,
     variables,
 )
-from noncat.spectra import build_poset, construct_chain, verify_chain
+from noncat.spectra import (
+    PrimeChain,
+    build_poset,
+    construct_chain,
+    verify_chain,
+)
 
 from conftest import (
     QQ,
@@ -48,6 +43,8 @@ from conftest import (
     ctx,
     random_monomial_ideal,
 )
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def ring_of(context, *gens, field=QQ):
@@ -68,92 +65,97 @@ def family_ring(a, b):
     return ring_of(c, *(xs[0] * xs[i] for i in range(1, a + 1)))
 
 
+def verdict(ring, name):
+    return analyze(ring).verdicts[name]
+
+
+def ufd_witness(ring):
+    return _Analysis.from_presentation(ring).ufd_search
+
+
 class TestDomainCompletion:
     def test_two_plane_true(self):
-        assert check_domain_completion(two_plane_ring()) is True
+        assert verdict(two_plane_ring(), "domain_completion") is True
 
     def test_embedded_maximal_false(self):
         c = ctx("x", "y")
         x, y = variables(QQ, c)
-        assert check_domain_completion(ring_of(c, x ** 2, x * y)) is False
+        assert verdict(ring_of(c, x ** 2, x * y), "domain_completion") is False
 
     def test_field_case_true(self):
         c = ctx("x", "y")
         x, y = variables(QQ, c)
-        assert check_domain_completion(ring_of(c, x, y)) is True
+        assert verdict(ring_of(c, x, y), "domain_completion") is True
 
     def test_unit_ideal_rejected(self):
         c = ctx("x")
         one = Polynomial.constant(QQ, c, 1)
         with pytest.raises(UnitIdealError):
-            check_domain_completion(ring_of(c, one))
+            analyze(ring_of(c, one))
 
 
 class TestNoncatDomain:
     def test_two_plane_witness(self):
-        flag, p, chain = check_noncat_domain(two_plane_ring())
-        assert flag is True
-        assert p == MonomialPrime.of(two_plane_ring().context, "y", "z")
-        assert chain is not None and chain.length == 2
+        report = analyze(two_plane_ring())
+        assert report.verdicts["noncat_domain"] is True
+        assert report.witnesses.P == ("y", "z")
+        assert len(report.witnesses.chain) == 3  # a chain of length 2
 
     def test_catenary_family_false(self):
-        flag, p, chain = check_noncat_domain(family_ring(3, 0))
-        assert flag is False and p is None
+        report = analyze(family_ring(3, 0))
+        assert report.verdicts["noncat_domain"] is False
+        assert report.witnesses.P is None
 
     def test_power_series_ring_false(self):
         c = ctx("x", "y", "z")
-        flag, _, _ = check_noncat_domain(ring_of(c))
-        assert flag is False
+        assert verdict(ring_of(c), "noncat_domain") is False
 
     def test_non_monomial_unsupported(self):
         c = ctx("x", "y")
         x, y = variables(QQ, c)
-        with pytest.raises(UnsupportedInputError):
-            check_noncat_domain(ring_of(c, x ** 2 - y))
+        report = analyze(ring_of(c, x ** 2 - y ** 3))
+        assert report.verdicts["noncat_domain"] is None
+        assert f"noncat_domain: {NO_MIN}" in report.inconclusive
 
 
 class TestUfdCompletion:
     def test_family_true_with_certificate(self):
-        verdict, cert = check_ufd_completion(family_ring(2, 2))
-        assert verdict is True and cert is not None
+        report = analyze(family_ring(2, 2))
+        assert report.verdicts["ufd_completion"] is True
+        assert report.witnesses.regular_element is not None
 
     def test_depth_one_false(self):
         c = ctx("x", "y")
         x, y = variables(QQ, c)
-        verdict, _ = check_ufd_completion(ring_of(c, x * y))
-        assert verdict is False
+        assert verdict(ring_of(c, x * y), "ufd_completion") is False
 
     def test_dvr_true(self):
         c = ctx("x")
-        verdict, _ = check_ufd_completion(ring_of(c))
-        assert verdict is True
+        assert verdict(ring_of(c), "ufd_completion") is True
 
     def test_field_true(self):
         c = ctx("x", "y")
         x, y = variables(QQ, c)
-        verdict, _ = check_ufd_completion(ring_of(c, x, y))
-        assert verdict is True
+        assert verdict(ring_of(c, x, y), "ufd_completion") is True
 
 
 class TestNoncatUfd:
     def test_family_2_2_true(self):
-        verdict, p, witness = check_noncat_ufd(family_ring(2, 2))
-        assert verdict is True
-        assert witness is not None
+        report = analyze(family_ring(2, 2))
+        assert report.verdicts["noncat_ufd"] is True
+        assert report.witnesses.ufd_witness_prime is not None
 
     def test_two_plane_false(self):
-        verdict, _, _ = check_noncat_ufd(two_plane_ring())
-        assert verdict is False
+        assert verdict(two_plane_ring(), "noncat_ufd") is False
 
     def test_small_b_false(self):
         # a = 2, b = 1 gives profile {3, 2}; no prime with dim > 2
-        verdict, _, _ = check_noncat_ufd(family_ring(2, 1))
-        assert verdict is False
+        assert verdict(family_ring(2, 1), "noncat_ufd") is False
 
 
 class TestUfdWitnessPrime:
     def test_family_2_2(self):
-        witness = find_ufd_witness_prime(family_ring(2, 2))
+        witness = ufd_witness(family_ring(2, 2))
         c = family_ring(2, 2).context
         assert witness.prime == MonomialPrime.of(c, "y1", "y2", "z1", "z2")
         assert str(witness.regular_start) == "z1"
@@ -161,10 +163,10 @@ class TestUfdWitnessPrime:
         assert witness.height + 1 < 4
 
     def test_two_plane_none(self):
-        assert find_ufd_witness_prime(two_plane_ring()) is None
+        assert ufd_witness(two_plane_ring()) is None
 
     def test_family_3_2(self):
-        witness = find_ufd_witness_prime(family_ring(3, 2))
+        witness = ufd_witness(family_ring(3, 2))
         c = family_ring(3, 2).context
         assert witness.prime == MonomialPrime.of(c, "y1", "y2", "y3",
                                                  "z1", "z2")
@@ -186,7 +188,7 @@ class TestUfdWitnessPrime:
         cutting, and localized depth."""
         for a, b in ((2, 2), (2, 3), (3, 2)):
             ring = family_ring(a, b)
-            witness = find_ufd_witness_prime(ring)
+            witness = ufd_witness(ring)
             mono = MonomialIdeal.from_polynomials(
                 ring.context, ring.generators)
             v = ring.context.count
@@ -224,7 +226,7 @@ class TestUfdWitnessPrime:
                 continue
             qualifying += 1
             ring = ring_of(c, *mono.to_polynomials(QQ))
-            witness = find_ufd_witness_prime(ring)
+            witness = ufd_witness(ring)
             if witness is not None:
                 assert witness.prime.quotient_dim(v) == 1
                 assert witness.localized_depth.verdict is True
@@ -242,9 +244,86 @@ class TestUfdWitnessPrime:
         assert succeeded >= 3
 
 
+def corpus_rings(monkeypatch):
+    """The benchmark's 60-ring criterion-8 corpus, as presentations."""
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    from workloads import corpus
+    rings = []
+    for v, gens in corpus():
+        c = ctx(*(f"v{i}" for i in range(v)))
+        rings.append(ring_of(c, *(Polynomial(QQ, c, ((1, e),))
+                                  for e in gens)))
+    return rings
+
+
+def family_rings():
+    """example_ufd(a, b) for 2 <= a, b <= 5 and prop42(m, n) for
+    3 <= m < n <= 8."""
+    specs = [("example_ufd", (a, b)) for a in range(2, 6)
+             for b in range(2, 6)]
+    specs += [("prop42", (m, n)) for m in range(3, 8)
+              for n in range(m + 1, 9)]
+    return [instantiate(FamilySpec(kind, params))[0]
+            for kind, params in specs]
+
+
+class TestWitnessChains:
+    def test_one_chain_per_prime(self, monkeypatch):
+        """Both witness searches share one avoidance chain per minimal
+        prime: an analysis never builds the chain of a prime twice."""
+        starts = count_starts(monkeypatch)
+        analyze(instantiate(FamilySpec("example_ufd", (2, 2)))[0])
+        assert len(starts) == 1
+        families = family_rings()
+        total = 0
+        for ring in corpus_rings(monkeypatch) + families:
+            starts.clear()
+            analyze(ring)
+            assert len(starts) == len(set(starts)), ring.render()
+            total += len(starts)
+        # 20 chains on the corpus, one on each family ring
+        assert total == 20 + len(families)
+
+    def test_ufd_witness_height(self, monkeypatch):
+        """Every interior chain node has the start P as its only minimal
+        prime, so the witness prime Q' has height dim(T/P) - 1, which is
+        below dim T - 1 since dim(T/P) < dim T."""
+        found = 0
+        for ring in corpus_rings(monkeypatch) + family_rings():
+            witness = ufd_witness(ring)
+            if witness is None:
+                continue
+            start = witness.chain.primes[0]
+            assert witness.height == \
+                start.quotient_dim(ring.context.count) - 1, ring.render()
+            found += 1
+        assert found >= 32
+
+
+def count_starts(monkeypatch):
+    """The start primes of every avoidance chain the analyzer builds."""
+    starts = []
+    original = analyzer.construct_chain
+
+    def counted(poset, start):
+        starts.append(start)
+        return original(poset, start)
+
+    monkeypatch.setattr(analyzer, "construct_chain", counted)
+    return starts
+
+
+FORCED = ("forced_cat_domain", "forced_cat_ufd", "mixed_class")
+
+
+def forced(report):
+    """(domain_forced, ufd_forced, mixed) of a report."""
+    return tuple(report.verdicts[name] for name in FORCED)
+
+
 class TestForcedCatenary:
     def test_catenary_family_forces_domains(self):
-        domain_forced, _, _ = check_forced_catenary(family_ring(4, 0))
+        domain_forced, _, _ = forced(analyze(family_ring(4, 0)))
         assert domain_forced is True
 
     def test_mixed_class_ring(self):
@@ -253,71 +332,79 @@ class TestForcedCatenary:
         c = ctx("x", "y", "z", "v", "w")
         x, y, z, v, w = variables(QQ, c)
         ring = ring_of(c, x * y, x * z, x * w)
-        domain_forced, ufd_forced, mixed = check_forced_catenary(ring)
+        report = analyze(ring)
+        domain_forced, ufd_forced, mixed = forced(report)
         assert mixed is True
         assert ufd_forced is True
         assert domain_forced is False
-        flag, _, _ = check_noncat_domain(ring)
-        assert flag is True
+        assert report.verdicts["noncat_domain"] is True
 
     def test_ufd_family_not_forced(self):
-        _, ufd_forced, _ = check_forced_catenary(family_ring(2, 2))
+        _, ufd_forced, _ = forced(analyze(family_ring(2, 2)))
         assert ufd_forced is False
 
     def test_non_monomial_needs_minimal_primes(self):
         c = ctx("x", "y", "z")
         x, y, z = variables(QQ, c)
-        with pytest.raises(UnsupportedInputError,
-                           match="forced_cat_domain: unsupported input"):
-            check_forced_catenary(ring_of(c, x * y - z ** 2))
+        report = analyze(ring_of(c, x * y - z ** 2))
+        assert forced(report) == (None, None, None)
+        for name in FORCED:
+            assert f"{name}: {NO_MIN}" in report.inconclusive
 
     def test_non_monomial_dvr_decided_by_its_carve_out(self):
         c = ctx("x", "y")
         x, y = variables(QQ, c)
-        assert check_forced_catenary(ring_of(c, y - x ** 2)) == (
-            True, True, False)
+        report = analyze(ring_of(c, y - x ** 2))
+        assert forced(report) == (True, True, False)
+        assert report.verdicts["noncat_domain"] is False
+        assert report.inconclusive == ()
 
 
 class TestObstruction:
     def test_catenary_family_obstructed(self):
-        assert check_universal_catenarity_obstruction(family_ring(4, 0)) is True
+        assert verdict(family_ring(4, 0),
+                       "universally_catenary_obstructed") is True
 
     def test_power_series_ring_clean(self):
         c = ctx("x", "y")
-        assert check_universal_catenarity_obstruction(ring_of(c)) is False
+        assert verdict(ring_of(c),
+                       "universally_catenary_obstructed") is False
 
     def test_two_plane_obstructed(self):
-        assert check_universal_catenarity_obstruction(two_plane_ring()) is True
+        assert verdict(two_plane_ring(),
+                       "universally_catenary_obstructed") is True
 
 
 class TestRegularityAtMin:
     def test_two_plane_regular(self):
-        assert check_regularity_at_min(two_plane_ring()) is True
+        assert verdict(two_plane_ring(), "regularity_at_min") is True
 
     def test_fat_component_fails(self):
         c = ctx("x", "y")
         x, y = variables(QQ, c)
         # (x^2*y): the (x)-primary component is (x^2), not (x)
-        assert check_regularity_at_min(ring_of(c, x ** 2 * y)) is False
+        assert verdict(ring_of(c, x ** 2 * y), "regularity_at_min") is False
 
     def test_product_of_lines_regular(self):
         c = ctx("x", "y")
         x, y = variables(QQ, c)
-        assert check_regularity_at_min(ring_of(c, x * y)) is True
+        assert verdict(ring_of(c, x * y), "regularity_at_min") is True
 
     def test_embedded_primes_not_reduced(self):
         c = ctx("x", "y")
         x, y = variables(QQ, c)
         # (x^2, x*y) = (x) cap (x^2, y): the embedded prime (x, y) lies
         # over (0) in any domain completing to T, and T is not regular there
-        assert check_regularity_at_min(ring_of(c, x ** 2, x * y)) is False
+        assert verdict(ring_of(c, x ** 2, x * y),
+                       "regularity_at_min") is False
 
     def test_char_p_unsupported(self):
         f5 = FieldDescriptor(5)
         c = ctx("x", "y")
         x, y = variables(f5, c)
-        with pytest.raises(UnsupportedInputError):
-            check_regularity_at_min(ring_of(c, x * y, field=f5))
+        report = analyze(ring_of(c, x * y, field=f5))
+        assert report.verdicts["regularity_at_min"] is None
+        assert f"regularity_at_min: {CHAR_P}" in report.inconclusive
 
     def test_reducedness_matches_groebner_oracle(self):
         """Over Q the check is true exactly when I is radical, that is,
@@ -337,7 +424,7 @@ class TestRegularityAtMin:
                 radical = (prime if radical is None
                            else radical.intersection(prime))
             reduced = IdealHandle.from_presentation(ring).equals(radical)
-            assert check_regularity_at_min(ring) is reduced, gens
+            assert verdict(ring, "regularity_at_min") is reduced, gens
             outcomes.add(reduced)
         assert outcomes == {True, False}
 
@@ -406,8 +493,11 @@ class TestAnalyzeReports:
             poset = build_poset(mono)
             handle = IdealHandle.from_presentation(ring)
             if report.verdicts["noncat_domain"]:
-                flag, p, chain = check_noncat_domain(ring)
-                assert flag and verify_chain(poset, chain, p) == []
+                primes = tuple(MonomialPrime.of(ring.context, *names)
+                               for names in report.witnesses.chain)
+                p = MonomialPrime.of(ring.context, *report.witnesses.P)
+                chain = PrimeChain(ring.context, primes, poset.height(p))
+                assert verify_chain(poset, chain, p) == []
                 d = p.quotient_dim(ring.context.count)
                 assert 1 < d < report.dim
             if report.conditions["depth_ge2"]:
