@@ -231,6 +231,9 @@ class _Parser:
         return RingStmt(field, tuple(names))
 
     def _prime_field(self, p, tok):
+        if p == 0:
+            self.error("F 0 is not a prime field; write Q for the rationals",
+                       tok, code="semantic")
         try:
             return FieldDescriptor(p)
         except ValueError as exc:

@@ -2,11 +2,14 @@
 the associated primes, the minimal primes (the minimal members of Ass),
 the dimension and whether depth >= 2; localization at monomial primes.
 An irreducible monomial ideal is generated by pure powers, so it is held
-as one exponent vector a, standing for (x_i^a_i : a_i > 0).
+as one exponent vector a, standing for (x_i^a_i : a_i > 0). The
+decomposition is built one minimal generator at a time and is
+irredundant after every step (Miller-Sturmfels, Combinatorial
+Commutative Algebra, ch. 5).
 
 Exact for monomial ideals, where the polynomial model and the
 power-series quotient share Min, Ass, dimension and depth. All values are
-immutable apart from fill-once caches.
+immutable apart from one fill-once cache per ideal.
 """
 
 from __future__ import annotations
@@ -79,7 +82,7 @@ def _intersect_gens(a, b):
 class MonomialIdeal:
     """Monomial ideal held by its unique minimal generating set."""
 
-    __slots__ = ("context", "gens", "_lock", "_min", "_decomposition")
+    __slots__ = ("context", "gens", "_lock", "_decomposition")
 
     def __init__(self, context, exponent_vectors):
         vectors = []
@@ -93,7 +96,6 @@ class MonomialIdeal:
         self.context = context
         self.gens = _minimalize(vectors)
         self._lock = threading.Lock()
-        self._min = None
         self._decomposition = None
 
     @classmethod
@@ -164,81 +166,61 @@ class MonomialIdeal:
         """Minimal primes over the ideal: the minimal members of Ass."""
         if self.is_unit:
             raise UnitIdealError("the unit ideal has no minimal primes")
-        with self._lock:
-            if self._min is not None:
-                return self._min
-        ass = self.associated_primes()
-        result = tuple(p for p in ass
-                       if not any(q.indices < p.indices for q in ass))
-        with self._lock:
-            if self._min is None:
-                self._min = result
-            return self._min
+        return self._decompose()[2]
 
     def irreducible_components(self):
-        """Irreducible decomposition by recursively splitting a generator
-        with at least two variables into coprime factors. A leaf of the
-        split is a set of pure powers in distinct variables, so each
-        component is returned as one exponent vector a, the sum of that
-        set, standing for the ideal (x_i^a_i : a_i > 0); the zero ideal's
-        one component is the zero vector."""
+        """Irredundant irreducible decomposition, built one minimal
+        generator at a time from the zero vector, the zero ideal's one
+        component. Each component is one exponent vector a, standing for
+        the ideal (x_i^a_i : a_i > 0). A component C_a that contains the
+        next generator m (0 < a_i <= m_i for some i) stays; any other is
+        replaced by the a with a_i := m_i, one per i in supp m, since
+        C_a + (m) is the intersection of the C_a + (x_i^m_i). A new vector
+        that contains another new or surviving one is dropped. A survivor
+        never contains a new vector, as it would then contain the old one
+        that vector came from, so the list is irredundant at every step."""
         if self.is_unit:
             raise UnitIdealError("the unit ideal has no decomposition")
-        zero = (0,) * self.context.count
-        memo = {}
-
-        def split(gens):
-            if gens in memo:
-                return memo[gens]
-            target = None
-            for m in gens:
-                support = [i for i, e in enumerate(m) if e]
-                if len(support) >= 2:
-                    target = (m, support[0])
-                    break
-            if target is None:
-                result = (tuple(map(sum, zip(zero, *gens))),)
-            else:
-                m, i = target
-                u = tuple(e if j == i else 0 for j, e in enumerate(m))
-                w = tuple(0 if j == i else e for j, e in enumerate(m))
-                rest = tuple(g for g in gens if g != m)
-                parts = split(_minimalize(rest + (u,))) + split(_minimalize(rest + (w,)))
-                result = tuple(dict.fromkeys(parts))
-            memo[gens] = result
-            return result
-
-        return split(self.gens)
+        comps = [(0,) * self.context.count]
+        for m in self.gens:
+            kept, fresh = [], {}
+            for a in comps:
+                if any(0 < x <= y for x, y in zip(a, m)):
+                    kept.append(a)
+                else:
+                    fresh.update(dict.fromkeys(
+                        a[:i] + (y,) + a[i + 1:] for i, y in enumerate(m) if y))
+            comps = kept + [a for a in fresh if not any(
+                b != a and all(0 < x <= y for x, y in zip(a, b) if y)
+                for b in itertools.chain(kept, fresh))]
+        return tuple(comps)
 
     def _decompose(self):
-        """(irredundant irreducible components, primary components),
-        computed once. Irreducible monomial ideals are meet-prime, so C_a
-        is redundant exactly when it contains some C_b: 0 < a_i <= b_i
-        wherever b_i > 0. The rest are grouped by radical and intersected."""
-        if self.is_unit:
-            raise UnitIdealError("the unit ideal has no decomposition")
+        """(irreducible components, primary components, minimal primes),
+        computed once. The irredundant irreducible components are grouped
+        by radical, and each group is intersected into one primary
+        component."""
         with self._lock:
             if self._decomposition is not None:
                 return self._decomposition
         comps = self.irreducible_components()
-        kept = tuple(a for a in comps if not any(
-            b != a and all(0 < x <= y for x, y in zip(a, b) if y)
-            for b in comps))
         zero = (0,) * self.context.count
         groups = {}
-        for a in kept:
+        for a in comps:
             prime = frozenset(i for i, x in enumerate(a) if x)
             gens = tuple(zero[:i] + (x,) + zero[i + 1:]
                          for i, x in enumerate(a) if x)
             groups[prime] = (_intersect_gens(groups[prime], gens)
                              if prime in groups else gens)
-        result = tuple(sorted(
+        primary = tuple(sorted(
             ((MonomialPrime(p), MonomialIdeal(self.context, gens))
              for p, gens in groups.items()),
             key=lambda pc: pc[0].sort_key))
+        minimal = tuple(p for p, _ in primary
+                        if not any(q < p.indices for q in groups))
         with self._lock:
             if self._decomposition is None:
-                self._decomposition = (kept, result)
+                self._decomposition = (comps, primary, minimal)
             return self._decomposition
 
     def primary_components(self):

@@ -127,6 +127,8 @@ class TestErrors:
 
     def test_composite_characteristic(self):
         self.expect_error("ring F 6[x]", "semantic", "prime")
+        for text in ("ring F0[x,y]", "ring F 0[x,y]"):
+            self.expect_error(text, "semantic", "write Q")
 
     def test_reserved_word_as_variable(self):
         self.expect_error("ring Q[from]", "semantic", "reserved")

@@ -116,16 +116,22 @@ class TestAssociatedPrimes:
 
     def test_irreducible_components_are_pure_powers(self):
         """Each component is an exponent vector a standing for the ideal
-        (x_i^a_i : a_i > 0); together they intersect back to I."""
+        (x_i^a_i : a_i > 0). The components are the irredundant ones: none
+        contains another, and together they intersect back to I. For a
+        squarefree I they are the indicator vectors of the minimal vertex
+        covers of the generators' supports."""
         def pure_powers(context, a):
             zero = (0,) * context.count
             return mono(context, *(zero[:i] + (x,) + zero[i + 1:]
                                    for i, x in enumerate(a) if x))
 
+        def contains(a, b):
+            return all(0 < x <= y for x, y in zip(a, b) if y)
+
         c = ctx("x", "y", "z")
         example = mono(c, (2, 1, 0), (0, 1, 2))  # (x^2*y, y*z^2)
-        # (y) cap (x^2, z^2), with possibly redundant components beside
-        assert {(0, 1, 0), (2, 0, 2)} <= set(example.irreducible_components())
+        # (y) cap (x^2, z^2)
+        assert set(example.irreducible_components()) == {(0, 1, 0), (2, 0, 2)}
         assert mono(c).irreducible_components() == ((0, 0, 0),)
         rng = random.Random(29)
         ideals = [example, mono(c), mono(ctx("x"))]
@@ -133,13 +139,30 @@ class TestAssociatedPrimes:
             v = rng.randint(1, 5)
             ideals.append(mono(ctx(*[f"v{i}" for i in range(v)]),
                                *random_monomial_ideal(rng, v, 5, max_exp=3)))
-        for ideal in ideals:
+        squarefree = []
+        for n in range(5, 13):  # the cycles C_5 .. C_12
+            squarefree.append(mono(ctx(*[f"x{i}" for i in range(n)]), *(
+                tuple(int(j in (i, (i + 1) % n)) for j in range(n))
+                for i in range(n))))
+        rng = random.Random(31)
+        for v in (6, 8, 10, 12):
+            squarefree.append(mono(ctx(*[f"v{i}" for i in range(v)]), *(
+                random_monomial_ideal(rng, v, 8, squarefree=True))))
+        for ideal in ideals + squarefree:
             comps = ideal.irreducible_components()
             assert all(len(a) == ideal.context.count for a in comps)
+            assert not any(a != b and contains(a, b)
+                           for a in comps for b in comps)
             back = pure_powers(ideal.context, comps[0])
             for a in comps[1:]:
                 back = back.intersect(pure_powers(ideal.context, a))
             assert back == ideal
+        for ideal in squarefree:
+            v = ideal.context.count
+            covers = brute_minimal_covers(
+                [[i for i, e in enumerate(g) if e] for g in ideal.gens], v)
+            assert sorted(ideal.irreducible_components()) == sorted(
+                tuple(int(i in s) for i in range(v)) for s in covers)
 
     def test_primary_component_example(self):
         c = ctx("x", "y")
