@@ -20,7 +20,6 @@ from noncat import (
     FamilySpec,
     MonomialIdeal,
     MonomialPrime,
-    build_poset,
     chain_dot,
     construct_chain,
     instantiate,
@@ -34,18 +33,17 @@ for m, n in pairs:
     ring, _ = instantiate(FamilySpec("prop41", (m, n)))
     a = n - m + 1
     mono = MonomialIdeal.from_polynomials(ring.context, ring.generators)
-    poset = build_poset(mono)
 
-    long_chain = construct_chain(poset, MonomialPrime.of(ring.context, "x"))
+    long_chain = construct_chain(mono, MonomialPrime.of(ring.context, "x"))
     short_chain = construct_chain(
-        poset,
+        mono,
         MonomialPrime.of(ring.context, *[f"y{i}" for i in range(1, a + 1)]))
     assert (long_chain.length, short_chain.length) == (n, m)
-    assert verify_chain(poset, long_chain) == []
-    assert verify_chain(poset, short_chain) == []
+    assert verify_chain(mono, long_chain) == []
+    assert verify_chain(mono, short_chain) == []
 
     out = pathlib.Path(f"chains_{m}_{n}.dot")
-    out.write_text(chain_dot(poset, [long_chain, short_chain]) + "\n")
+    out.write_text(chain_dot(mono, [long_chain, short_chain]) + "\n")
     print(f"(m,n)=({m},{n}):")
     print("  ", long_chain)
     print("  ", short_chain)

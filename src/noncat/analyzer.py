@@ -203,10 +203,10 @@ def _verdicts(facts):
 class _Analysis:
     """One ideal's analysis in three steps, each computed at most once: the
     facts the verdict table reads, the table, and the witnesses of its true
-    verdicts, which alone read the monomial engine's primes and the
-    spectrum poset. The handle caches the basis, Min, Ass, dim and the
-    socle test. The CLI keeps one analysis per ideal, so all its commands
-    on that ideal share the work."""
+    verdicts, whose chains read the monomial engine's Min and Ass. The
+    handle caches the basis, Min, Ass, dim and the socle test. The CLI
+    keeps one analysis per ideal, so all its commands on that ideal share
+    the work; the spectrum poset is built only for its renderings."""
 
     def __init__(self, handle, config):
         if any(not any(e) for g in handle.generators for _, e in g.pairs()):
@@ -236,6 +236,7 @@ class _Analysis:
 
     @cached_property
     def poset(self):
+        """The spectrum poset, for the CLI's poset and DOT renderings."""
         self.require_monomial("the spectrum poset")
         return build_poset(self.mono, self.config.max_poset_vars)
 
@@ -289,13 +290,19 @@ class _Analysis:
 
     def _chain(self, p):
         """The avoidance chain from the minimal prime p, or None when it
-        leaves the monomial subposet; built once per prime and shared by
-        both witness searches."""
+        leaves the monomial subposet; built and verified once per prime and
+        shared by both witness searches."""
         if p not in self._chains:
             try:
-                self._chains[p] = construct_chain(self.poset, p)
+                chain = construct_chain(self.mono, p)
             except ChainInfeasibleError:
-                self._chains[p] = None
+                chain = None
+            else:
+                problems = verify_chain(self.mono, chain, p)
+                if problems:
+                    raise AssertionError(
+                        f"chain witness failed verification: {problems}")
+            self._chains[p] = chain
         return self._chains[p]
 
     @cached_property
@@ -307,13 +314,7 @@ class _Analysis:
         if not self.table[1]["noncat_domain"]:
             return None, None
         p = self._qualifying_prime(1)
-        chain = self._chain(p)
-        if chain is not None:
-            problems = verify_chain(self.poset, chain, p)
-            if problems:
-                raise AssertionError(
-                    f"chain witness failed verification: {problems}")
-        return p, chain
+        return p, self._chain(p)
 
     @cached_property
     def ufd_search(self):
@@ -322,7 +323,7 @@ class _Analysis:
         module docstring, reached by the avoidance chain from P. None when
         no minimal prime qualifies or the search is inconclusive. Every
         interior chain node has P as its only minimal prime, so
-        height(Q') = dim(T/P) - 1 < dim T - 1."""
+        height(Q') = |Q'| - |P| = dim(T/P) - 1 < dim T - 1."""
         p = self._qualifying_prime(2)
         chain = None if p is None else self._chain(p)
         if chain is None:
@@ -340,8 +341,8 @@ class _Analysis:
         ldepth = lhandle.depth_at_least_two(self.config.regular_candidate_budget)
         if ldepth.verdict is not True:
             return None
-        return UfdWitness(qprime, chain, self.poset.height(qprime), x_elem,
-                          ldepth)
+        height = len(qprime.indices) - len(p.indices)
+        return UfdWitness(qprime, chain, height, x_elem, ldepth)
 
     def _witness_regular_start(self, inside):
         """The first variable, else the first sum of two variables, of the

@@ -225,9 +225,8 @@ class _Runner:
         if self.fmt == "json":
             return json.dumps(report.to_json_dict(), sort_keys=False)
         if self.fmt == "dot":
-            poset = a.poset
             _, chain = a.noncat_domain
-            return poset_dot(poset, [chain] if chain else [])
+            return poset_dot(a.poset, [chain] if chain else [])
         return report_text(report)
 
     def do_profile(self, a):
@@ -252,15 +251,16 @@ class _Runner:
         return poset_text(poset)
 
     def do_chain(self, a, from_vars):
-        poset = a.poset
-        chain = construct_chain(poset, MonomialPrime.of(a.context, *from_vars))
+        a.require_monomial("the chain command")
+        start = MonomialPrime.of(a.context, *from_vars)
+        chain = construct_chain(a.mono, start)
         if self.fmt == "dot":
-            return chain_dot(poset, [chain])
+            return chain_dot(a.mono, [chain])
         if self.fmt == "json":
             return json.dumps({
-                "chain": [list(p.names(poset.context)) for p in chain.primes],
+                "chain": [list(p.names(a.context)) for p in chain.primes],
                 "length": chain.length,
-                "start_height": chain.start_height,
+                "start_height": 0,  # a chain starts at a minimal prime
                 "dims": list(chain.dims),
             })
         return f"{chain.render()}  (length {chain.length})"

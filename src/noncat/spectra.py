@@ -1,12 +1,14 @@
-"""The poset of monomial primes containing a monomial ideal: heights,
-saturated chains with avoidance properties, the noncatenarity profile,
-DOT, JSON and text renderings of the poset, and DOT renderings of chains.
+"""Saturated avoidance chains of monomial primes, read off a monomial
+ideal's Min and Ass, the noncatenarity profile, and the renderings: DOT,
+JSON and text of the poset of monomial primes containing the ideal, and
+DOT of chains.
 
-Nodes are variable subsets that meet every generator's support, ordered
-by inclusion; the poset is graded, every covering step adding exactly
-one variable. Chain construction walks upward one variable at a time,
-keeping each interior node outside Ass and above a unique minimal prime;
-these are exactly the properties the downstream classifiers certify.
+Chain construction walks upward one variable at a time, keeping each
+interior node outside Ass and above a unique minimal prime; these are
+exactly the properties the downstream classifiers certify. It reads the
+ideal alone. The poset, whose nodes are the variable subsets that meet
+every generator's support, ordered by inclusion, is only rendered; it is
+graded, every covering step adding exactly one variable.
 """
 
 from __future__ import annotations
@@ -27,11 +29,9 @@ def _mask(prime):
 
 
 class SpecPoset:
-    """Finite poset of the monomial primes containing a monomial ideal,
-    with the minimal and associated primes marked. Heights and chains need
-    no node list; only the walk over all 2^v variable subsets, behind
-    `nodes` and the whole-poset renderings, is capped at `max_vars`
-    variables."""
+    """The poset of the monomial primes containing a monomial ideal, for
+    rendering. Only the walk over all 2^v variable subsets, behind `nodes`
+    and the whole-poset renderings, is capped at `max_vars` variables."""
 
     def __init__(self, ideal, max_vars=DEFAULT_MAX_POSET_VARS):
         if ideal.is_unit:
@@ -39,9 +39,6 @@ class SpecPoset:
         self.ideal = ideal
         self.context = ideal.context
         self.max_vars = max_vars
-        self.min_primes = ideal.minimal_primes()
-        self.ass_primes = ideal.associated_primes()
-        self.top = MonomialPrime(frozenset(range(ideal.context.count)))
         self._support_masks = [sum(1 << i for i, e in enumerate(g) if e)
                                for g in ideal.gens]
 
@@ -74,22 +71,6 @@ class SpecPoset:
         return tuple(MonomialPrime(frozenset(indices))
                      for _, indices in self._walk())
 
-    def is_node(self, prime):
-        mask = _mask(prime)
-        return all(mask & s for s in self._support_masks)
-
-    def height(self, prime):
-        """Height inside the quotient ring: the best drop from a minimal
-        prime below, dim(T/P) - dim(T/Q). Valid because the quotient by a
-        monomial prime is a power series ring, hence catenary."""
-        if not self.is_node(prime):
-            raise DegenerateInputError(
-                f"{prime.render(self.context)} does not contain the ideal")
-        below = [p for p in self.min_primes if prime.contains(p)]
-        if not below:
-            raise AssertionError("poset node without a minimal prime below")
-        return max(len(prime.indices) - len(p.indices) for p in below)
-
 
 def build_poset(ideal, max_vars=DEFAULT_MAX_POSET_VARS):
     return SpecPoset(ideal, max_vars)
@@ -97,11 +78,11 @@ def build_poset(ideal, max_vars=DEFAULT_MAX_POSET_VARS):
 
 @dataclass(frozen=True)
 class PrimeChain:
-    """Strictly increasing chain of monomial primes with its annotations."""
+    """Strictly increasing chain of monomial primes; a constructed chain
+    starts at a minimal prime, whose height is 0."""
 
     context: object
     primes: tuple
-    start_height: int
 
     @property
     def length(self):
@@ -119,26 +100,33 @@ class PrimeChain:
         return self.render()
 
 
-def construct_chain(poset, start):
-    """Saturated chain from a minimal prime up to the maximal ideal, of
-    length dim(T/P), every interior node avoiding Ass and containing no
-    minimal prime besides the start.
+def _top(ideal):
+    """The maximal ideal, generated by every variable."""
+    return MonomialPrime(frozenset(range(ideal.context.count)))
+
+
+def construct_chain(ideal, start):
+    """Saturated chain from a minimal prime of the monomial ideal up to the
+    maximal ideal, of length dim(T/P), every interior node avoiding Ass and
+    containing no minimal prime besides the start.
 
     Deterministic: at each step the smallest eligible variable in declared
     order is added. A step with no eligible variable raises, naming the
     step, rather than silently relaxing the avoidance properties.
     """
-    if start not in poset.min_primes:
+    ctx = ideal.context
+    mins = ideal.minimal_primes()
+    if start not in mins:
         raise DegenerateInputError(
-            f"{start.render(poset.context)} is not a minimal prime of the ideal")
-    v = poset.context.count
+            f"{start.render(ctx)} is not a minimal prime of the ideal")
+    v = ctx.count
     n = start.quotient_dim(v)
     if n < 1:
         raise DegenerateInputError("the start prime is already maximal")
-    if poset.top in poset.ass_primes:
+    if ideal.maximal_ideal_associated():
         raise DegenerateInputError(
             "the maximal ideal is associated; no avoidance chain exists")
-    ass = set(poset.ass_primes)
+    ass = set(ideal.associated_primes())
     chain = [start]
     current = start.indices
     for step in range(1, n):
@@ -149,7 +137,7 @@ def construct_chain(poset, start):
             candidate = MonomialPrime(current | {i})
             if candidate in ass:
                 continue
-            below = [p for p in poset.min_primes if candidate.contains(p)]
+            below = [p for p in mins if candidate.contains(p)]
             if below != [start]:
                 continue
             found = candidate
@@ -157,36 +145,36 @@ def construct_chain(poset, start):
         if found is None:
             raise ChainInfeasibleError(
                 f"no eligible variable at step {step} above "
-                f"{MonomialPrime(current).render(poset.context)}",
+                f"{MonomialPrime(current).render(ctx)}",
                 step=step, node=MonomialPrime(current))
         chain.append(found)
         current = found.indices
-    chain.append(poset.top)
-    return PrimeChain(poset.context, tuple(chain), poset.height(start))
+    chain.append(_top(ideal))
+    return PrimeChain(ctx, tuple(chain))
 
 
-def verify_chain(poset, chain, start=None):
-    """Independent checks on a constructed chain; returns a list of
-    problems, empty when the chain is valid."""
+def verify_chain(ideal, chain, start=None):
+    """Independent checks of a chain against the monomial ideal; returns a
+    list of problems, empty when the chain is valid."""
     problems = []
     primes = chain.primes
-    ctx = poset.context
+    ctx = ideal.context
     if len(primes) < 2:
         problems.append("chain has fewer than two nodes")
         return problems
     first, last = primes[0], primes[-1]
+    mins = ideal.minimal_primes()
     if start is not None and first != start:
         problems.append("chain does not start at the requested prime")
-    if first not in poset.ideal.minimal_primes():
+    if first not in mins:
         problems.append(f"start {first.render(ctx)} is not a minimal prime")
-    if last != MonomialPrime(frozenset(range(ctx.count))):
+    if last != _top(ideal):
         problems.append("chain does not end at the maximal ideal")
     if chain.length != first.quotient_dim(ctx.count):
         problems.append(
             f"length {chain.length} differs from dim(T/P) = "
             f"{first.quotient_dim(ctx.count)}")
-    ass = set(poset.ideal.associated_primes())
-    mins = poset.ideal.minimal_primes()
+    ass = set(ideal.associated_primes())
     for a, b in zip(primes, primes[1:]):
         if not (a.indices < b.indices):
             problems.append(f"{b.render(ctx)} does not strictly contain "
@@ -194,7 +182,7 @@ def verify_chain(poset, chain, start=None):
         elif len(b.indices) - len(a.indices) != 1:
             problems.append(f"step {a.render(ctx)} -> {b.render(ctx)} "
                             "is not saturated")
-        if not poset.is_node(b):
+        if not all(b.contains_exps(g) for g in ideal.gens):
             problems.append(f"{b.render(ctx)} does not contain the ideal")
     for q in primes[1:-1]:
         if q in ass:
@@ -218,10 +206,12 @@ def noncat_profile(ideal):
 
 # -- whole-poset and chain renderings --
 
-def _marks(poset):
-    """Min, Ass and the maximal ideal of the poset as variable masks."""
-    return ({_mask(p) for p in poset.min_primes},
-            {_mask(p) for p in poset.ass_primes}, _mask(poset.top))
+def _marks(ideal):
+    """Min, Ass and the maximal ideal of the monomial ideal as variable
+    masks."""
+    return ({_mask(p) for p in ideal.minimal_primes()},
+            {_mask(p) for p in ideal.associated_primes()},
+            (1 << ideal.context.count) - 1)
 
 
 def _node_attrs(mask, marks):
@@ -256,7 +246,7 @@ def _rows(poset):
     height is the largest rank drop to a minimal prime below the node."""
     names = poset.context.names
     v = poset.context.count
-    mins = [(_mask(p), len(p.indices)) for p in poset.min_primes]
+    mins = [(_mask(p), len(p.indices)) for p in poset.ideal.minimal_primes()]
     for mask, indices in poset._walk():
         rank = len(indices)
         lowest = min(r for m, r in mins if m & mask == m)
@@ -268,7 +258,7 @@ def poset_dot(poset, highlight_chains=()):
     minimal primes boxed, associated primes filled, the maximal ideal
     bold. Optional chains are overlaid in red."""
     ctx = poset.context
-    marks = _marks(poset)
+    marks = _marks(poset.ideal)
     highlight = set()
     for chain in highlight_chains:
         for a, b in zip(chain.primes, chain.primes[1:]):
@@ -289,7 +279,7 @@ def poset_dot(poset, highlight_chains=()):
 def poset_json(poset):
     """JSON document of the whole poset: every node with its generators,
     dim, height and Min/Ass flags, and every covering relation."""
-    mins, ass, _ = _marks(poset)
+    mins, ass, _ = _marks(poset.ideal)
     gens = {}  # mask -> its generators, encoded once for all its edges
     nodes = []
     for mask, names, dim, height in _rows(poset):
@@ -303,7 +293,7 @@ def poset_json(poset):
 
 def poset_text(poset):
     """One line per node: the prime, its dim and height, and its marks."""
-    mins, ass, top = _marks(poset)
+    mins, ass, top = _marks(poset.ideal)
     lines = []
     for mask, names, dim, height in _rows(poset):
         marks = [mark for mark, on in (("min", mask in mins),
@@ -315,11 +305,12 @@ def poset_text(poset):
     return "\n".join(lines)
 
 
-def chain_dot(poset, chains):
-    """DOT digraph of just the given chains (they meet at shared nodes);
-    edge count equals the sum of the chain lengths."""
-    ctx = poset.context
-    marks = _marks(poset)
+def chain_dot(ideal, chains):
+    """DOT digraph of just the given chains of the monomial ideal (they
+    meet at shared nodes); edge count equals the sum of the chain
+    lengths."""
+    ctx = ideal.context
+    marks = _marks(ideal)
     nodes = {p for chain in chains for p in chain.primes}
     labels = {p: _quoted(p.render(ctx))
               for p in sorted(nodes, key=lambda p: p.sort_key)}

@@ -52,6 +52,13 @@ def brute_minimal_covers(supports, v):
     return {s for s in hitting if not any(t < s for t in hitting)}
 
 
+def ref_height(ideal, q):
+    """Height of the monomial prime q over the monomial ideal: the largest
+    rank drop to a minimal prime below it."""
+    return max(len(q.indices) - len(p.indices)
+               for p in ideal.minimal_primes() if p.indices <= q.indices)
+
+
 def brute_dimension(gens, v):
     """v minus the smallest hitting-set size of the generator supports."""
     supports = [frozenset(i for i, e in enumerate(g) if e) for g in gens]

@@ -11,7 +11,7 @@ from noncat.families import FamilySpec, instantiate
 from noncat.groebner import IdealHandle
 from noncat.monomial import MonomialIdeal, MonomialPrime
 from noncat.poly import Polynomial, RingPresentation, variables
-from noncat.spectra import build_poset, construct_chain, verify_chain
+from noncat.spectra import construct_chain, verify_chain
 
 from conftest import (
     QQ,
@@ -96,16 +96,15 @@ def test_criterion_4_two_chain_lengths():
             a = n - m + 1
             mono = MonomialIdeal.from_polynomials(ring.context,
                                                   ring.generators)
-            poset = build_poset(mono)
             p_line = MonomialPrime.of(ring.context, "x")
             p_block = MonomialPrime.of(ring.context,
                                        *[f"y{i}" for i in range(1, a + 1)])
-            long_chain = construct_chain(poset, p_line)
-            short_chain = construct_chain(poset, p_block)
+            long_chain = construct_chain(mono, p_line)
+            short_chain = construct_chain(mono, p_block)
             assert long_chain.length == n
             assert short_chain.length == m
-            assert verify_chain(poset, long_chain, p_line) == []
-            assert verify_chain(poset, short_chain, p_block) == []
+            assert verify_chain(mono, long_chain, p_line) == []
+            assert verify_chain(mono, short_chain, p_block) == []
             elapsed = time.perf_counter() - start_time
             assert elapsed < 2.0, f"chains took {elapsed:.2f}s"
 

@@ -29,12 +29,7 @@ from noncat.poly import (
     RingPresentation,
     variables,
 )
-from noncat.spectra import (
-    PrimeChain,
-    build_poset,
-    construct_chain,
-    verify_chain,
-)
+from noncat.spectra import PrimeChain, construct_chain, verify_chain
 
 from conftest import (
     QQ,
@@ -42,6 +37,7 @@ from conftest import (
     count_calls,
     ctx,
     random_monomial_ideal,
+    ref_height,
 )
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -193,8 +189,7 @@ class TestUfdWitnessPrime:
                 ring.context, ring.generators)
             v = ring.context.count
             assert witness.prime.quotient_dim(v) == 1
-            poset = build_poset(mono)
-            assert poset.height(witness.prime) + 1 < mono.dimension()
+            assert ref_height(mono, witness.prime) + 1 < mono.dimension()
             x = witness.regular_start
             handle = IdealHandle.from_presentation(ring)
             assert handle.is_regular_element(x)
@@ -239,7 +234,7 @@ class TestUfdWitnessPrime:
                 succeeded += 1
             else:
                 with pytest.raises(ChainInfeasibleError):
-                    construct_chain(build_poset(mono), starts[0])
+                    construct_chain(mono, starts[0])
         assert qualifying >= 10
         assert succeeded >= 3
 
@@ -296,8 +291,39 @@ class TestWitnessChains:
             start = witness.chain.primes[0]
             assert witness.height == \
                 start.quotient_dim(ring.context.count) - 1, ring.render()
+            mono = MonomialIdeal.from_polynomials(ring.context,
+                                                  ring.generators)
+            assert witness.height == ref_height(mono, witness.prime)
             found += 1
         assert found >= 32
+
+    def test_every_chain_verified_once(self, monkeypatch):
+        """Each chain is verified once, when it is built, whichever
+        witness search asks for it first: analyze, then the UFD witness
+        search on its own, which never reads the noncat_domain witness."""
+        built, verified = [], []
+        construct, verify = analyzer.construct_chain, analyzer.verify_chain
+
+        def constructed(ideal, start):
+            chain = construct(ideal, start)
+            built.append(chain)
+            return chain
+
+        def checked(ideal, chain, start=None):
+            verified.append(chain)
+            return verify(ideal, chain, start)
+
+        monkeypatch.setattr(analyzer, "construct_chain", constructed)
+        monkeypatch.setattr(analyzer, "verify_chain", checked)
+        rings = corpus_rings(monkeypatch) + family_rings()
+        for search in (analyze, ufd_witness):
+            built.clear()
+            verified.clear()
+            for ring in rings:
+                search(ring)
+            assert len(built) >= 32
+            assert len(verified) == len(built)
+            assert all(v is b for v, b in zip(verified, built))
 
 
 def count_starts(monkeypatch):
@@ -305,9 +331,9 @@ def count_starts(monkeypatch):
     starts = []
     original = analyzer.construct_chain
 
-    def counted(poset, start):
+    def counted(ideal, start):
         starts.append(start)
-        return original(poset, start)
+        return original(ideal, start)
 
     monkeypatch.setattr(analyzer, "construct_chain", counted)
     return starts
@@ -490,14 +516,13 @@ class TestAnalyzeReports:
             report = analyze(ring)
             mono = MonomialIdeal.from_polynomials(ring.context,
                                                   ring.generators)
-            poset = build_poset(mono)
             handle = IdealHandle.from_presentation(ring)
             if report.verdicts["noncat_domain"]:
                 primes = tuple(MonomialPrime.of(ring.context, *names)
                                for names in report.witnesses.chain)
                 p = MonomialPrime.of(ring.context, *report.witnesses.P)
-                chain = PrimeChain(ring.context, primes, poset.height(p))
-                assert verify_chain(poset, chain, p) == []
+                chain = PrimeChain(ring.context, primes)
+                assert verify_chain(mono, chain, p) == []
                 d = p.quotient_dim(ring.context.count)
                 assert 1 < d < report.dim
             if report.conditions["depth_ge2"]:
@@ -509,7 +534,7 @@ class TestAnalyzeReports:
                 q = MonomialPrime.of(ring.context,
                                      *report.witnesses.ufd_witness_prime)
                 assert q.quotient_dim(ring.context.count) == 1
-                assert poset.height(q) + 1 < report.dim
+                assert ref_height(mono, q) + 1 < report.dim
 
     @pytest.mark.parametrize("names,degree,depth_ge2", [
         ("abcd", 2, False), ("abcde", 3, True)])

@@ -135,6 +135,16 @@ class TestOtherCommands:
         edges = [l for l in out.splitlines() if "->" in l]
         assert len(nodes) == 4 and len(edges) == 3
 
+    @pytest.mark.parametrize("fmt", ["text", "json", "dot"])
+    def test_chain_on_non_monomial_exits_2(self, capsys, tmp_path, fmt):
+        script = "ring Q[x,y,z]\nideal I = (x*y - z^2)\nchain I from (x)\n"
+        code, out, err = invoke(capsys, script, "--format", fmt,
+                                tmp_path=tmp_path)
+        assert code == 2 and out == ""
+        assert err == ("unsupported input class: the chain command needs "
+                       "minimal primes, which are only computed for "
+                       "monomial ideals\n")
+
     def test_chain_from_non_minimal_exits_2(self, capsys, tmp_path):
         script = ("ring Q[x,y1,y2,z1,z2]\nideal I = (x*y1, x*y2)\n"
                   "chain I from (z1)\n")
@@ -214,13 +224,33 @@ class TestSharedAnalysis:
             with monkeypatch.context() as m:
                 components = count_calls(m, MonomialIdeal,
                                          "irreducible_components")
-                posets = count_calls(m, SpecPoset, "__init__")
                 code, _, _ = invoke(
                     capsys, "ring Q[x,y,z,v]\nideal I = (x*y, x*z)\nanalyze I",
                     "--format", fmt, tmp_path=tmp_path)
                 assert code == 0
-                counts[fmt] = (len(components), len(posets))
+                counts[fmt] = len(components)
         assert counts["dot"] == counts["text"]
+
+    @pytest.mark.parametrize("command,fmt", [
+        ("analyze", "text"), ("analyze", "json"), ("analyze", "dot"),
+        ("profile", "text"), ("profile", "json"),
+        ("chain I from (x)", "text"), ("chain I from (x)", "json"),
+        ("chain I from (x)", "dot"),
+        ("poset", "text"), ("poset", "json"), ("poset", "dot")])
+    def test_posets_built_only_for_renderings(self, capsys, tmp_path,
+                                              monkeypatch, command, fmt):
+        """Witness chains read the monomial ideal, so a SpecPoset is built
+        only by the poset command and DOT analyze, once per ideal."""
+        posets = count_calls(monkeypatch, SpecPoset, "__init__")
+        run = (command if " " in command else f"{command} I")
+        script = ("ring Q[x,y,z,v]\nideal I = (x*y, x*z)\n"
+                  "ideal J = (x*y, x*z, x*v)\n"
+                  f"{run}\n{run}\n{run.replace(' I', ' J', 1)}\n")
+        code, out, _ = invoke(capsys, script, "--format", fmt,
+                              tmp_path=tmp_path)
+        assert code == 0 and len(out.splitlines()) >= 3
+        renders = command == "poset" or (command, fmt) == ("analyze", "dot")
+        assert len(posets) == (2 if renders else 0)
 
     def test_second_analyze_runs_no_buchberger(self, monkeypatch):
         calls = count_calls(monkeypatch, groebner, "buchberger")

@@ -22,10 +22,12 @@ from noncat.spectra import (
     construct_chain,
     noncat_profile,
     poset_dot,
+    poset_json,
+    poset_text,
     verify_chain,
 )
 
-from conftest import ctx, random_monomial_ideal
+from conftest import ctx, random_monomial_ideal, ref_height
 
 
 def family_ideal(a, b):
@@ -50,13 +52,14 @@ def names_of(chain):
 class TestBuildPoset:
     def test_two_plane_example(self):
         c = ctx("x", "y", "z", "v")
-        poset = build_poset(MonomialIdeal(c, ((1, 1, 0, 0), (1, 0, 1, 0))))
-        nodes = poset.nodes()
+        ideal = MonomialIdeal(c, ((1, 1, 0, 0), (1, 0, 1, 0)))
+        nodes = build_poset(ideal).nodes()
         assert MonomialPrime.of(c, "x") in nodes
         assert MonomialPrime.of(c, "y", "z") in nodes
-        assert poset.top == MonomialPrime.of(c, "x", "y", "z", "v")
+        assert nodes[-1] == MonomialPrime.of(c, "x", "y", "z", "v")
         assert len(nodes) == 10
-        assert all(any(p.contains(m) for m in poset.min_primes) for p in nodes)
+        assert all(any(p.contains(m) for m in ideal.minimal_primes())
+                   for p in nodes)
 
     def test_zero_ideal_full_boolean_lattice(self):
         c = ctx("x", "y")
@@ -67,47 +70,57 @@ class TestBuildPoset:
     def test_maximal_ideal_single_node(self):
         c = ctx("x", "y")
         poset = build_poset(MonomialIdeal(c, ((1, 0), (0, 1))))
-        assert poset.nodes() == (poset.top,)
+        assert poset.nodes() == (MonomialPrime.of(c, "x", "y"),)
 
     def test_variable_cap(self):
         c = ctx(*[f"v{i}" for i in range(18)])
         zero = MonomialIdeal(c, ())
-        # the cap guards only the 2^v node list; chains need no nodes
-        poset = build_poset(zero, max_vars=16)
+        # the cap guards only the 2^v node list; chains need no poset
         with pytest.raises(BudgetExceededError):
-            poset.nodes()
-        chain = construct_chain(poset, MonomialPrime(frozenset()))
+            build_poset(zero, max_vars=16).nodes()
+        chain = construct_chain(zero, MonomialPrime(frozenset()))
         assert chain.length == 18
+
+
+def row_heights(ideal):
+    """The height of every node, by its generators, in the poset_json
+    rows; the poset_text rows give the same heights in the same order."""
+    poset = build_poset(ideal)
+    rows = json.loads(poset_json(poset))["nodes"]
+    text = [int(line.split("  height ")[1].split()[0])
+            for line in poset_text(poset).splitlines()]
+    assert [row["height"] for row in rows] == text
+    return {tuple(row["gens"]): row["height"] for row in rows}
 
 
 class TestHeight:
     def test_family_height(self):
         for a, b in ((2, 2), (3, 2), (2, 3)):
             ideal = family_ideal(a, b)
-            poset = build_poset(ideal)
             q = MonomialPrime.of(ideal.context,
                                  *[f"y{i}" for i in range(1, a + 1)],
                                  *[f"z{i}" for i in range(1, b + 1)])
-            assert poset.height(q) == b
+            height = row_heights(ideal)[q.names(ideal.context)]
+            assert height == b == ref_height(ideal, q)
 
     def test_minimal_primes_have_height_zero(self):
         ideal = family_ideal(2, 2)
-        poset = build_poset(ideal)
-        for p in poset.min_primes:
-            assert poset.height(p) == 0
+        heights = row_heights(ideal)
+        for p in ideal.minimal_primes():
+            assert heights[p.names(ideal.context)] == 0
 
     def test_top_height_is_dim(self):
         c = ctx("x", "y", "z", "v")
         ideal = MonomialIdeal(c, ((1, 1, 0, 0), (1, 0, 1, 0)))
-        poset = build_poset(ideal)
-        assert poset.height(poset.top) == 3
+        assert row_heights(ideal)[("x", "y", "z", "v")] == 3
 
     def test_non_node_rejected(self):
+        """A prime that does not contain the ideal gets no row."""
         c = ctx("x", "y", "z")
         ideal = MonomialIdeal(c, ((1, 1, 0),))
-        poset = build_poset(ideal)
-        with pytest.raises(DegenerateInputError):
-            poset.height(MonomialPrime.of(c, "z"))
+        heights = row_heights(ideal)
+        assert ("z",) not in heights
+        assert ("x", "z") in heights
 
     def test_height_plus_dim_bounded(self):
         rng = random.Random(314)
@@ -117,15 +130,16 @@ class TestHeight:
             ideal = MonomialIdeal(c, random_monomial_ideal(rng, v, 4))
             if ideal.is_unit:
                 continue
-            poset = build_poset(ideal)
             dim = ideal.dimension()
-            best = max(p.quotient_dim(v) for p in poset.min_primes)
-            assert best == dim
-            for q in poset.nodes():
-                total = poset.height(q) + q.quotient_dim(v)
+            mins = ideal.minimal_primes()
+            assert max(p.quotient_dim(v) for p in mins) == dim
+            for names, height in row_heights(ideal).items():
+                q = MonomialPrime.of(c, *names)
+                assert height == ref_height(ideal, q)
+                total = height + q.quotient_dim(v)
                 assert total <= dim
                 below_max = any(p.quotient_dim(v) == dim
-                                for p in poset.min_primes if q.contains(p))
+                                for p in mins if q.contains(p))
                 assert (total == dim) == below_max
 
 
@@ -133,8 +147,7 @@ class TestConstructChain:
     def test_family_chain_from_deep_prime(self):
         ideal = family_ideal(2, 2)
         c = ideal.context
-        chain = construct_chain(build_poset(ideal),
-                                MonomialPrime.of(c, "y1", "y2"))
+        chain = construct_chain(ideal, MonomialPrime.of(c, "y1", "y2"))
         assert names_of(chain) == [("y1", "y2"), ("y1", "y2", "z1"),
                                    ("y1", "y2", "z1", "z2"),
                                    ("x", "y1", "y2", "z1", "z2")]
@@ -144,7 +157,7 @@ class TestConstructChain:
         # greedy tie-breaking picks the earliest declared eligible variable
         ideal = family_ideal(2, 2)
         c = ideal.context
-        chain = construct_chain(build_poset(ideal), MonomialPrime.of(c, "x"))
+        chain = construct_chain(ideal, MonomialPrime.of(c, "x"))
         assert chain.length == 4
         assert chain.primes[0] == MonomialPrime.of(c, "x")
         assert names_of(chain) == [("x",), ("x", "y1"), ("x", "y1", "z1"),
@@ -153,23 +166,21 @@ class TestConstructChain:
 
     def test_zero_ideal_chain(self):
         c = ctx("x", "y")
-        chain = construct_chain(build_poset(MonomialIdeal(c, ())),
+        chain = construct_chain(MonomialIdeal(c, ()),
                                 MonomialPrime(frozenset()))
         assert names_of(chain) == [(), ("x",), ("x", "y")]
         assert chain.length == 2
 
     def test_only_minimal_primes_accepted(self):
         ideal = family_ideal(2, 2)
-        poset = build_poset(ideal)
         with pytest.raises(DegenerateInputError):
-            construct_chain(poset, MonomialPrime.of(ideal.context, "z1"))
+            construct_chain(ideal, MonomialPrime.of(ideal.context, "z1"))
 
     def test_associated_maximal_ideal_rejected(self):
         c = ctx("x", "y")
         ideal = MonomialIdeal(c, ((2, 0), (1, 1)))  # M is associated
-        poset = build_poset(ideal)
         with pytest.raises(DegenerateInputError):
-            construct_chain(poset, MonomialPrime.of(c, "x"))
+            construct_chain(ideal, MonomialPrime.of(c, "x"))
 
     def test_verifier_accepts_constructed_chains(self):
         """Successful constructions verify; dead ends (interior choices
@@ -182,21 +193,18 @@ class TestConstructChain:
             c = ctx(*[f"v{i}" for i in range(v)])
             ideal = MonomialIdeal(c, random_monomial_ideal(rng, v, 4,
                                                            squarefree=True))
-            if ideal.is_unit:
+            if ideal.is_unit or ideal.maximal_ideal_associated():
                 continue
-            poset = build_poset(ideal)
-            if poset.top in poset.ass_primes:
-                continue
-            for p in poset.min_primes:
+            for p in ideal.minimal_primes():
                 if p.quotient_dim(v) < 1:
                     continue
                 try:
-                    chain = construct_chain(poset, p)
+                    chain = construct_chain(ideal, p)
                 except ChainInfeasibleError as exc:
                     assert exc.step is not None and exc.node is not None
                     infeasible += 1
                     continue
-                assert verify_chain(poset, chain, p) == []
+                assert verify_chain(ideal, chain, p) == []
                 verified += 1
         assert verified >= 30
         assert infeasible >= 1  # the subposet gap genuinely occurs
@@ -204,19 +212,26 @@ class TestConstructChain:
     def test_verifier_flags_bad_chains(self):
         ideal = family_ideal(2, 2)
         c = ideal.context
-        poset = build_poset(ideal)
-        good = construct_chain(poset, MonomialPrime.of(c, "y1", "y2"))
+        good = construct_chain(ideal, MonomialPrime.of(c, "y1", "y2"))
         # skip a link: no longer saturated and too short
-        broken = PrimeChain(c, (good.primes[0], good.primes[2], good.primes[3]),
-                            good.start_height)
-        assert verify_chain(poset, broken) != []
+        broken = PrimeChain(c, (good.primes[0], good.primes[2],
+                                good.primes[3]))
+        assert verify_chain(ideal, broken) != []
         # interior node picking up a second minimal prime
         detour = PrimeChain(c, (good.primes[0],
                                 MonomialPrime.of(c, "x", "y1", "y2"),
                                 MonomialPrime.of(c, "x", "y1", "y2", "z1"),
-                                good.primes[3]),
-                            good.start_height)
-        assert any("minimal primes" in p for p in verify_chain(poset, detour))
+                                good.primes[3]))
+        assert any("minimal primes" in p for p in verify_chain(ideal, detour))
+        # nodes that miss a generator x*y_i do not contain the ideal
+        outside = PrimeChain(c, tuple(MonomialPrime.of(c, *names) for names in (
+            ("z1",), ("z1", "z2"), ("y1", "z1", "z2"),
+            ("x", "y1", "z1", "z2"), ("x", "y1", "y2", "z1", "z2"))))
+        problems = verify_chain(ideal, outside)
+        assert "(z1,z2) does not contain the ideal" in problems
+        assert "(y1,z1,z2) does not contain the ideal" in problems
+        assert not any(p.startswith("(x,y1,z1,z2) does not")
+                       for p in problems)
 
 
 class TestProfile:
@@ -301,21 +316,19 @@ class TestDot:
     def test_two_chains_meeting_at_top(self):
         ideal = family_ideal(2, 2)
         c = ideal.context
-        poset = build_poset(ideal)
-        left = construct_chain(poset, MonomialPrime.of(c, "x"))
-        right = construct_chain(poset, MonomialPrime.of(c, "y1", "y2"))
+        left = construct_chain(ideal, MonomialPrime.of(c, "x"))
+        right = construct_chain(ideal, MonomialPrime.of(c, "y1", "y2"))
         assert (left.length, right.length) == (4, 3)
-        dot = chain_dot(poset, [left, right])
+        dot = chain_dot(ideal, [left, right])
         edges = [line for line in dot.splitlines() if "->" in line]
         assert len(edges) == 7  # the chains share only the top node
         assert dot.count("shape=box") == 2  # both minimal primes marked
 
     def test_edge_count_equals_chain_length(self):
         ideal = family_ideal(3, 2)
-        poset = build_poset(ideal)
-        for p in poset.min_primes:
-            chain = construct_chain(poset, p)
-            dot = chain_dot(poset, [chain])
+        for p in ideal.minimal_primes():
+            chain = construct_chain(ideal, p)
+            dot = chain_dot(ideal, [chain])
             edges = [line for line in dot.splitlines() if "->" in line]
             assert len(edges) == chain.length
 
@@ -342,9 +355,11 @@ def ref_nodes(poset):
     return tuple(found)
 
 
-def ref_height(poset, q):
-    return max(len(q.indices) - len(p.indices)
-               for p in poset.min_primes if p.indices <= q.indices)
+def ref_marks(poset):
+    """Min, Ass and the maximal ideal of the poset's ideal."""
+    ideal = poset.ideal
+    return (ideal.minimal_primes(), ideal.associated_primes(),
+            MonomialPrime(frozenset(range(ideal.context.count))))
 
 
 def ref_covers(poset, p):
@@ -355,15 +370,16 @@ def ref_covers(poset, p):
 def ref_poset_dot(poset, chains=()):
     ctx = poset.context
     highlight = {(a, b) for c in chains for a, b in zip(c.primes, c.primes[1:])}
+    mins, ass, top = ref_marks(poset)
     lines = ["digraph spec_poset {", "  rankdir=BT;"]
     nodes = ref_nodes(poset)
     for p in nodes:
         attrs = []
-        if p in poset.min_primes:
+        if p in mins:
             attrs.append("shape=box")
-        if p in poset.ass_primes:
+        if p in ass:
             attrs += ["style=filled", "fillcolor=lightgray"]
-        if p == poset.top:
+        if p == top:
             attrs.append("penwidth=2")
         suffix = f" [{','.join(attrs)}]" if attrs else ""
         lines.append(f'  "{p.render(ctx)}"{suffix};')
@@ -377,13 +393,14 @@ def ref_poset_dot(poset, chains=()):
 
 def ref_poset_json(poset):
     ctx = poset.context
+    mins, ass, _ = ref_marks(poset)
     nodes = ref_nodes(poset)
     return json.dumps({
         "nodes": [{"gens": list(p.names(ctx)),
                    "dim": p.quotient_dim(ctx.count),
-                   "height": ref_height(poset, p),
-                   "minimal": p in poset.min_primes,
-                   "associated": p in poset.ass_primes} for p in nodes],
+                   "height": ref_height(poset.ideal, p),
+                   "minimal": p in mins,
+                   "associated": p in ass} for p in nodes],
         "edges": [[list(p.names(ctx)), list(q.names(ctx))]
                   for p in nodes for q in ref_covers(poset, p)],
     })
@@ -391,14 +408,14 @@ def ref_poset_json(poset):
 
 def ref_poset_text(poset):
     ctx = poset.context
+    mins, ass, top = ref_marks(poset)
     lines = []
     for p in ref_nodes(poset):
-        marks = [m for m, on in (("min", p in poset.min_primes),
-                                 ("ass", p in poset.ass_primes),
-                                 ("max", p == poset.top)) if on]
+        marks = [m for m, on in (("min", p in mins), ("ass", p in ass),
+                                 ("max", p == top)) if on]
         suffix = f"  [{','.join(marks)}]" if marks else ""
         lines.append(f"{p.render(ctx)}  dim {p.quotient_dim(ctx.count)}  "
-                     f"height {ref_height(poset, p)}{suffix}")
+                     f"height {ref_height(poset.ideal, p)}{suffix}")
     return "\n".join(lines)
 
 
@@ -423,9 +440,9 @@ def oracle_ideals():
 def poset_chains(poset):
     """Every avoidance chain the poset admits, from each minimal prime."""
     chains = []
-    for p in poset.min_primes:
+    for p in poset.ideal.minimal_primes():
         try:
-            chains.append(construct_chain(poset, p))
+            chains.append(construct_chain(poset.ideal, p))
         except (ChainInfeasibleError, DegenerateInputError):
             pass
     return chains
@@ -441,7 +458,8 @@ class TestRenderingsMatchReference:
 
     def test_cases_cover_embedded_primes_and_chains(self, posets):
         assert len(posets) >= 30
-        assert any(len(p.ass_primes) > len(p.min_primes) for p in posets)
+        assert any(len(p.ideal.associated_primes())
+                   > len(p.ideal.minimal_primes()) for p in posets)
         assert sum(len(poset_chains(p)) for p in posets) >= 15
 
     def test_nodes(self, posets):
