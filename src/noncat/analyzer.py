@@ -20,7 +20,7 @@ qualifying minimal prime, a saturated avoidance chain from it, a depth
 certificate, and a dimension-one prime with small height and localized
 depth > 1. Each verdict is True, False or None; a None verdict reads a
 fact no engine supplies, and the report's `inconclusive` gives the reason.
-Both witness searches share one avoidance chain per minimal prime.
+Witness searches and the chain command share one verified chain per prime.
 """
 
 from __future__ import annotations
@@ -34,10 +34,11 @@ from .groebner import (
     DEFAULT_REGULAR_CANDIDATE_BUDGET,
     DepthResult,
     IdealHandle,
+    monomial_depth,
+    variable_sum,
 )
 from .monomial import MonomialPrime
-from .poly import (DEFAULT_GB_STEP_BUDGET, Polynomial, RingPresentation,
-                   variables)
+from .poly import DEFAULT_GB_STEP_BUDGET, Polynomial, RingPresentation
 from .spectra import (
     DEFAULT_MAX_POSET_VARS,
     build_poset,
@@ -221,7 +222,7 @@ class _Analysis:
         self.mono = handle.monomial_ideal()
         self.ring = RingPresentation(handle.field, handle.context,
                                      handle.generators).render()
-        self._chains = {}  # minimal prime -> its avoidance chain or None
+        self._chains = {}  # start prime -> its chain or ChainInfeasibleError
 
     @classmethod
     def from_presentation(cls, ring, config=None):
@@ -247,11 +248,6 @@ class _Analysis:
                 "monomial ideals")
 
     @cached_property
-    def profile(self):
-        self.require_monomial("the noncatenarity profile")
-        return noncat_profile(self.mono)
-
-    @cached_property
     def facts(self):
         """T is a field when its embedding dimension is 0 and a DVR when it
         is 1 and M is not associated; either is a domain of dimension edim.
@@ -272,7 +268,8 @@ class _Analysis:
             if self.mono is None:
                 missing["profile"] = missing["reduced"] = _NO_MIN
             else:
-                profile, reduced = self.profile, self.mono.is_squarefree
+                profile = noncat_profile(self.mono)
+                reduced = self.mono.is_squarefree
         if reduced is not None and self.field.is_prime_field:
             reduced, missing["reduced"] = None, _CHAR_P
         return _Facts(dim, m_assoc, depth.verdict, carve_out, profile,
@@ -288,15 +285,15 @@ class _Analysis:
         return next((p for p in self.mono.minimal_primes()
                      if lower < p.quotient_dim(self.v) < self.facts.dim), None)
 
-    def _chain(self, p):
-        """The avoidance chain from the minimal prime p, or None when it
-        leaves the monomial subposet; built and verified once per prime and
-        shared by both witness searches."""
+    def chain(self, p):
+        """The avoidance chain from the minimal prime p, or the error that
+        it leaves the monomial subposet; built and verified once per prime,
+        for both witness searches and the CLI's chain command."""
         if p not in self._chains:
             try:
                 chain = construct_chain(self.mono, p)
-            except ChainInfeasibleError:
-                chain = None
+            except ChainInfeasibleError as exc:
+                chain = exc
             else:
                 problems = verify_chain(self.mono, chain, p)
                 if problems:
@@ -314,7 +311,8 @@ class _Analysis:
         if not self.table[1]["noncat_domain"]:
             return None, None
         p = self._qualifying_prime(1)
-        return p, self._chain(p)
+        chain = self.chain(p)
+        return p, None if isinstance(chain, ChainInfeasibleError) else chain
 
     @cached_property
     def ufd_search(self):
@@ -325,8 +323,8 @@ class _Analysis:
         interior chain node has P as its only minimal prime, so
         height(Q') = |Q'| - |P| = dim(T/P) - 1 < dim T - 1."""
         p = self._qualifying_prime(2)
-        chain = None if p is None else self._chain(p)
-        if chain is None:
+        chain = None if p is None else self.chain(p)
+        if chain is None or isinstance(chain, ChainInfeasibleError):
             return None
         qprime = chain.primes[-2]
         if qprime.quotient_dim(self.v) != 1:
@@ -334,11 +332,8 @@ class _Analysis:
         x_elem = self._witness_regular_start(chain.primes[-3])
         if x_elem is None:
             return None
-        local = self.mono.localize(qprime)
-        lhandle = IdealHandle(self.field, local.context,
-                              local.to_polynomials(self.field),
-                              self.config.gb_step_budget)
-        ldepth = lhandle.depth_at_least_two(self.config.regular_candidate_budget)
+        ldepth = monomial_depth(self.field, self.mono.localize(qprime),
+                                self.config.regular_candidate_budget)
         if ldepth.verdict is not True:
             return None
         height = len(qprime.indices) - len(p.indices)
@@ -350,14 +345,11 @@ class _Analysis:
         regular and in Q' (above `inside`), Q' is associated to T/fT
         exactly when depth T_Q' = 1, which the localized depth certificate
         decides."""
-        xs = variables(self.field, self.context)
-        indices = sorted(inside.indices)
-        for cut in itertools.chain(((i,) for i in indices),
-                                   itertools.combinations(indices, 2)):
-            f = sum((xs[k] for k in cut[1:]), xs[cut[0]])
-            if self.mono.is_regular([e for _, e in f.pairs()]):
-                return f
-        return None
+        support = next((s for size in (1, 2) for s in
+                        itertools.combinations(sorted(inside.indices), size)
+                        if self.mono.is_regular(s)), None)
+        return (None if support is None
+                else variable_sum(self.field, self.context, support))
 
     @cached_property
     def report(self):

@@ -44,7 +44,6 @@ from .poly import DEFAULT_GB_STEP_BUDGET
 from .spectra import (
     DEFAULT_MAX_POSET_VARS,
     chain_dot,
-    construct_chain,
     poset_dot,
     poset_json,
     poset_text,
@@ -230,11 +229,15 @@ class _Runner:
         return report_text(report)
 
     def do_profile(self, a):
-        profile = a.profile
+        # edim > 1 without Min is refused before a.facts runs the depth search
+        if a.mono is None and (a.handle.embedding_dimension() > 1
+                               or a.facts.profile is None):
+            a.require_monomial("the noncatenarity profile")
+        profile = a.facts.profile
         if self.fmt == "json":
             return json.dumps({
                 "ring": a.ring,
-                "dim": max(profile),
+                "dim": a.facts.dim,
                 "profile": list(profile),
             })
         if self.fmt == "dot":
@@ -252,8 +255,9 @@ class _Runner:
 
     def do_chain(self, a, from_vars):
         a.require_monomial("the chain command")
-        start = MonomialPrime.of(a.context, *from_vars)
-        chain = construct_chain(a.mono, start)
+        chain = a.chain(MonomialPrime.of(a.context, *from_vars))
+        if isinstance(chain, ChainInfeasibleError):
+            raise chain
         if self.fmt == "dot":
             return chain_dot(a.mono, [chain])
         if self.fmt == "json":

@@ -14,7 +14,7 @@ whatever its presentation (IdealHandle.monomial_ideal). Krull dimension is
 read off the leading-term ideal by the monomial engine. For monomial I the
 monomial engine also settles the socle test and depth >= 2, so monomial
 input never runs Buchberger. Homogeneous non-monomial I reads one grevlex
-basis per candidate linear form, moved to the last variable
+basis per candidate sum of variables, moved to the last variable
 (Bayer-Stillman); when no variable is regular, the same bases give each
 (I : x_i) for the socle test. The colon calculus serves only
 non-homogeneous ideals, and is the oracle in the tests.
@@ -247,17 +247,34 @@ class DepthResult:
                    "associated to the quotient by it")
 
 
-def regular_element_candidates(field, context):
-    """Deterministic candidate stream for regular elements: single
-    variables in declared order, then sums of two distinct variables,
-    then sums of three, and last the sum of all variables. That sum lies
-    in no monomial prime but M, so it is regular on a monomial I whose
-    maximal ideal is not associated."""
-    xs = variables(field, context)
-    sizes = (1, 2, 3, len(xs)) if len(xs) > 3 else (1, 2, 3)
-    for size in sizes:
-        for combo in itertools.combinations(xs, size):
-            yield sum(combo[1:], combo[0])
+def regular_element_candidates(count):
+    """Candidate regular elements over `count` variables, each a sum of
+    variables named by its tuple of indices: single variables in declared
+    order, then sums of two, then of three, and last the sum of all
+    variables. That sum lies in no monomial prime but M, so it is regular
+    on a monomial I whose maximal ideal is not associated."""
+    for size in (1, 2, 3, count) if count > 3 else (1, 2, 3):
+        yield from itertools.combinations(range(count), size)
+
+
+def variable_sum(field, context, support):
+    """The sum of the variables at the indices in `support`."""
+    row = [int(i in support) for i in range(context.count)]
+    return _linear_forms(field, context, [row])[0]
+
+
+def monomial_depth(field, mono, candidate_budget):
+    """Depth >= 2 of a monomial I from the monomial engine, certified by the
+    first regular candidate in the budget, else the sum of all variables."""
+    if mono.maximal_ideal_associated():
+        return DepthResult(False, None,
+                           "depth 0: the maximal ideal is associated")
+    v = mono.context.count
+    support = next((s for s in itertools.islice(
+        regular_element_candidates(v), candidate_budget)
+        if mono.is_regular(s)), tuple(range(v)))
+    return DepthResult.certified(variable_sum(field, mono.context, support),
+                                 mono.depth_at_least_two())
 
 
 class IdealHandle:
@@ -581,42 +598,35 @@ class IdealHandle:
         """Decide depth >= 2 with a regular element as certificate.
 
         Depth drops by exactly one modulo any regular element f, so
-        depth >= 2 exactly when M is not associated after cutting by f. A
-        monomial I is decided by the monomial engine
-        (MonomialIdeal.depth_at_least_two); f is the first candidate within
-        the budget that no associated prime contains, else the sum of all
-        variables. Otherwise the first regular candidate is cut: homogeneous
-        I moves it to the last variable of one grevlex basis, other I uses
-        the colon calculus, and a budget spent without a regular element is
-        reported as inconclusive, never as False.
+        depth >= 2 exactly when M is not associated after cutting by f.
+        Monomial I goes to monomial_depth. Otherwise the first regular
+        candidate is cut: homogeneous I moves it to the last variable of
+        one grevlex basis, other I uses the colon calculus, and a spent
+        budget is reported as inconclusive, never as False.
         """
         if self.maximal_ideal_associated():
             return DepthResult(False, None,
                                "depth 0: the maximal ideal is associated")
         mono = self.monomial_ideal()
-        stream = itertools.islice(
-            regular_element_candidates(self.field, self.context), candidate_budget)
         if mono is not None:
-            xs = variables(self.field, self.context)
-            f = next((f for f in stream
-                      if mono.is_regular([e for _, e in f.pairs()])),
-                     sum(xs[1:], xs[0]))
-            return DepthResult.certified(f, mono.depth_at_least_two())
+            return monomial_depth(self.field, mono, candidate_budget)
         homogeneous = self.is_homogeneous
-        tried = 0
-        for f in stream:
-            tried += 1
+        stream = list(itertools.islice(
+            regular_element_candidates(self.context.count), candidate_budget))
+        for support in stream:
             if homogeneous:
-                support = tuple(sorted(e.index(1) for _, e in f.pairs()))
                 moved = self._moved_to_last(support)
                 if not moved._last_variable_regular():
                     continue
                 cut = moved._cut_by_last_variable()
+                f = variable_sum(self.field, self.context, support)
             else:
+                f = variable_sum(self.field, self.context, support)
                 if self.contains(f) or not self.quotient_element(f).equals(self):
                     continue
                 cut = self.plus(f)
             return DepthResult.certified(f, not cut.maximal_ideal_associated())
         return DepthResult(
             None, None,
-            f"inconclusive: no regular element among the first {tried} candidates")
+            f"inconclusive: no regular element among the first {len(stream)} "
+            "candidates")

@@ -1,6 +1,6 @@
 """Combinatorics of monomial ideals: one irreducible decomposition gives
-the associated primes, the minimal primes (the minimal members of Ass),
-the dimension and whether depth >= 2; localization at monomial primes.
+Ass (its supports), Min, dim, the regular sums of variables, depth >= 2
+and on request a primary decomposition; localization at monomial primes.
 An irreducible monomial ideal is generated by pure powers, so it is held
 as one exponent vector a, standing for (x_i^a_i : a_i > 0). The
 decomposition is built one minimal generator at a time and is
@@ -75,10 +75,6 @@ def _minimalize(vectors):
     return tuple(kept)
 
 
-def _intersect_gens(a, b):
-    return _minimalize(exps_lcm(x, y) for x in a for y in b)
-
-
 class MonomialIdeal:
     """Monomial ideal held by its unique minimal generating set."""
 
@@ -135,9 +131,8 @@ class MonomialIdeal:
     def intersect(self, other):
         if self.context != other.context:
             raise ValueError("monomial ideals over different contexts")
-        if self.is_zero or other.is_zero:
-            return MonomialIdeal(self.context, ())
-        return MonomialIdeal(self.context, _intersect_gens(self.gens, other.gens))
+        return MonomialIdeal(self.context, (exps_lcm(x, y) for x in self.gens
+                                            for y in other.gens))
 
     def __eq__(self, other):
         return (isinstance(other, MonomialIdeal)
@@ -196,43 +191,40 @@ class MonomialIdeal:
         return tuple(comps)
 
     def _decompose(self):
-        """(irreducible components, primary components, minimal primes),
-        computed once. The irredundant irreducible components are grouped
-        by radical, and each group is intersected into one primary
-        component."""
+        """(irreducible components, Ass, Min), computed once. Ass is the
+        set of supports of the irredundant irreducible components, sorted
+        by MonomialPrime.sort_key, and Min its minimal members."""
         with self._lock:
             if self._decomposition is not None:
                 return self._decomposition
         comps = self.irreducible_components()
-        zero = (0,) * self.context.count
-        groups = {}
-        for a in comps:
-            prime = frozenset(i for i, x in enumerate(a) if x)
-            gens = tuple(zero[:i] + (x,) + zero[i + 1:]
-                         for i, x in enumerate(a) if x)
-            groups[prime] = (_intersect_gens(groups[prime], gens)
-                             if prime in groups else gens)
-        primary = tuple(sorted(
-            ((MonomialPrime(p), MonomialIdeal(self.context, gens))
-             for p, gens in groups.items()),
-            key=lambda pc: pc[0].sort_key))
-        minimal = tuple(p for p, _ in primary
-                        if not any(q < p.indices for q in groups))
+        ass = tuple(sorted(
+            {MonomialPrime(frozenset(i for i, x in enumerate(a) if x))
+             for a in comps}, key=lambda p: p.sort_key))
+        minimal = tuple(p for p in ass
+                        if not any(q.indices < p.indices for q in ass))
         with self._lock:
             if self._decomposition is None:
-                self._decomposition = (comps, primary, minimal)
+                self._decomposition = (comps, ass, minimal)
             return self._decomposition
 
     def primary_components(self):
-        """Irredundant primary decomposition, as (prime, component) pairs.
-        The components of minimal primes are unique, those of embedded
-        primes are one valid choice."""
-        return self._decompose()[1]
+        """Irredundant primary decomposition, as (prime, component) pairs in
+        the order of Ass, each component the meet of the irreducible
+        components with that radical: unique for a minimal prime, one valid
+        choice for an embedded one."""
+        meets = {}
+        for a in self._decompose()[0]:
+            s = frozenset(i for i, x in enumerate(a) if x)
+            c = MonomialIdeal(self.context, (
+                tuple(x if j == i else 0 for j, x in enumerate(a)) for i in s))
+            meets[s] = meets[s].intersect(c) if s in meets else c
+        return tuple((p, meets[p.indices]) for p in self.associated_primes())
 
     def associated_primes(self):
-        """Exact Ass(R/I): radicals of the irredundant primary components,
-        sorted by MonomialPrime.sort_key."""
-        return tuple(p for p, _ in self.primary_components())
+        """Exact Ass(R/I): the supports of the irredundant irreducible
+        components, sorted by MonomialPrime.sort_key."""
+        return self._decompose()[1]
 
     # -- derived facts --
 
@@ -247,12 +239,11 @@ class MonomialIdeal:
         top = MonomialPrime(frozenset(range(self.context.count)))
         return top in self.associated_primes()
 
-    def is_regular(self, terms):
-        """Whether the element with these terms (exponent vectors) is a
-        non-zero-divisor on the quotient. Zero divisors form the union of
-        Ass, and a monomial prime contains an element exactly when it
-        contains each of its terms."""
-        return not any(all(p.contains_exps(e) for e in terms)
+    def is_regular(self, support):
+        """Whether the sum of the variables at `support` (indices) is regular
+        on the quotient: zero divisors form the union of Ass, and a monomial
+        prime contains that sum exactly when it contains each variable."""
+        return not any(p.indices.issuperset(support)
                        for p in self.associated_primes())
 
     def depth_at_least_two(self):

@@ -144,7 +144,9 @@ def depth_by_colon(h):
     (I : f) = I, then the socle test on I + (f)."""
     if not h.quotient(h.maximal_ideal()).equals(h):
         return False, None
-    for f in regular_element_candidates(h.field, h.context):
+    xs = variables(h.field, h.context)
+    for support in regular_element_candidates(h.context.count):
+        f = sum((xs[i] for i in support[1:]), xs[support[0]])
         if h.contains(f) or not h.quotient_element(f).equals(h):
             continue
         g = h.plus(f)

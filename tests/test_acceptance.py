@@ -149,13 +149,17 @@ def test_criterion_6_oracle_equivalence():
             assert mono.dimension() == expected_dim
             handle = IdealHandle(QQ, c, mono.to_polynomials(QQ))
             assert handle.krull_dimension() == expected_dim
+            xs = variables(QQ, c)
             for _ in range(2):
-                e = tuple(rng.randint(0, 1) for _ in range(v))
-                if not any(e) or mono.contains_exps(e):
+                support = tuple(i for i in range(v) if rng.randint(0, 1))
+                if not support:
                     continue
-                f = Polynomial(QQ, c, ((1, e),))
+                f = sum((xs[i] for i in support[1:]), xs[support[0]])
+                if handle.contains(f):
+                    assert not mono.is_regular(support)
+                    continue
                 assert handle.is_regular_element(f) == \
-                    mono.is_regular([e])
+                    mono.is_regular(support)
                 regularity_checked += 1
         assert checked >= 200
         assert regularity_checked >= 100

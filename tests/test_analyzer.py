@@ -19,6 +19,7 @@ from noncat.analyzer import (
     _verdicts,
     analyze,
 )
+from noncat.cli import main
 from noncat.errors import ChainInfeasibleError, UnitIdealError
 from noncat.families import FamilySpec, instantiate
 from noncat.groebner import IdealHandle
@@ -297,14 +298,18 @@ class TestWitnessChains:
             found += 1
         assert found >= 32
 
-    def test_every_chain_verified_once(self, monkeypatch):
+    def test_every_chain_verified_once(self, monkeypatch, capsys):
         """Each chain is verified once, when it is built, whichever
         witness search asks for it first: analyze, then the UFD witness
-        search on its own, which never reads the noncat_domain witness."""
-        built, verified = [], []
+        search on its own, which never reads the noncat_domain witness.
+        In the CLI, analyze and the chain command share the chain too:
+        across every demo script and format, each (ideal, start) is
+        built once and every printed chain has been verified."""
+        attempts, built, verified = [], [], []
         construct, verify = analyzer.construct_chain, analyzer.verify_chain
 
         def constructed(ideal, start):
+            attempts.append((ideal, start))
             chain = construct(ideal, start)
             built.append(chain)
             return chain
@@ -324,6 +329,24 @@ class TestWitnessChains:
             assert len(built) >= 32
             assert len(verified) == len(built)
             assert all(v is b for v, b in zip(verified, built))
+        total = 0
+        for script in sorted((ROOT / "demos" / "scripts").glob("*.ncat")):
+            for fmt in ("text", "json", "dot"):
+                attempts.clear()
+                built.clear()
+                verified.clear()
+                main([str(script), "--format", fmt])
+                capsys.readouterr()
+                # each analysis holds its own MonomialIdeal, kept alive
+                # by `attempts`, so ids tell the analyses apart
+                keys = [(id(ideal), start) for ideal, start in attempts]
+                assert len(keys) == len(set(keys)), (script.name, fmt)
+                assert len(verified) == len(built)
+                assert all(v is b for v, b in zip(verified, built))
+                total += len(built)
+        # 15 witness chains of analyze and 6 of the 11 chain commands;
+        # the other 5 start where analyze of the same ideal already built
+        assert total == 21
 
 
 def count_starts(monkeypatch):

@@ -7,7 +7,7 @@ import random
 import jsonschema
 import pytest
 
-from noncat import groebner
+from noncat import analyzer, groebner
 from noncat.analyzer import AnalysisConfig, analyze
 from noncat.cli import REPORT_SCHEMA, main, report_text, run_script
 from noncat.dsl import parse_script
@@ -122,6 +122,50 @@ class TestOtherCommands:
             tmp_path=tmp_path)
         assert code == 0
         assert out.strip() == "profile {3, 2}"
+
+    @pytest.mark.parametrize("script,dim", [
+        ("ring Q[x,y]\nideal I = (y - x^2)", 1),
+        ("ring Q[x]\nideal I = (x + x^2)", 0)], ids=["dvr", "field"])
+    def test_profile_of_regular_ring(self, capsys, tmp_path, script, dim):
+        """profile reads the analysis, so a DVR or field that is not
+        presented by a monomial ideal gets the profile analyze reports."""
+        code, out, _ = invoke(capsys, script + "\nprofile I",
+                              tmp_path=tmp_path)
+        assert (code, out) == (0, f"profile {{{dim}}}\n")
+        code, out, _ = invoke(capsys, script + "\nprofile I",
+                              "--format", "json", tmp_path=tmp_path)
+        payload = json.loads(out)
+        assert code == 0
+        assert (payload["dim"], payload["profile"]) == (dim, [dim])
+
+    @pytest.mark.parametrize("fmt", ["text", "json", "dot"])
+    def test_profile_of_non_monomial_runs_no_depth_search(
+            self, capsys, tmp_path, monkeypatch, fmt):
+        searches = count_calls(monkeypatch, groebner.IdealHandle,
+                               "depth_at_least_two")
+        code, out, err = invoke(
+            capsys, "ring Q[x,y,z]\nideal I = (x*y - z^2)\nprofile I",
+            "--format", fmt, tmp_path=tmp_path)
+        assert code == 2 and out == ""
+        assert err == ("unsupported input class: the noncatenarity profile "
+                       "needs minimal primes, which are only computed for "
+                       "monomial ideals\n")
+        assert searches == []
+
+    @pytest.mark.parametrize("before", ["", "analyze I\n"],
+                             ids=["alone", "after-analyze"])
+    def test_infeasible_chain_exits_2(self, capsys, tmp_path, monkeypatch,
+                                      before):
+        """No eligible variable lies above (x,y). After analyze, the chain
+        command raises the error analyze cached, without a second try."""
+        built = count_calls(monkeypatch, analyzer, "construct_chain")
+        script = ("ring Q[x,y,z,w]\nideal I = (x^2*z, y^2*z*w)\n"
+                  f"{before}chain I from (x, y)\n")
+        code, _, err = invoke(capsys, script, tmp_path=tmp_path)
+        assert code == 2
+        assert err == ("unsupported input class: no eligible variable at "
+                       "step 1 above (x,y)\n")
+        assert len(built) == 1
 
     def test_chain_dot_four_nodes_three_edges(self, capsys, tmp_path):
         script = ("ring Q[x,y1,y2,z1,z2]\n"

@@ -573,6 +573,20 @@ class TestMaximalIdealAssociated:
 
 
 class TestDepth:
+    def test_candidate_stream(self):
+        """A candidate is the support of a sum of variables: singles, then
+        pairs, then triples, then all variables. Over at most three
+        variables the sum of all of them comes once, in its own size."""
+        assert list(groebner.regular_element_candidates(4)) == [
+            (0,), (1,), (2,), (3,),
+            (0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3),
+            (0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3),
+            (0, 1, 2, 3)]
+        for count in range(4):
+            stream = list(groebner.regular_element_candidates(count))
+            assert len(stream) == len(set(stream)) == 2 ** count - 1
+            assert stream.count(tuple(range(count))) == min(count, 1)
+
     def test_ufd_family_depth_two(self):
         names = ("x", "y1", "y2", "z1", "z2")
         c = ctx(*names)

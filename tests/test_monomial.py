@@ -2,6 +2,7 @@
 monomial ideals, cross-checked against brute force and the Groebner
 engine."""
 
+import functools
 import itertools
 import random
 
@@ -10,7 +11,7 @@ import pytest
 from noncat.errors import EmptyLocalizationError, UnitIdealError, UnsupportedInputError
 from noncat.groebner import IdealHandle
 from noncat.monomial import MonomialIdeal, MonomialPrime
-from noncat.poly import FieldDescriptor, Polynomial, variables
+from noncat.poly import FieldDescriptor, variables
 
 from conftest import (
     QQ,
@@ -174,6 +175,26 @@ class TestAssociatedPrimes:
         assert comps[py] == mono(c, (0, 1))
 
 
+    def test_primary_components_match_ass_and_intersect_to_ideal(self):
+        rng = random.Random(67)
+        checked = embedded = 0
+        while checked < 60:
+            v = rng.randint(1, 5)
+            c = ctx(*[f"v{i}" for i in range(v)])
+            ideal = mono(c, *random_monomial_ideal(rng, v, 5))
+            if ideal.is_unit:
+                continue
+            checked += 1
+            pairs = ideal.primary_components()
+            assert tuple(p for p, _ in pairs) == ideal.associated_primes()
+            for p, component in pairs:
+                assert component.associated_primes() == (p,)
+            assert functools.reduce(MonomialIdeal.intersect,
+                                    (q for _, q in pairs)) == ideal
+            embedded += len(pairs) > len(ideal.minimal_primes())
+        assert embedded >= 10
+
+
 class TestLocalize:
     def test_family_localization(self):
         names = ("x", "y1", "y2", "z1", "z2")
@@ -230,12 +251,13 @@ class TestCrossEngine:
             if ideal.is_unit:
                 continue
             h = IdealHandle(QQ, c, ideal.to_polynomials(QQ))
+            xs = variables(QQ, c)
             for _ in range(4):
-                e = tuple(max(0, rng.randint(-1, 2)) for _ in range(v))
-                if not any(e):
+                support = tuple(i for i in range(v) if rng.randint(0, 1))
+                if not support:
                     continue
-                f = Polynomial(QQ, c, ((1, e),))
-                by_avoidance = ideal.is_regular([e])
+                f = sum((xs[i] for i in support[1:]), xs[support[0]])
+                by_avoidance = ideal.is_regular(support)
                 if h.contains(f):
                     assert not by_avoidance
                     continue
