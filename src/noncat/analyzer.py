@@ -206,8 +206,9 @@ class _Analysis:
     facts the verdict table reads, the table, and the witnesses of its true
     verdicts, whose chains read the monomial engine's Min and Ass. The
     handle caches the basis, Min, Ass, dim and the socle test. The CLI
-    keeps one analysis per ideal, so all its commands on that ideal share
-    the work; the spectrum poset is built only for its renderings."""
+    keeps one analysis per presented ring, so all its commands on that
+    ring share the work; the spectrum poset is built only for its
+    renderings."""
 
     def __init__(self, handle, config):
         if any(not any(e) for g in handle.generators for _, e in g.pairs()):

@@ -168,8 +168,10 @@ def report_text(report):
 
 
 class _Runner:
-    """Executes a parsed script statement by statement. Each ideal gets one
-    _Analysis at its first command, and every command on it reads that."""
+    """Executes a parsed script statement by statement. Each presented ring
+    (field, context and generator tuple) gets one _Analysis at its first
+    command, and every command on it reads that, whether it names an
+    ideal or instantiates a family."""
 
     def __init__(self, config, fmt):
         self.config = config
@@ -194,8 +196,9 @@ class _Runner:
                 yield self.do_chain(self.analysis(stmt.ideal), stmt.from_vars)
             elif isinstance(stmt, FamilyCmd):
                 ring, _ = instantiate(FamilySpec(stmt.kind, stmt.params))
-                yield self.do_analyze(
-                    _Analysis.from_presentation(ring, self.config))
+                handle = IdealHandle.from_presentation(
+                    ring, self.config.gb_step_budget)
+                yield self.do_analyze(self.shared(handle))
             else:
                 raise TypeError(f"not a statement: {stmt!r}")
 
@@ -211,11 +214,15 @@ class _Runner:
         raise TypeError(f"not an ideal expression: {expr!r}")
 
     def analysis(self, name):
-        """The shared analysis of the named ideal's handle."""
-        handle = self.handles[name]
-        if handle not in self.analyses:
-            self.analyses[handle] = _Analysis(handle, self.config)
-        return self.analyses[handle]
+        """The shared analysis of the named ideal."""
+        return self.shared(self.handles[name])
+
+    def shared(self, handle):
+        """The one analysis of the ring the handle presents."""
+        key = (handle.field, handle.context, handle.generators)
+        if key not in self.analyses:
+            self.analyses[key] = _Analysis(handle, self.config)
+        return self.analyses[key]
 
     def do_analyze(self, a):
         report = a.report

@@ -296,7 +296,7 @@ class _Parser:
         return out
 
     def parse_term(self, sign):
-        coeff = Fraction(sign)
+        coeff = sign
         exps = [0] * self.context.count
         saw_factor = False
         tok = self.peek()

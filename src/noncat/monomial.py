@@ -14,6 +14,7 @@ immutable apart from one fill-once cache per ideal.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import threading
 from dataclasses import dataclass
@@ -268,10 +269,29 @@ class MonomialIdeal:
         comps = self._decompose()[0]
         masks = [sum(1 << i for i, x in enumerate(b) if x) for b in comps]
 
+        # both are cached for this call: for a squarefree I every covering
+        # pair has the same min(b, c), so one family serves every pair
+
+        @functools.cache
         def family(m):
             """Indices of the components C_d with d >= m on supp d."""
-            return [k for k, d in enumerate(comps)
-                    if all(x >= y for x, y in zip(d, m) if x)]
+            return tuple(k for k, d in enumerate(comps)
+                         if all(x >= y for x, y in zip(d, m) if x))
+
+        @functools.cache
+        def pieces(members):
+            """Each member's connected piece, named by one vertex of it."""
+            label, unseen = {}, set(members)
+            while unseen:
+                root = unseen.pop()
+                label[root], stack = root, [root]
+                while stack:
+                    j = masks[stack.pop()]
+                    near = [i for i in unseen if masks[i] | j != full]
+                    unseen.difference_update(near)
+                    label.update(dict.fromkeys(near, root))
+                    stack += near
+            return label
 
         for k, b in enumerate(comps):
             if masks[k].bit_count() == v - 1 and not any(
@@ -281,15 +301,9 @@ class MonomialIdeal:
         for k, l in itertools.combinations(range(len(comps)), 2):
             if masks[k] | masks[l] != full:
                 continue
-            members = family(tuple(min(x, y) if x and y else x + y
-                                   for x, y in zip(comps[k], comps[l])))
-            piece, stack = {k}, [k]
-            while stack:
-                j = stack.pop()
-                near = {i for i in members if masks[i] | masks[j] != full}
-                stack.extend(near - piece)
-                piece |= near
-            if l not in piece:
+            label = pieces(family(tuple(min(x, y) if x and y else x + y
+                                        for x, y in zip(comps[k], comps[l]))))
+            if label[k] != label[l]:
                 return False
         return True
 

@@ -1,6 +1,9 @@
 """Exact multivariate polynomials over Q or GF(p) with total monomial orders.
 
-A monomial is its exponent tuple, indexed against a variable context.
+A monomial is its exponent tuple, indexed against a variable context. A
+coefficient in GF(p) is an int in [0, p); one in Q is an int when it is
+integral and a Fraction with denominator above 1 otherwise.
+
 Every value in this module is immutable and every operation is a pure
 function, so contexts, exponent tuples and polynomials can be shared
 freely between threads. The one lazily filled slot, a polynomial's
@@ -51,9 +54,22 @@ def _is_prime(n):
     return True
 
 
+def _rational(value):
+    """The canonical element of Q for a Fraction: its numerator when the
+    denominator is 1, the Fraction itself otherwise."""
+    return value.numerator if value.denominator == 1 else value
+
+
 @dataclass(frozen=True)
 class FieldDescriptor:
-    """Coefficient field: the rationals (characteristic 0) or GF(p)."""
+    """Coefficient field: the rationals (characteristic 0) or GF(p).
+
+    An element of GF(p) is an int in [0, p). An element of Q is an int
+    when it is integral and a Fraction with denominator above 1
+    otherwise, so the small integers most arithmetic touches never pay
+    for a Fraction. Every operation takes and returns canonical
+    elements; Python compares and hashes an int and a Fraction of equal
+    value alike, so the choice shows only in the types."""
 
     characteristic: int = 0
 
@@ -71,32 +87,47 @@ class FieldDescriptor:
 
     @property
     def zero(self):
-        return 0 if self.characteristic else Fraction(0)
+        return 0
 
     @property
     def one(self):
-        return 1 if self.characteristic else Fraction(1)
+        return 1
 
     def coerce(self, value):
         """Turn an int or Fraction into a canonical element of the field."""
         p = self.characteristic
         if p == 0:
-            return value if isinstance(value, Fraction) else Fraction(value)
+            if type(value) is int:
+                return value
+            return _rational(value if isinstance(value, Fraction)
+                             else Fraction(value))
         if isinstance(value, Fraction):
             return self.div(value.numerator % p, value.denominator % p)
         return int(value) % p
 
+    # over Q, int with int stays an int; only a result that involved a
+    # Fraction can have come out integral and need _rational
+
     def add(self, a, b):
         p = self.characteristic
-        return (a + b) % p if p else a + b
+        if p:
+            return (a + b) % p
+        c = a + b
+        return c if type(c) is int else _rational(c)
 
     def sub(self, a, b):
         p = self.characteristic
-        return (a - b) % p if p else a - b
+        if p:
+            return (a - b) % p
+        c = a - b
+        return c if type(c) is int else _rational(c)
 
     def mul(self, a, b):
         p = self.characteristic
-        return (a * b) % p if p else a * b
+        if p:
+            return (a * b) % p
+        c = a * b
+        return c if type(c) is int else _rational(c)
 
     def neg(self, a):
         p = self.characteristic
@@ -110,7 +141,9 @@ class FieldDescriptor:
             return pow(a, p - 2, p)
         if a == 0:
             raise ZeroDivisionError("inverse of zero")
-        return 1 / Fraction(a)
+        if a == 1 or a == -1:
+            return a
+        return _rational(1 / Fraction(a))
 
     def div(self, a, b):
         return self.mul(a, self.inv(b))

@@ -3,7 +3,9 @@ verdicts with witnesses, forced catenarity, the universal-catenarity
 obstruction and the regularity check."""
 
 import itertools
+import json
 import random
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -344,9 +346,11 @@ class TestWitnessChains:
                 assert len(verified) == len(built)
                 assert all(v is b for v, b in zip(verified, built))
                 total += len(built)
-        # 15 witness chains of analyze and 6 of the 11 chain commands;
-        # the other 5 start where analyze of the same ideal already built
-        assert total == 21
+        # 12 witness chains of analyze and 6 of the 11 chain commands;
+        # the other 5 start where analyze of the same ideal already built,
+        # and family example_ufd(2, 2) shares the analysis of the ideal J
+        # that ufd_family.ncat writes out by hand
+        assert total == 18
 
 
 def count_starts(monkeypatch):
@@ -625,6 +629,54 @@ class TestVerdictInvariance:
         assert b.verdicts.pop("regularity_at_min") is None
         del a.verdicts["regularity_at_min"]
         assert a.verdicts == b.verdicts
+
+
+def tilted_ring(number):
+    """(l_x) cap (l_y1, l_y2) over Q[x,y1,y2,z1] for linear forms after a
+    unitriangular change of coordinates, every coefficient given through
+    number: depth >= 2 and dim 3, but not monomial."""
+    c = ctx("x", "y1", "y2", "z1")
+
+    def form(*coeffs):
+        return Polynomial(QQ, c, ((number(k), tuple(int(i == j)
+                                                     for j in range(4)))
+                                  for i, k in enumerate(coeffs) if k))
+
+    lx, ly1, ly2 = form(1, 2, -1, 0), form(0, 1, -2, 1), form(0, 0, 1, 2)
+    return ring_of(c, lx * ly1, lx * ly2)
+
+
+def twisted_cubic_ring(number):
+    """The cone over the twisted cubic, (ac - b^2, ad - bc, bd - c^2) of
+    dim 2 and depth 2, every coefficient given through number."""
+    c = ctx("a", "b", "c", "d")
+    return ring_of(c, *(Polynomial(QQ, c, ((number(1), p), (number(-1), q)))
+                        for p, q in [((1, 0, 1, 0), (0, 2, 0, 0)),
+                                     ((1, 0, 0, 1), (0, 1, 1, 0)),
+                                     ((0, 1, 0, 1), (0, 0, 2, 0))]))
+
+
+class TestCoefficientTypes:
+    """Coefficients given as Fraction(n) or as n present one ring."""
+
+    @pytest.mark.parametrize("build,dim", [(tilted_ring, 3),
+                                           (twisted_cubic_ring, 2)])
+    def test_fraction_and_int_coefficients(self, build, dim):
+        def typed(polys):
+            return [(type(k), k, e) for p in polys for k, e in p.pairs()]
+
+        by_int, by_fraction = build(int), build(Fraction)
+        assert typed(by_int.generators) == typed(by_fraction.generators)
+        assert by_int == by_fraction and hash(by_int) == hash(by_fraction)
+        bases = [IdealHandle.from_presentation(r).groebner_basis()
+                 for r in (by_int, by_fraction)]
+        assert typed(bases[0]) == typed(bases[1])
+        assert hash(bases[0]) == hash(bases[1])
+        reports = [json.dumps(analyze(r).to_json_dict())
+                   for r in (by_int, by_fraction)]
+        assert reports[0] == reports[1]
+        report = json.loads(reports[0])
+        assert report["dim"] == dim and report["conditions"]["depth_ge2"]
 
 
 class TestMonomialEngineOnly:

@@ -3,6 +3,7 @@ JSON schema, and exit codes."""
 
 import json
 import random
+from pathlib import Path
 
 import jsonschema
 import pytest
@@ -20,6 +21,8 @@ from noncat.monomial import MonomialIdeal
 from noncat.spectra import SpecPoset
 
 from conftest import count_calls
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def run_cli(capsys, text, *args):
@@ -295,6 +298,24 @@ class TestSharedAnalysis:
         assert code == 0 and len(out.splitlines()) >= 3
         renders = command == "poset" or (command, fmt) == ("analyze", "dot")
         assert len(posets) == (2 if renders else 0)
+
+    def test_family_shares_the_analysis_of_the_same_ring(self, monkeypatch):
+        """family example_ufd(2, 2) presents (x*y1, x*y2) over
+        Q[x,y1,y2,z1,z2], which ufd_family.ncat then writes out by hand as
+        J: analyze J reads the family's analysis, so the (y1,y2) witness
+        chain is built once, and the chain command from (x) builds the
+        only other chain."""
+        built = count_calls(monkeypatch, analyzer, "construct_chain")
+        outputs = run_script(parse_script(
+            (ROOT / "demos" / "scripts" / "ufd_family.ncat").read_text()),
+            AnalysisConfig(), "json")
+        family = json.loads(next(outputs))
+        assert family["witnesses"]["chain"][0] == ["y1", "y2"]
+        assert len(built) == 1
+        assert json.loads(next(outputs)) == family
+        assert len(built) == 1
+        assert len(list(outputs)) == 2
+        assert len(built) == 2
 
     def test_second_analyze_runs_no_buchberger(self, monkeypatch):
         calls = count_calls(monkeypatch, groebner, "buchberger")

@@ -393,3 +393,44 @@ class TestDepthRule:
             moved = mono(c, *(tuple(g[perm[i]] for i in range(v))
                               for g in gens))
             assert ideal.depth_at_least_two() == moved.depth_at_least_two()
+
+    def test_cycles_and_random_ideals_match_oracles(self):
+        """Pieces labelled once per family decide as the oracles do: the
+        edge ideals of the cycles C_5 .. C_12 (depth 2 or more) and the
+        Stanley-Reisner ideals of random complexes in 6-8 variables against
+        Hochster, random non-squarefree ideals against the colon
+        calculus."""
+        cycles = [mono(ctx(*[f"x{i}" for i in range(n)]), *(
+            tuple(int(j in (i, (i + 1) % n)) for j in range(n))
+            for i in range(n))) for n in range(5, 13)]
+        for ideal in cycles:
+            assert ideal.depth_at_least_two() is True
+            assert hochster_depth_at_least_two(ideal) is True
+        rng = random.Random(1603)
+        verdicts = []
+        for _ in range(60):
+            v = rng.randint(6, 8)
+            c = ctx(*[f"v{i}" for i in range(v)])
+            ideal = None
+            for _ in range(rng.randint(2, 5)):
+                # the prime of a random facet: the variables outside it
+                facet = rng.sample(range(v), rng.randint(1, 4))
+                prime = mono(c, *(tuple(int(j == i) for j in range(v))
+                                  for i in range(v) if i not in facet))
+                ideal = prime if ideal is None else ideal.intersect(prime)
+            verdict = ideal.depth_at_least_two()
+            assert verdict == hochster_depth_at_least_two(ideal), ideal
+            verdicts.append(verdict)
+        checked = 0
+        while checked < 30:
+            v = rng.randint(3, 5)
+            c = ctx(*[f"v{i}" for i in range(v)])
+            ideal = mono(c, *random_monomial_ideal(rng, v, 5, max_exp=3))
+            if ideal.is_unit or ideal.is_squarefree:
+                continue
+            checked += 1
+            h = IdealHandle(QQ, c, ideal.to_polynomials(QQ))
+            verdict = ideal.depth_at_least_two()
+            assert verdict == depth_by_colon(h)[0], ideal
+            verdicts.append(verdict)
+        assert True in verdicts and False in verdicts

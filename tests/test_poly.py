@@ -10,7 +10,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from noncat.dsl import GenList, IdealStmt, parse_script
 from noncat.errors import BudgetExceededError, ContextMismatchError
+from noncat.groebner import IdealHandle, buchberger
 from noncat.poly import (
     GREVLEX,
     LEX,
@@ -40,6 +42,37 @@ class TestField:
         f = QQ
         third = f.coerce(Fraction(1, 3))
         assert f.mul(third, f.coerce(3)) == f.one
+
+    def test_integral_rationals_are_ints(self):
+        """An element of Q is an int when integral and a Fraction with
+        denominator above 1 otherwise, whatever the operation."""
+        f = QQ
+        for value, want in [(f.zero, 0), (f.one, 1),
+                            (f.coerce(Fraction(4, 2)), 2),
+                            (f.coerce(Fraction(-3)), -3), (f.coerce(5), 5),
+                            (f.inv(Fraction(1, 3)), 3),
+                            (f.inv(Fraction(-1, 4)), -4),
+                            (f.inv(1), 1), (f.inv(-1), -1),
+                            (f.add(Fraction(1, 2), Fraction(3, 2)), 2),
+                            (f.sub(Fraction(1, 2), Fraction(5, 2)), -2),
+                            (f.mul(4, Fraction(3, 2)), 6),
+                            (f.div(6, 3), 2), (f.div(6, -3), -2),
+                            (f.div(Fraction(3, 2), Fraction(3, 4)), 2),
+                            (f.neg(7), -7)]:
+            assert type(value) is int and value == want
+        for value, want in [(f.inv(2), Fraction(1, 2)),
+                            (f.inv(-2), Fraction(-1, 2)),
+                            (f.inv(Fraction(2, 3)), Fraction(3, 2)),
+                            (f.div(3, 6), Fraction(1, 2)),
+                            (f.div(3, -6), Fraction(-1, 2)),
+                            (f.add(1, Fraction(1, 2)), Fraction(3, 2)),
+                            (f.neg(Fraction(1, 2)), Fraction(-1, 2))]:
+            assert type(value) is Fraction and value == want
+        for zero in (0, Fraction(0)):
+            with pytest.raises(ZeroDivisionError):
+                f.inv(zero)
+            with pytest.raises(ZeroDivisionError):
+                f.div(1, zero)
 
     def test_prime_field_arithmetic(self):
         f = FieldDescriptor(7)
@@ -277,13 +310,19 @@ class TestSubstituteLinear:
 ORDERS = (GREVLEX, LEX, BlockEliminationOrder(1), BlockEliminationOrder(2))
 
 
+#: small rationals, drawn both as ints and as Fractions (integral ones too)
+RATIONAL_COEFFS = st.one_of(
+    st.integers(-5, 5),
+    st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4)))
+
+
 @st.composite
-def polynomials(draw, field, context, max_terms=5, nonzero=False):
+def polynomials(draw, field, context, max_terms=5, nonzero=False,
+                coeffs=st.integers(-5, 5), max_exp=3):
     """Random polynomial through the checked constructor; with nonzero, a
     draw that cancels to zero is replaced by the constant 1."""
-    exps = st.tuples(*[st.integers(0, 3)] * context.count)
-    terms = draw(st.lists(st.tuples(st.integers(-5, 5), exps),
-                          max_size=max_terms))
+    exps = st.tuples(*[st.integers(0, max_exp)] * context.count)
+    terms = draw(st.lists(st.tuples(coeffs, exps), max_size=max_terms))
     f = Polynomial(field, context, terms)
     if nonzero and f.is_zero:
         return Polynomial.constant(field, context, 1)
@@ -411,3 +450,83 @@ class TestCanonicalForm:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in threads)
         assert wrong == []
+
+
+def assert_rational_canonical(p):
+    """Every coefficient of p over Q is an int exactly when integral."""
+    for c, _ in p.pairs():
+        assert type(c) is (int if c.denominator == 1 else Fraction), (c, p)
+
+
+@st.composite
+def script_polynomials(draw, names):
+    """Text of a polynomial in the script language with coefficients
+    written as n/d, so integral ones such as 4/2 appear too."""
+    exps = st.tuples(*[st.integers(0, 2)] * len(names))
+    terms = draw(st.lists(st.tuples(st.sampled_from("+-"), st.integers(1, 6),
+                                    st.integers(1, 4), exps),
+                          min_size=1, max_size=4))
+    out = ""
+    for sign, num, den, e in terms:
+        mono = "".join(f"*{n}^{k}" for n, k in zip(names, e) if k)
+        out += f" {sign} {num}/{den}{mono}"
+    return out
+
+
+class TestRationalsAsInts:
+    """Over Q no polynomial holds a Fraction with denominator 1, whichever
+    path built it: integral coefficients are ints, the rest Fractions."""
+
+    @settings(deadline=None, max_examples=60)
+    @given(st.data())
+    def test_arithmetic_and_division(self, data):
+        c, target = ctx("x", "y", "z"), ctx("u", "v", "w", "t")
+        f, g = (data.draw(polynomials(QQ, c, coeffs=RATIONAL_COEFFS))
+                for _ in range(2))
+        h = data.draw(polynomials(QQ, c, nonzero=True, coeffs=RATIONAL_COEFFS))
+        coeff = data.draw(RATIONAL_COEFFS)
+        shift = data.draw(st.tuples(*[st.integers(0, 2)] * 3))
+        order = data.draw(st.sampled_from(ORDERS))
+        forms = data.draw(st.lists(
+            st.lists(st.tuples(RATIONAL_COEFFS, st.integers(0, 3)),
+                     min_size=1, max_size=3).map(tuple),
+            min_size=3, max_size=3))
+        qs, r = divide(f, (g, h) if g else (h,), order)
+        for p in [f, g, h, f + g, f - g, -f, f * g,
+                  f.term_multiple(coeff, shift), f.monic(order), *qs, r,
+                  substitute_linear(f, forms, target)]:
+            assert_rational_canonical(p)
+
+    @settings(deadline=None, max_examples=30)
+    @given(st.data())
+    def test_groebner_bases_and_intersections(self, data):
+        c = ctx("x", "y", "z")
+        small = polynomials(QQ, c, max_terms=3, nonzero=True,
+                            coeffs=RATIONAL_COEFFS, max_exp=1)
+        gens = [data.draw(small) for _ in range(2)]
+        try:
+            basis = buchberger(gens, GREVLEX, Budget(2000))
+            meet = IdealHandle(QQ, c, gens[:1], 2000).intersection(
+                IdealHandle(QQ, c, gens[1:], 2000))
+        except BudgetExceededError:
+            return
+        linear = st.lists(st.tuples(RATIONAL_COEFFS, st.sampled_from(
+            [(1, 0, 0), (0, 1, 0), (0, 0, 1)])), min_size=1, max_size=3)
+        left, right = ([Polynomial(QQ, c, data.draw(linear))
+                        for _ in range(data.draw(st.integers(1, 2)))]
+                       for _ in range(2))
+        linear_meet = IdealHandle(QQ, c, left).intersection(
+            IdealHandle(QQ, c, right))
+        for p in (*basis, *meet.generators, *linear_meet.generators):
+            assert_rational_canonical(p)
+
+    @settings(deadline=None, max_examples=40)
+    @given(st.lists(script_polynomials(("x", "y", "z")), min_size=1,
+                    max_size=3))
+    def test_parsed_scripts(self, polys):
+        script = parse_script(
+            f"ring Q[x, y, z]\nideal I = ({', '.join(polys)})\n")
+        stmt, = (s for s in script.statements if isinstance(s, IdealStmt))
+        assert isinstance(stmt.expr, GenList)
+        for p in stmt.expr.polys:
+            assert_rational_canonical(p)
