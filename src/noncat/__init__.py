@@ -32,7 +32,6 @@ from .poly import (
 )
 from .spectra import (
     PrimeChain,
-    SpecPoset,
     build_poset,
     chain_dot,
     construct_chain,
@@ -54,6 +53,6 @@ __all__ = [
     "MonomialIdeal", "MonomialPrime",
     "GREVLEX", "LEX", "FieldDescriptor", "Polynomial", "RingPresentation",
     "VariableContext", "divide", "variables",
-    "PrimeChain", "SpecPoset", "build_poset", "chain_dot", "construct_chain",
+    "PrimeChain", "build_poset", "chain_dot", "construct_chain",
     "noncat_profile", "poset_dot", "verify_chain",
 ]

@@ -39,13 +39,7 @@ from .groebner import (
 )
 from .monomial import MonomialPrime
 from .poly import DEFAULT_GB_STEP_BUDGET, Polynomial, RingPresentation
-from .spectra import (
-    DEFAULT_MAX_POSET_VARS,
-    build_poset,
-    construct_chain,
-    noncat_profile,
-    verify_chain,
-)
+from .spectra import construct_chain, noncat_profile, verify_chain
 
 SEMANTICS_EXACT = "monomial-exact"
 SEMANTICS_UNVERIFIED = "unverified-completion"
@@ -71,7 +65,6 @@ _CHAR_P = ("unsupported (regularity remark check unavailable in "
 class AnalysisConfig:
     gb_step_budget: int = DEFAULT_GB_STEP_BUDGET
     regular_candidate_budget: int = DEFAULT_REGULAR_CANDIDATE_BUDGET
-    max_poset_vars: int = DEFAULT_MAX_POSET_VARS  # CLI poset and DOT only
 
 
 @dataclass(frozen=True)
@@ -207,8 +200,8 @@ class _Analysis:
     verdicts, whose chains read the monomial engine's Min and Ass. The
     handle caches the basis, Min, Ass, dim and the socle test. The CLI
     keeps one analysis per presented ring, so all its commands on that
-    ring share the work; the spectrum poset is built only for its
-    renderings."""
+    ring share the work; the spectrum poset is walked only to be
+    rendered."""
 
     def __init__(self, handle, config):
         if any(not any(e) for g in handle.generators for _, e in g.pairs()):
@@ -236,17 +229,13 @@ class _Analysis:
         return self.handle.depth_at_least_two(
             self.config.regular_candidate_budget)
 
-    @cached_property
-    def poset(self):
-        """The spectrum poset, for the CLI's poset and DOT renderings."""
-        self.require_monomial("the spectrum poset")
-        return build_poset(self.mono, self.config.max_poset_vars)
-
     def require_monomial(self, what):
+        """The monomial ideal, for what needs its minimal primes."""
         if self.mono is None:
             raise UnsupportedInputError(
                 f"{what} needs minimal primes, which are only computed for "
                 "monomial ideals")
+        return self.mono
 
     @cached_property
     def facts(self):

@@ -41,13 +41,7 @@ from .families import FamilySpec, instantiate
 from .groebner import DEFAULT_REGULAR_CANDIDATE_BUDGET, IdealHandle
 from .monomial import MonomialPrime
 from .poly import DEFAULT_GB_STEP_BUDGET
-from .spectra import (
-    DEFAULT_MAX_POSET_VARS,
-    chain_dot,
-    poset_dot,
-    poset_json,
-    poset_text,
-)
+from .spectra import chain_dot, poset_dot, poset_json, poset_text
 
 _TRISTATE = {True: "true", False: "false", None: "inconclusive"}
 
@@ -143,22 +137,24 @@ def report_text(report):
         for i, p in enumerate(report.minimal_primes):
             label = "minimal primes" if i == 0 else ""
             rows.append((label,
-                         f"({','.join(p.gens)})  dim {p.dim}  height {p.height}"))
+                         f"{MonomialPrime.label(p.gens)}  dim {p.dim}  "
+                         f"height {p.height}"))
     if report.associated_primes is not None:
         rows.append(("associated primes",
-                     ", ".join(f"({','.join(names)})"
-                               for names in report.associated_primes)))
+                     ", ".join(map(MonomialPrime.label,
+                                   report.associated_primes))))
     rows.extend(_kv_lines("conditions", report.conditions.items()))
     rows.extend(_kv_lines("verdicts", report.verdicts.items()))
     w = report.witnesses
-    rows.append(("witness P", f"({','.join(w.P)})" if w.P else "-"))
+    rows.append(("witness P",
+                 MonomialPrime.label(w.P) if w.P is not None else "-"))
     rows.append(("witness chain",
-                 " < ".join(f"({','.join(n)})" for n in w.chain)
+                 " < ".join(map(MonomialPrime.label, w.chain))
                  if w.chain else "-"))
     rows.append(("regular element", w.regular_element or "-"))
     rows.append(("ufd witness Q'",
-                 f"({','.join(w.ufd_witness_prime)})"
-                 if w.ufd_witness_prime else "-"))
+                 MonomialPrime.label(w.ufd_witness_prime)
+                 if w.ufd_witness_prime is not None else "-"))
     for i, item in enumerate(report.inconclusive):
         rows.append(("inconclusive" if i == 0 else "", item))
     for i, item in enumerate(report.notes):
@@ -232,7 +228,8 @@ class _Runner:
             return json.dumps(report.to_json_dict(), sort_keys=False)
         if self.fmt == "dot":
             _, chain = a.noncat_domain
-            return poset_dot(a.poset, [chain] if chain else [])
+            return poset_dot(a.require_monomial("the spectrum poset"),
+                             [chain] if chain else [])
         return report_text(report)
 
     def do_profile(self, a):
@@ -253,12 +250,12 @@ class _Runner:
         return "profile {" + ", ".join(map(str, profile)) + "}"
 
     def do_poset(self, a):
-        poset = a.poset
+        mono = a.require_monomial("the spectrum poset")
         if self.fmt == "dot":
-            return poset_dot(poset)
+            return poset_dot(mono)
         if self.fmt == "json":
-            return poset_json(poset)
-        return poset_text(poset)
+            return poset_json(mono)
+        return poset_text(mono)
 
     def do_chain(self, a, from_vars):
         a.require_monomial("the chain command")
@@ -284,7 +281,7 @@ def run_script(script, config, fmt):
 
 
 def _count(text):
-    """argparse type of the budget and cap options."""
+    """argparse type of the budget options."""
     try:
         value = int(text)
     except ValueError:
@@ -311,10 +308,6 @@ def _build_argparser():
     parser.add_argument("--budget-regular-candidates", type=_count,
                         default=DEFAULT_REGULAR_CANDIDATE_BUDGET,
                         metavar="N", help="candidates per regular-element search")
-    parser.add_argument("--max-poset-vars", type=_count,
-                        default=DEFAULT_MAX_POSET_VARS, metavar="N",
-                        help="largest variable count for the poset command "
-                             "and DOT renderings of the whole poset")
     return parser
 
 
@@ -322,8 +315,7 @@ def main(argv=None):
     args = _build_argparser().parse_args(argv)
     config = AnalysisConfig(
         gb_step_budget=args.budget_gb_steps,
-        regular_candidate_budget=args.budget_regular_candidates,
-        max_poset_vars=args.max_poset_vars)
+        regular_candidate_budget=args.budget_regular_candidates)
     if args.script == "-":
         text = sys.stdin.read()
     else:

@@ -3,12 +3,14 @@ ideal's Min and Ass, the noncatenarity profile, and the renderings: DOT,
 JSON and text of the poset of monomial primes containing the ideal, and
 DOT of chains.
 
-Chain construction walks upward one variable at a time, keeping each
-interior node outside Ass and above a unique minimal prime; these are
-exactly the properties the downstream classifiers certify. It reads the
-ideal alone. The poset, whose nodes are the variable subsets that meet
-every generator's support, ordered by inclusion, is only rendered; it is
-graded, every covering step adding exactly one variable.
+Every function here takes a `MonomialIdeal`. Chain construction walks
+upward one variable at a time, keeping each interior node outside Ass and
+above a unique minimal prime; these are exactly the properties the
+downstream classifiers certify. The poset, whose nodes are the variable
+subsets that meet every generator's support, ordered by inclusion, is
+only rendered: each rendering walks it once with `build_poset`, which
+stops above MAX_POSET_VARS variables. It is graded, every covering step
+adding exactly one variable.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from itertools import combinations
 from .errors import BudgetExceededError, ChainInfeasibleError, DegenerateInputError
 from .monomial import MonomialPrime
 
-DEFAULT_MAX_POSET_VARS = 16
+MAX_POSET_VARS = 16
 
 
 def _mask(prime):
@@ -28,52 +30,33 @@ def _mask(prime):
     return sum(1 << i for i in prime.indices)
 
 
-class SpecPoset:
-    """The poset of the monomial primes containing a monomial ideal, for
-    rendering. Only the walk over all 2^v variable subsets, behind `nodes`
-    and the whole-poset renderings, is capped at `max_vars` variables."""
-
-    def __init__(self, ideal, max_vars=DEFAULT_MAX_POSET_VARS):
-        if ideal.is_unit:
-            raise DegenerateInputError("the unit ideal has an empty spectrum")
-        self.ideal = ideal
-        self.context = ideal.context
-        self.max_vars = max_vars
-        self._support_masks = [sum(1 << i for i, e in enumerate(g) if e)
-                               for g in ideal.gens]
-
-    def _walk(self):
-        """(mask, indices) of every node in canonical order, bit i of the
-        mask standing for variable i. Subsets come rank by rank, each rank
-        in the lexicographic order of `combinations`, which is the order
-        of `MonomialPrime.sort_key`. Keeps nothing, so a poset shared by
-        several commands does not hold its nodes for the rest of a
-        script."""
-        v = self.context.count
-        if v > self.max_vars:
-            raise BudgetExceededError(
-                f"poset over {v} variables exceeds the cap of "
-                f"{self.max_vars} (2^{v} nodes)")
-        supports = self._support_masks
-        bits = [1 << i for i in range(v)]
-        for rank in range(v + 1):
-            for indices, combo in zip(combinations(range(v), rank),
-                                      combinations(bits, rank)):
-                mask = sum(combo)
-                for s in supports:  # all(...) with a generator is 4x slower
-                    if not mask & s:
-                        break
-                else:
-                    yield mask, indices
-
-    def nodes(self):
-        """Every node, in canonical order."""
-        return tuple(MonomialPrime(frozenset(indices))
-                     for _, indices in self._walk())
-
-
-def build_poset(ideal, max_vars=DEFAULT_MAX_POSET_VARS):
-    return SpecPoset(ideal, max_vars)
+def build_poset(ideal):
+    """(mask, indices) of every node of the poset of monomial primes
+    containing the ideal, in canonical order, bit i of the mask standing
+    for variable i. Subsets come rank by rank, each rank in the
+    lexicographic order of `combinations`, which is the order of
+    `MonomialPrime.sort_key`. The walk over all 2^v variable subsets is
+    capped at MAX_POSET_VARS variables, checked before it starts."""
+    if ideal.is_unit:
+        raise DegenerateInputError("the unit ideal has an empty spectrum")
+    v = ideal.context.count
+    if v > MAX_POSET_VARS:
+        raise BudgetExceededError(
+            f"poset over {v} variables exceeds the cap of "
+            f"{MAX_POSET_VARS} (2^{v} nodes)")
+    supports = [sum(1 << i for i, e in enumerate(g) if e) for g in ideal.gens]
+    bits = [1 << i for i in range(v)]
+    nodes = []
+    for rank in range(v + 1):
+        for indices, combo in zip(combinations(range(v), rank),
+                                  combinations(bits, rank)):
+            mask = sum(combo)
+            for s in supports:  # all(...) with a generator is 4x slower
+                if not mask & s:
+                    break
+            else:
+                nodes.append((mask, indices))
+    return nodes
 
 
 @dataclass(frozen=True)
@@ -241,31 +224,31 @@ def _covers(masks, var_count):
                 yield p, p | bit
 
 
-def _rows(poset):
+def _rows(ideal):
     """(mask, names, dim, height) of every node, in canonical order. The
     height is the largest rank drop to a minimal prime below the node."""
-    names = poset.context.names
-    v = poset.context.count
-    mins = [(_mask(p), len(p.indices)) for p in poset.ideal.minimal_primes()]
-    for mask, indices in poset._walk():
+    names = ideal.context.names
+    v = ideal.context.count
+    mins = [(_mask(p), len(p.indices)) for p in ideal.minimal_primes()]
+    for mask, indices in build_poset(ideal):
         rank = len(indices)
         lowest = min(r for m, r in mins if m & mask == m)
         yield mask, [names[i] for i in indices], v - rank, rank - lowest
 
 
-def poset_dot(poset, highlight_chains=()):
-    """DOT digraph of the whole poset, edges being covering relations;
-    minimal primes boxed, associated primes filled, the maximal ideal
-    bold. Optional chains are overlaid in red."""
-    ctx = poset.context
-    marks = _marks(poset.ideal)
+def poset_dot(ideal, highlight_chains=()):
+    """DOT digraph of the monomial ideal's whole poset, edges being
+    covering relations; minimal primes boxed, associated primes filled,
+    the maximal ideal bold. Optional chains are overlaid in red."""
+    ctx = ideal.context
+    marks = _marks(ideal)
     highlight = set()
     for chain in highlight_chains:
         for a, b in zip(chain.primes, chain.primes[1:]):
             highlight.add((_mask(a), _mask(b)))
     names = ctx.names
     labels = {mask: _quoted(MonomialPrime.label([names[i] for i in indices]))
-              for mask, indices in poset._walk()}
+              for mask, indices in build_poset(ideal)}
     lines = ["digraph spec_poset {", "  rankdir=BT;"]
     for mask, label in labels.items():
         lines.append(f"  {label}{_node_attrs(mask, marks)};")
@@ -276,26 +259,28 @@ def poset_dot(poset, highlight_chains=()):
     return "\n".join(lines)
 
 
-def poset_json(poset):
-    """JSON document of the whole poset: every node with its generators,
-    dim, height and Min/Ass flags, and every covering relation."""
-    mins, ass, _ = _marks(poset.ideal)
+def poset_json(ideal):
+    """JSON document of the monomial ideal's whole poset: every node with
+    its generators, dim, height and Min/Ass flags, and every covering
+    relation."""
+    mins, ass, _ = _marks(ideal)
     gens = {}  # mask -> its generators, encoded once for all its edges
     nodes = []
-    for mask, names, dim, height in _rows(poset):
+    for mask, names, dim, height in _rows(ideal):
         gens[mask] = json.dumps(names)
         nodes.append({"gens": names, "dim": dim, "height": height,
                       "minimal": mask in mins, "associated": mask in ass})
     edges = ", ".join(f"[{gens[p]}, {gens[q]}]"
-                      for p, q in _covers(gens, poset.context.count))
+                      for p, q in _covers(gens, ideal.context.count))
     return f'{{"nodes": {json.dumps(nodes)}, "edges": [{edges}]}}'
 
 
-def poset_text(poset):
-    """One line per node: the prime, its dim and height, and its marks."""
-    mins, ass, top = _marks(poset.ideal)
+def poset_text(ideal):
+    """One line per node of the monomial ideal's poset: the prime, its dim
+    and height, and its marks."""
+    mins, ass, top = _marks(ideal)
     lines = []
-    for mask, names, dim, height in _rows(poset):
+    for mask, names, dim, height in _rows(ideal):
         marks = [mark for mark, on in (("min", mask in mins),
                                        ("ass", mask in ass),
                                        ("max", mask == top)) if on]

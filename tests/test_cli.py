@@ -8,7 +8,7 @@ from pathlib import Path
 import jsonschema
 import pytest
 
-from noncat import analyzer, groebner
+from noncat import analyzer, groebner, spectra
 from noncat.analyzer import AnalysisConfig, analyze
 from noncat.cli import REPORT_SCHEMA, main, report_text, run_script
 from noncat.dsl import parse_script
@@ -18,7 +18,6 @@ from noncat.families import (
     instantiate,
 )
 from noncat.monomial import MonomialIdeal
-from noncat.spectra import SpecPoset
 
 from conftest import count_calls
 
@@ -286,9 +285,9 @@ class TestSharedAnalysis:
         ("poset", "text"), ("poset", "json"), ("poset", "dot")])
     def test_posets_built_only_for_renderings(self, capsys, tmp_path,
                                               monkeypatch, command, fmt):
-        """Witness chains read the monomial ideal, so a SpecPoset is built
-        only by the poset command and DOT analyze, once per ideal."""
-        posets = count_calls(monkeypatch, SpecPoset, "__init__")
+        """Witness chains read the monomial ideal, so the poset is walked
+        only by the poset command and DOT analyze, once per command."""
+        walks = count_calls(monkeypatch, spectra, "build_poset")
         run = (command if " " in command else f"{command} I")
         script = ("ring Q[x,y,z,v]\nideal I = (x*y, x*z)\n"
                   "ideal J = (x*y, x*z, x*v)\n"
@@ -297,7 +296,7 @@ class TestSharedAnalysis:
                               tmp_path=tmp_path)
         assert code == 0 and len(out.splitlines()) >= 3
         renders = command == "poset" or (command, fmt) == ("analyze", "dot")
-        assert len(posets) == (2 if renders else 0)
+        assert len(walks) == (3 if renders else 0)
 
     def test_family_shares_the_analysis_of_the_same_ring(self, monkeypatch):
         """family example_ufd(2, 2) presents (x*y1, x*y2) over
@@ -582,8 +581,7 @@ class TestExitCodes:
         assert "resource budget exceeded" in err
 
     @pytest.mark.parametrize("flag", ["--budget-gb-steps",
-                                      "--budget-regular-candidates",
-                                      "--max-poset-vars"])
+                                      "--budget-regular-candidates"])
     def test_negative_count_exits_2(self, capsys, tmp_path, flag):
         with pytest.raises(SystemExit) as exc:
             invoke(capsys, "ring Q[x,y]\nideal I = (x*y)\nanalyze I\n",
@@ -591,6 +589,16 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert exc.value.code == 2
         assert "usage:" in err and "nonnegative" in err
+
+    def test_poset_cap_is_not_an_option(self, capsys, tmp_path):
+        """The 16-variable poset cap is fixed: the flag that moved it is
+        gone, so argparse refuses it."""
+        with pytest.raises(SystemExit) as exc:
+            invoke(capsys, "ring Q[x,y]\nideal I = (x*y)\nposet I\n",
+                   "--max-poset-vars", "20", tmp_path=tmp_path)
+        err = capsys.readouterr().err
+        assert exc.value.code == 2
+        assert "usage:" in err and "unrecognized arguments" in err
 
     def test_missing_file_exits_1(self, capsys):
         code = main(["/nonexistent/script.ncat"])
@@ -624,3 +632,15 @@ class TestReportText:
         for fragment in ("ring", "profile", "minimal primes", "verdicts",
                          "ufd witness Q'", "regular element"):
             assert fragment in text
+
+    def test_zero_prime_is_labelled_like_the_poset(self, capsys, tmp_path):
+        """The zero ideal's one minimal and associated prime reads (0) in
+        the report, as in the poset rendering, never ()."""
+        code, out, _ = invoke(
+            capsys, "ring Q[x,y]\nideal D = (0)\nanalyze D\nposet D\n",
+            tmp_path=tmp_path)
+        assert code == 0 and "()" not in out
+        lines = out.splitlines()
+        assert "minimal primes     (0)  dim 2  height 0" in lines
+        assert "associated primes  (0)" in lines
+        assert "(0)  dim 2  height 0  [min,ass]" in lines

@@ -3,11 +3,10 @@
 import itertools
 import json
 import random
-from types import SimpleNamespace
 
 import pytest
 
-from noncat.analyzer import AnalysisConfig
+from noncat.analyzer import AnalysisConfig, _Analysis
 from noncat.cli import _Runner
 from noncat.errors import (
     BudgetExceededError,
@@ -15,7 +14,9 @@ from noncat.errors import (
     DegenerateInputError,
 )
 from noncat.monomial import MonomialIdeal, MonomialPrime
+from noncat.poly import RingPresentation
 from noncat.spectra import (
+    MAX_POSET_VARS,
     PrimeChain,
     build_poset,
     chain_dot,
@@ -27,7 +28,7 @@ from noncat.spectra import (
     verify_chain,
 )
 
-from conftest import ctx, random_monomial_ideal, ref_height
+from conftest import QQ, ctx, random_monomial_ideal, ref_height
 
 
 def family_ideal(a, b):
@@ -49,11 +50,17 @@ def names_of(chain):
     return [p.names(chain.context) for p in chain.primes]
 
 
+def nodes_of(ideal):
+    """Every node of the ideal's poset as a prime, in canonical order."""
+    return tuple(MonomialPrime(frozenset(indices))
+                 for _, indices in build_poset(ideal))
+
+
 class TestBuildPoset:
     def test_two_plane_example(self):
         c = ctx("x", "y", "z", "v")
         ideal = MonomialIdeal(c, ((1, 1, 0, 0), (1, 0, 1, 0)))
-        nodes = build_poset(ideal).nodes()
+        nodes = nodes_of(ideal)
         assert MonomialPrime.of(c, "x") in nodes
         assert MonomialPrime.of(c, "y", "z") in nodes
         assert nodes[-1] == MonomialPrime.of(c, "x", "y", "z", "v")
@@ -63,21 +70,31 @@ class TestBuildPoset:
 
     def test_zero_ideal_full_boolean_lattice(self):
         c = ctx("x", "y")
-        poset = build_poset(MonomialIdeal(c, ()))
-        assert len(poset.nodes()) == 4
-        assert MonomialPrime(frozenset()) in poset.nodes()
+        nodes = nodes_of(MonomialIdeal(c, ()))
+        assert len(nodes) == 4
+        assert MonomialPrime(frozenset()) in nodes
 
     def test_maximal_ideal_single_node(self):
         c = ctx("x", "y")
-        poset = build_poset(MonomialIdeal(c, ((1, 0), (0, 1))))
-        assert poset.nodes() == (MonomialPrime.of(c, "x", "y"),)
+        assert nodes_of(MonomialIdeal(c, ((1, 0), (0, 1)))) \
+            == (MonomialPrime.of(c, "x", "y"),)
+
+    def test_unit_ideal_has_empty_spectrum(self):
+        unit = MonomialIdeal(ctx("x", "y"), ((0, 0),))
+        assert unit.is_unit
+        with pytest.raises(DegenerateInputError, match="empty spectrum"):
+            build_poset(unit)
 
     def test_variable_cap(self):
-        c = ctx(*[f"v{i}" for i in range(18)])
-        zero = MonomialIdeal(c, ())
+        """16 variables are walked, 17 stop before the walk starts."""
+        assert MAX_POSET_VARS == 16
+        at_cap = MonomialIdeal(ctx(*[f"v{i}" for i in range(16)]),
+                               ((1,) * 16,))
+        assert len(build_poset(at_cap)) == 2 ** 16 - 1
+        with pytest.raises(BudgetExceededError, match="17 variables"):
+            build_poset(MonomialIdeal(ctx(*[f"v{i}" for i in range(17)]), ()))
         # the cap guards only the 2^v node list; chains need no poset
-        with pytest.raises(BudgetExceededError):
-            build_poset(zero, max_vars=16).nodes()
+        zero = MonomialIdeal(ctx(*[f"v{i}" for i in range(18)]), ())
         chain = construct_chain(zero, MonomialPrime(frozenset()))
         assert chain.length == 18
 
@@ -85,10 +102,9 @@ class TestBuildPoset:
 def row_heights(ideal):
     """The height of every node, by its generators, in the poset_json
     rows; the poset_text rows give the same heights in the same order."""
-    poset = build_poset(ideal)
-    rows = json.loads(poset_json(poset))["nodes"]
+    rows = json.loads(poset_json(ideal))["nodes"]
     text = [int(line.split("  height ")[1].split()[0])
-            for line in poset_text(poset).splitlines()]
+            for line in poset_text(ideal).splitlines()]
     assert [row["height"] for row in rows] == text
     return {tuple(row["gens"]): row["height"] for row in rows}
 
@@ -277,8 +293,8 @@ class TestGradedness:
                                                            squarefree=True))
             if ideal.is_unit:
                 continue
-            poset = build_poset(ideal)
-            nodes = set(poset.nodes())
+            nodes = nodes_of(ideal)
+            node_set = set(nodes)
 
             def upper_covers(prime):
                 """The primes one variable above, nodes or not."""
@@ -290,12 +306,12 @@ class TestGradedness:
                     yield 0
                     return
                 for q in upper_covers(lo):
-                    if q in nodes and q.indices <= hi.indices:
+                    if q in node_set and q.indices <= hi.indices:
                         for rest in saturated_lengths(q, hi):
                             yield rest + 1
 
             pairs = 0
-            for lo, hi in itertools.combinations(poset.nodes(), 2):
+            for lo, hi in itertools.combinations(nodes, 2):
                 if lo.indices < hi.indices:
                     pairs += 1
                     expected = len(hi.indices) - len(lo.indices)
@@ -307,8 +323,7 @@ class TestGradedness:
 class TestDot:
     def test_single_node_digraph(self):
         c = ctx("x", "y")
-        poset = build_poset(MonomialIdeal(c, ((1, 0), (0, 1))))
-        dot = poset_dot(poset)
+        dot = poset_dot(MonomialIdeal(c, ((1, 0), (0, 1))))
         assert dot.startswith("digraph")
         assert '"(x,y)"' in dot
         assert "->" not in dot
@@ -333,18 +348,16 @@ class TestDot:
             assert len(edges) == chain.length
 
     def test_deterministic_output(self):
-        ideal = family_ideal(2, 2)
-        poset = build_poset(ideal)
-        assert poset_dot(poset) == poset_dot(build_poset(family_ideal(2, 2)))
+        assert poset_dot(family_ideal(2, 2)) == poset_dot(family_ideal(2, 2))
 
 
 # -- reference renderings: the frozenset algorithm the mask walk replaced --
 
-def ref_nodes(poset):
+def ref_nodes(ideal):
     """Every node by brute force over frozenset subsets, sorted."""
-    v = poset.context.count
+    v = ideal.context.count
     supports = [frozenset(i for i, e in enumerate(g) if e)
-                for g in poset.ideal.gens]
+                for g in ideal.gens]
     found = []
     for r in range(v + 1):
         for subset in itertools.combinations(range(v), r):
@@ -355,24 +368,23 @@ def ref_nodes(poset):
     return tuple(found)
 
 
-def ref_marks(poset):
-    """Min, Ass and the maximal ideal of the poset's ideal."""
-    ideal = poset.ideal
+def ref_marks(ideal):
+    """Min, Ass and the maximal ideal of the ideal."""
     return (ideal.minimal_primes(), ideal.associated_primes(),
             MonomialPrime(frozenset(range(ideal.context.count))))
 
 
-def ref_covers(poset, p):
+def ref_covers(ideal, p):
     return [MonomialPrime(p.indices | {i})
-            for i in range(poset.context.count) if i not in p.indices]
+            for i in range(ideal.context.count) if i not in p.indices]
 
 
-def ref_poset_dot(poset, chains=()):
-    ctx = poset.context
+def ref_poset_dot(ideal, chains=()):
+    ctx = ideal.context
     highlight = {(a, b) for c in chains for a, b in zip(c.primes, c.primes[1:])}
-    mins, ass, top = ref_marks(poset)
+    mins, ass, top = ref_marks(ideal)
     lines = ["digraph spec_poset {", "  rankdir=BT;"]
-    nodes = ref_nodes(poset)
+    nodes = ref_nodes(ideal)
     for p in nodes:
         attrs = []
         if p in mins:
@@ -384,38 +396,38 @@ def ref_poset_dot(poset, chains=()):
         suffix = f" [{','.join(attrs)}]" if attrs else ""
         lines.append(f'  "{p.render(ctx)}"{suffix};')
     for p in nodes:
-        for q in ref_covers(poset, p):
+        for q in ref_covers(ideal, p):
             extra = " [color=red,penwidth=2]" if (p, q) in highlight else ""
             lines.append(f'  "{p.render(ctx)}" -> "{q.render(ctx)}"{extra};')
     lines.append("}")
     return "\n".join(lines)
 
 
-def ref_poset_json(poset):
-    ctx = poset.context
-    mins, ass, _ = ref_marks(poset)
-    nodes = ref_nodes(poset)
+def ref_poset_json(ideal):
+    ctx = ideal.context
+    mins, ass, _ = ref_marks(ideal)
+    nodes = ref_nodes(ideal)
     return json.dumps({
         "nodes": [{"gens": list(p.names(ctx)),
                    "dim": p.quotient_dim(ctx.count),
-                   "height": ref_height(poset.ideal, p),
+                   "height": ref_height(ideal, p),
                    "minimal": p in mins,
                    "associated": p in ass} for p in nodes],
         "edges": [[list(p.names(ctx)), list(q.names(ctx))]
-                  for p in nodes for q in ref_covers(poset, p)],
+                  for p in nodes for q in ref_covers(ideal, p)],
     })
 
 
-def ref_poset_text(poset):
-    ctx = poset.context
-    mins, ass, top = ref_marks(poset)
+def ref_poset_text(ideal):
+    ctx = ideal.context
+    mins, ass, top = ref_marks(ideal)
     lines = []
-    for p in ref_nodes(poset):
+    for p in ref_nodes(ideal):
         marks = [m for m, on in (("min", p in mins), ("ass", p in ass),
                                  ("max", p == top)) if on]
         suffix = f"  [{','.join(marks)}]" if marks else ""
         lines.append(f"{p.render(ctx)}  dim {p.quotient_dim(ctx.count)}  "
-                     f"height {ref_height(poset.ideal, p)}{suffix}")
+                     f"height {ref_height(ideal, p)}{suffix}")
     return "\n".join(lines)
 
 
@@ -437,46 +449,49 @@ def oracle_ideals():
             yield ideal
 
 
-def poset_chains(poset):
-    """Every avoidance chain the poset admits, from each minimal prime."""
+def poset_chains(ideal):
+    """Every avoidance chain the ideal admits, from each minimal prime."""
     chains = []
-    for p in poset.ideal.minimal_primes():
+    for p in ideal.minimal_primes():
         try:
-            chains.append(construct_chain(poset.ideal, p))
+            chains.append(construct_chain(ideal, p))
         except (ChainInfeasibleError, DegenerateInputError):
             pass
     return chains
 
 
 class TestRenderingsMatchReference:
-    """nodes(), poset_dot and the CLI's JSON and text poset output equal
-    the frozenset renderings byte for byte."""
+    """build_poset, poset_dot and the CLI's JSON and text poset output
+    equal the frozenset renderings byte for byte."""
 
     @pytest.fixture(scope="class")
-    def posets(self):
-        return [build_poset(ideal) for ideal in oracle_ideals()]
+    def ideals(self):
+        return list(oracle_ideals())
 
-    def test_cases_cover_embedded_primes_and_chains(self, posets):
-        assert len(posets) >= 30
-        assert any(len(p.ideal.associated_primes())
-                   > len(p.ideal.minimal_primes()) for p in posets)
-        assert sum(len(poset_chains(p)) for p in posets) >= 15
+    def test_cases_cover_embedded_primes_and_chains(self, ideals):
+        assert len(ideals) >= 30
+        assert any(len(i.associated_primes()) > len(i.minimal_primes())
+                   for i in ideals)
+        assert sum(len(poset_chains(i)) for i in ideals) >= 15
 
-    def test_nodes(self, posets):
-        for poset in posets:
-            assert poset.nodes() == ref_nodes(poset)
+    def test_nodes(self, ideals):
+        for ideal in ideals:
+            assert nodes_of(ideal) == ref_nodes(ideal)
 
-    def test_poset_dot(self, posets):
-        for poset in posets:
-            assert poset_dot(poset) == ref_poset_dot(poset)
-            chains = poset_chains(poset)
-            assert poset_dot(poset, chains) == ref_poset_dot(poset, chains)
+    def test_poset_dot(self, ideals):
+        for ideal in ideals:
+            assert poset_dot(ideal) == ref_poset_dot(ideal)
+            chains = poset_chains(ideal)
+            assert poset_dot(ideal, chains) == ref_poset_dot(ideal, chains)
 
     @pytest.mark.parametrize("fmt,reference", [("json", ref_poset_json),
                                                ("text", ref_poset_text)],
                              ids=["json", "text"])
-    def test_cli_poset_output(self, posets, fmt, reference):
+    def test_cli_poset_output(self, ideals, fmt, reference):
+        """The poset command renders the monomial ideal of the ring's own
+        analysis."""
         runner = _Runner(AnalysisConfig(), fmt)
-        for poset in posets:
-            assert runner.do_poset(SimpleNamespace(poset=poset)) \
-                == reference(poset)
+        for ideal in ideals:
+            ring = RingPresentation(QQ, ideal.context, ideal.to_polynomials(QQ))
+            assert runner.do_poset(_Analysis.from_presentation(ring)) \
+                == reference(ideal)
