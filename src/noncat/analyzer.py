@@ -34,7 +34,7 @@ from .groebner import (
     DEFAULT_REGULAR_CANDIDATE_BUDGET,
     DepthResult,
     IdealHandle,
-    monomial_depth,
+    regular_element_candidates,
     variable_sum,
 )
 from .monomial import MonomialPrime
@@ -194,11 +194,27 @@ def _verdicts(facts):
     return conditions, verdicts, inconclusive
 
 
+def monomial_depth(field, mono, candidate_budget):
+    """Depth >= 2 of a monomial I from the monomial engine, certified by the
+    first regular candidate in the budget, else the sum of all variables."""
+    if mono.maximal_ideal_associated():
+        return DepthResult(False, None,
+                           "depth 0: the maximal ideal is associated")
+    v = mono.context.count
+    support = next((s for s in itertools.islice(
+        regular_element_candidates(v), candidate_budget)
+        if mono.is_regular(s)), tuple(range(v)))
+    return DepthResult.certified(variable_sum(field, mono.context, support),
+                                 mono.depth_at_least_two())
+
+
 class _Analysis:
     """One ideal's analysis in three steps, each computed at most once: the
     facts the verdict table reads, the table, and the witnesses of its true
-    verdicts, whose chains read the monomial engine's Min and Ass. The
-    handle caches the basis, Min, Ass, dim and the socle test. The CLI
+    verdicts, whose chains read the monomial engine's Min and Ass. Each fact
+    has one engine, picked here: the monomial engine for monomial I, the
+    Groebner engine (the handle) for any other. The handle caches the
+    basis and the socle test, the monomial ideal its decomposition. The CLI
     keeps one analysis per presented ring, so all its commands on that
     ring share the work; the spectrum poset is walked only to be
     rendered."""
@@ -226,8 +242,10 @@ class _Analysis:
 
     @cached_property
     def depth(self):
-        return self.handle.depth_at_least_two(
-            self.config.regular_candidate_budget)
+        budget = self.config.regular_candidate_budget
+        if self.mono is None:
+            return self.handle.depth_at_least_two(budget)
+        return monomial_depth(self.field, self.mono, budget)
 
     def require_monomial(self, what):
         """The monomial ideal, for what needs its minimal primes."""
@@ -244,8 +262,9 @@ class _Analysis:
         Otherwise the monomial engine supplies the profile and whether T is
         reduced (I squarefree), which decides regularity_at_min in
         characteristic zero (README, "Scope and semantics")."""
-        handle, depth = self.handle, self.depth
-        m_assoc = handle.maximal_ideal_associated()
+        handle, mono, depth = self.handle, self.mono, self.depth
+        m_assoc = (handle.maximal_ideal_associated() if mono is None
+                   else mono.maximal_ideal_associated())
         edim = handle.embedding_dimension()
         missing = {} if depth.verdict is not None else {"depth2": depth.detail}
         carve_out = ("field" if edim == 0
@@ -253,13 +272,14 @@ class _Analysis:
         if carve_out:
             dim, profile, reduced = edim, (edim,), True
         else:
-            dim = handle.krull_dimension()
             profile = reduced = None
-            if self.mono is None:
+            if mono is None:
+                dim = handle.krull_dimension()
                 missing["profile"] = missing["reduced"] = _NO_MIN
             else:
-                profile = noncat_profile(self.mono)
-                reduced = self.mono.is_squarefree
+                dim = mono.dimension()
+                profile = noncat_profile(mono)
+                reduced = mono.is_squarefree
         if reduced is not None and self.field.is_prime_field:
             reduced, missing["reduced"] = None, _CHAR_P
         return _Facts(dim, m_assoc, depth.verdict, carve_out, profile,

@@ -12,8 +12,8 @@ import argparse
 import json
 import sys
 
-from .analyzer import (CONDITION_KEYS, SEMANTICS_UNVERIFIED, VERDICT_KEYS,
-                       AnalysisConfig, _Analysis)
+from .analyzer import (CONDITION_KEYS, SEMANTICS_EXACT, SEMANTICS_UNVERIFIED,
+                       VERDICT_KEYS, AnalysisConfig, _Analysis)
 from .dsl import (
     AnalyzeCmd,
     ChainCmd,
@@ -66,7 +66,7 @@ REPORT_SCHEMA = {
     "properties": {
         "ring": {"type": "string"},
         "dim": {"type": "integer"},
-        "semantics": {"enum": ["monomial-exact", "unverified-completion"]},
+        "semantics": {"enum": [SEMANTICS_EXACT, SEMANTICS_UNVERIFIED]},
         "minimal_primes": {
             "type": ["array", "null"],
             "items": {
@@ -322,7 +322,7 @@ def main(argv=None):
         try:
             with open(args.script, encoding="utf-8") as fh:
                 text = fh.read()
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             print(f"cannot read script: {exc}", file=sys.stderr)
             return 1
     try:

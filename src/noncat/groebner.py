@@ -11,13 +11,13 @@ A handle whose generators are all terms never runs Buchberger: the
 monomial engine supplies its reduced basis, the minimal generators. A
 handle's ideal is monomial when its reduced basis consists of terms,
 whatever its presentation (IdealHandle.monomial_ideal). Krull dimension is
-read off the leading-term ideal by the monomial engine. For monomial I the
-monomial engine also settles the socle test and depth >= 2, so monomial
-input never runs Buchberger. Homogeneous non-monomial I reads one grevlex
-basis per candidate sum of variables, moved to the last variable
-(Bayer-Stillman); when no variable is regular, the same bases give each
-(I : x_i) for the socle test. The colon calculus serves only
-non-homogeneous ideals, and is the oracle in the tests.
+read off the supports of the leading terms by the monomial engine. The
+socle test and depth >= 2 are this engine's own on every ideal, monomial or
+not; the analyzer sends monomial I to the monomial engine instead.
+Homogeneous I reads one grevlex basis per candidate sum of variables, moved
+to the last variable (Bayer-Stillman); when no variable is regular, the
+same bases give each (I : x_i) for the socle test. The colon calculus
+serves only non-homogeneous ideals, and is the oracle in the tests.
 
 Handles are immutable apart from fill-once caches guarded by a lock, so
 one handle can serve several threads.
@@ -228,9 +228,9 @@ class DepthResult:
     verdict True carries a regular element f with the maximal ideal not
     associated to the quotient by f; verdict False carries either nothing
     (depth 0) or a regular f whose quotient has the maximal ideal
-    associated (depth exactly 1); verdict None, for non-monomial input
-    only, means the candidate search was exhausted without finding any
-    regular element, which proves nothing either way.
+    associated (depth exactly 1); verdict None means the candidate search
+    was exhausted without finding any regular element, which proves
+    nothing either way.
     """
 
     verdict: bool | None
@@ -263,26 +263,12 @@ def variable_sum(field, context, support):
     return _linear_forms(field, context, [row])[0]
 
 
-def monomial_depth(field, mono, candidate_budget):
-    """Depth >= 2 of a monomial I from the monomial engine, certified by the
-    first regular candidate in the budget, else the sum of all variables."""
-    if mono.maximal_ideal_associated():
-        return DepthResult(False, None,
-                           "depth 0: the maximal ideal is associated")
-    v = mono.context.count
-    support = next((s for s in itertools.islice(
-        regular_element_candidates(v), candidate_budget)
-        if mono.is_regular(s)), tuple(range(v)))
-    return DepthResult.certified(variable_sum(field, mono.context, support),
-                                 mono.depth_at_least_two())
-
-
 class IdealHandle:
     """An ideal of K[x1..xv] with cached reduced Groebner bases and the
     ideal calculus built on them."""
 
     __slots__ = ("field", "context", "generators", "gb_step_budget",
-                 "_lock", "_gb", "_dim", "_m_assoc", "_moved")
+                 "_lock", "_gb", "_m_assoc", "_moved")
 
     def __init__(self, field, context, generators=(),
                  gb_step_budget=DEFAULT_GB_STEP_BUDGET):
@@ -299,7 +285,6 @@ class IdealHandle:
         self.gb_step_budget = gb_step_budget
         self._lock = threading.Lock()
         self._gb = None  # (reduced basis, MonomialIdeal or None), one store
-        self._dim = None
         self._m_assoc = None
         self._moved = {}
 
@@ -547,43 +532,30 @@ class IdealHandle:
         return self.quotient_element(f).equals(self)
 
     def krull_dimension(self):
-        """dim K[x..]/I, computed by the monomial engine on the leading-term
-        ideal, since dim R/I = dim R/LT(I) for any monomial order. A
-        monomial I is its own leading-term ideal, so its MonomialIdeal
-        serves and its decomposition is computed once per handle."""
-        if self._dim is not None:
-            return self._dim
+        """dim K[x..]/I, computed by the monomial engine on the supports of
+        the leading terms: dim R/I = dim R/LT(I) for any monomial order, and
+        dim sees only the radical of LT(I), which the supports generate; a
+        squarefree ideal splits into primes only."""
         if self.is_unit_ideal:
             raise UnitIdealError("the unit ideal has no Krull dimension")
-        lead = self.monomial_ideal()
-        if lead is None:
-            # dim sees only the radical, and the supports of the leads
-            # generate a squarefree ideal, which splits into primes only
-            lead = MonomialIdeal(self.context, (
-                tuple(min(e, 1) for e in g.leading_monomial())
-                for g in self.groebner_basis()))
-        with self._lock:
-            self._dim = lead.dimension()
-        return self._dim
+        return MonomialIdeal(self.context, (
+            tuple(min(e, 1) for e in g.leading_monomial())
+            for g in self.groebner_basis())).dimension()
 
     def maximal_ideal_associated(self):
-        """Whether the maximal ideal M is associated to R/I. A reduced basis
-        of terms means I is monomial, and the monomial engine's Ass decides.
-        For homogeneous I a regular variable proves M not associated: the
-        last one is read off I's own basis, the others off one basis each
-        with that variable moved last. When no variable is regular, the same
-        bases give each (I : x_i), and M is associated exactly when their
-        intersection (I : M) is not I. A non-homogeneous ideal gets that
-        socle test from the colon calculus."""
+        """Whether the maximal ideal M is associated to R/I, monomial I
+        included. For homogeneous I a regular variable proves M not
+        associated: the last one is read off I's own basis, the others off
+        one basis each with that variable moved last. When no variable is
+        regular, the same bases give each (I : x_i), and M is associated
+        exactly when their intersection (I : M) is not I. A non-homogeneous
+        ideal gets that socle test from the colon calculus."""
         if self._m_assoc is not None:
             return self._m_assoc
         if self.is_unit_ideal:
             raise UnitIdealError("the unit ideal does not present a ring")
-        mono = self.monomial_ideal()
         v = self.context.count
-        if mono is not None:
-            result = mono.maximal_ideal_associated()
-        elif self.is_homogeneous:
+        if self.is_homogeneous:
             result = not any(
                 self._moved_to_last((i,))._last_variable_regular()
                 for i in (v - 1, *range(v - 1))
@@ -599,17 +571,14 @@ class IdealHandle:
 
         Depth drops by exactly one modulo any regular element f, so
         depth >= 2 exactly when M is not associated after cutting by f.
-        Monomial I goes to monomial_depth. Otherwise the first regular
-        candidate is cut: homogeneous I moves it to the last variable of
-        one grevlex basis, other I uses the colon calculus, and a spent
-        budget is reported as inconclusive, never as False.
+        The first regular candidate is cut, monomial I included: homogeneous
+        I moves it to the last variable of one grevlex basis, other I uses
+        the colon calculus, and a spent budget is reported as inconclusive,
+        never as False.
         """
         if self.maximal_ideal_associated():
             return DepthResult(False, None,
                                "depth 0: the maximal ideal is associated")
-        mono = self.monomial_ideal()
-        if mono is not None:
-            return monomial_depth(self.field, mono, candidate_budget)
         homogeneous = self.is_homogeneous
         stream = list(itertools.islice(
             regular_element_candidates(self.context.count), candidate_budget))

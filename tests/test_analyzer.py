@@ -698,6 +698,23 @@ class TestMonomialEngineOnly:
         assert report.associated_primes == (("x",), ("x", "y"))
         assert report.conditions["depth_ge2"] is False
 
+    def test_monomial_rings_never_ask_the_handle(self, monkeypatch):
+        """The analyzer picks the monomial engine for every fact of a
+        monomial ring: no socle test, depth search or dimension is asked
+        of the Groebner engine, witnesses and localized depth included."""
+        c = ctx("x", "y", "z")
+        x, y, z = variables(QQ, c)
+        rings = [instantiate(FamilySpec("example_ufd", (2, 2)))[0],
+                 instantiate(FamilySpec("prop41", (4, 9)))[0],
+                 ring_of(c, x ** 2, x * y), ring_of(c, x * y, x * z)]
+        calls = [count_calls(monkeypatch, groebner.IdealHandle, name)
+                 for name in ("maximal_ideal_associated",
+                              "depth_at_least_two", "krull_dimension")]
+        reports = [analyze(ring) for ring in rings]
+        assert all(r.semantics == "monomial-exact" for r in reports)
+        assert reports[0].witnesses.ufd_witness_prime is not None
+        assert calls == [[], [], []]
+
     @pytest.mark.parametrize("n", range(5, 15))
     def test_cycle_depth_two_without_buchberger(self, monkeypatch, n):
         """The Stanley-Reisner ring of the n-cycle is Cohen-Macaulay of

@@ -605,6 +605,15 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert code == 1 and "cannot read" in captured.err
 
+    def test_non_utf8_file_exits_1(self, capsys, tmp_path):
+        path = tmp_path / "bad.ncat"
+        path.write_bytes(b"ring Q[x,y]\n\xff\n")
+        code = main([str(path)])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err.startswith("cannot read script: ")
+        assert "can't decode byte 0xff" in captured.err
+
     def test_fuzzed_invalid_inputs_never_exit_0(self, capsys, tmp_path):
         rng = random.Random(999)
         base = "ring Q[x,y]\nideal I = (x*y)\nanalyze I\n"

@@ -8,8 +8,9 @@ import random
 
 import pytest
 
+from noncat.analyzer import monomial_depth
 from noncat.errors import EmptyLocalizationError, UnitIdealError, UnsupportedInputError
-from noncat.groebner import IdealHandle
+from noncat.groebner import DEFAULT_REGULAR_CANDIDATE_BUDGET, IdealHandle
 from noncat.monomial import MonomialIdeal, MonomialPrime
 from noncat.poly import FieldDescriptor, variables
 
@@ -291,8 +292,9 @@ class TestCrossEngine:
                     assert (prime in ass) == by_colon
 
     def test_depth_matches_colon_calculus(self):
-        """depth_at_least_two on monomial input agrees with a reference
-        that uses only the colon calculus."""
+        """Both engines' depth >= 2 on monomial input, the analyzer's
+        monomial_depth and the handle's own search, agree in verdict and
+        certificate with a reference that uses only the colon calculus."""
         rng = random.Random(89)
         for field in (QQ, FieldDescriptor(32003)):
             checked = 0
@@ -304,8 +306,34 @@ class TestCrossEngine:
                     continue
                 checked += 1
                 h = IdealHandle(field, c, ideal.to_polynomials(field))
-                result = h.depth_at_least_two()
-                assert (result.verdict, result.regular_element) == depth_by_colon(h)
+                expected = depth_by_colon(h)
+                for result in (monomial_depth(field, ideal,
+                                              DEFAULT_REGULAR_CANDIDATE_BUDGET),
+                               h.depth_at_least_two()):
+                    assert (result.verdict, result.regular_element) == expected
+
+    def test_handle_never_asks_the_monomial_engine(self):
+        """On monomial input the handle's socle test, depth search and
+        dimension run the Groebner engine: the handle's MonomialIdeal is
+        never decomposed, so the checks above compare two engines."""
+        rng = random.Random(97)
+        checked = 0
+        while checked < 20:
+            v = rng.randint(2, 5)
+            c = ctx(*[f"v{i}" for i in range(v)])
+            ideal = mono(c, *random_monomial_ideal(rng, v, 4))
+            if ideal.is_unit:
+                continue
+            checked += 1
+            h = IdealHandle(QQ, c, ideal.to_polynomials(QQ))
+            assert h.maximal_ideal_associated() == \
+                ideal.maximal_ideal_associated()
+            assert h.depth_at_least_two().verdict == (
+                False if ideal.maximal_ideal_associated()
+                else ideal.depth_at_least_two())
+            assert h.krull_dimension() == ideal.dimension()
+            assert h.monomial_ideal() == ideal
+            assert h.monomial_ideal()._decomposition is None
 
     def test_from_polynomials_rejects_sums(self):
         c = ctx("x", "y")
