@@ -51,12 +51,15 @@ VERDICT_KEYS = ("domain_completion", "noncat_domain", "ufd_completion",
                 "mixed_class", "universally_catenary_obstructed",
                 "regularity_at_min")
 
-# the verdicts that read the dims of the minimal primes
-_PROFILE_VERDICTS = ("noncat_domain", "noncat_ufd", "forced_cat_domain",
-                     "forced_cat_ufd", "mixed_class",
-                     "universally_catenary_obstructed")
+# the report keys that read each fact, in the order of `inconclusive`
+_READERS = {"dim": ("dim",), "depth2": ("depth_ge2",), "profile": (
+    "noncat_domain", "noncat_ufd", "forced_cat_domain", "forced_cat_ufd",
+    "mixed_class", "universally_catenary_obstructed"),
+    "reduced": ("regularity_at_min",)}
 _NO_MIN = ("unsupported input class (minimal primes are not computed for "
            "non-monomial ideals)")
+_NO_LOCAL_DIM = ("unsupported input class (the local dimension is only "
+                 "computed for monomial or homogeneous ideals)")
 _CHAR_P = ("unsupported (regularity remark check unavailable in "
            "characteristic p)")
 
@@ -99,7 +102,7 @@ class UfdWitness:
 @dataclass(frozen=True)
 class AnalysisReport:
     ring: str
-    dim: int
+    dim: int | None
     semantics: str
     minimal_primes: tuple | None
     associated_primes: tuple | None
@@ -141,9 +144,9 @@ class AnalysisReport:
 class _Facts:
     """The facts the verdict table reads, each local to the origin. A fact
     that no engine supplies is None, and `missing` maps its name
-    ("depth2", "profile" or "reduced") to the reason."""
+    ("dim", "depth2", "profile" or "reduced") to the reason."""
 
-    dim: int
+    dim: int | None
     m_assoc: bool
     depth2: bool | None
     carve_out: str | None  # "field" or "dvr": T is regular of dim <= 1
@@ -154,9 +157,9 @@ class _Facts:
 
 def _verdicts(facts):
     """The paper's table: (conditions, verdicts, inconclusive) from the
-    facts alone. A verdict that reads a missing fact is None, and
-    `inconclusive` holds the reason under that verdict's name; a missing
-    depth is stated once, under depth_ge2."""
+    facts alone. A value that reads a missing fact is None, and
+    `inconclusive` holds the reason under its key (a missing depth only
+    under depth_ge2); a missing dim comes with a missing profile."""
     lech_ii = not facts.m_assoc
     domain = facts.carve_out == "field" or lech_ii
     ufd = True if facts.carve_out else facts.depth2
@@ -166,14 +169,11 @@ def _verdicts(facts):
     verdicts = dict.fromkeys(VERDICT_KEYS)
     verdicts.update(domain_completion=domain, ufd_completion=ufd,
                     regularity_at_min=facts.reduced)
-    inconclusive = {}
-    if facts.depth2 is None:
-        inconclusive["depth_ge2"] = f"depth_ge2: {facts.missing['depth2']}"
+    inconclusive = {key: f"{key}: {facts.missing[fact]}"
+                    for fact, keys in _READERS.items()
+                    if fact in facts.missing for key in keys}
     profile, dim = facts.profile, facts.dim
-    if profile is None:
-        for name in _PROFILE_VERDICTS:
-            inconclusive[name] = f"{name}: {facts.missing['profile']}"
-    else:
+    if profile is not None:
         domain_p = any(1 < d < dim for d in profile)
         ufd_p = any(2 < d < dim for d in profile)
         equidimensional = len(set(profile)) == 1
@@ -188,9 +188,6 @@ def _verdicts(facts):
             # dim(T/P) = 2, and the catenary UFD needs dim T > 3
             mixed_class=not ufd_p and domain_p and dim > 3 and ufd,
             universally_catenary_obstructed=not equidimensional)
-    if facts.reduced is None:
-        inconclusive["regularity_at_min"] = (
-            f"regularity_at_min: {facts.missing['reduced']}")
     return conditions, verdicts, inconclusive
 
 
@@ -261,29 +258,37 @@ class _Analysis:
         is 1 and M is not associated; either is a domain of dimension edim.
         Otherwise the monomial engine supplies the profile and whether T is
         reduced (I squarefree), which decides regularity_at_min in
-        characteristic zero (README, "Scope and semantics")."""
-        handle, mono, depth = self.handle, self.mono, self.depth
+        characteristic zero (README, "Scope and semantics"). Other I gets
+        dim only when homogeneous, where the global dim is the local one.
+        An exhausted depth search is refuted when dim T <= 1, since
+        depth <= dim T/P for every associated P (Bruns-Herzog 1.2.13)."""
+        handle, mono = self.handle, self.mono
         m_assoc = (handle.maximal_ideal_associated() if mono is None
                    else mono.maximal_ideal_associated())
         edim = handle.embedding_dimension()
-        missing = {} if depth.verdict is not None else {"depth2": depth.detail}
+        missing = {}
         carve_out = ("field" if edim == 0
                      else "dvr" if edim == 1 and not m_assoc else None)
+        profile = reduced = None
         if carve_out:
             dim, profile, reduced = edim, (edim,), True
+        elif mono is not None:
+            dim, profile = mono.dimension(), noncat_profile(mono)
+            reduced = mono.is_squarefree
         else:
-            profile = reduced = None
-            if mono is None:
-                dim = handle.krull_dimension()
-                missing["profile"] = missing["reduced"] = _NO_MIN
-            else:
-                dim = mono.dimension()
-                profile = noncat_profile(mono)
-                reduced = mono.is_squarefree
+            dim = handle.krull_dimension() if handle.is_homogeneous else None
+            missing["profile"] = missing["reduced"] = _NO_MIN
+            if dim is None:
+                missing["dim"] = _NO_LOCAL_DIM
+        depth2 = self.depth.verdict
+        if depth2 is None and dim is not None and dim <= 1:
+            depth2 = False
+        elif depth2 is None:
+            missing["depth2"] = self.depth.detail
         if reduced is not None and self.field.is_prime_field:
             reduced, missing["reduced"] = None, _CHAR_P
-        return _Facts(dim, m_assoc, depth.verdict, carve_out, profile,
-                      reduced, missing)
+        return _Facts(dim, m_assoc, depth2, carve_out, profile, reduced,
+                      missing)
 
     @cached_property
     def table(self):
@@ -381,7 +386,7 @@ def _implications(verdicts, dim):
         checks.append(("noncat_domain implies the universal-catenarity "
                        "obstruction",
                        verdicts["universally_catenary_obstructed"] is True))
-    if verdicts["ufd_completion"] is True and dim <= 3:
+    if verdicts["ufd_completion"] is True and dim is not None and dim <= 3:
         checks.append(("ufd completion of dim <= 3 implies not noncat_ufd",
                        verdicts["noncat_ufd"] is not True))
     return [name for name, ok in checks if not ok]
@@ -394,13 +399,7 @@ def _report(a):
     entries = dict(entries)
     notes = []
     minimal = associated = None
-    if a.mono is None:
-        semantics = SEMANTICS_UNVERIFIED
-        notes.append(
-            "completion_semantics: unverified (non-monomial presentation; "
-            "primary decomposition may change under completion)")
-    else:
-        semantics = SEMANTICS_EXACT
+    if a.mono is not None:
         minimal = tuple(
             PrimeSummary(p.names(a.context), p.quotient_dim(a.v), 0)
             for p in a.mono.minimal_primes())
@@ -416,6 +415,9 @@ def _report(a):
         regular_element = str(depth.regular_element)
     elif depth.verdict is False and depth.regular_element is not None:
         notes.append(f"depth_ge2 refuted: {depth.detail}")
+    elif depth.verdict is None and a.facts.depth2 is False:
+        notes.append(f"depth_ge2 refuted: dim T = {a.facts.dim}, and "
+                     "depth T <= dim T/P for every associated P")
 
     if verdicts["noncat_domain"]:
         p, chain = a.noncat_domain
@@ -449,7 +451,9 @@ def _report(a):
     return AnalysisReport(
         ring=a.ring,
         dim=a.facts.dim,
-        semantics=semantics,
+        # the char-p regularity remark is not a fact of T
+        semantics=(SEMANTICS_EXACT if set(a.facts.missing) <= {"reduced"}
+                   else SEMANTICS_UNVERIFIED),
         minimal_primes=minimal,
         associated_primes=associated,
         profile=a.facts.profile,
@@ -457,7 +461,8 @@ def _report(a):
         verdicts=verdicts,
         witnesses=Witnesses(P, chain_names, regular_element,
                             ufd_witness_prime),
-        inconclusive=tuple(entries[k] for k in ("depth_ge2",) + VERDICT_KEYS
+        inconclusive=tuple(entries[k] for k in
+                           ("dim", "depth_ge2") + VERDICT_KEYS
                            if k in entries),
         notes=tuple(notes),
     )

@@ -1,9 +1,12 @@
 """Command-line front end: parse a script, run its commands, and emit
-reports as text, JSON or DOT.
+reports as text, JSON or DOT. A reported value is exact for
+T = K[[x]]/I or null with a reason; the unverified-completion stamp
+means some fact is null (the characteristic-p remark excepted).
 
-Exit codes: 0 ok, 1 parse error, 2 unsupported input class, 3 resource
-budget exceeded. A script may contain several commands; with --format
-json each command prints one JSON document per line.
+Exit codes: 0 ok, 1 parse error or unreadable script, 2 unsupported
+input class (no report, or a report stamped unverified-completion), 3
+resource budget exceeded. A script may contain several commands; with
+--format json each command prints one JSON document per line.
 """
 
 from __future__ import annotations
@@ -65,7 +68,7 @@ REPORT_SCHEMA = {
                  "witnesses", "inconclusive", "notes"],
     "properties": {
         "ring": {"type": "string"},
-        "dim": {"type": "integer"},
+        "dim": {"type": ["integer", "null"]},
         "semantics": {"enum": [SEMANTICS_EXACT, SEMANTICS_UNVERIFIED]},
         "minimal_primes": {
             "type": ["array", "null"],
@@ -111,17 +114,10 @@ REPORT_SCHEMA = {
 
 
 def _kv_lines(label, pairs):
+    """Rows of three key=value chunks, the label on the first."""
     chunks = [f"{k}={_TRISTATE[v]}" for k, v in pairs]
-    lines = []
-    row = []
-    for chunk in chunks:
-        row.append(chunk)
-        if len(row) == 3:
-            lines.append((label if not lines else "", "  ".join(row)))
-            row = []
-    if row:
-        lines.append((label if not lines else "", "  ".join(row)))
-    return lines
+    return [(label if i == 0 else "", "  ".join(chunks[i:i + 3]))
+            for i in range(0, len(chunks), 3)]
 
 
 def report_text(report):
@@ -129,7 +125,7 @@ def report_text(report):
     rows = [
         ("ring", report.ring),
         ("semantics", report.semantics),
-        ("dim T", str(report.dim)),
+        ("dim T", "inconclusive" if report.dim is None else str(report.dim)),
     ]
     if report.profile is not None:
         rows.append(("profile", "{" + ", ".join(map(str, report.profile)) + "}"))
@@ -276,8 +272,7 @@ class _Runner:
 
 def run_script(script, config, fmt):
     """Yield one output string per command in the script."""
-    runner = _Runner(config, fmt)
-    yield from runner.run(script)
+    yield from _Runner(config, fmt).run(script)
 
 
 def _count(text):
@@ -316,15 +311,15 @@ def main(argv=None):
     config = AnalysisConfig(
         gb_step_budget=args.budget_gb_steps,
         regular_candidate_budget=args.budget_regular_candidates)
-    if args.script == "-":
-        text = sys.stdin.read()
-    else:
-        try:
+    try:
+        if args.script == "-":
+            text = sys.stdin.buffer.read().decode("utf-8")
+        else:
             with open(args.script, encoding="utf-8") as fh:
                 text = fh.read()
-        except (OSError, UnicodeDecodeError) as exc:
-            print(f"cannot read script: {exc}", file=sys.stderr)
-            return 1
+    except (OSError, UnicodeDecodeError) as exc:
+        print(f"cannot read script: {exc}", file=sys.stderr)
+        return 1
     try:
         script = parse_script(text)
     except ParseError as exc:

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from noncat import analyzer, groebner
 from noncat.analyzer import (
     VERDICT_KEYS,
+    AnalysisConfig,
     _Analysis,
     _Facts,
     _implications,
@@ -519,6 +520,8 @@ class TestAnalyzeReports:
         assert report.verdicts["noncat_domain"] is True
         assert report.verdicts["regularity_at_min"] is None
         assert any(s.startswith("char_p") for s in report.notes)
+        # the remark is not a fact of T, so every fact is still exact
+        assert report.semantics == "monomial-exact"
 
     def test_field_case_report(self):
         c = ctx("x", "y")
@@ -592,11 +595,11 @@ def _parse_witness(text, ring):
 
 
 @st.composite
-def monomial_ideals(draw):
+def monomial_ideals(draw, max_vars=5, max_gens=4):
     """(variable count, exponent vectors) of a nonunit monomial ideal."""
-    v = draw(st.integers(1, 5))
+    v = draw(st.integers(1, max_vars))
     exps = st.tuples(*[st.integers(0, 2)] * v).filter(any)
-    return v, draw(st.lists(exps, max_size=4))
+    return v, draw(st.lists(exps, max_size=max_gens))
 
 
 def monomial_ring(field, v, vectors):
@@ -629,6 +632,30 @@ class TestVerdictInvariance:
         assert b.verdicts.pop("regularity_at_min") is None
         del a.verdicts["regularity_at_min"]
         assert a.verdicts == b.verdicts
+
+
+class TestLocalFacts:
+    """T = K[[x]]/I sees I only near the origin, where x1 - 1 is a unit:
+    J and J cap (x1 - 1) present one T, so every value the second report
+    gives must be the first one's."""
+
+    @staticmethod
+    def values(report):
+        return {"dim": report.dim, "profile": report.profile,
+                **report.conditions, **report.verdicts}
+
+    @settings(deadline=None, max_examples=80)
+    @given(monomial_ideals(max_vars=4, max_gens=3))
+    def test_component_away_from_origin(self, case):
+        v, vectors = case
+        ring = monomial_ring(QQ, v, vectors)
+        x1 = variables(QQ, ring.context)[0]
+        away = IdealHandle.from_presentation(ring).intersection(IdealHandle(
+            QQ, ring.context, [x1 - Polynomial.constant(QQ, ring.context, 1)]))
+        want = self.values(analyze(ring))
+        got = self.values(_Analysis(away, AnalysisConfig()).report)
+        decided = {k: value for k, value in got.items() if value is not None}
+        assert decided == {k: want[k] for k in decided}
 
 
 def tilted_ring(number):
@@ -785,6 +812,8 @@ NO_MIN = ("unsupported input class (minimal primes are not computed for "
           "non-monomial ideals)")
 CHAR_P = ("unsupported (regularity remark check unavailable in "
           "characteristic p)")
+NO_LOCAL_DIM = ("unsupported input class (the local dimension is only "
+                "computed for monomial or homogeneous ideals)")
 
 
 def fact_records():
@@ -803,7 +832,7 @@ def fact_records():
                 for reduced in (True, False, None):
                     yield (profile[0], m_assoc, depth2, None, profile,
                            reduced)
-    for dim in range(7):
+    for dim in (*range(7), None):
         for m_assoc, depth2 in socle_depth:
             yield dim, m_assoc, depth2, None, None, None
     for reduced in (True, None):
@@ -814,6 +843,8 @@ def fact_records():
 
 def facts_of(dim, m_assoc, depth2, carve_out, profile, reduced):
     missing = {}
+    if dim is None:
+        missing["dim"] = NO_LOCAL_DIM
     if depth2 is None:
         missing["depth2"] = "inconclusive: no regular element"
     if profile is None:
@@ -847,9 +878,14 @@ class TestVerdictTable:
                     assert name not in inconclusive, (record, name)
             assert conditions["depth_ge2"] is depth2
             assert ("depth_ge2" in inconclusive) == (depth2 is None)
+            if dim is None:
+                assert list(inconclusive.items())[0] == (
+                    "dim", f"dim: {NO_LOCAL_DIM}")
+            else:
+                assert "dim" not in inconclusive
             if profile is None:
                 assert [v for k, v in inconclusive.items()
-                        if k != "depth_ge2"] == [
+                        if k not in ("dim", "depth_ge2")] == [
                     f"{name}: {NO_MIN}" for name in VERDICT_KEYS
                     if name not in ("domain_completion", "ufd_completion")]
             elif not missing:

@@ -2,7 +2,10 @@
 JSON schema, and exit codes."""
 
 import json
+import os
 import random
+import subprocess
+import sys
 from pathlib import Path
 
 import jsonschema
@@ -421,7 +424,8 @@ class TestRegularityAtMin:
 class TestRegularCarveOuts:
     """T a field or a DVR, read off the embedding dimension. Each of these
     rings is regular of dimension at most one, so every verdict is that of
-    a regular local ring, with dim and profile local to the origin."""
+    a regular local ring, with dim and profile local to the origin, every
+    fact is exact, and analyze exits as profile does."""
 
     REGULAR = {
         "domain_completion": True, "noncat_domain": False,
@@ -433,9 +437,9 @@ class TestRegularCarveOuts:
     @pytest.mark.parametrize("script,dim,code", [
         ("ring Q[x,y]\nideal I = (y)", 1, 0),
         ("ring Q[x,y]\nideal I = (x, y)", 0, 0),
-        ("ring Q[x]\nideal I = (x + x^2)", 0, 2),
-        ("ring Q[x,y]\nideal I = (y - x^2)", 1, 2),
-        ("ring Q[x,y,z]\nideal I = intersect((x,y),(z-1))", 1, 2),
+        ("ring Q[x]\nideal I = (x + x^2)", 0, 0),
+        ("ring Q[x,y]\nideal I = (y - x^2)", 1, 0),
+        ("ring Q[x,y,z]\nideal I = intersect((x,y),(z-1))", 1, 0),
     ], ids=["dvr-monomial", "field-monomial", "field", "dvr",
             "dvr-component-away-from-origin"])
     def test_regular_ring(self, capsys, tmp_path, script, dim, code):
@@ -445,8 +449,12 @@ class TestRegularCarveOuts:
         jsonschema.validate(report, REPORT_SCHEMA)
         assert got == code
         assert (report["dim"], report["profile"]) == (dim, [dim])
+        assert report["semantics"] == "monomial-exact"
         assert report["verdicts"] == self.REGULAR
         assert report["inconclusive"] == []
+        profile_code, _, _ = invoke(capsys, script + "\nprofile I\n",
+                                    tmp_path=tmp_path)
+        assert got == profile_code
 
 
 class TestIdealOutsideMaximal:
@@ -466,12 +474,34 @@ class TestIdealOutsideMaximal:
         assert "unsupported input class" in err
         assert "nonzero constant term" in err
 
+    def test_global_dim_is_not_reported(self, capsys, tmp_path):
+        """K[x,y,z]/((x^2, y) cap (z - 1)) has dimension 2, but its
+        localization at the origin is K[x,y,z]/(x^2, y) there, of
+        dimension 1: a non-homogeneous ring gets no dim."""
+        script = ("ring Q[x,y,z]\nideal I = intersect((x^2, y), (z - 1))\n"
+                  "analyze I\n")
+        code, out, _ = invoke(capsys, script, "--format", "json",
+                              tmp_path=tmp_path)
+        report = json.loads(out)
+        jsonschema.validate(report, REPORT_SCHEMA)
+        assert code == 2
+        assert report["semantics"] == "unverified-completion"
+        assert report["dim"] is None and report["profile"] is None
+        assert report["inconclusive"][0].startswith("dim: ")
+        assert not any(word in report["inconclusive"][0]
+                       for word in ("inconclusive", "budget"))
+        code, out, _ = invoke(capsys, script, tmp_path=tmp_path)
+        assert code == 2
+        dim_row = next(line for line in out.splitlines()
+                       if line.startswith("dim T"))
+        assert dim_row.split() == ["dim", "T", "inconclusive"]
+
     def test_component_away_from_origin_is_analyzed(self, capsys, tmp_path):
         """(x, y) cap (z - 1) lies in M although z - 1 does not."""
         code, out, _ = invoke(
             capsys, "ring Q[x,y,z]\nideal I = intersect((x,y),(z-1))\n"
                     "analyze I\n", tmp_path=tmp_path)
-        assert code == 2
+        assert code == 0
         assert out.startswith("ring ")
         assert "dim T" in out
 
@@ -508,6 +538,58 @@ class TestRegularCandidateBudget:
         assert report["inconclusive"][0] == (
             "depth_ge2: inconclusive: no regular element among the first 0 "
             "candidates")
+
+    def test_zero_budget_refuted_by_dim_one(self, capsys, tmp_path):
+        """A search that ends without a regular element refutes depth >= 2
+        when dim T <= 1, since depth T <= dim T/P for associated P."""
+        code, out, _ = invoke(
+            capsys, "ring Q[x,y]\nideal I = (x^2 - y^2)\nanalyze I\n",
+            "--budget-regular-candidates", "0", "--format", "json",
+            tmp_path=tmp_path)
+        report = json.loads(out)
+        assert code == 2
+        assert report["dim"] == 1
+        assert report["conditions"]["depth_ge2"] is False
+        assert report["verdicts"]["ufd_completion"] is False
+        assert not any(s.startswith("depth_ge2")
+                       for s in report["inconclusive"])
+        assert ("depth_ge2 refuted: dim T = 1, and depth T <= dim T/P for "
+                "every associated P") in report["notes"]
+
+
+class TestStamp:
+    """A report is stamped monomial-exact exactly when every value is
+    exact for T: no dim, profile, condition or verdict is null, except
+    regularity_at_min in characteristic p, whose remark is not a fact of
+    T. Every other report is stamped unverified-completion and exits 2."""
+
+    EXTRA = ("ring F7[x,y,z,v]\nideal A = (x*y, x*z)\nanalyze A\n"
+             "ring F7[x,y]\nideal B = (y - x^2)\nanalyze B\n"
+             "ring Q[x,y,z]\nideal C = intersect((x^2, y), (z - 1))\n"
+             "analyze C\n")
+
+    def test_stamp_reads_the_nulls(self, capsys, tmp_path):
+        scripts = [p.read_text() for p in
+                   sorted((ROOT / "demos" / "scripts").glob("*.ncat"))]
+        stamps = set()
+        for text in scripts + [self.EXTRA]:
+            code, out, _ = invoke(capsys, text, "--format", "json",
+                                  tmp_path=tmp_path)
+            reports = [r for r in map(json.loads, out.splitlines())
+                       if "semantics" in r]
+            for r in reports:
+                values = [r["dim"], r["profile"], *r["conditions"].values(),
+                          *(v for k, v in r["verdicts"].items()
+                            if k != "regularity_at_min")]
+                exact = None not in values
+                assert (r["semantics"] == "monomial-exact") == exact, r
+                assert bool(r["inconclusive"]) == (
+                    not exact or r["verdicts"]["regularity_at_min"] is None)
+                stamps.add(r["semantics"])
+            flagged = any(r["semantics"] != "monomial-exact"
+                          for r in reports)
+            assert code == (2 if flagged else 0)
+        assert stamps == {"monomial-exact", "unverified-completion"}
 
 
 class TestExitCodes:
@@ -613,6 +695,30 @@ class TestExitCodes:
         assert code == 1 and captured.out == ""
         assert captured.err.startswith("cannot read script: ")
         assert "can't decode byte 0xff" in captured.err
+
+    @staticmethod
+    def run_stdin(data):
+        """(exit code, stdout, stderr) of `noncat -` fed `data` in a
+        subprocess, so that stdin is a real byte stream."""
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [str(ROOT / "src")] + ([os.environ["PYTHONPATH"]]
+                                   if "PYTHONPATH" in os.environ else [])))
+        proc = subprocess.run([sys.executable, "-m", "noncat.cli", "-"],
+                              input=data, env=env, capture_output=True,
+                              timeout=60)
+        return proc.returncode, proc.stdout.decode(), proc.stderr.decode()
+
+    def test_stdin_script(self):
+        code, out, err = self.run_stdin(
+            "ring Q[x,y]\nideal I = (x*y)\nprofile I\n".encode())
+        assert (code, out, err) == (0, "profile {1, 1}\n", "")
+
+    def test_non_utf8_stdin_exits_1(self):
+        """Bytes on stdin are decoded as strictly as a file's."""
+        code, out, err = self.run_stdin(b"ring Q[x]\n\xff\n")
+        assert code == 1 and out == ""
+        assert err.startswith("cannot read script: ")
+        assert "can't decode byte 0xff" in err
 
     def test_fuzzed_invalid_inputs_never_exit_0(self, capsys, tmp_path):
         rng = random.Random(999)
