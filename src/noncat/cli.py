@@ -44,7 +44,7 @@ from .families import FamilySpec, instantiate
 from .groebner import DEFAULT_REGULAR_CANDIDATE_BUDGET, IdealHandle
 from .monomial import MonomialPrime
 from .poly import DEFAULT_GB_STEP_BUDGET
-from .spectra import chain_dot, poset_dot, poset_json, poset_text
+from .spectra import PrimeChain, chain_dot, poset_dot, poset_json, poset_text
 
 _TRISTATE = {True: "true", False: "false", None: "inconclusive"}
 
@@ -223,9 +223,14 @@ class _Runner:
         if self.fmt == "json":
             return json.dumps(report.to_json_dict(), sort_keys=False)
         if self.fmt == "dot":
+            # the witness chain, then every associated prime and M alone;
+            # the UFD search starts at the same P, so Q' is on the chain
+            mono = a.require_monomial("the witness diagram")
+            top = MonomialPrime(frozenset(range(a.v)))
+            alone = [PrimeChain(a.context, (p,))
+                     for p in (*mono.associated_primes(), top)]
             _, chain = a.noncat_domain
-            return poset_dot(a.require_monomial("the spectrum poset"),
-                             [chain] if chain else [])
+            return chain_dot(mono, [chain, *alone] if chain else alone)
         return report_text(report)
 
     def do_profile(self, a):

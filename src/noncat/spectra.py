@@ -1,16 +1,16 @@
 """Saturated avoidance chains of monomial primes, read off a monomial
 ideal's Min and Ass, the noncatenarity profile, and the renderings: DOT,
 JSON and text of the poset of monomial primes containing the ideal, and
-DOT of chains.
+DOT of chains, which also draws the CLI's witness diagram.
 
 Every function here takes a `MonomialIdeal`. Chain construction walks
 upward one variable at a time, keeping each interior node outside Ass and
 above a unique minimal prime; these are exactly the properties the
 downstream classifiers certify. The poset, whose nodes are the variable
 subsets that meet every generator's support, ordered by inclusion, is
-only rendered: each rendering walks it once with `build_poset`, which
-stops above MAX_POSET_VARS variables. It is graded, every covering step
-adding exactly one variable.
+only rendered, for the `poset` command: each rendering walks it once with
+`build_poset`, which stops above MAX_POSET_VARS variables. It is graded,
+every covering step adding exactly one variable.
 """
 
 from __future__ import annotations
@@ -197,19 +197,6 @@ def _marks(ideal):
             (1 << ideal.context.count) - 1)
 
 
-def _node_attrs(mask, marks):
-    mins, ass, top = marks
-    attrs = []
-    if mask in mins:
-        attrs.append("shape=box")
-    if mask in ass:
-        attrs.append("style=filled")
-        attrs.append("fillcolor=lightgray")
-    if mask == top:
-        attrs.append("penwidth=2")
-    return f" [{','.join(attrs)}]" if attrs else ""
-
-
 def _quoted(label):
     return '"' + label.replace('"', '\\"') + '"'
 
@@ -236,27 +223,37 @@ def _rows(ideal):
         yield mask, [names[i] for i in indices], v - rank, rank - lowest
 
 
-def poset_dot(ideal, highlight_chains=()):
-    """DOT digraph of the monomial ideal's whole poset, edges being
-    covering relations; minimal primes boxed, associated primes filled,
-    the maximal ideal bold. Optional chains are overlaid in red."""
-    ctx = ideal.context
-    marks = _marks(ideal)
-    highlight = set()
-    for chain in highlight_chains:
-        for a, b in zip(chain.primes, chain.primes[1:]):
-            highlight.add((_mask(a), _mask(b)))
-    names = ctx.names
-    labels = {mask: _quoted(MonomialPrime.label([names[i] for i in indices]))
-              for mask, indices in build_poset(ideal)}
-    lines = ["digraph spec_poset {", "  rankdir=BT;"]
+def _digraph(name, marks, labels, edges):
+    """The one DOT writer: a node per (mask, quoted label) of `labels`,
+    boxed if minimal, filled if associated and bold if maximal by `marks`,
+    and an edge per (mask, mask) pair of `edges`."""
+    mins, ass, top = marks
+    lines = [f"digraph {name} {{", "  rankdir=BT;"]
     for mask, label in labels.items():
-        lines.append(f"  {label}{_node_attrs(mask, marks)};")
-    for p, q in _covers(labels, ctx.count):
-        extra = " [color=red,penwidth=2]" if (p, q) in highlight else ""
-        lines.append(f"  {labels[p]} -> {labels[q]}{extra};")
+        attrs = []
+        if mask in mins:
+            attrs.append("shape=box")
+        if mask in ass:
+            attrs.append("style=filled,fillcolor=lightgray")
+        if mask == top:
+            attrs.append("penwidth=2")
+        lines.append(f"  {label} [{','.join(attrs)}];" if attrs
+                     else f"  {label};")
+    for p, q in edges:
+        lines.append(f"  {labels[p]} -> {labels[q]};")
     lines.append("}")
     return "\n".join(lines)
+
+
+def poset_dot(ideal):
+    """DOT digraph of the monomial ideal's whole poset, edges being
+    covering relations; minimal primes boxed, associated primes filled,
+    the maximal ideal bold."""
+    names = ideal.context.names
+    labels = {mask: _quoted(MonomialPrime.label([names[i] for i in indices]))
+              for mask, indices in build_poset(ideal)}
+    return _digraph("spec_poset", _marks(ideal), labels,
+                    _covers(labels, ideal.context.count))
 
 
 def poset_json(ideal):
@@ -291,22 +288,13 @@ def poset_text(ideal):
 
 
 def chain_dot(ideal, chains):
-    """DOT digraph of just the given chains of the monomial ideal (they
-    meet at shared nodes); edge count equals the sum of the chain
-    lengths."""
+    """DOT digraph of just the given chains of the monomial ideal, marked
+    as in `poset_dot`. Chains meet at shared nodes, and a step shared by
+    several chains is one edge; a length-0 chain adds its node alone."""
     ctx = ideal.context
-    marks = _marks(ideal)
-    nodes = {p for chain in chains for p in chain.primes}
-    labels = {p: _quoted(p.render(ctx))
-              for p in sorted(nodes, key=lambda p: p.sort_key)}
-    lines = ["digraph prime_chains {", "  rankdir=BT;"]
-    for p, label in labels.items():
-        lines.append(f"  {label}{_node_attrs(_mask(p), marks)};")
-    seen = set()
-    for chain in chains:
-        for a, b in zip(chain.primes, chain.primes[1:]):
-            if (a, b) not in seen:
-                seen.add((a, b))
-                lines.append(f"  {labels[a]} -> {labels[b]};")
-    lines.append("}")
-    return "\n".join(lines)
+    nodes = sorted({p for chain in chains for p in chain.primes},
+                   key=lambda p: p.sort_key)
+    steps = dict.fromkeys((_mask(a), _mask(b)) for chain in chains
+                          for a, b in zip(chain.primes, chain.primes[1:]))
+    return _digraph("prime_chains", _marks(ideal),
+                    {_mask(p): _quoted(p.render(ctx)) for p in nodes}, steps)

@@ -1,0 +1,194 @@
+"""Census of small squarefree monomial rings: every labelled squarefree
+monomial ideal in one to four variables, the zero ideal included, and one
+ideal per relabelling class in five. Each report is checked against an
+oracle that uses no noncat code: Min is the set of minimal vertex covers of
+the generator supports (and Ass = Min, I being radical), depth > 1 comes
+from Hochster's formula, and the regular carve-outs from the embedding
+dimension. Each ring's DOT witness diagram is checked against its JSON
+report."""
+
+import json
+from functools import reduce
+from itertools import permutations
+from operator import mul
+
+import pytest
+
+from noncat.analyzer import AnalysisConfig, _Analysis
+from noncat.cli import _Runner
+from noncat.poly import RingPresentation, variables
+
+from conftest import QQ, ctx
+
+NAMES = "abcde"
+
+
+def antichains(v):
+    """Every antichain of nonempty subsets of range(v), each a tuple of
+    bitmasks in increasing order; the empty antichain is the zero ideal."""
+    def extend(chosen, start):
+        yield chosen
+        for s in range(start, 1 << v):
+            if all(s & t not in (s, t) for t in chosen):
+                yield from extend(chosen + (s,), s + 1)
+    return extend((), 1)
+
+
+def relabelling_classes(v):
+    """The first antichain, in the order of `antichains`, of each orbit
+    under the permutations of the variables."""
+    images = [[sum(1 << p[i] for i in range(v) if s >> i & 1)
+               for s in range(1 << v)] for p in permutations(range(v))]
+    seen = set()
+    for a in antichains(v):
+        if a not in seen:
+            seen.update(tuple(sorted(m[s] for s in a)) for m in images)
+            yield a
+
+
+def census():
+    """(v, supports) of every census ring."""
+    rings = [(v, a) for v in range(1, 5) for a in antichains(v)]
+    return rings + [(5, a) for a in relabelling_classes(5)]
+
+
+def names_of(v, mask):
+    return [NAMES[i] for i in range(v) if mask >> i & 1]
+
+
+def connected(vertices, edges):
+    reached, todo = set(), [min(vertices)]
+    while todo:
+        i = todo.pop()
+        if i not in reached:
+            reached.add(i)
+            todo += [j for j in vertices if (1 << i | 1 << j) in edges]
+    return reached == vertices
+
+
+def oracle(v, supports):
+    """Min and the verdicts of T = K[[x]]/I over Q, I generated by the
+    squarefree monomials with these supports, from the paper's
+    characterizations: T completes a domain iff it is a field or M is not
+    associated, a UFD iff it is a field, a DVR or of depth > 1, and the
+    noncatenary ones need a minimal P with 1 < dim T/P < dim T (2 < for
+    the UFD)."""
+    full = (1 << v) - 1
+    covers = {c for c in range(1 << v) if all(c & s for s in supports)}
+    mins = {c for c in covers
+            if not any(c >> i & 1 and c ^ 1 << i in covers for i in range(v))}
+    edim = v - sum(1 for s in supports if s & (s - 1) == 0)
+    m_assoc = full in mins
+    carve_out = ("field" if edim == 0
+                 else "dvr" if edim == 1 and not m_assoc else None)
+    if carve_out:
+        dim, profile = edim, [edim]
+    else:
+        profile = sorted((v - bin(c).count("1") for c in mins), reverse=True)
+        dim = profile[0]
+    # Hochster: depth k[D] > 1 iff D is connected of dimension >= 1, D being
+    # the complex of the subsets that contain no support
+    faces = {f for f in range(1 << v) if all(f & s != s for s in supports)}
+    vertices = {i for i in range(v) if 1 << i in faces}
+    edges = {f for f in faces if bin(f).count("1") == 2}
+    depth_ge2 = bool(edges) and connected(vertices, edges)
+    domain = carve_out == "field" or not m_assoc
+    ufd = True if carve_out else depth_ge2
+    return {
+        "minimal_primes": sorted(names_of(v, c) for c in mins),
+        "dim": dim,
+        "profile": profile,
+        "depth_ge2": depth_ge2,
+        "domain_completion": domain,
+        "ufd_completion": ufd,
+        "noncat_domain": domain and any(1 < d < dim for d in profile),
+        "noncat_ufd": ufd and any(2 < d < dim for d in profile),
+    }
+
+
+def observed(report):
+    verdicts = report["verdicts"]
+    return {
+        "minimal_primes": sorted(p["gens"] for p in report["minimal_primes"]),
+        "dim": report["dim"],
+        "profile": report["profile"],
+        "depth_ge2": report["conditions"]["depth_ge2"],
+        **{k: verdicts[k] for k in ("domain_completion", "ufd_completion",
+                                    "noncat_domain", "noncat_ufd")},
+    }
+
+
+def parse_dot(text):
+    """({node: its attributes}, {(tail, head)}) of a DOT digraph, each node
+    the frozenset of its prime's generators."""
+    def prime(label):
+        inner = label.strip('"')[1:-1]
+        return frozenset() if inner == "0" else frozenset(inner.split(","))
+    lines = text.splitlines()
+    assert lines[:2] == ["digraph prime_chains {", "  rankdir=BT;"]
+    assert lines[-1] == "}"
+    nodes, edges = {}, set()
+    for line in lines[2:-1]:
+        body = line.strip().rstrip(";")
+        if " -> " in body:
+            tail, head = body.split(" -> ")
+            edges.add((prime(tail), prime(head)))
+        else:
+            label, _, attrs = body.partition(" [")
+            nodes[prime(label)] = set(attrs.rstrip("]").split(",")) - {""}
+    return nodes, edges
+
+
+@pytest.fixture(scope="module")
+def analyzed():
+    """(v, supports, JSON report, DOT witness diagram) of every census
+    ring, each read off one analysis."""
+    config = AnalysisConfig()
+    as_json, as_dot = _Runner(config, "json"), _Runner(config, "dot")
+    results = []
+    for v, supports in census():
+        c = ctx(*NAMES[:v])
+        xs = variables(QQ, c)
+        gens = [reduce(mul, (x for i, x in enumerate(xs) if s >> i & 1))
+                for s in supports]
+        a = _Analysis.from_presentation(RingPresentation(QQ, c, gens))
+        results.append((v, supports, json.loads(as_json.do_analyze(a)),
+                        as_dot.do_analyze(a)))
+    return results
+
+
+def test_census_size(analyzed):
+    """193 labelled rings in 1-4 variables and the 209 relabelling classes
+    of non-unit squarefree monomial ideals in 5 (A003182 counts 210 with
+    the unit ideal)."""
+    sizes = [sum(1 for v, *_ in analyzed if v == n) for n in range(1, 6)]
+    assert sizes == [2, 5, 19, 167, 209]
+
+
+def test_reports_match_the_oracle(analyzed):
+    wrong = [(v, [names_of(v, s) for s in supports])
+             for v, supports, report, _ in analyzed
+             if observed(report) != oracle(v, supports)]
+    assert wrong == []
+
+
+def test_witness_diagram_matches_the_report(analyzed):
+    """The diagram draws Ass, M and the witness chain, with Min boxed, Ass
+    filled and M bold, and one edge per chain step, each adding one
+    variable; the UFD witness Q' lies on the chain."""
+    for v, supports, report, dot in analyzed:
+        nodes, edges = parse_dot(dot)
+        top = frozenset(NAMES[:v])
+        mins = {frozenset(p["gens"]) for p in report["minimal_primes"]}
+        ass = {frozenset(p) for p in report["associated_primes"]}
+        chain = [frozenset(p) for p in report["witnesses"]["chain"] or ()]
+        assert set(nodes) == ass | {top} | set(chain), report["ring"]
+        assert edges == set(zip(chain, chain[1:])), report["ring"]
+        assert all(p < q and len(q - p) == 1 for p, q in edges)
+        for node, attrs in nodes.items():
+            assert ("shape=box" in attrs) == (node in mins)
+            assert ("style=filled" in attrs) == (node in ass)
+            assert ("penwidth=2" in attrs) == (node == top)
+        q_prime = report["witnesses"]["ufd_witness_prime"]
+        if q_prime is not None:
+            assert frozenset(q_prime) == chain[-2], report["ring"]

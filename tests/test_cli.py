@@ -27,11 +27,6 @@ from conftest import count_calls
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def run_cli(capsys, text, *args):
-    code = main([*args]) if text is None else None
-    return code
-
-
 def invoke(capsys, script_text, *flags, tmp_path=None):
     """Run main() on a script written to a temp file; returns
     (exit code, stdout, stderr)."""
@@ -289,7 +284,7 @@ class TestSharedAnalysis:
     def test_posets_built_only_for_renderings(self, capsys, tmp_path,
                                               monkeypatch, command, fmt):
         """Witness chains read the monomial ideal, so the poset is walked
-        only by the poset command and DOT analyze, once per command."""
+        only by the poset command, once per command."""
         walks = count_calls(monkeypatch, spectra, "build_poset")
         run = (command if " " in command else f"{command} I")
         script = ("ring Q[x,y,z,v]\nideal I = (x*y, x*z)\n"
@@ -298,8 +293,7 @@ class TestSharedAnalysis:
         code, out, _ = invoke(capsys, script, "--format", fmt,
                               tmp_path=tmp_path)
         assert code == 0 and len(out.splitlines()) >= 3
-        renders = command == "poset" or (command, fmt) == ("analyze", "dot")
-        assert len(walks) == (3 if renders else 0)
+        assert len(walks) == (3 if command == "poset" else 0)
 
     def test_family_shares_the_analysis_of_the_same_ring(self, monkeypatch):
         """family example_ufd(2, 2) presents (x*y1, x*y2) over
@@ -375,7 +369,7 @@ class TestSharedAnalysis:
 
     def test_dot_analyze_without_chain_witness(self, capsys, tmp_path):
         """A noncatenary-domain verdict whose chain leaves the monomial
-        subposet: the DOT poset is drawn without a chain overlay."""
+        subposet: the witness diagram draws Ass and M, with no edge."""
         script = ("ring Q[x0,x1,x2,x3]\n"
                   "ideal I = (x1*x3, x0*x1^2*x2^2*x3, x0*x2*x3^2)\n"
                   "analyze I\n")
@@ -387,8 +381,8 @@ class TestSharedAnalysis:
         code, out, _ = invoke(capsys, script, "--format", "dot",
                               tmp_path=tmp_path)
         assert code == 0
-        assert out.startswith("digraph spec_poset {")
-        assert "color=red" not in out
+        assert out.startswith("digraph prime_chains {")
+        assert "->" not in out
 
     def test_reference_to_another_ring_is_parse_error(self, capsys,
                                                       tmp_path):
@@ -397,6 +391,36 @@ class TestSharedAnalysis:
             "ideal J = intersect(I, (z))\nanalyze J\n", tmp_path=tmp_path)
         assert code == 1 and out == ""
         assert "parse error" in err
+
+
+class TestWitnessDiagram:
+    """DOT analyze draws the report's witness chain with Ass and M, so it
+    walks no poset and stops at no variable cap."""
+
+    @pytest.mark.parametrize("n", [16, 18, 22])
+    def test_cycle_edge_ideals(self, capsys, tmp_path, n):
+        """The n-cycle's edge ideal has 2^n variable subsets, but its
+        diagram grows with the report."""
+        names = ", ".join(f"x{i}" for i in range(n))
+        gens = ", ".join(f"x{i}*x{(i + 1) % n}" for i in range(n))
+        code, out, _ = invoke(
+            capsys, f"ring Q[{names}]\nideal I = ({gens})\nanalyze I\n",
+            "--format", "dot", tmp_path=tmp_path)
+        assert code == 0 and out.startswith("digraph prime_chains {")
+        assert n != 16 or len(out.encode()) < 10_000
+
+    @pytest.mark.parametrize("v", [18, 40])
+    def test_above_poset_cap(self, capsys, tmp_path, v):
+        names = ",".join(f"v{i}" for i in range(v))
+        script = f"ring Q[{names}]\nideal I = (v0*v1)\nanalyze I\n"
+        code, out, _ = invoke(capsys, script, "--format", "dot",
+                              tmp_path=tmp_path)
+        assert code == 0
+        assert out.splitlines()[2:] == [
+            '  "(v0)" [shape=box,style=filled,fillcolor=lightgray];',
+            '  "(v1)" [shape=box,style=filled,fillcolor=lightgray];',
+            f'  "({names})" [penwidth=2];',
+            "}"]
 
 
 class TestRegularityAtMin:
@@ -649,8 +673,7 @@ class TestExitCodes:
     @pytest.mark.parametrize("v", [18, 40])
     @pytest.mark.parametrize("command,fmt", [("poset", "text"),
                                              ("poset", "json"),
-                                             ("poset", "dot"),
-                                             ("analyze", "dot")])
+                                             ("poset", "dot")])
     def test_poset_cap_exits_3(self, capsys, tmp_path, command, fmt, v):
         """Every whole-poset rendering stops at the cap. The 40-variable
         ring finishing at all shows the cap is checked before the 2^v

@@ -49,3 +49,14 @@ def test_ufd_family_tour(tmp_path):
     for a, b in ((2, 2), (2, 3), (3, 2), (3, 3), (4, 2)):
         assert f"({a},{b})    {a + b}      {{{a + b},{b + 1}}}" in out
     assert "prop41(2,3): noncat_domain = True / noncat_ufd = False" in out
+
+
+def test_benchmark_scripts_copy_the_demo_scripts():
+    """perfbench/scripts holds byte copies of demo scripts for the
+    benchmark to time: a demo script edited without its copy would leave
+    the benchmark timing a script the golden tests no longer check."""
+    copies = sorted((ROOT / "perfbench" / "scripts").glob("*.ncat"))
+    assert copies
+    for copy in copies:
+        demo = ROOT / "demos" / "scripts" / copy.name
+        assert copy.read_bytes() == demo.read_bytes(), copy.name

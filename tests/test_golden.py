@@ -10,6 +10,7 @@ review the diff.
 import contextlib
 import io
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -54,6 +55,41 @@ def test_demo_script_matches_golden(script, fmt):
     assert out == out_path.read_text()
     assert err == err_path.read_text()
     assert code == stored_exit_codes()[f"{script.stem}.{fmt}"]
+
+
+# a node, or an edge between two nodes, with optional attributes
+DOT_LINE = re.compile(r'  ("[^"]*")(?: -> ("[^"]*"))?(?: \[.*\])?;')
+
+
+def digraphs(text):
+    """The line lists of the DOT digraphs printed one after another."""
+    graphs = []
+    for line in text.splitlines():
+        if line.startswith("digraph "):
+            graphs.append([])
+        assert graphs, f"text outside a digraph: {line!r}"
+        graphs[-1].append(line)
+    return graphs
+
+
+@pytest.mark.parametrize("path", sorted(GOLDEN.glob("*.dot.out")),
+                         ids=lambda p: p.name)
+def test_golden_dot_is_well_formed(path):
+    """Each digraph opens with its name and rankdir, closes with a brace,
+    declares each node once and draws edges only between its nodes."""
+    for lines in digraphs(path.read_text()):
+        assert re.fullmatch(r"digraph \w+ \{", lines[0])
+        assert lines[1] == "  rankdir=BT;" and lines[-1] == "}"
+        nodes, edges = [], []
+        for line in lines[2:-1]:
+            match = DOT_LINE.fullmatch(line)
+            assert match, line
+            if match[2] is None:
+                nodes.append(match[1])
+            else:
+                edges += [match[1], match[2]]
+        assert len(set(nodes)) == len(nodes)
+        assert set(edges) <= set(nodes)
 
 
 def write_golden():
