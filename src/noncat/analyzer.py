@@ -294,11 +294,14 @@ class _Analysis:
     def table(self):
         return _verdicts(self.facts)
 
-    def _qualifying_prime(self, lower):
-        """First minimal prime (canonical order) with
-        lower < dim(T/P) < dim T, or None."""
+    @cached_property
+    def _qualifying_prime(self):
+        """First minimal prime (canonical order) with dim(T/P) < dim T, or
+        None. Min is sorted by size, so this P has the largest dim(T/P)
+        below dim T: the domain witness needs it above 1, the UFD witness
+        above 2, and no other prime can serve either when it does not."""
         return next((p for p in self.mono.minimal_primes()
-                     if lower < p.quotient_dim(self.v) < self.facts.dim), None)
+                     if p.quotient_dim(self.v) < self.facts.dim), None)
 
     def chain(self, p):
         """The avoidance chain from the minimal prime p, or the error that
@@ -325,21 +328,23 @@ class _Analysis:
         conditions."""
         if not self.table[1]["noncat_domain"]:
             return None, None
-        p = self._qualifying_prime(1)
+        p = self._qualifying_prime
         chain = self.chain(p)
         return p, None if isinstance(chain, ChainInfeasibleError) else chain
 
     @cached_property
     def ufd_search(self):
-        """The UfdWitness of the first minimal prime P with
-        2 < dim(T/P) < dim T, whatever the depth: the prime Q' of the
-        module docstring, reached by the avoidance chain from P. None when
-        no minimal prime qualifies or the search is inconclusive. Every
+        """The UfdWitness of the qualifying prime P, the domain witness's,
+        when 2 < dim(T/P), whatever the depth: the prime Q' of the module
+        docstring, reached by the avoidance chain from P. None when no
+        minimal prime qualifies or the search is inconclusive. Every
         interior chain node has P as its only minimal prime, so
         height(Q') = |Q'| - |P| = dim(T/P) - 1 < dim T - 1."""
-        p = self._qualifying_prime(2)
-        chain = None if p is None else self.chain(p)
-        if chain is None or isinstance(chain, ChainInfeasibleError):
+        p = self._qualifying_prime
+        if p is None or p.quotient_dim(self.v) <= 2:
+            return None
+        chain = self.chain(p)
+        if isinstance(chain, ChainInfeasibleError):
             return None
         qprime = chain.primes[-2]
         if qprime.quotient_dim(self.v) != 1:

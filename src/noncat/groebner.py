@@ -16,8 +16,10 @@ socle test and depth >= 2 are this engine's own on every ideal, monomial or
 not; the analyzer sends monomial I to the monomial engine instead.
 Homogeneous I reads one grevlex basis per candidate sum of variables, moved
 to the last variable (Bayer-Stillman); when no variable is regular, the
-same bases give each (I : x_i) for the socle test. The colon calculus
-serves only non-homogeneous ideals, and is the oracle in the tests.
+same bases give each (I : x_i) for the socle test, which looks for a socle
+element among their generators and intersects them into (I : M) only when
+none is one. The colon calculus serves only non-homogeneous ideals, and is
+the oracle in the tests.
 
 Handles are immutable apart from fill-once caches guarded by a lock, so
 one handle can serve several threads.
@@ -513,6 +515,21 @@ class IdealHandle:
                 (c, e[:i] + (e[-1] - shift,) + e[i:-1]) for c, e in g.pairs())))
         return self.spawn(gens)
 
+    def _socle_witness(self):
+        """For homogeneous I with no regular variable: a generator g of some
+        (I : x_i), last variable first, with g not in I and x_j*g in I for
+        every j, else None. Such a g is a nonzero socle element of R/I, so
+        M is associated; None proves nothing. Each test is a normal form
+        against I's cached basis."""
+        v = self.context.count
+        xs = variables(self.field, self.context)
+        for i in (v - 1, *range(v - 1)):
+            for g in self._colon_by_variable(i).generators:
+                if not self.contains(g) and all(
+                        self.contains(x * g) for x in xs):
+                    return g
+        return None
+
     def _colon_by_maximal_ideal(self):
         """For homogeneous I: (I : M) as the intersection of the (I : x_i),
         v - 1 intersections in all."""
@@ -547,9 +564,13 @@ class IdealHandle:
         included. For homogeneous I a regular variable proves M not
         associated: the last one is read off I's own basis, the others off
         one basis each with that variable moved last. When no variable is
-        regular, the same bases give each (I : x_i), and M is associated
-        exactly when their intersection (I : M) is not I. A non-homogeneous
-        ideal gets that socle test from the colon calculus."""
+        regular, the same bases give each (I : x_i); a socle element among
+        their generators proves M associated with normal forms alone.
+        Failing one, M is associated exactly when the intersection (I : M)
+        of the (I : x_i) is not I: on (x^2, y^2) the socle element xy
+        generates no (I : x_i), and on (xy, xz, yz) M is not associated. A
+        non-homogeneous ideal gets that socle test from the colon
+        calculus."""
         if self._m_assoc is not None:
             return self._m_assoc
         if self.is_unit_ideal:
@@ -559,7 +580,8 @@ class IdealHandle:
             result = not any(
                 self._moved_to_last((i,))._last_variable_regular()
                 for i in (v - 1, *range(v - 1))
-            ) and not self._colon_by_maximal_ideal().equals(self)
+            ) and (self._socle_witness() is not None
+                   or not self._colon_by_maximal_ideal().equals(self))
         else:
             result = not self.quotient(self.maximal_ideal()).equals(self)
         with self._lock:

@@ -648,12 +648,13 @@ class TestExitCodes:
 
     def test_tilted_budget_exceeded_exits_3(self, capsys, tmp_path):
         """The generators are a reduced basis, so the handle's own basis
-        fits in one step, and the revlex basis after moving a candidate
-        to the last variable runs out of budget."""
+        fits in a budget of zero steps, and the grevlex basis after moving a
+        candidate to the last variable, which needs one, runs out of
+        budget."""
         script = ("ring Q[x,y1,y2]\n"
                   "ideal I = (x*y1 + y1^2 - 2*y1*y2, x*y2 + y1*y2 - 2*y2^2)\n"
                   "analyze I\n")
-        code, out, err = invoke(capsys, script, "--budget-gb-steps", "1",
+        code, out, err = invoke(capsys, script, "--budget-gb-steps", "0",
                                 tmp_path=tmp_path)
         assert code == 3 and out == ""
         assert "groebner step budget exceeded" in err

@@ -61,6 +61,25 @@ def twisted_cubic(field=QQ):
                                   b * d - cc * cc))
 
 
+def coordinate_squares(field=QQ):
+    """(x^2, y^2): M is associated, yet its socle element xy generates no
+    (I : x_i)."""
+    c = ctx("x", "y")
+    x, y = variables(field, c)
+    return IdealHandle(field, c, (x * x, y * y))
+
+
+def coordinate_axes(field=QQ):
+    """(xy, xz, yz), the three coordinate axes: no variable is regular,
+    and M is not associated."""
+    c = ctx("x", "y", "z")
+    x, y, z = variables(field, c)
+    return IdealHandle(field, c, (x * y, x * z, y * z))
+
+
+FIELDS = (QQ, FieldDescriptor(2), FieldDescriptor(32003))
+
+
 class TestBuchberger:
     def test_monomial_ideal_is_its_own_basis(self):
         c = ctx("x", "y", "z")
@@ -527,13 +546,50 @@ class TestDimension:
 class TestMaximalIdealAssociated:
     def test_homogeneous_without_regular_variable_needs_no_colon(
             self, monkeypatch):
-        """No variable is regular, so M may be associated; (I : M) is the
-        intersection of the (I : x_i) read off the moved bases."""
+        """No variable is regular, so M may be associated; a generator of
+        some (I : x_i), read off the moved bases, is a socle element and
+        proves it without a colon ideal."""
         h = embedded_origin()
         assert h.is_homogeneous and h.monomial_ideal() is None
         colons = count_calls(monkeypatch, IdealHandle, "quotient_element")
         assert h.maximal_ideal_associated()
         assert not colons
+
+    @pytest.mark.parametrize("field", FIELDS, ids=str)
+    @pytest.mark.parametrize("ring", [
+        lambda field: tilted_line_and_plane(field)._moved_to_last(
+            (0,))._cut_by_last_variable(),
+        embedded_origin,
+    ], ids=["tilted-cut", "embedded-origin"])
+    def test_socle_witness_decides_without_elimination(self, monkeypatch,
+                                                       ring, field):
+        """The tilted ring's cut by x and the embedded origin have no
+        regular variable; a generator of some (I : x_i) is a socle element,
+        so (I : M) is never intersected."""
+        h = ring(field)
+        eliminations = count_calls(monkeypatch, IdealHandle, "_eliminate")
+        intersected = count_calls(monkeypatch, IdealHandle,
+                                  "_colon_by_maximal_ideal")
+        assert h.maximal_ideal_associated()
+        assert h._socle_witness() is not None
+        assert not eliminations and not intersected
+
+    @pytest.mark.parametrize("ring,associated", [
+        (coordinate_squares, True),
+        (coordinate_axes, False),
+    ], ids=["coordinate-squares", "coordinate-axes"])
+    def test_no_socle_witness_falls_back_to_intersection(
+            self, monkeypatch, ring, associated):
+        """No variable is regular and no generator of any (I : x_i) is a
+        socle element, so (I : M) is intersected and decides, as the colon
+        calculus does."""
+        h = ring()
+        assert h._socle_witness() is None
+        intersected = count_calls(monkeypatch, IdealHandle,
+                                  "_colon_by_maximal_ideal")
+        assert h.maximal_ideal_associated() == associated
+        assert len(intersected) == 1
+        assert (not h.quotient(h.maximal_ideal()).equals(h)) == associated
 
     def test_homogeneous_regular_variable_needs_no_colon(self, monkeypatch):
         h = tilted_line_and_plane()
@@ -694,10 +750,10 @@ class TestDepth:
 
     def test_new_groebner_runs_draw_on_the_step_budget(self):
         """The tilted generators are already a reduced basis, so the
-        handle's own basis fits in one step; the basis after moving a
-        candidate to the last variable does not."""
+        handle's own basis fits in a budget of zero steps; the basis after
+        moving a candidate to the last variable needs one."""
         gens = tilted_line_and_plane().groebner_basis()
-        h = IdealHandle(QQ, gens[0].context, gens, gb_step_budget=1)
+        h = IdealHandle(QQ, gens[0].context, gens, gb_step_budget=0)
         assert h.groebner_basis() == gens
         with pytest.raises(BudgetExceededError):
             h.depth_at_least_two()
@@ -718,9 +774,6 @@ class TestDepth:
             result = h.depth_at_least_two()
             if result.verdict is True:
                 assert bound >= 2
-
-
-FIELDS = (QQ, FieldDescriptor(2), FieldDescriptor(32003))
 
 
 @st.composite
@@ -765,6 +818,8 @@ class TestHomogeneousCrossEngine:
     @example(embedded_origin(FieldDescriptor(2)))
     @example(tilted_line_and_plane(FieldDescriptor(32003)))
     @example(twisted_cubic())
+    @example(coordinate_squares())
+    @example(coordinate_axes(FieldDescriptor(2)))
     def test_socle_test_and_depth_match_colon_calculus(self, h):
         if h.is_unit_ideal:
             return
