@@ -15,11 +15,12 @@ read off the supports of the leading terms by the monomial engine. The
 socle test and depth >= 2 are this engine's own on every ideal, monomial or
 not; the analyzer sends monomial I to the monomial engine instead.
 Homogeneous I reads one grevlex basis per candidate sum of variables, moved
-to the last variable (Bayer-Stillman); when no variable is regular, the
-same bases give each (I : x_i) for the socle test, which looks for a socle
-element among their generators and intersects them into (I : M) only when
-none is one. The colon calculus serves only non-homogeneous ideals, and is
-the oracle in the tests.
+to the last variable (Bayer-Stillman). The socle test reads one such basis
+per variable, last first, and stops at the first regular variable or socle
+element among the generators of that (I : x_i), before it computes the
+next; only when no variable decides are the (I : x_i) intersected into
+(I : M). The colon calculus serves only non-homogeneous ideals, and is the
+oracle in the tests.
 
 Handles are immutable apart from fill-once caches guarded by a lock, so
 one handle can serve several threads.
@@ -515,20 +516,23 @@ class IdealHandle:
                 (c, e[:i] + (e[-1] - shift,) + e[i:-1]) for c, e in g.pairs())))
         return self.spawn(gens)
 
-    def _socle_witness(self):
-        """For homogeneous I with no regular variable: a generator g of some
-        (I : x_i), last variable first, with g not in I and x_j*g in I for
-        every j, else None. Such a g is a nonzero socle element of R/I, so
-        M is associated; None proves nothing. Each test is a normal form
+    def _homogeneous_socle_test(self):
+        """For homogeneous I: whether M is associated, in one pass over the
+        variables, last first, each moved basis read before the next is
+        computed. A generator g of (I : x_i) with g not in I and x_j*g in I
+        for every j is a nonzero socle element; each test is a normal form
         against I's cached basis."""
         v = self.context.count
-        xs = variables(self.field, self.context)
+        xs = None
         for i in (v - 1, *range(v - 1)):
+            if self._moved_to_last((i,))._last_variable_regular():
+                return False
             for g in self._colon_by_variable(i).generators:
-                if not self.contains(g) and all(
-                        self.contains(x * g) for x in xs):
-                    return g
-        return None
+                if not self.contains(g):
+                    xs = xs or variables(self.field, self.context)
+                    if all(self.contains(x * g) for x in xs):
+                        return True
+        return not self._colon_by_maximal_ideal().equals(self)
 
     def _colon_by_maximal_ideal(self):
         """For homogeneous I: (I : M) as the intersection of the (I : x_i),
@@ -561,27 +565,21 @@ class IdealHandle:
 
     def maximal_ideal_associated(self):
         """Whether the maximal ideal M is associated to R/I, monomial I
-        included. For homogeneous I a regular variable proves M not
-        associated: the last one is read off I's own basis, the others off
-        one basis each with that variable moved last. When no variable is
-        regular, the same bases give each (I : x_i); a socle element among
-        their generators proves M associated with normal forms alone.
-        Failing one, M is associated exactly when the intersection (I : M)
-        of the (I : x_i) is not I: on (x^2, y^2) the socle element xy
-        generates no (I : x_i), and on (xy, xz, yz) M is not associated. A
-        non-homogeneous ideal gets that socle test from the colon
+        included. Homogeneous I reads one grevlex basis per variable moved
+        last, I's own first, and stops at the first that decides: a regular
+        variable proves M not associated, and a socle element among the
+        generators of that (I : x_i) proves it associated, with normal forms
+        alone. Failing both, M is associated exactly when the intersection
+        (I : M) of the (I : x_i) is not I: on (x^2, y^2) the socle element
+        xy generates no (I : x_i), and on (xy, xz, yz) M is not associated.
+        A non-homogeneous ideal gets that socle test from the colon
         calculus."""
         if self._m_assoc is not None:
             return self._m_assoc
         if self.is_unit_ideal:
             raise UnitIdealError("the unit ideal does not present a ring")
-        v = self.context.count
         if self.is_homogeneous:
-            result = not any(
-                self._moved_to_last((i,))._last_variable_regular()
-                for i in (v - 1, *range(v - 1))
-            ) and (self._socle_witness() is not None
-                   or not self._colon_by_maximal_ideal().equals(self))
+            result = self._homogeneous_socle_test()
         else:
             result = not self.quotient(self.maximal_ideal()).equals(self)
         with self._lock:

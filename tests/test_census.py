@@ -4,8 +4,9 @@ ideal per relabelling class in five. Each report is checked against an
 oracle that uses no noncat code: Min is the set of minimal vertex covers of
 the generator supports (and Ass = Min, I being radical), depth > 1 comes
 from Hochster's formula, and the regular carve-outs from the embedding
-dimension. Each ring's DOT witness diagram is checked against its JSON
-report."""
+dimension. Depth > 1 on the rings in one to four variables is also
+checked against the colon calculus of the Groebner engine. Each ring's DOT
+witness diagram is checked against its JSON report."""
 
 import json
 from functools import reduce
@@ -16,9 +17,10 @@ import pytest
 
 from noncat.analyzer import AnalysisConfig, _Analysis
 from noncat.cli import _Runner
+from noncat.groebner import IdealHandle
 from noncat.poly import RingPresentation, variables
 
-from conftest import QQ, ctx
+from conftest import QQ, ctx, depth_by_colon
 
 NAMES = "abcde"
 
@@ -141,8 +143,8 @@ def parse_dot(text):
 
 @pytest.fixture(scope="module")
 def analyzed():
-    """(v, supports, JSON report, DOT witness diagram) of every census
-    ring, each read off one analysis."""
+    """(v, supports, JSON report, DOT witness diagram, generators) of
+    every census ring, the report and diagram read off one analysis."""
     config = AnalysisConfig()
     as_json, as_dot = _Runner(config, "json"), _Runner(config, "dot")
     results = []
@@ -153,7 +155,7 @@ def analyzed():
                 for s in supports]
         a = _Analysis.from_presentation(RingPresentation(QQ, c, gens))
         results.append((v, supports, json.loads(as_json.do_analyze(a)),
-                        as_dot.do_analyze(a)))
+                        as_dot.do_analyze(a), gens))
     return results
 
 
@@ -167,16 +169,32 @@ def test_census_size(analyzed):
 
 def test_reports_match_the_oracle(analyzed):
     wrong = [(v, [names_of(v, s) for s in supports])
-             for v, supports, report, _ in analyzed
+             for v, supports, report, *_ in analyzed
              if observed(report) != oracle(v, supports)]
     assert wrong == []
+
+
+def test_depth_matches_the_colon_calculus(analyzed):
+    """depth_ge2 on every nonzero ring in one to four variables equals the
+    verdict of conftest.depth_by_colon, which cuts by the first regular
+    candidate and intersects colon ideals, so Takayama's rule is not
+    checked only against Hochster's formula."""
+    checked, wrong = 0, []
+    for v, supports, report, _, gens in analyzed:
+        if v > 4 or not gens:
+            continue
+        checked += 1
+        verdict, _ = depth_by_colon(IdealHandle(QQ, ctx(*NAMES[:v]), gens))
+        if verdict != report["conditions"]["depth_ge2"]:
+            wrong.append(report["ring"])
+    assert (checked, wrong) == (189, [])
 
 
 def test_witness_diagram_matches_the_report(analyzed):
     """The diagram draws Ass, M and the witness chain, with Min boxed, Ass
     filled and M bold, and one edge per chain step, each adding one
     variable; the UFD witness Q' lies on the chain."""
-    for v, supports, report, dot in analyzed:
+    for v, supports, report, dot, _ in analyzed:
         nodes, edges = parse_dot(dot)
         top = frozenset(NAMES[:v])
         mins = {frozenset(p["gens"]) for p in report["minimal_primes"]}

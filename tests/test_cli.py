@@ -647,12 +647,13 @@ class TestExitCodes:
         assert "budget" in err
 
     def test_tilted_budget_exceeded_exits_3(self, capsys, tmp_path):
-        """The generators are a reduced basis, so the handle's own basis
-        fits in a budget of zero steps, and the grevlex basis after moving a
-        candidate to the last variable, which needs one, runs out of
-        budget."""
+        """Two lines in a tilted plane. The generators are a reduced basis
+        with coprime leading terms, so the handle's own basis fits in a
+        budget of zero steps. The last variable y2 is a zero-divisor and no
+        generator of (I : y2) is a socle element, so the socle test moves x
+        last, and that basis, which needs one step, runs out of budget."""
         script = ("ring Q[x,y1,y2]\n"
-                  "ideal I = (x*y1 + y1^2 - 2*y1*y2, x*y2 + y1*y2 - 2*y2^2)\n"
+                  "ideal I = (y1*y2, x + y1 - 2*y2)\n"
                   "analyze I\n")
         code, out, err = invoke(capsys, script, "--budget-gb-steps", "0",
                                 tmp_path=tmp_path)

@@ -77,6 +77,21 @@ def coordinate_axes(field=QQ):
     return IdealHandle(field, c, (x * y, x * z, y * z))
 
 
+def tilted_cut(field=QQ):
+    """The tilted line and plane cut by its regular variable x."""
+    return tilted_line_and_plane(field)._moved_to_last(
+        (0,))._cut_by_last_variable()
+
+
+def socle_generators(h):
+    """Per variable x_i, the generators of (I : x_i) that are nonzero socle
+    elements of R/I: outside I, and sent into I by every variable."""
+    xs = variables(h.field, h.context)
+    return [[g for g in h._colon_by_variable(i).generators
+             if g not in h and all(x * g in h for x in xs)]
+            for i in range(h.context.count)]
+
+
 FIELDS = (QQ, FieldDescriptor(2), FieldDescriptor(32003))
 
 
@@ -557,8 +572,7 @@ class TestMaximalIdealAssociated:
 
     @pytest.mark.parametrize("field", FIELDS, ids=str)
     @pytest.mark.parametrize("ring", [
-        lambda field: tilted_line_and_plane(field)._moved_to_last(
-            (0,))._cut_by_last_variable(),
+        tilted_cut,
         embedded_origin,
     ], ids=["tilted-cut", "embedded-origin"])
     def test_socle_witness_decides_without_elimination(self, monkeypatch,
@@ -571,8 +585,24 @@ class TestMaximalIdealAssociated:
         intersected = count_calls(monkeypatch, IdealHandle,
                                   "_colon_by_maximal_ideal")
         assert h.maximal_ideal_associated()
-        assert h._socle_witness() is not None
+        assert any(socle_generators(h))
         assert not eliminations and not intersected
+
+    @pytest.mark.parametrize("field", FIELDS, ids=str)
+    def test_tilted_cut_decides_on_its_own_basis(self, monkeypatch, field):
+        """The cut's last variable is a zero-divisor, and a generator of
+        (I : x_last), read off the cut's stored basis, is a socle element:
+        the socle test stops there and computes no moved basis. The whole
+        depth search on the tilted ring computes one, with x moved last."""
+        cut = tilted_cut(field)
+        runs = count_calls(monkeypatch, groebner, "buchberger")
+        assert cut.maximal_ideal_associated()
+        assert runs == []
+        assert socle_generators(cut)[-1]
+        h = tilted_line_and_plane(field)
+        runs.clear()
+        assert h.depth_at_least_two().verdict is False
+        assert len(runs) == 1
 
     @pytest.mark.parametrize("ring,associated", [
         (coordinate_squares, True),
@@ -584,7 +614,7 @@ class TestMaximalIdealAssociated:
         socle element, so (I : M) is intersected and decides, as the colon
         calculus does."""
         h = ring()
-        assert h._socle_witness() is None
+        assert not any(socle_generators(h))
         intersected = count_calls(monkeypatch, IdealHandle,
                                   "_colon_by_maximal_ideal")
         assert h.maximal_ideal_associated() == associated
@@ -749,11 +779,15 @@ class TestDepth:
         assert colons
 
     def test_new_groebner_runs_draw_on_the_step_budget(self):
-        """The tilted generators are already a reduced basis, so the
-        handle's own basis fits in a budget of zero steps; the basis after
-        moving a candidate to the last variable needs one."""
-        gens = tilted_line_and_plane().groebner_basis()
-        h = IdealHandle(QQ, gens[0].context, gens, gb_step_budget=0)
+        """Two lines in the tilted plane x + y1 - 2*y2. The generators are
+        a reduced basis with coprime leading terms, so the handle's own
+        basis fits in a budget of zero steps. The last variable y2 is a
+        zero-divisor and no generator of (I : y2) is a socle element, so
+        the socle test moves x last, and that basis needs one step."""
+        c = ctx("x", "y1", "y2")
+        x, y1, y2 = variables(QQ, c)
+        gens = handle(c, y1 * y2, x + y1 - 2 * y2).groebner_basis()
+        h = IdealHandle(QQ, c, gens, gb_step_budget=0)
         assert h.groebner_basis() == gens
         with pytest.raises(BudgetExceededError):
             h.depth_at_least_two()
@@ -776,6 +810,14 @@ class TestDepth:
                 assert bound >= 2
 
 
+def power_product(forms, e):
+    """The product of forms[i] ** e[i] over i."""
+    g = Polynomial.constant(forms[0].field, forms[0].context, 1)
+    for form, p in zip(forms, e):
+        g = g * form ** p
+    return g
+
+
 @st.composite
 def homogeneous_ideals(draw):
     """Homogeneous ideals in at most four variables over Q, GF(2) and
@@ -792,11 +834,8 @@ def homogeneous_ideals(draw):
                               for j in range(i + 1, v)), zero)
                  for i in range(v)]
         vectors = st.tuples(*[st.integers(0, 2)] * v).filter(any)
-        for e in draw(st.lists(vectors, min_size=1, max_size=3)):
-            g = Polynomial.constant(field, c, 1)
-            for form, p in zip(forms, e):
-                g = g * form ** p
-            gens.append(g)
+        gens = [power_product(forms, e)
+                for e in draw(st.lists(vectors, min_size=1, max_size=3))]
     else:
         def monomial(d):
             g = Polynomial.constant(field, c, 1)
@@ -810,6 +849,32 @@ def homogeneous_ideals(draw):
             coeff = draw(st.sampled_from((1, -1, 2)))
             gens.append(monomial(d) - coeff * monomial(d))
     return IdealHandle(field, c, gens)
+
+
+def unitriangular_images(seed, count):
+    """Seeded homogeneous ideals over Q and GF(32003): the ideals
+    (x) cap (y1..ya) = (x*y1, .., x*ya), with up to one more variable, and
+    small random monomial ideals, each sent through a random unitriangular
+    change of coordinates x_i -> x_i + sum over j > i of c_ij * x_j."""
+    rng = random.Random(seed)
+    for n in range(count):
+        field = (QQ, FieldDescriptor(32003))[n % 2]
+        if n % 3 == 0:
+            a, extra = rng.randint(1, 3), rng.randint(0, 1)
+            v = 1 + a + extra
+            exps = [tuple(int(j in (0, k)) for j in range(v))
+                    for k in range(1, a + 1)]
+        else:
+            v = rng.randint(2, 4)
+            exps = random_monomial_ideal(rng, v, 4)
+        c = ctx(*(f"x{i}" for i in range(v)))
+        xs = variables(field, c)
+        forms = [sum((rng.randint(-2, 2) * xs[j] for j in range(i + 1, v)),
+                     xs[i]) for i in range(v)]
+        yield IdealHandle(field, c, [power_product(forms, e) for e in exps])
+
+
+IMAGES = list(unitriangular_images(2031, 24))
 
 
 class TestHomogeneousCrossEngine:
@@ -827,6 +892,34 @@ class TestHomogeneousCrossEngine:
         result = h.depth_at_least_two()
         assert h.maximal_ideal_associated() == (expected == (False, None))
         assert (result.verdict, result.regular_element) == expected
+
+    @pytest.mark.parametrize("h", IMAGES, ids=[
+        f"{h.field}-{n}" for n, h in enumerate(IMAGES)])
+    def test_unitriangular_images_match_colon_calculus(self, h):
+        """The one-pass socle test and the depth search agree with the
+        colon calculus on linear images of monomial ideals, where a regular
+        variable, a socle element among the (I : x_i) and the intersection
+        of the (I : x_i) all get to decide."""
+        expected = depth_by_colon(h.spawn(h.generators))
+        m_assoc = h.maximal_ideal_associated()
+        assert m_assoc == (not h.quotient(h.maximal_ideal()).equals(h))
+        assert m_assoc == (expected == (False, None))
+        result = h.depth_at_least_two()
+        assert (result.verdict, result.regular_element) == expected
+
+    def test_unitriangular_images_reach_every_path(self, monkeypatch):
+        """Among the images, a regular variable decides some, a socle
+        element among the (I : x_i) others, and the intersection of the
+        (I : x_i) the rest."""
+        intersected = count_calls(monkeypatch, IdealHandle,
+                                  "_colon_by_maximal_ideal")
+        paths = set()
+        for h in IMAGES:
+            h = h.spawn(h.generators)
+            m_assoc = h.maximal_ideal_associated()
+            paths.add("intersection" if intersected else m_assoc)
+            intersected.clear()
+        assert paths == {False, True, "intersection"}
 
     @settings(deadline=None, max_examples=30)
     @given(homogeneous_ideals())

@@ -379,11 +379,12 @@ def ref_covers(ideal, p):
             for i in range(ideal.context.count) if i not in p.indices]
 
 
-def ref_poset_dot(ideal):
+def ref_digraph(name, ideal, nodes, edges):
+    """DOT of the primes `nodes` and the (prime, prime) pairs `edges`,
+    marked by ref_marks."""
     ctx = ideal.context
     mins, ass, top = ref_marks(ideal)
-    lines = ["digraph spec_poset {", "  rankdir=BT;"]
-    nodes = ref_nodes(ideal)
+    lines = [f"digraph {name} {{", "  rankdir=BT;"]
     for p in nodes:
         attrs = []
         if p in mins:
@@ -394,11 +395,29 @@ def ref_poset_dot(ideal):
             attrs.append("penwidth=2")
         suffix = f" [{','.join(attrs)}]" if attrs else ""
         lines.append(f'  "{p.render(ctx)}"{suffix};')
-    for p in nodes:
-        for q in ref_covers(ideal, p):
-            lines.append(f'  "{p.render(ctx)}" -> "{q.render(ctx)}";')
+    for p, q in edges:
+        lines.append(f'  "{p.render(ctx)}" -> "{q.render(ctx)}";')
     lines.append("}")
     return "\n".join(lines)
+
+
+def ref_poset_dot(ideal):
+    nodes = ref_nodes(ideal)
+    return ref_digraph("spec_poset", ideal, nodes,
+                       [(p, q) for p in nodes for q in ref_covers(ideal, p)])
+
+
+def ref_chain_dot(ideal, chains):
+    """The chains' primes, rank by rank and lexicographic within a rank,
+    and each step once, in the order the chains first take it."""
+    nodes = sorted({p for chain in chains for p in chain.primes},
+                   key=lambda p: (len(p.indices), sorted(p.indices)))
+    steps = []
+    for chain in chains:
+        for step in zip(chain.primes, chain.primes[1:]):
+            if step not in steps:
+                steps.append(step)
+    return ref_digraph("prime_chains", ideal, nodes, steps)
 
 
 def ref_poset_json(ideal):
@@ -467,6 +486,8 @@ class TestRenderingsMatchReference:
         return list(oracle_ideals())
 
     def test_cases_cover_embedded_primes_and_chains(self, ideals):
+        """Some ideal has an embedded prime, and the ideals admit enough
+        chains for test_chain_dot to draw."""
         assert len(ideals) >= 30
         assert any(len(i.associated_primes()) > len(i.minimal_primes())
                    for i in ideals)
@@ -479,6 +500,16 @@ class TestRenderingsMatchReference:
     def test_poset_dot(self, ideals):
         for ideal in ideals:
             assert poset_dot(ideal) == ref_poset_dot(ideal)
+
+    def test_chain_dot(self, ideals):
+        """Every chain the ideal admits, drawn alone and all together; the
+        coverage test counts the chains drawn here."""
+        for ideal in ideals:
+            chains = poset_chains(ideal)
+            for chain in chains:
+                assert chain_dot(ideal, [chain]) == ref_chain_dot(ideal,
+                                                                  [chain])
+            assert chain_dot(ideal, chains) == ref_chain_dot(ideal, chains)
 
     @pytest.mark.parametrize("fmt,reference", [("json", ref_poset_json),
                                                ("text", ref_poset_text)],
