@@ -167,28 +167,36 @@ class MonomialIdeal:
     def irreducible_components(self):
         """Irredundant irreducible decomposition, built one minimal
         generator at a time from the zero vector, the zero ideal's one
-        component. Each component is one exponent vector a, standing for
-        the ideal (x_i^a_i : a_i > 0). A component C_a that contains the
-        next generator m (0 < a_i <= m_i for some i) stays; any other is
-        replaced by the a with a_i := m_i, one per i in supp m, since
-        C_a + (m) is the intersection of the C_a + (x_i^m_i). A new vector
-        that contains another new or surviving one is dropped. A survivor
-        never contains a new vector, as it would then contain the old one
-        that vector came from, so the list is irredundant at every step."""
+        component. A component is an exponent vector a, standing for
+        (x_i^a_i : a_i > 0), and is irredundant exactly when each j in
+        supp a has a critical generator g: g_j = a_j and g_l < a_l for
+        every other l in supp a. A C_a that contains the next generator m
+        (0 < a_i <= m_i for some i) stays, and m joins its list for j when
+        j is that i alone and m_j = a_j. Any other C_a is replaced, as
+        C_a + (m) is the intersection of the C_a + (x_i^m_i), by the a' = a
+        with a_i := m_i for i in supp m, whose lists are those of a cut to
+        g_i < m_i and [m] for i. So each a' is kept, the first of equal
+        ones, exactly when no list is empty, with no containment test
+        (Murakami-Uno, Discrete Appl. Math. 170, 2014)."""
         if self.is_unit:
             raise UnitIdealError("the unit ideal has no decomposition")
-        comps = [(0,) * self.context.count]
+        comps = {(0,) * self.context.count: {}}
         for m in self.gens:
-            kept, fresh = [], {}
-            for a in comps:
-                if any(0 < x <= y for x, y in zip(a, m)):
-                    kept.append(a)
-                else:
-                    fresh.update(dict.fromkeys(
-                        a[:i] + (y,) + a[i + 1:] for i, y in enumerate(m) if y))
-            comps = kept + [a for a in fresh if not any(
-                b != a and all(0 < x <= y for x, y in zip(a, b) if y)
-                for b in itertools.chain(kept, fresh))]
+            kept, fresh = {}, {}
+            for a, critical in comps.items():
+                hits = [l for l, x in enumerate(a) if 0 < x <= m[l]]
+                if len(hits) == 1 and a[hits[0]] == m[hits[0]]:
+                    critical[hits[0]].append(m)
+                if hits:
+                    kept[a] = critical
+                    continue
+                for i in (i for i, y in enumerate(m) if y):
+                    lists = {j: [g for g in gs if g[i] < m[i]]
+                             for j, gs in critical.items() if j != i}
+                    if all(lists.values()):
+                        fresh.setdefault(a[:i] + (m[i],) + a[i + 1:],
+                                         {**lists, i: [m]})
+            comps = {**kept, **fresh}
         return tuple(comps)
 
     def _decompose(self):
@@ -202,11 +210,13 @@ class MonomialIdeal:
         ass = tuple(sorted(
             {MonomialPrime(frozenset(i for i, x in enumerate(a) if x))
              for a in comps}, key=lambda p: p.sort_key))
-        minimal = tuple(p for p in ass
-                        if not any(q.indices < p.indices for q in ass))
+        minimal = []
+        for p in ass:  # a prime below p lies over a minimal one already met
+            if not any(q.indices < p.indices for q in minimal):
+                minimal.append(p)
         with self._lock:
             if self._decomposition is None:
-                self._decomposition = (comps, ass, minimal)
+                self._decomposition = (comps, ass, tuple(minimal))
             return self._decomposition
 
     def primary_components(self):

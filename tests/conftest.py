@@ -5,6 +5,7 @@ and dimension by brute-force subset enumeration, and ideal membership by
 degree-truncated linear algebra over the rationals.
 """
 
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -67,6 +68,28 @@ def brute_dimension(gens, v):
     covers = brute_minimal_covers(supports, v)
     return v - min(len(s) for s in covers)
 
+
+
+def ref_components(gens, v):
+    """Irredundant irreducible components of the monomial ideal with these
+    minimal generators, in order, by the containment scan that
+    MonomialIdeal.irreducible_components once ran: each step replaces
+    every component C_a that misses the next generator m by the a with
+    a_i := m_i, one per i in supp m, and then drops each new vector that
+    contains another new or surviving one, comparing them pairwise."""
+    comps = [(0,) * v]
+    for m in gens:
+        kept, fresh = [], {}
+        for a in comps:
+            if any(0 < x <= y for x, y in zip(a, m)):
+                kept.append(a)
+            else:
+                fresh.update(dict.fromkeys(
+                    a[:i] + (y,) + a[i + 1:] for i, y in enumerate(m) if y))
+        comps = kept + [a for a in fresh if not any(
+            b != a and all(0 < x <= y for x, y in zip(a, b) if y)
+            for b in itertools.chain(kept, fresh))]
+    return tuple(comps)
 
 # -- linear-algebra membership oracle (valid for homogeneous ideals) --
 

@@ -6,11 +6,15 @@ the generator supports (and Ass = Min, I being radical), depth > 1 comes
 from Hochster's formula, and the regular carve-outs from the embedding
 dimension. Depth > 1 on the rings in one to four variables is also
 checked against the colon calculus of the Groebner engine. Each ring's DOT
-witness diagram is checked against its JSON report."""
+witness diagram is checked against its JSON report.
+
+A second census takes every monomial ideal in one to three variables with
+exponents up to 2, squarefree or not, and checks its irreducible
+components, Ass, Min and dim against brute force over the exponent box."""
 
 import json
 from functools import reduce
-from itertools import permutations
+from itertools import permutations, product
 from operator import mul
 
 import pytest
@@ -18,9 +22,10 @@ import pytest
 from noncat.analyzer import AnalysisConfig, _Analysis
 from noncat.cli import _Runner
 from noncat.groebner import IdealHandle
-from noncat.poly import RingPresentation, variables
+from noncat.monomial import MonomialIdeal
+from noncat.poly import Polynomial, RingPresentation, variables
 
-from conftest import QQ, ctx, depth_by_colon
+from conftest import QQ, brute_dimension, ctx, depth_by_colon
 
 NAMES = "abcde"
 
@@ -210,3 +215,75 @@ def test_witness_diagram_matches_the_report(analyzed):
         q_prime = report["witnesses"]["ufd_witness_prime"]
         if q_prime is not None:
             assert frozenset(q_prime) == chain[-2], report["ring"]
+
+
+# -- monomial ideals with exponents up to 2 --
+
+def exponent_antichains(v):
+    """Every antichain of {0,1,2}^v under divisibility but the unit
+    ideal's, each a tuple of exponent vectors in lexicographic order; the
+    empty one is the zero ideal. A vector can only divide a later one."""
+    points = list(product(range(3), repeat=v))[1:]
+
+    def extend(chosen, start):
+        yield chosen
+        for k in range(start, len(points)):
+            if not any(all(x <= y for x, y in zip(a, points[k]))
+                       for a in chosen):
+                yield from extend(chosen + (points[k],), k + 1)
+    return extend((), 0)
+
+
+def corner_oracle(v, gens):
+    """(components, Ass, Min) of the ideal these vectors generate, by brute
+    force: the components are the minimal irreducible C_a =
+    (x_i^a_i : a_i > 0) containing it with a in {0,1,2}^v. That is exact,
+    as monomial ideals form a distributive lattice, so an irreducible one
+    that contains an intersection contains one of its terms."""
+    def contains(a, b):
+        return all(0 < x <= y for x, y in zip(a, b) if y)
+    corners = [a for a in product(range(3), repeat=v)
+               if all(any(0 < x <= y for x, y in zip(a, g)) for g in gens)]
+    comps = {a for a in corners
+             if not any(b != a and contains(a, b) for b in corners)}
+    ass = {frozenset(NAMES[i] for i, x in enumerate(a) if x) for a in comps}
+    return comps, ass, {p for p in ass if not any(q < p for q in ass)}
+
+
+@pytest.fixture(scope="module")
+def exponent_census():
+    """(v, generators, MonomialIdeal, JSON report) of every ideal."""
+    as_json = _Runner(AnalysisConfig(), "json")
+    results = []
+    for v in range(1, 4):
+        c = ctx(*NAMES[:v])
+        for gens in exponent_antichains(v):
+            polys = [Polynomial(QQ, c, ((1, e),)) for e in gens]
+            a = _Analysis.from_presentation(RingPresentation(QQ, c, polys))
+            results.append((v, gens, MonomialIdeal(c, gens),
+                            json.loads(as_json.do_analyze(a))))
+    return results
+
+
+def test_exponent_census_size(exponent_census):
+    """Antichains in the 3-, 3x3- and 3x3x3-grids (MacMahon's box
+    formula: 4, 20 and 980), less the unit ideal."""
+    sizes = [sum(1 for v, *_ in exponent_census if v == n) for n in (1, 2, 3)]
+    assert sizes == [3, 19, 979]
+    assert sum(not ideal.is_squarefree for _, _, ideal, _ in exponent_census) > 900
+
+
+def test_exponent_census_matches_the_corner_oracle(exponent_census):
+    wrong = []
+    for v, gens, ideal, report in exponent_census:
+        comps, ass, mins = corner_oracle(v, gens)
+        found = ideal.irreducible_components()
+        observed = (
+            sorted(found), len(set(found)) == len(found),
+            {frozenset(p) for p in report["associated_primes"]},
+            {frozenset(p["gens"]) for p in report["minimal_primes"]},
+            report["dim"])
+        if observed != (sorted(comps), True, ass, mins,
+                        brute_dimension(gens, v)):
+            wrong.append(report["ring"])
+    assert wrong == []

@@ -21,6 +21,7 @@ from conftest import (
     ctx,
     depth_by_colon,
     random_monomial_ideal,
+    ref_components,
 )
 
 
@@ -194,6 +195,59 @@ class TestAssociatedPrimes:
                                     (q for _, q in pairs)) == ideal
             embedded += len(pairs) > len(ideal.minimal_primes())
         assert embedded >= 10
+
+
+
+class TestIrreducibleComponents:
+    """The critical-generator decomposition returns the tuple of the
+    pairwise containment scan in conftest.ref_components, in its order,
+    since Ass, Min and every report are read off that tuple."""
+
+    def test_small_ideals_match_the_containment_scan(self):
+        """3,000 seeded ideals in one to six variables with exponents up
+        to 3, and the zero ideal in each."""
+        rng = random.Random(83)
+        ideals = [mono(ctx(*[f"v{i}" for i in range(v)])) for v in range(1, 7)]
+        while len(ideals) < 3000:
+            v = rng.randint(1, 6)
+            ideals.append(mono(ctx(*[f"v{i}" for i in range(v)]),
+                               *random_monomial_ideal(rng, v, 6, max_exp=3)))
+        wrong = [ideal for ideal in ideals if ideal.irreducible_components()
+                 != ref_components(ideal.gens, ideal.context.count)]
+        assert wrong == []
+
+    def test_wide_sparse_rings_match_the_containment_scan(self):
+        """Rings in 12 to 20 variables with 8 generators of support 2 to 4
+        and exponents up to 2, where the components run to hundreds."""
+        rng = random.Random(89)
+        sizes = []
+        for v in (12, 16, 20):
+            for _ in range(4):
+                gens = []
+                for _ in range(8):
+                    support = rng.sample(range(v), rng.randint(2, 4))
+                    gens.append(tuple(rng.randint(1, 2) if i in support else 0
+                                      for i in range(v)))
+                ideal = mono(ctx(*[f"v{i}" for i in range(v)]), *gens)
+                comps = ideal.irreducible_components()
+                assert comps == ref_components(ideal.gens, v)
+                sizes.append(len(comps))
+        assert max(sizes) >= 100
+
+    def test_cycles_have_perrin_many_components(self):
+        """The edge ideal of the cycle C_n has Perrin(n) minimal vertex
+        covers, each a component: 853 for C_24, which the containment
+        scan took seconds to reach."""
+        perrin = [3, 0, 2]
+        while len(perrin) <= 24:
+            perrin.append(perrin[-2] + perrin[-3])
+        for n in range(5, 25):
+            cycle = mono(ctx(*[f"x{i}" for i in range(n)]), *(
+                tuple(int(j in (i, (i + 1) % n)) for j in range(n))
+                for i in range(n)))
+            comps = cycle.irreducible_components()
+            assert len(set(comps)) == len(comps) == perrin[n], n
+        assert perrin[24] == 853
 
 
 class TestLocalize:
