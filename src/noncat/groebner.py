@@ -121,8 +121,6 @@ def buchberger(generators, order=GREVLEX, budget=None):
 
     while heap:
         _, i, j = heapq.heappop(heap)
-        if (i, j) not in pending:
-            continue
         pending.discard((i, j))
         lcm = exps_lcm(leads[i], leads[j])
         # coprime leading terms: the S-polynomial reduces to zero

@@ -14,7 +14,6 @@ immutable apart from one fill-once cache per ideal.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import threading
 from dataclasses import dataclass
@@ -261,61 +260,44 @@ class MonomialIdeal:
         """Whether depth R/I >= 2, read off the irredundant irreducible
         components C_b = (x_i^b_i : i in supp b) by Takayama's formula for
         H^1_M (Bull. Math. Soc. Sci. Math. Roumanie 48, 2005), where only
-        degrees with at most one negative entry count. With M not
-        associated, depth < 2 exactly when (a) some b with |supp b| = v - 1
-        has no other C_d with supp d a proper subset of supp b and d >= b
-        on supp d, or (b) some b, c whose supports cover all variables are
-        not joined in the graph on the C_d with d >= min(b, c) on supp d
-        (minimum over nonzero entries), two joined when their supports do
-        not cover all variables. (a) is the degree b - 1 with the missing
-        entry negative, whose complex is {empty face}; (b) is a
-        disconnected complex in degree min(b, c) - 1, and any disconnected
-        degree a >= 0 has such a pair with a <= min(b, c) - 1. For
-        squarefree I this is Hochster's "connected, no isolated vertex"."""
+        degrees with at most one negative entry count. pieces(m) is the
+        list of connected pieces, as sets of variables, of the degree
+        complex at m - 1: its facets are the variables outside supp d, one
+        for each C_d with d >= m on supp d. With M not associated,
+        depth < 2 exactly when (a) some b whose support misses only x_i
+        leaves {i} as a piece of pieces(b), or (b) pieces(min(b, c)) has
+        more than one piece for some b, c whose supports cover all
+        variables (minimum over nonzero entries). (a) is the degree b - 1
+        with entry i negative, whose complex is {empty face} exactly when
+        no C_d there has supp d a proper subset of supp b, that is when no
+        facet joins i to another vertex. (b) is a disconnected complex, and
+        pairs suffice: if the complex at some covering degree m is
+        disconnected, b and c from different pieces cover all variables
+        and min(b, c) >= m, so their own complex is a subcomplex that holds
+        both and is still disconnected. For squarefree I every covering
+        degree is all ones, and this is Hochster's "connected, no isolated
+        vertex"."""
         if self.maximal_ideal_associated():
             return False
-        v = self.context.count
-        full = (1 << v) - 1
+        full = (1 << self.context.count) - 1
         comps = self._decompose()[0]
         masks = [sum(1 << i for i, x in enumerate(b) if x) for b in comps]
 
-        # both are cached for this call: for a squarefree I every covering
-        # pair has the same min(b, c), so one family serves every pair
+        def pieces(m):
+            found = []
+            for d in comps:
+                if all(x >= y for x, y in zip(d, m) if x):
+                    out = frozenset(i for i, x in enumerate(d) if not x)
+                    found = [p for p in found if p.isdisjoint(out)] + [
+                        out.union(*(p for p in found if not p.isdisjoint(out)))]
+            return found
 
-        @functools.cache
-        def family(m):
-            """Indices of the components C_d with d >= m on supp d."""
-            return tuple(k for k, d in enumerate(comps)
-                         if all(x >= y for x, y in zip(d, m) if x))
-
-        @functools.cache
-        def pieces(members):
-            """Each member's connected piece, named by one vertex of it."""
-            label, unseen = {}, set(members)
-            while unseen:
-                root = unseen.pop()
-                label[root], stack = root, [root]
-                while stack:
-                    j = masks[stack.pop()]
-                    near = [i for i in unseen if masks[i] | j != full]
-                    unseen.difference_update(near)
-                    label.update(dict.fromkeys(near, root))
-                    stack += near
-            return label
-
-        for k, b in enumerate(comps):
-            if masks[k].bit_count() == v - 1 and not any(
-                    masks[j] | masks[k] == masks[k] != masks[j]
-                    for j in family(b)):
-                return False
-        for k, l in itertools.combinations(range(len(comps)), 2):
-            if masks[k] | masks[l] != full:
-                continue
-            label = pieces(family(tuple(min(x, y) if x and y else x + y
-                                        for x, y in zip(comps[k], comps[l]))))
-            if label[k] != label[l]:
-                return False
-        return True
+        if any(b.count(0) == 1 and {b.index(0)} in pieces(b) for b in comps):
+            return False
+        return all(len(pieces(m)) == 1 for m in {
+            tuple(min(x, y) if x and y else x + y for x, y in zip(b, c))
+            for (b, k), (c, l) in itertools.combinations(zip(comps, masks), 2)
+            if k | l == full})
 
     def localize(self, prime):
         """Localization at a monomial prime: variables outside the prime

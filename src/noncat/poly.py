@@ -561,14 +561,18 @@ def substitute_linear(f, forms, context):
         return out
 
     def power(i, p):
-        # forms[i] ** p as an {exponents: coefficient} dict, built once
-        if (i, p) not in powers:
+        # forms[i] ** p as an {exponents: coefficient} dict; each power is
+        # built once, from the one below
+        if i not in powers:
             form = {}
             for c, j in forms[i]:
                 t = one[:j] + (1,) + one[j + 1:]
                 form[t] = field.add(form.get(t, field.zero), field.coerce(c))
-            powers[i, p] = times(power(i, p - 1), form) if p > 1 else form
-        return powers[i, p]
+            powers[i] = [form]
+        built = powers[i]
+        while len(built) < p:
+            built.append(times(built[-1], built[0]))
+        return built[p - 1]
 
     pairs = []
     for c, e in f.pairs():

@@ -5,6 +5,7 @@ and dimension by brute-force subset enumeration, and ideal membership by
 degree-truncated linear algebra over the rationals.
 """
 
+import functools
 import itertools
 from fractions import Fraction
 
@@ -90,6 +91,69 @@ def ref_components(gens, v):
             b != a and all(0 < x <= y for x, y in zip(a, b) if y)
             for b in itertools.chain(kept, fresh))]
     return tuple(comps)
+
+def ref_depth(ideal):
+    """Whether depth R/I >= 2 for the monomial ideal, by the graph on
+    components that MonomialIdeal.depth_at_least_two once ran, read off
+    the irredundant irreducible components
+    C_b = (x_i^b_i : i in supp b) by Takayama's formula for
+    H^1_M (Bull. Math. Soc. Sci. Math. Roumanie 48, 2005), where only
+    degrees with at most one negative entry count. With M not
+    associated, depth < 2 exactly when (a) some b with |supp b| = v - 1
+    has no other C_d with supp d a proper subset of supp b and d >= b
+    on supp d, or (b) some b, c whose supports cover all variables are
+    not joined in the graph on the C_d with d >= min(b, c) on supp d
+    (minimum over nonzero entries), two joined when their supports do
+    not cover all variables. (a) is the degree b - 1 with the missing
+    entry negative, whose complex is {empty face}; (b) is a
+    disconnected complex in degree min(b, c) - 1, and any disconnected
+    degree a >= 0 has such a pair with a <= min(b, c) - 1. For
+    squarefree I this is Hochster's "connected, no isolated vertex"."""
+    if ideal.maximal_ideal_associated():
+        return False
+    v = ideal.context.count
+    full = (1 << v) - 1
+    comps = ideal._decompose()[0]
+    masks = [sum(1 << i for i, x in enumerate(b) if x) for b in comps]
+
+    # both are cached for this call: for a squarefree I every covering
+    # pair has the same min(b, c), so one family serves every pair
+
+    @functools.cache
+    def family(m):
+        """Indices of the components C_d with d >= m on supp d."""
+        return tuple(k for k, d in enumerate(comps)
+                     if all(x >= y for x, y in zip(d, m) if x))
+
+    @functools.cache
+    def pieces(members):
+        """Each member's connected piece, named by one vertex of it."""
+        label, unseen = {}, set(members)
+        while unseen:
+            root = unseen.pop()
+            label[root], stack = root, [root]
+            while stack:
+                j = masks[stack.pop()]
+                near = [i for i in unseen if masks[i] | j != full]
+                unseen.difference_update(near)
+                label.update(dict.fromkeys(near, root))
+                stack += near
+        return label
+
+    for k, b in enumerate(comps):
+        if masks[k].bit_count() == v - 1 and not any(
+                masks[j] | masks[k] == masks[k] != masks[j]
+                for j in family(b)):
+            return False
+    for k, l in itertools.combinations(range(len(comps)), 2):
+        if masks[k] | masks[l] != full:
+            continue
+        label = pieces(family(tuple(min(x, y) if x and y else x + y
+                                    for x, y in zip(comps[k], comps[l]))))
+        if label[k] != label[l]:
+            return False
+    return True
+
 
 # -- linear-algebra membership oracle (valid for homogeneous ideals) --
 

@@ -25,7 +25,7 @@ from noncat.groebner import IdealHandle
 from noncat.monomial import MonomialIdeal
 from noncat.poly import Polynomial, RingPresentation, variables
 
-from conftest import QQ, brute_dimension, ctx, depth_by_colon
+from conftest import QQ, brute_dimension, ctx, depth_by_colon, ref_depth
 
 NAMES = "abcde"
 
@@ -274,6 +274,8 @@ def test_exponent_census_size(exponent_census):
 
 
 def test_exponent_census_matches_the_corner_oracle(exponent_census):
+    """Components, Ass, Min and dim by brute force; depth_ge2 by the pair
+    graph of conftest.ref_depth."""
     wrong = []
     for v, gens, ideal, report in exponent_census:
         comps, ass, mins = corner_oracle(v, gens)
@@ -282,8 +284,8 @@ def test_exponent_census_matches_the_corner_oracle(exponent_census):
             sorted(found), len(set(found)) == len(found),
             {frozenset(p) for p in report["associated_primes"]},
             {frozenset(p["gens"]) for p in report["minimal_primes"]},
-            report["dim"])
+            report["dim"], report["conditions"]["depth_ge2"])
         if observed != (sorted(comps), True, ass, mins,
-                        brute_dimension(gens, v)):
+                        brute_dimension(gens, v), ref_depth(ideal)):
             wrong.append(report["ring"])
     assert wrong == []

@@ -637,6 +637,16 @@ class TestExitCodes:
         assert "parse error (semantic): line 1, col 6" in err
         assert "below 2^64" in err
 
+    def test_high_exponent_homogeneous_exits_2(self, capsys, tmp_path):
+        """The socle test moves a variable last and substitutes into
+        x^999 - y^999; the report comes out, with no traceback."""
+        code, out, err = invoke(
+            capsys, "ring Q[x,y]\nideal I = (x^999 - y^999)\nanalyze I\n",
+            tmp_path=tmp_path)
+        assert code == 2 and err == ""
+        assert out.startswith("ring             Q[[x,y]]/(x^999 - y^999)")
+        assert "depth_ge2=false" in out
+
     def test_budget_exceeded_exits_3(self, capsys, tmp_path):
         script = ("ring Q[x,y,z]\n"
                   "ideal I = (x^2 + y*z, y^2 + x*z, z^2 + x*y)\n"

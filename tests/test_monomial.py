@@ -22,6 +22,7 @@ from conftest import (
     depth_by_colon,
     random_monomial_ideal,
     ref_components,
+    ref_depth,
 )
 
 
@@ -218,7 +219,8 @@ class TestIrreducibleComponents:
 
     def test_wide_sparse_rings_match_the_containment_scan(self):
         """Rings in 12 to 20 variables with 8 generators of support 2 to 4
-        and exponents up to 2, where the components run to hundreds."""
+        and exponents up to 2, where the components run to hundreds; their
+        depth verdicts match the pair graph of conftest.ref_depth."""
         rng = random.Random(89)
         sizes = []
         for v in (12, 16, 20):
@@ -231,6 +233,7 @@ class TestIrreducibleComponents:
                 ideal = mono(ctx(*[f"v{i}" for i in range(v)]), *gens)
                 comps = ideal.irreducible_components()
                 assert comps == ref_components(ideal.gens, v)
+                assert ideal.depth_at_least_two() == ref_depth(ideal), ideal
                 sizes.append(len(comps))
         assert max(sizes) >= 100
 
@@ -477,17 +480,20 @@ class TestDepthRule:
             assert ideal.depth_at_least_two() == moved.depth_at_least_two()
 
     def test_cycles_and_random_ideals_match_oracles(self):
-        """Pieces labelled once per family decide as the oracles do: the
-        edge ideals of the cycles C_5 .. C_12 (depth 2 or more) and the
+        """The pieces of the degree complexes decide as the oracles do: the
+        edge ideals of the cycles C_5 .. C_24 (depth 2 or more) against the
+        pair graph of conftest.ref_depth and, up to C_12, Hochster; the
         Stanley-Reisner ideals of random complexes in 6-8 variables against
         Hochster, random non-squarefree ideals against the colon
         calculus."""
         cycles = [mono(ctx(*[f"x{i}" for i in range(n)]), *(
             tuple(int(j in (i, (i + 1) % n)) for j in range(n))
-            for i in range(n))) for n in range(5, 13)]
+            for i in range(n))) for n in range(5, 25)]
         for ideal in cycles:
             assert ideal.depth_at_least_two() is True
-            assert hochster_depth_at_least_two(ideal) is True
+            assert ref_depth(ideal) is True
+            if ideal.context.count <= 12:
+                assert hochster_depth_at_least_two(ideal) is True
         rng = random.Random(1603)
         verdicts = []
         for _ in range(60):
@@ -516,3 +522,62 @@ class TestDepthRule:
             assert verdict == depth_by_colon(h)[0], ideal
             verdicts.append(verdict)
         assert True in verdicts and False in verdicts
+
+    def test_random_ideals_match_the_pair_graph(self):
+        """3,000 seeded ideals in one to seven variables, two in five
+        squarefree, against the pair graph of conftest.ref_depth."""
+        rng = random.Random(1604)
+        verdicts = []
+        while len(verdicts) < 3000:
+            v = rng.randint(1, 7)
+            ideal = mono(ctx(*[f"v{i}" for i in range(v)]),
+                         *random_monomial_ideal(rng, v, 7,
+                                                max_exp=rng.randint(1, 3),
+                                                squarefree=rng.random() < 0.4))
+            if ideal.is_unit:
+                continue
+            verdict = ideal.depth_at_least_two()
+            assert verdict == ref_depth(ideal), ideal
+            verdicts.append(verdict)
+        assert 500 < verdicts.count(True) < 2500
+
+    #: depth < 2, seen only in a covering degree above all ones
+    HIGHER_DEGREE = (
+        (4, ("x1^2*x3^2", "x0*x1*x2^2", "x0*x1^2*x2", "x1*x2^2*x3^2")),
+        (4, ("x0*x3^2", "x2^2*x3^2", "x1^2*x2^2", "x0*x1^2*x2")),
+        (4, ("x1*x2*x3", "x1^2*x2^2", "x0*x2*x3^2", "x0^2*x3^2",
+             "x0^2*x1*x3")),
+        (5, ("x4^2", "x0^2*x2", "x1*x2*x3^2", "x0*x1^2*x3^2",
+             "x0^2*x1^2*x4")),
+        (5, ("x3^2*x4", "x0*x2*x4", "x0*x1^2", "x2*x3*x4^2", "x1^2*x4^2")),
+        (5, ("x4^2", "x2^2*x3", "x1^2*x3", "x0^2*x2^2*x4",
+             "x0^2*x1^2*x4")),
+    )
+
+    @pytest.mark.parametrize("v, gens", HIGHER_DEGREE)
+    def test_rings_only_a_higher_degree_decides(self, v, gens):
+        """No component misses a single variable, so (a) never fires, and
+        the variables outside the components form one piece, so the
+        complex at degree 0 is connected: a rule that read only the
+        all-ones covering degree would call these rings depth >= 2."""
+        c = ctx(*[f"x{i}" for i in range(v)])
+        exps = []
+        for g in gens:
+            e = [0] * v
+            for factor in g.split("*"):
+                name, _, p = factor.partition("^")
+                e[int(name[1:])] = int(p or 1)
+            exps.append(tuple(e))
+        ideal = mono(c, *exps)
+        outside = [{i for i, x in enumerate(b) if not x}
+                   for b in ideal.irreducible_components()]
+        assert all(len(out) >= 2 for out in outside)
+        piece = set(outside[0])
+        for _ in outside:
+            piece.update(*(out for out in outside if out & piece))
+        assert all(out <= piece for out in outside)
+        assert not ideal.maximal_ideal_associated()
+        h = IdealHandle(QQ, c, ideal.to_polynomials(QQ))
+        assert ideal.depth_at_least_two() is False
+        assert ref_depth(ideal) is False
+        assert depth_by_colon(h)[0] is False

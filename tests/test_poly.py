@@ -306,6 +306,19 @@ class TestSubstituteLinear:
             assert image == expand(f, forward, moved)
             assert substitute_linear(image, back, source) == f
 
+    def test_high_powers_agree_with_expansion(self):
+        """Each power of a form is built from the one below it, so an
+        exponent far above the recursion limit substitutes too."""
+        source, target = ctx("x", "y"), ctx("u", "v")
+        x, y = variables(QQ, source)
+        rename = [((1, 1),), ((1, 0),)]
+        assert (substitute_linear(x ** 1500, rename, target)
+                == expand(x ** 1500, rename, target))
+        two_term = [((2, 0), (-1, 1)), ((1, 1),)]
+        f = x ** 12 * y - 3 * y ** 2 + x ** 5
+        assert (substitute_linear(f, two_term, target)
+                == expand(f, two_term, target))
+
 
 ORDERS = (GREVLEX, LEX, BlockEliminationOrder(1), BlockEliminationOrder(2))
 
