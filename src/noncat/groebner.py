@@ -5,18 +5,20 @@ chain criteria, normal pair selection), ideal membership and equality on
 each handle's cached grevlex basis, intersection and colon ideals, and
 the regularity and depth tests the ring classifiers rely on. Two ideals
 generated by linear forms meet in W + I*J, where W is the intersection of
-their spans (one Zassenhaus row reduction), and one Buchberger run
-reduces that; every other intersection eliminates an auxiliary variable.
-A handle whose generators are all terms never runs Buchberger: the
-monomial engine supplies its reduced basis, the minimal generators. A
-handle's ideal is monomial when its reduced basis consists of terms,
-whatever its presentation (IdealHandle.monomial_ideal). Krull dimension is
-read off the supports of the leading terms by the monomial engine. The
-socle test and depth >= 2 are this engine's own on every ideal, monomial or
-not; the analyzer sends monomial I to the monomial engine instead.
-Homogeneous I reads one grevlex basis per candidate sum of variables, moved
-to the last variable (Bayer-Stillman). The socle test reads one such basis
-per variable, last first, and stops at the first regular variable or socle
+their spans (one Zassenhaus row reduction). When one is principal, (f),
+that is (f) or f*J, whose Groebner basis needs only interreduction; other
+pairs run Buchberger once. Every other intersection eliminates an
+auxiliary variable. A handle whose generators are all terms never runs
+Buchberger: the monomial engine supplies its reduced basis, the minimal
+generators. A handle's ideal is monomial when its reduced basis consists
+of terms, whatever its presentation (IdealHandle.monomial_ideal). Krull
+dimension is read off the supports of the leading terms by the monomial
+engine. The socle test and depth >= 2 are this engine's own on every
+ideal, monomial or not; the analyzer sends monomial I to the monomial
+engine instead. Homogeneous I reads one grevlex basis per candidate sum of
+variables, moved to the last variable (Bayer-Stillman); moving a single
+variable last is a renaming. The socle test reads one such basis per
+variable, last first, and stops at the first regular variable or socle
 element among the generators of that (I : x_i), before it computes the
 next; only when no variable decides are the (I : x_i) intersected into
 (I : M). The colon calculus serves only non-homogeneous ideals, and is the
@@ -69,9 +71,10 @@ def s_polynomial(f, g, order=GREVLEX):
     return left - right
 
 
-def _reduce_basis(basis, order):
+def _reduce_basis(basis, order, budget):
     """Turn a Groebner basis into the reduced one: minimal leading terms,
-    fully reduced tails, monic, sorted descending by leading monomial."""
+    fully reduced tails, monic, sorted descending by leading monomial. Each
+    division step spends one unit of the budget of the run it finishes."""
     key = order.key
     minimal = []
     for g in sorted(basis, key=lambda g: key(g.leading_monomial(order))):
@@ -82,7 +85,7 @@ def _reduce_basis(basis, order):
     for i in range(len(minimal)):
         others = minimal[:i] + minimal[i + 1:]
         if others:
-            _, r = divide(minimal[i], others, order)
+            _, r = divide(minimal[i], others, order, budget=budget)
         else:
             r = minimal[i]
         minimal[i] = r.monic(order)
@@ -147,7 +150,7 @@ def buchberger(generators, order=GREVLEX, budget=None):
         if not r.is_zero:
             append(r)
 
-    return _reduce_basis(basis, order)
+    return _reduce_basis(basis, order, budget)
 
 
 def _all_linear(gens):
@@ -195,24 +198,29 @@ def _linear_forms(field, context, rows):
             for r in rows]
 
 
-def _linear_meet(left, right):
-    """Generators of I cap J = W + I*J for nonempty lists of linear forms
-    over one ring. A basis of W, the intersection of the spans, comes from
-    Zassenhaus: in the reduced echelon form of the rows (f, f) for f in
-    left and (g, 0) for g in right, the rows zero on the left half carry it
-    on the right half. I*J is generated by the products of the reduced
-    bases of the two spans, which already form a Groebner basis of I*J
-    when I or J is principal."""
+def _linear_meet(left, right, budget):
+    """The reduced grevlex basis of I cap J = W + I*J for nonempty lists of
+    linear forms over one ring. A basis of W, the intersection of the spans,
+    comes from Zassenhaus: in the reduced echelon form of the rows (f, f) for
+    f in left and (g, 0) for g in right, the rows zero on the left half carry
+    it on the right half. The echelon bases of the spans are Groebner bases.
+    When one side is (f), the meet is (f) if f lies in the other span (W != 0)
+    and f*J otherwise, whose Groebner basis is f*GB(J): only interreduction
+    is left. Otherwise one Buchberger run reduces W + I*J."""
     field, context = left[0].field, left[0].context
     v = context.count
     a = [_coefficients(f) for f in left]
     b = [_coefficients(g) for g in right]
     stacked = [r + r for r in a] + [r + [field.zero] * v for r in b]
-    meet = [r[v:] for r in _row_reduce(field, stacked) if not any(r[:v])]
+    meet = _linear_forms(field, context, [
+        r[v:] for r in _row_reduce(field, stacked) if not any(r[:v])])
     xs = _linear_forms(field, context, _row_reduce(field, a))
     ys = _linear_forms(field, context, _row_reduce(field, b))
-    return (_linear_forms(field, context, meet)
-            + [f * g for f in xs for g in ys])
+    if len(ys) == 1:
+        xs, ys = ys, xs
+    if len(xs) == 1:
+        return _reduce_basis(meet or [xs[0] * g for g in ys], GREVLEX, budget)
+    return buchberger(meet + [f * g for f in xs for g in ys], GREVLEX, budget)
 
 
 def _fresh_name(context):
@@ -388,15 +396,16 @@ class IdealHandle:
         """I cap J, whose generators are its reduced grevlex basis. When
         every generator of both is a linear form, I cap J = W + I*J with W
         the intersection of the spans: in coordinates where I = (W, X) and
-        J = (W, Y), both are monomial in disjoint variables. One Buchberger
-        run reduces W + I*J. Any other input is eliminated."""
+        J = (W, Y), both are monomial in disjoint variables. A principal side
+        needs no Buchberger run; otherwise one reduces W + I*J. Any other
+        input is eliminated."""
         if self.field != other.field or self.context != other.context:
             raise ContextMismatchError("ideals over different rings")
         if not self.generators or not other.generators:
             return self._with_basis(self.context, ())
         if _all_linear(self.generators) and _all_linear(other.generators):
-            return self._with_basis(self.context, buchberger(
-                _linear_meet(self.generators, other.generators), GREVLEX,
+            return self._with_basis(self.context, _linear_meet(
+                self.generators, other.generators,
                 Budget(self.gb_step_budget, "groebner step budget")))
         return self._eliminate(other)
 

@@ -546,9 +546,20 @@ def variables(field, context):
 
 def substitute_linear(f, forms, context):
     """f with each variable x_i replaced by the linear form forms[i], given
-    as (coefficient, variable index) pairs over the target context. A form
-    that is a single variable renames it, so this also reorders variables."""
+    as (coefficient, variable index) pairs over the target context. When
+    every form is a single term, this is a renaming: each term goes to one
+    term and no power is expanded. So this also reorders variables."""
     field = f.field
+    if all(len(form) == 1 for form in forms):
+        pairs = []
+        for c, e in f.pairs():
+            t = [0] * context.count
+            for ((a, j),), p in zip(forms, e):
+                if p:
+                    t[j] += p
+                    c = field.mul(c, field.coerce(a) ** p)
+            pairs.append((c, t))
+        return Polynomial(field, context, pairs)
     one = (0,) * context.count
     powers = {}
 
@@ -614,7 +625,9 @@ def divide(f, divisors, order=GREVLEX, budget=None):
     field, context = f.field, f.context
     leads = []
     for g in divisors:
-        if not isinstance(g, Polynomial) or g.field != field or g.context != context:
+        if not isinstance(g, Polynomial) or (
+                g.field is not field and g.field != field) or (
+                g.context is not context and g.context != context):
             raise ContextMismatchError("divisors must live in the same ring as f")
         if g.is_zero:
             raise ValueError("division by the zero polynomial")
@@ -659,7 +672,8 @@ def divide(f, divisors, order=GREVLEX, budget=None):
         quotients = [sorted(q, key=lambda t: _grevlex_first(t[1]))
                      for q in quotients]
         remainder.sort(key=lambda t: _grevlex_first(t[1]))
-    qs = tuple(Polynomial._canonical(field, context, tuple(q))
+    unused = Polynomial._canonical(field, context, ())
+    qs = tuple(Polynomial._canonical(field, context, tuple(q)) if q else unused
                for q in quotients)
     return qs, Polynomial._canonical(field, context, tuple(remainder))
 

@@ -672,10 +672,10 @@ class TestExitCodes:
 
     def test_linear_intersection_budget_exceeded_exits_3(self, capsys,
                                                          tmp_path):
-        """An intersection of linear forms draws on the step budget."""
-        script = ("ring Q[x,y1,y2,z1]\n"
-                  "ideal I = intersect((x - y1 + 2*y2), (y1 + y2 - z1, "
-                  "y2 - 2*z1))\n"
+        """An intersection of linear forms, rank 2 on both sides, draws on
+        the step budget in its Buchberger run."""
+        script = ("ring Q[x,y,z,w]\n"
+                  "ideal I = intersect((x, y), (x + z, y + w))\n"
                   "analyze I\n")
         code, out, err = invoke(capsys, script, "--budget-gb-steps", "0",
                                 tmp_path=tmp_path)

@@ -399,10 +399,11 @@ class TestIntersection:
 
     def test_linear_path_runs_one_buchberger_and_no_elimination(
             self, monkeypatch):
-        c = ctx("x", "y1", "y2", "z1")
-        x, y1, y2, z1 = variables(QQ, c)
-        lhs = handle(c, x - y1 + 2 * y2)
-        rhs = handle(c, y1 + y2 - z1, y2 - 2 * z1)
+        """Two sides of rank 2: one Buchberger run reduces W + I*J."""
+        c = ctx("x", "y", "z", "w")
+        x, y, z, w = variables(QQ, c)
+        lhs = handle(c, x, y)
+        rhs = handle(c, x + z, y + w)
         runs = count_calls(monkeypatch, groebner, "buchberger")
         contexts = count_calls(monkeypatch, groebner, "VariableContext")
         eliminations = count_calls(monkeypatch, IdealHandle, "_eliminate")
@@ -411,6 +412,71 @@ class TestIntersection:
         got.groebner_basis()
         got.monomial_ideal()
         assert len(runs) == 1
+
+    def test_principal_linear_meet_runs_no_buchberger(self, monkeypatch):
+        """(f) cap J = f*J for f outside J's span, and f times J's echelon
+        basis is its Groebner basis: no Buchberger run, no elimination, and
+        here no division step, so a zero budget still gives the
+        elimination's result, with either side first."""
+        c = ctx("x", "y1", "y2", "z1")
+        x, y1, y2, z1 = variables(QQ, c)
+        f, gs = x - y1 + 2 * y2, (y1 + y2 - z1, y2 - 2 * z1)
+        expected = handle(c, f)._eliminate(handle(c, *gs)).generators
+        lhs = handle(c, f, gb_step_budget=0)
+        rhs = handle(c, *gs, gb_step_budget=0)
+        runs = count_calls(monkeypatch, groebner, "buchberger")
+        contexts = count_calls(monkeypatch, groebner, "VariableContext")
+        eliminations = count_calls(monkeypatch, IdealHandle, "_eliminate")
+        for got in (lhs.intersection(rhs), rhs.intersection(lhs)):
+            assert got.generators == expected
+            got.groebner_basis()
+            got.monomial_ideal()
+        assert not runs and not contexts and not eliminations
+
+    @pytest.mark.parametrize("field", (QQ, FieldDescriptor(2),
+                                       FieldDescriptor(32003)), ids=str)
+    def test_principal_meets_match_elimination(self, monkeypatch, field):
+        """(f) cap J against the elimination on seeded forms in 2-6
+        variables: f inside J's span, outside it, a multiple of J's one
+        generator, and J principal too, with either side first."""
+        rng = random.Random(3217)
+        if field.characteristic == 2:
+            # x + y = (y + z) + (x + z) lies in the other span only over F2
+            x, y, z = variables(field, ctx("x", "y", "z"))
+            assert IdealHandle(field, x.context, [x + y]).intersection(
+                IdealHandle(field, x.context, [y + z, x + z])
+            ).generators == (x + y,)
+        runs = count_calls(monkeypatch, groebner, "buchberger")
+        seen = set()
+        for v in range(2, 7):
+            c = ctx(*(f"x{i}" for i in range(v)))
+            xs = variables(field, c)
+            zero = Polynomial.zero_poly(field, c)
+
+            def form():
+                while True:
+                    g = sum((rng.randint(-3, 3) * xi for xi in xs), zero)
+                    if g:
+                        return g
+
+            for case in ("inside", "outside", "multiple", "principal") * 4:
+                gs = [form() for _ in range(
+                    1 if case in ("multiple", "principal") else
+                    rng.randint(2, min(3, v)))]
+                if case == "inside":
+                    f = sum((rng.randint(1, 3) * g for g in gs), zero) or gs[0]
+                elif case == "multiple":
+                    f = rng.choice((1, -2, 5)) * gs[0] or gs[0]
+                else:
+                    f = form()
+                i, j = IdealHandle(field, c, [f]), IdealHandle(field, c, gs)
+                expected = i._eliminate(j).generators
+                seen.add(j.contains(f))
+                del runs[:]
+                assert i.intersection(j).generators == expected
+                assert j.intersection(i).generators == expected
+                assert not runs
+        assert seen == {True, False}
 
     @pytest.mark.parametrize("lhs,rhs", [
         (lambda x, y, z: (x + 1,), lambda x, y, z: (y,)),
@@ -427,11 +493,24 @@ class TestIntersection:
         assert len(eliminations) == 1
 
     def test_step_budget_bounds_the_linear_path(self):
-        c = ctx("x", "y", "z")
-        x, y, z = variables(QQ, c)
-        lhs = handle(c, x, gb_step_budget=0)
+        c = ctx("x", "y", "z", "w")
+        x, y, z, w = variables(QQ, c)
+        lhs = handle(c, x, y, gb_step_budget=0)
         with pytest.raises(BudgetExceededError, match="groebner step budget"):
-            lhs.intersection(handle(c, x + y, z))
+            lhs.intersection(handle(c, x + z, y + w))
+
+    def test_step_budget_bounds_the_principal_interreduction(self):
+        """(b + c) cap (a + b, c): reducing (b + c)(a + b) by (b + c)c takes
+        one division step, drawn on the step budget."""
+        c = ctx("a", "b", "cc")
+        a, b, cc = variables(QQ, c)
+        with pytest.raises(BudgetExceededError, match="groebner step budget"):
+            handle(c, b + cc, gb_step_budget=0).intersection(
+                handle(c, a + b, cc))
+        got = handle(c, b + cc, gb_step_budget=1).intersection(
+            handle(c, a + b, cc))
+        assert got.generators == handle(c, b + cc)._eliminate(
+            handle(c, a + b, cc)).generators
 
     def test_stored_basis_is_the_reduced_basis(self):
         """Every intersection result, on either path, stores its reduced

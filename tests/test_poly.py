@@ -256,6 +256,26 @@ class TestDivision:
         with pytest.raises(ValueError):
             divide(self.x, [Polynomial.zero_poly(QQ, self.ctx)])
 
+    def test_equal_rings_divide_as_one(self):
+        """Divisors over an equal but distinct field and context divide as
+        over the same ones; a foreign context or field still raises."""
+        rng = random.Random(61)
+        for p in (0, 2, 32003):
+            field, twin = FieldDescriptor(p), FieldDescriptor(p)
+            c, twin_c = ctx("x", "y", "z"), ctx("x", "y", "z")
+            for _ in range(30):
+                f = random_polynomial(rng, c, max_terms=5, field=field)
+                divisors = [random_nonzero_polynomial(rng, twin_c, field=twin)
+                            for _ in range(rng.randint(1, 3))]
+                for order in (GREVLEX, LEX):
+                    assert (divide(f, divisors, order)
+                            == divide_reference(f, divisors, order))
+            foreign = [Polynomial.variable(field, ctx("x", "y", "w"), 0),
+                       Polynomial.variable(FieldDescriptor(3), c, 0)]
+            for g in foreign:
+                with pytest.raises(ContextMismatchError):
+                    divide(f, [g])
+
 
 FIELDS = (QQ, FieldDescriptor(2), FieldDescriptor(32003))
 
@@ -305,6 +325,25 @@ class TestSubstituteLinear:
             image = substitute_linear(f, forward, moved)
             assert image == expand(f, forward, moved)
             assert substitute_linear(image, back, source) == f
+
+    @pytest.mark.parametrize("field", FIELDS, ids=str)
+    def test_renamings_agree_with_expansion(self, field):
+        """Forms of one term each map every term to one term: permutations,
+        renamings that merge variables (x -> w, y -> w), scaled ones
+        (x -> 2*w) and seeded ones, zero coefficients included."""
+        rng = random.Random(59)
+        source, target = ctx("x", "y", "z"), ctx("u", "v", "w")
+        renamings = [[((1, j),) for j in perm]
+                     for perm in itertools.permutations(range(3))]
+        renamings += [[((1, 2),), ((1, 2),), ((1, 0),)],
+                      [((2, 2),), ((1, 1),), ((-3, 2),)]]
+        renamings += [[((rng.randint(-3, 3), rng.randrange(3)),)
+                       for _ in range(3)] for _ in range(20)]
+        for forms in renamings:
+            for _ in range(10):
+                f = random_polynomial(rng, source, max_terms=5, field=field)
+                assert (substitute_linear(f, forms, target)
+                        == expand(f, forms, target))
 
     def test_high_powers_agree_with_expansion(self):
         """Each power of a form is built from the one below it, so an
