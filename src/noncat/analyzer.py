@@ -26,7 +26,6 @@ Witness searches and the chain command share one verified chain per prime.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import ChainInfeasibleError, UnitIdealError, UnsupportedInputError
@@ -37,8 +36,7 @@ from .groebner import (
     regular_element_candidates,
     variable_sum,
 )
-from .monomial import MonomialPrime
-from .poly import DEFAULT_GB_STEP_BUDGET, Polynomial, RingPresentation
+from .poly import DEFAULT_GB_STEP_BUDGET, RingPresentation, _Value
 from .spectra import construct_chain, noncat_profile, verify_chain
 
 SEMANTICS_EXACT = "monomial-exact"
@@ -64,54 +62,81 @@ _CHAR_P = ("unsupported (regularity remark check unavailable in "
            "characteristic p)")
 
 
-@dataclass(frozen=True)
-class AnalysisConfig:
-    gb_step_budget: int = DEFAULT_GB_STEP_BUDGET
-    regular_candidate_budget: int = DEFAULT_REGULAR_CANDIDATE_BUDGET
+class AnalysisConfig(_Value):
+    """The work budgets of an analysis, each an int >= 0: Buchberger steps
+    per Groebner computation, and regular-element candidates tried by the
+    depth search."""
+
+    __slots__ = ("gb_step_budget", "regular_candidate_budget")
+
+    def __init__(self, gb_step_budget=DEFAULT_GB_STEP_BUDGET,
+                 regular_candidate_budget=DEFAULT_REGULAR_CANDIDATE_BUDGET):
+        for name, value in (("gb_step_budget", gb_step_budget),
+                            ("regular_candidate_budget",
+                             regular_candidate_budget)):
+            if type(value) is not int or value < 0:
+                raise ValueError(
+                    f"{name} must be an integer >= 0, got {value!r}")
+        self.gb_step_budget = gb_step_budget
+        self.regular_candidate_budget = regular_candidate_budget
 
 
-@dataclass(frozen=True)
-class PrimeSummary:
-    gens: tuple
-    dim: int
-    height: int
+class PrimeSummary(_Value):
+    __slots__ = ("gens", "dim", "height")
+
+    def __init__(self, gens, dim, height):
+        self.gens = gens
+        self.dim = dim
+        self.height = height
 
 
-@dataclass(frozen=True)
-class Witnesses:
-    P: tuple | None = None
-    chain: tuple | None = None
-    regular_element: str | None = None
-    ufd_witness_prime: tuple | None = None
+class Witnesses(_Value):
+    __slots__ = ("P", "chain", "regular_element", "ufd_witness_prime")
+
+    def __init__(self, P=None, chain=None, regular_element=None,
+                 ufd_witness_prime=None):
+        self.P = P
+        self.chain = chain
+        self.regular_element = regular_element
+        self.ufd_witness_prime = ufd_witness_prime
 
 
-@dataclass(frozen=True)
-class UfdWitness:
+class UfdWitness(_Value):
     """A dimension-one prime Q' with height(Q') + 1 < dim T, reached as the
     last interior node of an avoidance chain, together with a regular
     element inside the chain's second-to-last node and a certificate that
     the localization at Q' has depth > 1."""
 
-    prime: MonomialPrime
-    chain: object
-    height: int
-    regular_start: Polynomial
-    localized_depth: DepthResult
+    __slots__ = ("prime", "chain", "height", "regular_start",
+                 "localized_depth")
+
+    def __init__(self, prime, chain, height, regular_start, localized_depth):
+        self.prime = prime  # a MonomialPrime
+        self.chain = chain
+        self.height = height
+        self.regular_start = regular_start  # a Polynomial
+        self.localized_depth = localized_depth  # a DepthResult
 
 
-@dataclass(frozen=True)
-class AnalysisReport:
-    ring: str
-    dim: int | None
-    semantics: str
-    minimal_primes: tuple | None
-    associated_primes: tuple | None
-    profile: tuple | None
-    conditions: dict
-    verdicts: dict
-    witnesses: Witnesses
-    inconclusive: tuple
-    notes: tuple
+class AnalysisReport(_Value):
+    __slots__ = ("ring", "dim", "semantics", "minimal_primes",
+                 "associated_primes", "profile", "conditions", "verdicts",
+                 "witnesses", "inconclusive", "notes")
+
+    def __init__(self, ring, dim, semantics, minimal_primes,
+                 associated_primes, profile, conditions, verdicts, witnesses,
+                 inconclusive, notes):
+        self.ring = ring
+        self.dim = dim
+        self.semantics = semantics
+        self.minimal_primes = minimal_primes
+        self.associated_primes = associated_primes
+        self.profile = profile
+        self.conditions = conditions
+        self.verdicts = verdicts
+        self.witnesses = witnesses
+        self.inconclusive = inconclusive
+        self.notes = notes
 
     def to_json_dict(self):
         return {
@@ -140,19 +165,26 @@ class AnalysisReport:
         }
 
 
-@dataclass(frozen=True)
-class _Facts:
+class _Facts(_Value):
     """The facts the verdict table reads, each local to the origin. A fact
     that no engine supplies is None, and `missing` maps its name
     ("dim", "depth2", "profile" or "reduced") to the reason."""
 
-    dim: int | None
-    m_assoc: bool
-    depth2: bool | None
-    carve_out: str | None  # "field" or "dvr": T is regular of dim <= 1
-    profile: tuple | None  # dim(T/P) over the minimal primes P
-    reduced: bool | None  # decides regularity_at_min in characteristic 0
-    missing: dict
+    __slots__ = ("dim", "m_assoc", "depth2", "carve_out", "profile",
+                 "reduced", "missing")
+
+    def __init__(self, dim, m_assoc, depth2, carve_out, profile, reduced,
+                 missing):
+        self.dim = dim
+        self.m_assoc = m_assoc
+        self.depth2 = depth2
+        # "field" or "dvr": T is regular of dim <= 1
+        self.carve_out = carve_out
+        # dim(T/P) over the minimal primes P
+        self.profile = profile
+        # decides regularity_at_min in characteristic 0
+        self.reduced = reduced
+        self.missing = missing
 
 
 def _verdicts(facts):

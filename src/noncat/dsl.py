@@ -20,12 +20,11 @@ reparses to an equal Script.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import FamilyParameterError, ParseError
 from .families import FAMILY_KINDS, FamilySpec, check_constraints
-from .poly import FieldDescriptor, Polynomial, VariableContext
+from .poly import FieldDescriptor, Polynomial, VariableContext, _Value
 
 KEYWORDS = frozenset({"ring", "ideal", "intersect", "analyze", "profile",
                       "poset", "chain", "from", "family"})
@@ -34,12 +33,14 @@ _TOKEN_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*|\d+|[()\[\],=+\-*^/]")
 _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 
 
-@dataclass(frozen=True)
-class Token:
-    kind: str  # "ident" | "int" | punctuation text | "eof"
-    text: str
-    line: int
-    column: int
+class Token(_Value):
+    __slots__ = ("kind", "text", "line", "column")
+
+    def __init__(self, kind, text, line, column):
+        self.kind = kind  # "ident" | "int" | punctuation text | "eof"
+        self.text = text
+        self.line = line
+        self.column = column
 
 
 def _lex(text):
@@ -72,64 +73,86 @@ def _lex(text):
 
 # -- script model --
 
-@dataclass(frozen=True)
-class RingStmt:
-    field: FieldDescriptor
-    names: tuple
+class RingStmt(_Value):
+    __slots__ = ("field", "names")
+
+    def __init__(self, field, names):
+        self.field = field
+        self.names = names
 
 
-@dataclass(frozen=True)
-class GenList:
-    polys: tuple
+class GenList(_Value):
+    __slots__ = ("polys",)
+
+    def __init__(self, polys):
+        self.polys = polys
 
 
-@dataclass(frozen=True)
-class Intersect:
-    left: object
-    right: object
+class Intersect(_Value):
+    __slots__ = ("left", "right")
+
+    def __init__(self, left, right):
+        self.left = left
+        self.right = right
 
 
-@dataclass(frozen=True)
-class Ref:
-    name: str
+class Ref(_Value):
+    __slots__ = ("name",)
+
+    def __init__(self, name):
+        self.name = name
 
 
-@dataclass(frozen=True)
-class IdealStmt:
-    name: str
-    expr: object
+class IdealStmt(_Value):
+    __slots__ = ("name", "expr")
+
+    def __init__(self, name, expr):
+        self.name = name
+        self.expr = expr
 
 
-@dataclass(frozen=True)
-class AnalyzeCmd:
-    ideal: str
+class AnalyzeCmd(_Value):
+    __slots__ = ("ideal",)
+
+    def __init__(self, ideal):
+        self.ideal = ideal
 
 
-@dataclass(frozen=True)
-class ProfileCmd:
-    ideal: str
+class ProfileCmd(_Value):
+    __slots__ = ("ideal",)
+
+    def __init__(self, ideal):
+        self.ideal = ideal
 
 
-@dataclass(frozen=True)
-class PosetCmd:
-    ideal: str
+class PosetCmd(_Value):
+    __slots__ = ("ideal",)
+
+    def __init__(self, ideal):
+        self.ideal = ideal
 
 
-@dataclass(frozen=True)
-class ChainCmd:
-    ideal: str
-    from_vars: tuple
+class ChainCmd(_Value):
+    __slots__ = ("ideal", "from_vars")
+
+    def __init__(self, ideal, from_vars):
+        self.ideal = ideal
+        self.from_vars = from_vars
 
 
-@dataclass(frozen=True)
-class FamilyCmd:
-    kind: str
-    params: tuple
+class FamilyCmd(_Value):
+    __slots__ = ("kind", "params")
+
+    def __init__(self, kind, params):
+        self.kind = kind
+        self.params = params
 
 
-@dataclass(frozen=True)
-class Script:
-    statements: tuple
+class Script(_Value):
+    __slots__ = ("statements",)
+
+    def __init__(self, statements):
+        self.statements = statements
 
 
 class _Parser:

@@ -21,10 +21,9 @@ product generators:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import FamilyParameterError
-from .poly import RATIONALS, Polynomial, RingPresentation, VariableContext
+from .poly import (RATIONALS, Polynomial, RingPresentation, VariableContext,
+                   _Value)
 
 FAMILY_KINDS = ("example_domain", "example_catenary", "example_ufd",
                 "prop41", "prop42")
@@ -32,20 +31,28 @@ FAMILY_ARITY = {"example_domain": 0, "example_catenary": 1,
                 "example_ufd": 2, "prop41": 2, "prop42": 2}
 
 
-@dataclass(frozen=True)
-class FamilySpec:
-    kind: str
-    params: tuple = ()
+class FamilySpec(_Value):
+    """A family of the paper by name, with its integer parameters held as a
+    tuple."""
 
-    def __post_init__(self):
-        if self.kind not in FAMILY_KINDS:
+    __slots__ = ("kind", "params")
+
+    def __init__(self, kind, params=()):
+        if kind not in FAMILY_KINDS:
             raise FamilyParameterError(
-                f"unknown family {self.kind!r}; expected one of "
+                f"unknown family {kind!r}; expected one of "
                 f"{', '.join(FAMILY_KINDS)}")
-        arity = FAMILY_ARITY[self.kind]
-        if len(self.params) != arity:
+        params = tuple(params)
+        arity = FAMILY_ARITY[kind]
+        if len(params) != arity:
             raise FamilyParameterError(
-                f"{self.kind} takes {arity} parameter(s), got {len(self.params)}")
+                f"{kind} takes {arity} parameter(s), got {len(params)}")
+        for p in params:
+            if not isinstance(p, int) or isinstance(p, bool):
+                raise FamilyParameterError(
+                    f"{kind} parameters must be integers, got {p!r}")
+        self.kind = kind
+        self.params = params
 
     def render(self):
         if not self.params:

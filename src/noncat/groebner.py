@@ -33,7 +33,6 @@ from __future__ import annotations
 import heapq
 import itertools
 import threading
-from dataclasses import dataclass
 
 from .errors import ContextMismatchError, DegenerateInputError, UnitIdealError
 from .monomial import MonomialIdeal
@@ -44,6 +43,7 @@ from .poly import (
     Budget,
     Polynomial,
     VariableContext,
+    _Value,
     divide,
     exps_add,
     exps_divides,
@@ -230,8 +230,7 @@ def _fresh_name(context):
     return name
 
 
-@dataclass(frozen=True)
-class DepthResult:
+class DepthResult(_Value):
     """Outcome of the depth >= 2 test.
 
     verdict True carries a regular element f with the maximal ideal not
@@ -242,9 +241,12 @@ class DepthResult:
     nothing either way.
     """
 
-    verdict: bool | None
-    regular_element: Polynomial | None
-    detail: str
+    __slots__ = ("verdict", "regular_element", "detail")
+
+    def __init__(self, verdict, regular_element, detail):
+        self.verdict = verdict
+        self.regular_element = regular_element
+        self.detail = detail
 
     @classmethod
     def certified(cls, f, verdict):

@@ -16,22 +16,34 @@ from __future__ import annotations
 
 import itertools
 import threading
-from dataclasses import dataclass
 
 from .errors import (
     EmptyLocalizationError,
     UnitIdealError,
     UnsupportedInputError,
 )
-from .poly import Polynomial, VariableContext, exps_divides, exps_lcm
+from .poly import Polynomial, VariableContext, _Value, exps_divides, exps_lcm
 
 
-@dataclass(frozen=True)
-class MonomialPrime:
+class MonomialPrime(_Value):
     """Prime ideal generated by a subset of the variables; the empty subset
     is the zero prime of a domain."""
 
-    indices: frozenset
+    __slots__ = ("indices",)
+
+    def __init__(self, indices):
+        self.indices = indices
+
+    # primes are compared and hashed in every set of Min and Ass, so these
+    # skip _fields
+
+    def __eq__(self, other):
+        if other.__class__ is not MonomialPrime:
+            return NotImplemented
+        return self.indices == other.indices
+
+    def __hash__(self):
+        return hash((self.indices,))
 
     @classmethod
     def of(cls, context, *names):

@@ -16,7 +16,6 @@ computes its own, so a lost or repeated write changes no result.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import add, le, neg, sub
 
@@ -60,8 +59,33 @@ def _rational(value):
     return value.numerator if value.denominator == 1 else value
 
 
-@dataclass(frozen=True)
-class FieldDescriptor:
+class _Value:
+    """Base of the immutable value classes. A subclass names its fields in
+    `__slots__` and sets them in its own `__init__`; nothing assigns to
+    them afterwards. Two values are equal when they have the same type and
+    equal fields, a value hashes as the tuple of its fields, and its repr
+    is `Name(field=value, ...)`."""
+
+    __slots__ = ()
+
+    def _fields(self):
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}"
+                           for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+
+class FieldDescriptor(_Value):
     """Coefficient field: the rationals (characteristic 0) or GF(p).
 
     An element of GF(p) is an int in [0, p). An element of Q is an int
@@ -71,15 +95,26 @@ class FieldDescriptor:
     elements; Python compares and hashes an int and a Fraction of equal
     value alike, so the choice shows only in the types."""
 
-    characteristic: int = 0
+    __slots__ = ("characteristic",)
 
-    def __post_init__(self):
-        p = self.characteristic
+    def __init__(self, characteristic=0):
+        p = characteristic
         if p >= 2 ** 64:
             raise ValueError(
                 f"field characteristic must be below 2^64, got {p}")
         if p != 0 and not _is_prime(p):
             raise ValueError(f"field characteristic must be 0 or a prime, got {p}")
+        self.characteristic = p
+
+    # every polynomial operation compares fields, so these skip _fields
+
+    def __eq__(self, other):
+        if other.__class__ is not FieldDescriptor:
+            return NotImplemented
+        return self.characteristic == other.characteristic
+
+    def __hash__(self):
+        return hash((self.characteristic,))
 
     @property
     def is_prime_field(self):
@@ -262,14 +297,16 @@ LEX = _LexOrder()
 GREVLEX = _GrevlexOrder()
 
 
-@dataclass(frozen=True)
-class BlockEliminationOrder(MonomialOrder):
+class BlockEliminationOrder(_Value, MonomialOrder):
     """Block order eliminating the first `block` variables: any monomial
     involving them sorts above every monomial that does not; grevlex is
     used inside each block."""
 
-    block: int
+    __slots__ = ("block",)
     name = "elim"
+
+    def __init__(self, block):
+        self.block = block
 
     def key(self, exps):
         b = self.block
@@ -678,21 +715,21 @@ def divide(f, divisors, order=GREVLEX, budget=None):
     return qs, Polynomial._canonical(field, context, tuple(remainder))
 
 
-@dataclass(frozen=True)
-class RingPresentation:
+class RingPresentation(_Value):
     """A complete local ring presented as a power-series quotient
     K[[x1..xv]] / (generators)."""
 
-    field: FieldDescriptor
-    context: VariableContext
-    generators: tuple
+    __slots__ = ("field", "context", "generators")
 
-    def __post_init__(self):
-        object.__setattr__(self, "generators", tuple(self.generators))
-        for g in self.generators:
-            if g.field != self.field or g.context != self.context:
+    def __init__(self, field, context, generators):
+        generators = tuple(generators)
+        for g in generators:
+            if g.field != field or g.context != context:
                 raise ContextMismatchError(
                     "generators must match the presentation's field and context")
+        self.field = field
+        self.context = context
+        self.generators = generators
 
     def render(self):
         vars_part = ",".join(self.context.names)

@@ -16,11 +16,11 @@ every covering step adding exactly one variable.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from itertools import combinations
 
 from .errors import BudgetExceededError, ChainInfeasibleError, DegenerateInputError
 from .monomial import MonomialPrime
+from .poly import _Value
 
 MAX_POSET_VARS = 16
 
@@ -59,13 +59,15 @@ def build_poset(ideal):
     return nodes
 
 
-@dataclass(frozen=True)
-class PrimeChain:
+class PrimeChain(_Value):
     """Strictly increasing chain of monomial primes; a constructed chain
     starts at a minimal prime, whose height is 0."""
 
-    context: object
-    primes: tuple
+    __slots__ = ("context", "primes")
+
+    def __init__(self, context, primes):
+        self.context = context
+        self.primes = primes
 
     @property
     def length(self):

@@ -16,6 +16,8 @@ from noncat import analyzer, groebner
 from noncat.analyzer import (
     VERDICT_KEYS,
     AnalysisConfig,
+    PrimeSummary,
+    Witnesses,
     _Analysis,
     _Facts,
     _implications,
@@ -28,6 +30,7 @@ from noncat.families import FamilySpec, instantiate
 from noncat.groebner import IdealHandle
 from noncat.monomial import MonomialIdeal, MonomialPrime
 from noncat.poly import (
+    DEFAULT_GB_STEP_BUDGET,
     FieldDescriptor,
     Polynomial,
     RingPresentation,
@@ -481,6 +484,53 @@ class TestRegularityAtMin:
             assert verdict(ring, "regularity_at_min") is reduced, gens
             outcomes.add(reduced)
         assert outcomes == {True, False}
+
+
+class TestConfig:
+    def test_defaults_and_keywords(self):
+        config = AnalysisConfig()
+        assert config.gb_step_budget == DEFAULT_GB_STEP_BUDGET
+        assert config.regular_candidate_budget == \
+            groebner.DEFAULT_REGULAR_CANDIDATE_BUDGET
+        assert AnalysisConfig(regular_candidate_budget=7) == AnalysisConfig(
+            DEFAULT_GB_STEP_BUDGET, 7)
+        assert AnalysisConfig(0, 0).gb_step_budget == 0
+
+    @pytest.mark.parametrize("value", [-5, 2.5, "10", None, True])
+    @pytest.mark.parametrize("name", ["gb_step_budget",
+                                      "regular_candidate_budget"])
+    def test_bad_budget_rejected_by_name(self, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            AnalysisConfig(**{name: value})
+
+
+class TestReportValues:
+    """Report parts compare and hash by type and fields, print as
+    Name(field=value, ...), and take keywords and defaults."""
+
+    def test_witnesses_default_to_none(self):
+        assert Witnesses() == Witnesses(None, None, None, None)
+        assert Witnesses(P=("x",)) != Witnesses(chain=("x",))
+        assert repr(Witnesses()) == ("Witnesses(P=None, chain=None, "
+                                     "regular_element=None, "
+                                     "ufd_witness_prime=None)")
+        assert hash(Witnesses(P=("x",))) == hash((("x",), None, None, None))
+
+    def test_config_hash_and_repr(self):
+        assert hash(AnalysisConfig(5, 6)) == hash((5, 6))
+        assert repr(AnalysisConfig(5, 6)) == (
+            "AnalysisConfig(gb_step_budget=5, regular_candidate_budget=6)")
+        assert AnalysisConfig(5, 6) != (5, 6)
+
+    def test_prime_summaries_of_a_report(self):
+        report = analyze(two_plane_ring())
+        assert report.minimal_primes == (PrimeSummary(("x",), 3, 0),
+                                         PrimeSummary(("y", "z"), 2, 0))
+        assert repr(report.minimal_primes[0]) == (
+            "PrimeSummary(gens=('x',), dim=3, height=0)")
+        assert report == analyze(two_plane_ring())
+        with pytest.raises(TypeError):  # its conditions are a dict
+            hash(report)
 
 
 class TestAnalyzeReports:

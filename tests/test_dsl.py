@@ -16,6 +16,7 @@ from noncat.dsl import (
     ProfileCmd,
     Ref,
     RingStmt,
+    Token,
     parse_script,
     render_script,
 )
@@ -136,6 +137,52 @@ class TestErrors:
     def test_position_reported(self):
         e = self.expect_error("ring Q[x,y]\nideal I = (x*\n)", "syntax")
         assert (e.line, e.column) == (3, 1)
+
+
+class TestValueSemantics:
+    """Script nodes compare and hash by type and fields, and print as
+    Name(field=value, ...)."""
+
+    def test_equal_fields_of_distinct_types_are_unequal(self):
+        assert AnalyzeCmd("I") != ProfileCmd("I")
+        assert AnalyzeCmd("I") != PosetCmd("I")
+        assert Ref("I") != AnalyzeCmd("I")
+        assert AnalyzeCmd("I") != "I" and AnalyzeCmd("I") != ("I",)
+
+    def test_equal_instances_hash_as_their_fields(self):
+        def nodes():
+            return [AnalyzeCmd("I"), ChainCmd("I", ("x", "y")),
+                    FamilyCmd("prop41", (2, 4)), Token("int", "3", 2, 7),
+                    Intersect(Ref("I"), Ref("J"))]
+
+        for a, b in zip(nodes(), nodes()):
+            assert a == b and a is not b
+            assert hash(a) == hash(b)
+        assert hash(AnalyzeCmd("I")) == hash(("I",))
+        assert hash(ChainCmd("I", ("x",))) == hash(("I", ("x",)))
+        assert hash(Token("eof", "", 3, 1)) == hash(("eof", "", 3, 1))
+        assert ChainCmd("I", ("x",)) != ChainCmd("I", ("y",))
+        assert len({AnalyzeCmd("I"), AnalyzeCmd("I"), ProfileCmd("I")}) == 2
+
+    def test_repr_names_each_field(self):
+        assert repr(AnalyzeCmd("I")) == "AnalyzeCmd(ideal='I')"
+        assert repr(ChainCmd("I", ("x",))) == (
+            "ChainCmd(ideal='I', from_vars=('x',))")
+        assert repr(Token("int", "3", 2, 7)) == (
+            "Token(kind='int', text='3', line=2, column=7)")
+        assert repr(Intersect(Ref("I"), Ref("J"))) == (
+            "Intersect(left=Ref(name='I'), right=Ref(name='J'))")
+
+    def test_keyword_construction(self):
+        assert FamilyCmd(params=(3,), kind="example_catenary") == FamilyCmd(
+            "example_catenary", (3,))
+        assert Token(kind="eof", text="", line=1, column=1) == Token(
+            "eof", "", 1, 1)
+
+    def test_parsed_script_equals_itself(self):
+        text = "ring Q[x,y]\nideal I = intersect((x), (y))\nchain I from (x)"
+        assert parse_script(text) == parse_script(text)
+        assert hash(parse_script(text)) == hash(parse_script(text))
 
 
 class TestRoundTrip:

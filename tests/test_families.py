@@ -64,6 +64,25 @@ class TestConstraints:
         with pytest.raises(FamilyParameterError):
             FamilySpec("example_ufd", (2,))
 
+    def test_params_are_stored_as_a_tuple(self):
+        spec = FamilySpec("example_catenary", [3])
+        assert spec.params == (3,)
+        assert spec == FamilySpec("example_catenary", (3,))
+        assert hash(spec) == hash(("example_catenary", (3,)))
+        assert FamilySpec(kind="example_domain") == FamilySpec(
+            "example_domain", ())
+        assert repr(FamilySpec("prop41", (2, 4))) == (
+            "FamilySpec(kind='prop41', params=(2, 4))")
+
+    @pytest.mark.parametrize("params", [(2.5,), ("3",), (True,), (None,)])
+    def test_non_integer_params_rejected(self, params):
+        with pytest.raises(FamilyParameterError, match="must be integers"):
+            FamilySpec("example_catenary", params)
+
+    def test_non_integer_second_param_rejected(self):
+        with pytest.raises(FamilyParameterError, match="got 2.0"):
+            FamilySpec("example_ufd", (2, 2.0))
+
     def test_check_constraints_passes_valid(self):
         check_constraints(FamilySpec("prop42", (3, 5)))
 

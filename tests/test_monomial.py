@@ -48,6 +48,32 @@ class TestMinimalGenerators:
         assert mono(c).is_zero
 
 
+class TestPrimeValue:
+    """A monomial prime compares and hashes by its index set alone, and
+    prints as MonomialPrime(indices=...)."""
+
+    def test_equality_and_hash_follow_the_indices(self):
+        c = ctx("x", "y", "z")
+        p = MonomialPrime.of(c, "x", "z")
+        assert p == MonomialPrime(frozenset({0, 2}))
+        assert p == MonomialPrime(indices=frozenset({2, 0}))
+        assert p != MonomialPrime.of(c, "x")
+        assert hash(p) == hash(MonomialPrime(frozenset({0, 2})))
+        assert hash(p) == hash((frozenset({0, 2}),))
+        assert len({p, MonomialPrime.of(c, "z", "x"), MonomialPrime.of(c)}) == 2
+
+    def test_unequal_to_its_index_set(self):
+        indices = frozenset({0})
+        assert MonomialPrime(indices) != indices
+        assert MonomialPrime(indices) != (indices,)
+
+    def test_repr(self):
+        assert repr(MonomialPrime(frozenset({1}))) == (
+            "MonomialPrime(indices=frozenset({1}))")
+        assert repr(MonomialPrime(frozenset())) == (
+            "MonomialPrime(indices=frozenset())")
+
+
 class TestMinimalPrimes:
     def test_two_plane_example(self):
         c = ctx("x", "y", "z", "v")

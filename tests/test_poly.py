@@ -18,8 +18,10 @@ from noncat.poly import (
     LEX,
     BlockEliminationOrder,
     Budget,
+    RATIONALS,
     FieldDescriptor,
     Polynomial,
+    RingPresentation,
     VariableContext,
     divide,
     exps_add,
@@ -108,6 +110,57 @@ class TestField:
     def test_characteristic_from_2_to_the_64_rejected(self):
         with pytest.raises(ValueError, match="below 2\\^64"):
             FieldDescriptor(2 ** 64 + 13)
+
+
+class TestValueSemantics:
+    """Fields, block orders and presentations compare and hash by type and
+    fields, print as Name(field=value, ...), and check their input."""
+
+    def test_field_defaults_to_the_rationals(self):
+        assert FieldDescriptor() == FieldDescriptor(0) == RATIONALS
+        assert FieldDescriptor(characteristic=7) == FieldDescriptor(7)
+        assert FieldDescriptor(7) != FieldDescriptor(11)
+        assert FieldDescriptor(7) != 7 and FieldDescriptor(0) != 0
+
+    def test_field_hash_and_repr(self):
+        assert hash(FieldDescriptor(7)) == hash((7,))
+        assert hash(FieldDescriptor()) == hash(RATIONALS) == hash((0,))
+        assert repr(FieldDescriptor(7)) == "FieldDescriptor(characteristic=7)"
+        assert str(FieldDescriptor(7)) == "F7" and str(RATIONALS) == "Q"
+
+    def test_composite_field_rejected_by_keyword(self):
+        with pytest.raises(ValueError, match="0 or a prime"):
+            FieldDescriptor(4)
+        with pytest.raises(ValueError, match="0 or a prime"):
+            FieldDescriptor(characteristic=4)
+
+    def test_block_order_value(self):
+        assert repr(BlockEliminationOrder(1)) == "BlockEliminationOrder(block=1)"
+        assert BlockEliminationOrder(block=2) == BlockEliminationOrder(2)
+        assert BlockEliminationOrder(1) != BlockEliminationOrder(2)
+        assert hash(BlockEliminationOrder(2)) == hash((2,))
+        assert BlockEliminationOrder(1).name == "elim"
+
+    def test_presentation_value(self):
+        c = ctx("x", "y")
+        x, y = variables(QQ, c)
+        ring = RingPresentation(QQ, c, [x * y, y])
+        assert ring.generators == (x * y, y)
+        same = RingPresentation(field=QQ, context=ctx("x", "y"),
+                                generators=(x * y, y))
+        assert ring == same and hash(ring) == hash(same)
+        assert hash(ring) == hash((QQ, c, (x * y, y)))
+        assert ring != RingPresentation(QQ, c, (x * y,))
+        assert repr(RingPresentation(QQ, c, (y,))) == (
+            "RingPresentation(field=FieldDescriptor(characteristic=0), "
+            "context=VariableContext(x, y), generators=(<y>,))")
+
+    def test_presentation_rejects_a_foreign_generator(self):
+        x, _ = variables(QQ, ctx("x", "y"))
+        with pytest.raises(ContextMismatchError):
+            RingPresentation(QQ, ctx("x", "y", "z"), (x,))
+        with pytest.raises(ContextMismatchError):
+            RingPresentation(FieldDescriptor(5), ctx("x", "y"), (x,))
 
 
 class TestContext:
