@@ -107,12 +107,10 @@ class UfdWitness(_Value):
     element inside the chain's second-to-last node and a certificate that
     the localization at Q' has depth > 1."""
 
-    __slots__ = ("prime", "chain", "height", "regular_start",
-                 "localized_depth")
+    __slots__ = ("prime", "height", "regular_start", "localized_depth")
 
-    def __init__(self, prime, chain, height, regular_start, localized_depth):
+    def __init__(self, prime, height, regular_start, localized_depth):
         self.prime = prime  # a MonomialPrime
-        self.chain = chain
         self.height = height
         self.regular_start = regular_start  # a Polynomial
         self.localized_depth = localized_depth  # a DepthResult
@@ -389,7 +387,7 @@ class _Analysis:
         if ldepth.verdict is not True:
             return None
         height = len(qprime.indices) - len(p.indices)
-        return UfdWitness(qprime, chain, height, x_elem, ldepth)
+        return UfdWitness(qprime, height, x_elem, ldepth)
 
     def _witness_regular_start(self, inside):
         """The first variable, else the first sum of two variables, of the

@@ -1,5 +1,5 @@
 """The input script language: ring and ideal declarations followed by
-commands, parsed by a hand-rolled lexer and recursive-descent parser.
+commands, parsed by a one-pass lexer and a recursive-descent parser.
 
     ring  := "ring" ("Q" | "F" INT) "[" IDENT ("," IDENT)* "]"
     ideal := "ideal" IDENT "=" expr
@@ -10,11 +10,14 @@ commands, parsed by a hand-rolled lexer and recursive-descent parser.
              | "chain" IDENT "from" "(" IDENT ("," IDENT)* ")"
              | "family" NAME ("(" INT ("," INT)* ")")?
 
-"#" starts a comment running to the end of the line. Errors carry line,
-column, an error class (lexical, syntax or semantic) and the expected
-token set. Scripts parse into resolved values (polynomials are built
-against the active ring), and render_script emits canonical text that
-reparses to an equal Script.
+"#" starts a comment running to the end of the line. The lexer scans each
+line once with one pattern of named groups (ASCII identifier, integer,
+punctuation, or a lexical error at any other non-space character), and
+the group that matched names the token's kind. Errors carry line, column,
+an error class (lexical, syntax or semantic) and the expected token set.
+Scripts parse into resolved values (each polynomial is built once against
+the active ring), and render_script emits canonical text that reparses to
+an equal Script.
 """
 
 from __future__ import annotations
@@ -29,8 +32,9 @@ from .poly import FieldDescriptor, Polynomial, VariableContext, _Value
 KEYWORDS = frozenset({"ring", "ideal", "intersect", "analyze", "profile",
                       "poset", "chain", "from", "family"})
 
-_TOKEN_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*|\d+|[()\[\],=+\-*^/]")
-_IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
+# no group around the alternatives, or lastgroup would name none of them
+_SCAN = re.compile(r"(?P<ident>[A-Za-z_][A-Za-z0-9_]*)|(?P<int>\d+)"
+                   r"|(?P<punct>[()\[\],=+\-*^/])|(?P<bad>\S)")
 
 
 class Token(_Value):
@@ -46,28 +50,14 @@ class Token(_Value):
 def _lex(text):
     tokens = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0]
-        pos = 0
-        while pos < len(line):
-            ch = line[pos]
-            if ch.isspace():
-                pos += 1
-                continue
-            m = _TOKEN_RE.match(line, pos)
-            if m is None:
-                raise ParseError(f"unexpected character {ch!r}",
-                                 lineno, pos + 1, code="lexical")
-            tok = m.group(0)
-            if tok[0].isdigit():
-                kind = "int"
-            elif tok[0].isalpha() or tok[0] == "_":
-                kind = "ident"
-            else:
-                kind = tok
-            tokens.append(Token(kind, tok, lineno, pos + 1))
-            pos = m.end()
-    last_line = text.count("\n") + 1
-    tokens.append(Token("eof", "", last_line, 1))
+        for m in _SCAN.finditer(raw.partition("#")[0]):
+            kind, tok = m.lastgroup, m.group()
+            if kind == "bad":
+                raise ParseError(f"unexpected character {tok!r}",
+                                 lineno, m.start() + 1, code="lexical")
+            tokens.append(Token(tok if kind == "punct" else kind, tok,
+                                lineno, m.start() + 1))
+    tokens.append(Token("eof", "", text.count("\n") + 1, 1))
     return tokens
 
 
@@ -155,6 +145,12 @@ class Script(_Value):
         self.statements = statements
 
 
+_COMMANDS = {"analyze": AnalyzeCmd, "profile": ProfileCmd,
+             "poset": PosetCmd}
+_COMMAND_WORDS = {cls: word for word, cls in _COMMANDS.items()}
+_STATEMENTS = frozenset({"ring", "ideal", "chain", "family", *_COMMANDS})
+
+
 class _Parser:
     def __init__(self, tokens):
         self.tokens = tokens
@@ -187,9 +183,7 @@ class _Parser:
         return self.advance()
 
     def accept(self, kind):
-        if self.peek().kind == kind:
-            return self.advance()
-        return None
+        return self.advance() if self.peek().kind == kind else None
 
     def ident(self, role="identifier"):
         tok = self.expect("ident", role)
@@ -197,6 +191,31 @@ class _Parser:
             self.error(f"{tok.text!r} is a reserved word and cannot name a "
                        f"{role}", tok, code="semantic")
         return tok
+
+    def comma_list(self, item, close):
+        """item ("," item)* close: the items as a tuple."""
+        items = [item()]
+        while self.accept(","):
+            items.append(item())
+        self.expect(close)
+        return tuple(items)
+
+    def variables(self, close, context=None):
+        """Distinct variable names (of `context`, if given) up to `close`;
+        a repeated name is reported where it repeats, once the list ends."""
+        def variable():
+            tok = self.ident("variable")
+            if context is not None and tok.text not in context:
+                self.error(f"unknown variable {tok.text!r}", tok,
+                           code="semantic")
+            return tok
+
+        toks = self.comma_list(variable, close)
+        names = tuple(tok.text for tok in toks)
+        for i, tok in enumerate(toks):
+            if tok.text in names[:i]:
+                self.error("duplicate variable name", tok, code="semantic")
+        return names
 
     # -- grammar --
 
@@ -208,26 +227,21 @@ class _Parser:
 
     def parse_statement(self):
         tok = self.peek()
-        if tok.kind != "ident":
-            self.error(f"expected a statement, found {tok.text!r}",
-                       expected={"ring", "ideal", "analyze", "profile",
-                                 "poset", "chain", "family"})
-        if tok.text == "ring":
+        word = tok.text if tok.kind == "ident" else None
+        if word == "ring":
             return self.parse_ring()
-        if tok.text == "ideal":
+        if word == "ideal":
             return self.parse_ideal()
-        if tok.text in ("analyze", "profile", "poset"):
+        if word in _COMMANDS:
             self.advance()
-            name = self.require_ideal_name()
-            return {"analyze": AnalyzeCmd, "profile": ProfileCmd,
-                    "poset": PosetCmd}[tok.text](name)
-        if tok.text == "chain":
+            return _COMMANDS[word](self.require_ideal_name())
+        if word == "chain":
             return self.parse_chain()
-        if tok.text == "family":
+        if word == "family":
             return self.parse_family()
-        self.error(f"unknown statement {tok.text!r}",
-                   expected={"ring", "ideal", "analyze", "profile", "poset",
-                             "chain", "family"})
+        self.error(f"unknown statement {word!r}" if tok.kind == "ident" else
+                   f"expected a statement, found {tok.text!r}",
+                   expected=_STATEMENTS)
 
     def parse_ring(self):
         self.advance()
@@ -243,15 +257,10 @@ class _Parser:
             self.error(f"expected field Q or F p, found {tok.text!r}", tok,
                        expected={"Q", "F"})
         self.expect("[")
-        names = [self.ident("variable").text]
-        while self.accept(","):
-            names.append(self.ident("variable").text)
-        self.expect("]")
-        if len(set(names)) != len(names):
-            self.error("duplicate variable name", tok, code="semantic")
+        names = self.variables("]")
         self.field = field
         self.context = VariableContext(names)
-        return RingStmt(field, tuple(names))
+        return RingStmt(field, names)
 
     def _prime_field(self, p, tok):
         if p == 0:
@@ -276,11 +285,7 @@ class _Parser:
         tok = self.peek()
         if tok.kind == "(":
             self.advance()
-            polys = [self.parse_poly()]
-            while self.accept(","):
-                polys.append(self.parse_poly())
-            self.expect(")")
-            return GenList(tuple(polys))
+            return GenList(self.comma_list(self.parse_poly, ")"))
         if tok.kind == "ident" and tok.text == "intersect":
             self.advance()
             self.expect("(")
@@ -290,9 +295,7 @@ class _Parser:
             self.expect(")")
             return Intersect(left, right)
         if tok.kind == "ident":
-            name = self.ident("ideal").text
-            if name not in self.ideal_contexts:
-                self.error(f"undeclared ideal {name!r}", tok, code="semantic")
+            name = self.require_ideal_name()
             if self.ideal_contexts[name] != (self.field, self.context):
                 self.error(f"ideal {name!r} belongs to another ring", tok,
                            code="semantic")
@@ -303,28 +306,23 @@ class _Parser:
     # -- polynomials --
 
     def parse_poly(self):
+        """Signed terms, the first sign optional, as one Polynomial."""
         terms = []
-        sign = 1
-        if self.accept("-"):
-            sign = -1
-        else:
-            self.accept("+")
-        terms.append(self.parse_term(sign))
-        while self.peek().kind in ("+", "-"):
-            sign = 1 if self.advance().kind == "+" else -1
-            terms.append(self.parse_term(sign))
-        out = terms[0]
-        for t in terms[1:]:
-            out = out + t
-        return out
+        while True:
+            tok = self.peek()
+            if tok.kind in ("+", "-"):
+                self.advance()
+            elif terms:
+                return Polynomial(self.field, self.context, terms)
+            terms.append(self.parse_term(-1 if tok.kind == "-" else 1))
 
     def parse_term(self, sign):
+        """The term's (coefficient, exponents) pair."""
         coeff = sign
         exps = [0] * self.context.count
-        saw_factor = False
-        tok = self.peek()
-        if tok.kind == "int":
-            self.advance()
+        start = self.pos
+        tok = self.accept("int")
+        if tok is not None:
             num = int(tok.text)
             if self.accept("/"):
                 den_tok = self.expect("int", "denominator")
@@ -335,10 +333,8 @@ class _Parser:
                         and den % self.field.characteristic == 0):
                     self.error("denominator is zero in the coefficient field",
                                den_tok, code="semantic")
-                coeff *= Fraction(num, den)
-            else:
-                coeff *= num
-            saw_factor = True
+                num = Fraction(num, den)
+            coeff *= num
         while True:
             starred = self.accept("*") is not None
             tok = self.peek()
@@ -358,11 +354,10 @@ class _Parser:
             if self.accept("^"):
                 power = int(self.expect("int", "exponent").text)
             exps[self.context.index(var_tok.text)] += power
-            saw_factor = True
-        if not saw_factor:
+        if self.pos == start:
             self.error(f"expected a term, found {self.peek().text!r}",
                        expected={"INT", "IDENT"})
-        return Polynomial(self.field, self.context, ((coeff, tuple(exps)),))
+        return coeff, tuple(exps)
 
     # -- commands --
 
@@ -381,17 +376,7 @@ class _Parser:
                        expected={"from"})
         self.expect("(")
         _, context = self.ideal_contexts[name]
-        names = [self._chain_var(context)]
-        while self.accept(","):
-            names.append(self._chain_var(context))
-        self.expect(")")
-        return ChainCmd(name, tuple(names))
-
-    def _chain_var(self, context):
-        tok = self.ident("variable")
-        if tok.text not in context:
-            self.error(f"unknown variable {tok.text!r}", tok, code="semantic")
-        return tok.text
+        return ChainCmd(name, self.variables(")", context))
 
     def parse_family(self):
         self.advance()
@@ -399,18 +384,15 @@ class _Parser:
         if tok.text not in FAMILY_KINDS:
             self.error(f"unknown family {tok.text!r}", tok, code="semantic",
                        expected=set(FAMILY_KINDS))
-        params = []
-        if self.peek().kind == "(":
-            self.advance()
-            params.append(int(self.expect("int", "parameter").text))
-            while self.accept(","):
-                params.append(int(self.expect("int", "parameter").text))
-            self.expect(")")
+        params = ()
+        if self.accept("("):
+            params = self.comma_list(
+                lambda: int(self.expect("int", "parameter").text), ")")
         try:
-            check_constraints(FamilySpec(tok.text, tuple(params)))
+            check_constraints(FamilySpec(tok.text, params))
         except FamilyParameterError as exc:
             self.error(str(exc), tok, code="semantic")
-        return FamilyCmd(tok.text, tuple(params))
+        return FamilyCmd(tok.text, params)
 
 
 def parse_script(text):
@@ -440,20 +422,14 @@ def render_script(script):
             lines.append(f"ring {field}[{', '.join(stmt.names)}]")
         elif isinstance(stmt, IdealStmt):
             lines.append(f"ideal {stmt.name} = {_render_expr(stmt.expr)}")
-        elif isinstance(stmt, AnalyzeCmd):
-            lines.append(f"analyze {stmt.ideal}")
-        elif isinstance(stmt, ProfileCmd):
-            lines.append(f"profile {stmt.ideal}")
-        elif isinstance(stmt, PosetCmd):
-            lines.append(f"poset {stmt.ideal}")
+        elif type(stmt) in _COMMAND_WORDS:
+            lines.append(f"{_COMMAND_WORDS[type(stmt)]} {stmt.ideal}")
         elif isinstance(stmt, ChainCmd):
             lines.append(f"chain {stmt.ideal} from ({', '.join(stmt.from_vars)})")
         elif isinstance(stmt, FamilyCmd):
-            if stmt.params:
-                args = ", ".join(str(p) for p in stmt.params)
-                lines.append(f"family {stmt.kind}({args})")
-            else:
-                lines.append(f"family {stmt.kind}")
+            args = ", ".join(map(str, stmt.params))
+            lines.append(f"family {stmt.kind}({args})" if args
+                         else f"family {stmt.kind}")
         else:
             raise TypeError(f"not a statement: {stmt!r}")
     return "\n".join(lines) + "\n"

@@ -292,10 +292,11 @@ class TestWitnessChains:
         below dim T - 1 since dim(T/P) < dim T."""
         found = 0
         for ring in corpus_rings(monkeypatch) + family_rings():
-            witness = ufd_witness(ring)
+            analysis = _Analysis.from_presentation(ring)
+            witness = analysis.ufd_search
             if witness is None:
                 continue
-            start = witness.chain.primes[0]
+            start = analysis._qualifying_prime
             assert witness.height == \
                 start.quotient_dim(ring.context.count) - 1, ring.render()
             mono = MonomialIdeal.from_polynomials(ring.context,

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import random_polynomial
 from noncat.dsl import (
     AnalyzeCmd,
     ChainCmd,
@@ -17,6 +18,7 @@ from noncat.dsl import (
     Ref,
     RingStmt,
     Token,
+    _lex,
     parse_script,
     render_script,
 )
@@ -80,6 +82,47 @@ class TestGrammar:
         assert str(genlist.polys[0]) == "2*x"
         assert str(genlist.polys[1]) == "3*x"  # 1/2 = 3 mod 5
 
+    def test_like_terms_combine(self):
+        def gens(text):
+            return parse_script(text).statements[1].expr.polys
+
+        zero, y = gens("ring Q[x,y]\nideal I = (2/3*x - x + 1/3*x, y)")
+        assert zero.is_zero and str(y) == "y"
+        (double,) = gens("ring Q[x]\nideal I = (x + x)")
+        assert str(double) == "2*x"
+        (zero,) = gens("ring F 5[x]\nideal I = (3*x + 2*x)")
+        assert zero.is_zero
+
+
+class TestLexer:
+    def test_token_positions(self):
+        text = ("ring Q[x,\ty]  \r\n# only a comment\r\n"
+                "\tideal  I = (x^2 -\t1/3*y)   \r\n\r\nanalyze I\t# done\r\n")
+        assert [(t.kind, t.text, t.line, t.column) for t in _lex(text)] == [
+            ("ident", "ring", 1, 1), ("ident", "Q", 1, 6), ("[", "[", 1, 7),
+            ("ident", "x", 1, 8), (",", ",", 1, 9), ("ident", "y", 1, 11),
+            ("]", "]", 1, 12),
+            ("ident", "ideal", 3, 2), ("ident", "I", 3, 9), ("=", "=", 3, 11),
+            ("(", "(", 3, 13), ("ident", "x", 3, 14), ("^", "^", 3, 15),
+            ("int", "2", 3, 16), ("-", "-", 3, 18), ("int", "1", 3, 20),
+            ("/", "/", 3, 21), ("int", "3", 3, 22), ("*", "*", 3, 23),
+            ("ident", "y", 3, 24), (")", ")", 3, 25),
+            ("ident", "analyze", 5, 1), ("ident", "I", 5, 9),
+            ("eof", "", 6, 1)]
+
+    def test_bad_character_after_whitespace(self):
+        with pytest.raises(ParseError) as err:
+            _lex("ring Q[x]\nideal I = (x  \t $)")
+        assert err.value.code == "lexical"
+        assert (err.value.line, err.value.column) == (2, 17)
+        assert "'$'" in str(err.value)
+
+    def test_non_ascii_letter_is_lexical(self):
+        with pytest.raises(ParseError) as err:
+            parse_script("ring Q[x]\nideal I = (x \u00e9)")
+        assert err.value.code == "lexical"
+        assert (err.value.line, err.value.column) == (2, 14)
+
 
 class TestErrors:
     def expect_error(self, text, code, fragment=""):
@@ -133,6 +176,16 @@ class TestErrors:
 
     def test_reserved_word_as_variable(self):
         self.expect_error("ring Q[from]", "semantic", "reserved")
+
+    def test_repeated_ring_variable(self):
+        e = self.expect_error("ring Q[x, x]", "semantic", "duplicate variable")
+        assert (e.line, e.column) == (1, 11)
+
+    def test_repeated_chain_variable(self):
+        e = self.expect_error(
+            "ring Q[x,y]\nideal I = (x*y)\nchain I from (x, x)", "semantic",
+            "duplicate variable")
+        assert (e.line, e.column) == (3, 18)
 
     def test_position_reported(self):
         e = self.expect_error("ring Q[x,y]\nideal I = (x*\n)", "syntax")
@@ -238,6 +291,18 @@ class TestRoundTrip:
             assert parse_script(rendered) == script
             # rendering is a fixed point
             assert render_script(parse_script(rendered)) == rendered
+
+    def test_polynomials_parse_back(self):
+        """str(f) of a random polynomial parses back to f itself."""
+        rng = random.Random(34)
+        ctx = VariableContext(("x", "y", "z"))
+        for field, decl in ((FieldDescriptor(0), "Q"),
+                            (FieldDescriptor(32003), "F 32003")):
+            for _ in range(60):
+                f = random_polynomial(rng, ctx, max_terms=5, field=field)
+                script = parse_script(f"ring {decl}[x, y, z]\nideal I = ({f})")
+                (g,) = script.statements[1].expr.polys
+                assert g == f, str(f)
 
     def test_named_round_trip(self):
         text = ("ring Q[x, y, z, v]\n"
