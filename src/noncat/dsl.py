@@ -26,7 +26,7 @@ import re
 from fractions import Fraction
 
 from .errors import FamilyParameterError, ParseError
-from .families import FAMILY_KINDS, FamilySpec, check_constraints
+from .families import FAMILY_KINDS, FamilySpec
 from .poly import FieldDescriptor, Polynomial, VariableContext, _Value
 
 KEYWORDS = frozenset({"ring", "ideal", "intersect", "analyze", "profile",
@@ -389,7 +389,7 @@ class _Parser:
             params = self.comma_list(
                 lambda: int(self.expect("int", "parameter").text), ")")
         try:
-            check_constraints(FamilySpec(tok.text, params))
+            FamilySpec(tok.text, params)
         except FamilyParameterError as exc:
             self.error(str(exc), tok, code="semantic")
         return FamilyCmd(tok.text, params)

@@ -2,21 +2,23 @@
 classification, used as a golden corpus and exposed through the CLI
 `family` command.
 
-Every family is a power-series quotient by an intersection of a
-hyperplane with a coordinate prime, presented over the rationals by its
+Every family is one ring shape, presented over the rationals by its
 product generators:
 
-* example_domain: K[[x,y,z,v]]/((x) cap (y,z)), the quasi-excellent
+    K[[x, y1..ya, z1..zb]] / ((x) cap (y1..ya)) = K[[...]] / (x*y1, .., x*ya)
+
+of dimension a + b with profile {a+b, b+1}. A kind fixes (a, b):
+
+* example_domain: (2, 1), named x, y, z, v; the quasi-excellent
   noncatenary-domain completion with profile {3, 2};
-* example_catenary(n), n > 1: K[[x,y1..yn]]/((x) cap (y1..yn)), profile
-  {n, 1}, forcing every completing domain to be catenary but never
-  universally catenary;
-* example_ufd(a,b), a, b > 1: K[[x,y1..ya,z1..zb]]/((x) cap (y1..ya)),
-  a noncatenary-UFD completion of dimension a + b with profile
-  {a+b, b+1};
-* prop41(m,n), 1 < m < n, and prop42(m,n), 2 < m < n: the same ring with
-  a = n - m + 1 and b = m - 1, exhibiting saturated chains of lengths m
-  and n to the maximal ideal.
+* example_catenary(n), n > 1: (n, 0), profile {n, 1}, forcing every
+  completing domain to be catenary but never universally catenary;
+* example_ufd(a, b), a, b > 1: (a, b), a noncatenary-UFD completion;
+* prop41(m, n), 1 < m < n, and prop42(m, n), 2 < m < n: (n - m + 1, m - 1),
+  exhibiting saturated chains of lengths m and n to the maximal ideal.
+
+A FamilySpec checks all of this when it is made, so one that exists is
+valid.
 """
 
 from __future__ import annotations
@@ -25,15 +27,22 @@ from .errors import FamilyParameterError
 from .poly import (RATIONALS, Polynomial, RingPresentation, VariableContext,
                    _Value)
 
-FAMILY_KINDS = ("example_domain", "example_catenary", "example_ufd",
-                "prop41", "prop42")
-FAMILY_ARITY = {"example_domain": 0, "example_catenary": 1,
-                "example_ufd": 2, "prop41": 2, "prop42": 2}
+# each kind's parameters in order, as (name, lower bound); prop41 and
+# prop42 also require m < n, which bounds n
+_PARAMETERS = {
+    "example_domain": (),
+    "example_catenary": (("n", 1),),
+    "example_ufd": (("a", 1), ("b", 1)),
+    "prop41": (("m", 1), ("n", None)),
+    "prop42": (("m", 2), ("n", None)),
+}
+FAMILY_KINDS = tuple(_PARAMETERS)
 
 
 class FamilySpec(_Value):
     """A family of the paper by name, with its integer parameters held as a
-    tuple."""
+    tuple. Construction raises FamilyParameterError naming the first
+    violated requirement, so a spec that exists is valid."""
 
     __slots__ = ("kind", "params")
 
@@ -43,120 +52,63 @@ class FamilySpec(_Value):
                 f"unknown family {kind!r}; expected one of "
                 f"{', '.join(FAMILY_KINDS)}")
         params = tuple(params)
-        arity = FAMILY_ARITY[kind]
-        if len(params) != arity:
+        bounds = _PARAMETERS[kind]
+        if len(params) != len(bounds):
             raise FamilyParameterError(
-                f"{kind} takes {arity} parameter(s), got {len(params)}")
+                f"{kind} takes {len(bounds)} parameter(s), got {len(params)}")
         for p in params:
             if not isinstance(p, int) or isinstance(p, bool):
                 raise FamilyParameterError(
                     f"{kind} parameters must be integers, got {p!r}")
+        for (name, lower), p in zip(bounds, params):
+            if lower is not None and not lower < p:
+                raise FamilyParameterError(
+                    f"{kind} requires {name} > {lower} (got {name} = {p})")
+        if kind in ("prop41", "prop42") and not params[0] < params[1]:
+            raise FamilyParameterError(
+                f"{kind} requires m < n (got m = {params[0]}, n = {params[1]})")
         self.kind = kind
         self.params = params
-
-    def render(self):
-        if not self.params:
-            return self.kind
-        return f"{self.kind}({', '.join(str(p) for p in self.params)})"
-
-
-def check_constraints(spec):
-    """Validate the family's defining inequalities without building the
-    ring; raises FamilyParameterError naming the violated inequality."""
-    kind, params = spec.kind, spec.params
-    if kind == "example_catenary":
-        n, = params
-        if not n > 1:
-            raise FamilyParameterError(
-                f"example_catenary requires n > 1 (got n = {n})")
-    elif kind == "example_ufd":
-        a, b = params
-        if not a > 1:
-            raise FamilyParameterError(f"example_ufd requires a > 1 (got a = {a})")
-        if not b > 1:
-            raise FamilyParameterError(f"example_ufd requires b > 1 (got b = {b})")
-    elif kind in ("prop41", "prop42"):
-        m, n = params
-        lower = 2 if kind == "prop42" else 1
-        if not lower < m:
-            raise FamilyParameterError(
-                f"{kind} requires m > {lower} (got m = {m})")
-        if not m < n:
-            raise FamilyParameterError(
-                f"{kind} requires m < n (got m = {m}, n = {n})")
-
-
-def _hyperplane_family(a, b):
-    """The ring K[[x,y1..ya,z1..zb]] / (x*y1, .., x*ya) over Q."""
-    names = ["x"]
-    names += [f"y{i}" for i in range(1, a + 1)]
-    names += [f"z{i}" for i in range(1, b + 1)]
-    context = VariableContext(names)
-    x = Polynomial.variable(RATIONALS, context, "x")
-    gens = tuple(x * Polynomial.variable(RATIONALS, context, f"y{i}")
-                 for i in range(1, a + 1))
-    return RingPresentation(RATIONALS, context, gens)
 
 
 def instantiate(spec):
     """Build the family's ring presentation and the expected slice of its
     analysis report (JSON-shaped, compared field-for-field where set)."""
-    check_constraints(spec)
     kind, params = spec.kind, spec.params
     if kind == "example_domain":
-        context = VariableContext(("x", "y", "z", "v"))
-        x, y, z, _ = (Polynomial.variable(RATIONALS, context, n)
-                      for n in context.names)
-        ring = RingPresentation(RATIONALS, context, (x * y, x * z))
-        expected = {
-            "dim": 3,
-            "profile": [3, 2],
-            "conditions": {"lech_ii": True, "depth_ge2": True},
-            "verdicts": {
-                "noncat_domain": True,
-                "noncat_ufd": False,
-                "regularity_at_min": True,
-                "universally_catenary_obstructed": True,
-            },
-        }
-        return ring, expected
-    if kind == "example_catenary":
-        n, = params
-        ring = _hyperplane_family(n, 0)
-        expected = {
-            "dim": n,
-            "profile": [n, 1],
-            "verdicts": {
-                "noncat_domain": False,
-                "forced_cat_domain": True,
-                "universally_catenary_obstructed": True,
-            },
-        }
-        return ring, expected
-    if kind == "example_ufd":
-        a, b = params
-        ring = _hyperplane_family(a, b)
-        qprime = [f"y{i}" for i in range(1, a + 1)]
-        qprime += [f"z{i}" for i in range(1, b + 1)]
-        expected = {
-            "dim": a + b,
-            "profile": [a + b, b + 1],
-            "conditions": {"depth_ge2": True},
-            "verdicts": {"noncat_domain": True, "noncat_ufd": True},
-            "witnesses": {"ufd_witness_prime": qprime},
-        }
-        return ring, expected
-    # prop41 / prop42: a = n - m + 1, b = m - 1
-    m, n = params
-    a, b = n - m + 1, m - 1
-    ring = _hyperplane_family(a, b)
-    expected = {
-        "dim": n,
-        "profile": [n, m],
-        "verdicts": {"noncat_domain": True},
-    }
-    if kind == "prop42":
-        expected["verdicts"]["noncat_ufd"] = True
+        a, b, names = 2, 1, ("x", "y", "z", "v")
+    else:
+        if kind == "example_catenary":
+            a, b = params[0], 0
+        elif kind == "example_ufd":
+            a, b = params
+        else:
+            m, n = params
+            a, b = n - m + 1, m - 1
+        names = ("x", *(f"y{i}" for i in range(1, a + 1)),
+                 *(f"z{i}" for i in range(1, b + 1)))
+    context = VariableContext(names)
+    x = Polynomial.variable(RATIONALS, context, "x")
+    ring = RingPresentation(RATIONALS, context, tuple(
+        x * Polynomial.variable(RATIONALS, context, y) for y in names[1:a + 1]))
+    expected = {"dim": a + b, "profile": [a + b, b + 1]}
+    if kind == "example_domain":
+        expected["conditions"] = {"lech_ii": True, "depth_ge2": True}
+        expected["verdicts"] = {"noncat_domain": True, "noncat_ufd": False,
+                                "regularity_at_min": True,
+                                "universally_catenary_obstructed": True}
+    elif kind == "example_catenary":
+        expected["verdicts"] = {"noncat_domain": False,
+                                "forced_cat_domain": True,
+                                "universally_catenary_obstructed": True}
+    elif kind == "example_ufd":
+        expected["conditions"] = {"depth_ge2": True}
+        expected["verdicts"] = {"noncat_domain": True, "noncat_ufd": True}
+        expected["witnesses"] = {"ufd_witness_prime": list(names[1:])}
+    else:
+        expected["verdicts"] = {"noncat_domain": True}
+        if kind == "prop42":
+            expected["verdicts"]["noncat_ufd"] = True
     return ring, expected
 
 

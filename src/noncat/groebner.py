@@ -191,10 +191,9 @@ def _row_reduce(field, rows):
 
 def _linear_forms(field, context, rows):
     """The linear forms whose coefficient vectors are the rows."""
-    units = [tuple(int(i == j) for j in range(context.count))
-             for i in range(context.count)]
-    return [Polynomial(field, context,
-                       ((c, units[i]) for i, c in enumerate(r) if c))
+    zero = (0,) * context.count
+    return [Polynomial(field, context, ((c, zero[:i] + (1,) + zero[i + 1:])
+                                        for i, c in enumerate(r) if c))
             for r in rows]
 
 

@@ -598,37 +598,16 @@ def substitute_linear(f, forms, context):
             pairs.append((c, t))
         return Polynomial(field, context, pairs)
     one = (0,) * context.count
-    powers = {}
-
-    def times(left, right):
-        out = {}
-        for a, ca in left.items():
-            for b, cb in right.items():
-                t = exps_add(a, b)
-                out[t] = field.add(out.get(t, field.zero), field.mul(ca, cb))
-        return out
-
-    def power(i, p):
-        # forms[i] ** p as an {exponents: coefficient} dict; each power is
-        # built once, from the one below
-        if i not in powers:
-            form = {}
-            for c, j in forms[i]:
-                t = one[:j] + (1,) + one[j + 1:]
-                form[t] = field.add(form.get(t, field.zero), field.coerce(c))
-            powers[i] = [form]
-        built = powers[i]
-        while len(built) < p:
-            built.append(times(built[-1], built[0]))
-        return built[p - 1]
-
+    images = [Polynomial(field, context,
+                         ((c, one[:j] + (1,) + one[j + 1:]) for c, j in form))
+              for form in forms]
     pairs = []
     for c, e in f.pairs():
-        term = {one: c}
-        for i, p in enumerate(e):
+        term = Polynomial(field, context, ((c, one),))
+        for image, p in zip(images, e):
             if p:
-                term = times(term, power(i, p))
-        pairs.extend((tc, t) for t, tc in term.items())
+                term = term * image ** p
+        pairs.extend(term.pairs())
     return Polynomial(field, context, pairs)
 
 

@@ -707,6 +707,15 @@ class TestExitCodes:
         assert exc.value.code == 2
         assert "usage:" in err and "nonnegative" in err
 
+    def test_non_integer_count_exits_2(self, capsys, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            invoke(capsys, "ring Q[x,y]\nideal I = (x*y)\nanalyze I\n",
+                   "--budget-gb-steps", "abc", tmp_path=tmp_path)
+        err = capsys.readouterr().err
+        assert exc.value.code == 2
+        assert "usage:" in err
+        assert "expected a nonnegative integer, got 'abc'" in err
+
     def test_poset_cap_is_not_an_option(self, capsys, tmp_path):
         """The 16-variable poset cap is fixed: the flag that moved it is
         gone, so argparse refuses it."""

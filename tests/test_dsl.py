@@ -191,6 +191,35 @@ class TestErrors:
         e = self.expect_error("ring Q[x,y]\nideal I = (x*\n)", "syntax")
         assert (e.line, e.column) == (3, 1)
 
+    @pytest.mark.parametrize("text,code,position,message,expected", [
+        ("ring Q[x]\nideal I = (1/0*x)", "semantic", (2, 14),
+         "zero denominator", set()),
+        ("ring F 3[x]\nideal I = (1/3*x)", "semantic", (2, 14),
+         "denominator is zero in the coefficient field", set()),
+        ("ring R[x]", "syntax", (1, 6),
+         "expected field Q or F p, found 'R'", {"F", "Q"}),
+        ("ring Q[x]\nideal I = 3", "syntax", (2, 11),
+         "expected an ideal expression, found '3'",
+         {"(", "IDENT", "intersect"}),
+        ("ring Q[x]\nideal I = (x + )", "syntax", (2, 16),
+         "expected a term, found ')'", {"IDENT", "INT"}),
+        ("ring Q[x]\nideal I = (x)\nchain I to (x)", "syntax", (3, 9),
+         "expected 'from', found 'to'", {"from"}),
+        ("ring Q[x]\nideal I = (x*ring)", "semantic", (2, 14),
+         "'ring' is a reserved word", set()),
+    ], ids=["zero-denominator", "denominator-zero-mod-p", "unknown-field",
+            "ideal-expression", "term", "chain-from", "reserved-in-term"])
+    def test_error_branch(self, text, code, position, message, expected):
+        e = self.expect_error(text, code)
+        assert (e.line, e.column) == position
+        assert str(e) == f"line {position[0]}, col {position[1]}: {message}"
+        assert e.expected == expected
+
+    def test_family_inequality_is_checked_by_the_spec(self):
+        e = self.expect_error("family prop41(3, 3)", "semantic")
+        assert str(e) == ("line 1, col 8: prop41 requires m < n "
+                          "(got m = 3, n = 3)")
+
 
 class TestValueSemantics:
     """Script nodes compare and hash by type and fields, and print as

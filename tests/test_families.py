@@ -8,11 +8,42 @@ import pytest
 from noncat.analyzer import analyze
 from noncat.errors import FamilyParameterError
 from noncat.families import (
+    FAMILY_KINDS,
     FamilySpec,
-    check_constraints,
     expected_mismatches,
     instantiate,
 )
+from noncat.groebner import IdealHandle
+from noncat.poly import RATIONALS, variables
+
+
+def closed_form(kind, params):
+    """(a, b) of the family ring K[[x, y1..ya, z1..zb]]/((x) cap (y1..ya))
+    as the paper gives it for each kind."""
+    if kind == "example_domain":
+        return 2, 1
+    if kind == "example_catenary":
+        return params[0], 0
+    if kind == "example_ufd":
+        return params
+    m, n = params
+    return n - m + 1, m - 1
+
+
+def valid_specs(max_variables):
+    """Every valid spec whose ring has at most `max_variables` variables,
+    found by trying all small parameters and keeping those that construct."""
+    specs = []
+    for kind in FAMILY_KINDS:
+        for params in [(), *((n,) for n in range(max_variables + 1)),
+                       *itertools.product(range(max_variables + 1), repeat=2)]:
+            try:
+                spec = FamilySpec(kind, params)
+            except FamilyParameterError:
+                continue
+            if 1 + sum(closed_form(kind, params)) <= max_variables:
+                specs.append(spec)
+    return specs
 
 
 class TestInstantiation:
@@ -53,8 +84,24 @@ class TestConstraints:
     ])
     def test_violations_name_the_inequality(self, kind, params, fragment):
         with pytest.raises(FamilyParameterError) as err:
-            instantiate(FamilySpec(kind, params))
+            FamilySpec(kind, params)
         assert fragment in str(err.value)
+
+    @pytest.mark.parametrize("kind,params,message", [
+        ("example_catenary", (-1,),
+         "example_catenary requires n > 1 (got n = -1)"),
+        ("example_ufd", (0, 0), "example_ufd requires a > 1 (got a = 0)"),
+        ("prop41", (1, 0), "prop41 requires m > 1 (got m = 1)"),
+        ("prop42", (3, -1), "prop42 requires m < n (got m = 3, n = -1)"),
+        ("prop41", (1.5,), "prop41 takes 2 parameter(s), got 1"),
+        ("prop41", (1, 0.5), "prop41 parameters must be integers, got 0.5"),
+    ])
+    def test_first_violation_is_reported(self, kind, params, message):
+        """Arity, then integrality, then each lower bound in parameter
+        order, then m < n."""
+        with pytest.raises(FamilyParameterError) as err:
+            FamilySpec(kind, params)
+        assert str(err.value) == message
 
     def test_unknown_kind(self):
         with pytest.raises(FamilyParameterError):
@@ -83,8 +130,35 @@ class TestConstraints:
         with pytest.raises(FamilyParameterError, match="got 2.0"):
             FamilySpec("example_ufd", (2, 2.0))
 
-    def test_check_constraints_passes_valid(self):
-        check_constraints(FamilySpec("prop42", (3, 5)))
+    def test_valid_spec_constructs(self):
+        spec = FamilySpec("prop42", (3, 5))
+        assert (spec.kind, spec.params) == ("prop42", (3, 5))
+
+
+class TestSpecGrid:
+    SPECS = valid_specs(10)
+
+    def test_grid_covers_every_kind(self):
+        assert len(self.SPECS) == 79
+        assert {spec.kind for spec in self.SPECS} == set(FAMILY_KINDS)
+
+    @pytest.mark.parametrize(
+        "spec", SPECS, ids=lambda s: f"{s.kind}{s.params}".replace(" ", ""))
+    def test_ring_and_report_match_the_closed_form(self, spec):
+        a, b = closed_form(spec.kind, spec.params)
+        ring, expected = instantiate(spec)
+        names = (("x", "y", "z", "v") if spec.kind == "example_domain" else
+                 ("x", *(f"y{i}" for i in range(1, a + 1)),
+                  *(f"z{i}" for i in range(1, b + 1))))
+        assert ring.context.names == names
+        x, *rest = variables(RATIONALS, ring.context)
+        meet = IdealHandle(RATIONALS, ring.context, (x,)).intersection(
+            IdealHandle(RATIONALS, ring.context, rest[:a]))
+        assert ring.generators == meet.generators
+        assert expected["dim"] == a + b
+        assert expected["profile"] == [a + b, b + 1]
+        report = analyze(ring).to_json_dict()
+        assert expected_mismatches(report, expected) == []
 
 
 class TestExpectedAgainstActual:

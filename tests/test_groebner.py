@@ -397,6 +397,25 @@ class TestIntersection:
         assert got.generators == i._eliminate(j).generators
         assert j.intersection(i).generators == got.generators
 
+    @pytest.mark.parametrize("names,lhs,rhs,expected", [
+        (("t", "x"), lambda t, x: (t ** 2,), lambda t, x: (x ** 2 + t * x,),
+         lambda t, x: (t ** 3 * x + t ** 2 * x ** 2,)),
+        (("_t", "t", "x"), lambda u, t, x: (t ** 2, u),
+         lambda u, t, x: (x ** 2 + t * x,),
+         lambda u, t, x: (t ** 3 * x + t ** 2 * x ** 2,
+                          u * t * x + u * x ** 2)),
+    ], ids=["t", "_t-and-t"])
+    def test_elimination_variable_avoids_ring_names(self, names, lhs, rhs,
+                                                     expected):
+        """The eliminated variable is named t unless the ring has a t, then
+        _t, then __t: a ring variable named t is never eliminated."""
+        c = ctx(*names)
+        xs = variables(QQ, c)
+        got = handle(c, *lhs(*xs)).intersection(handle(c, *rhs(*xs)))
+        assert got.generators == expected(*xs)
+        assert all(la_membership(g, expected(*xs)) for g in got.generators)
+        assert all(la_membership(f, got.generators) for f in expected(*xs))
+
     def test_linear_path_runs_one_buchberger_and_no_elimination(
             self, monkeypatch):
         """Two sides of rank 2: one Buchberger run reduces W + I*J."""
