@@ -22,7 +22,6 @@ from .groebner import DepthResult, IdealHandle, buchberger, s_polynomial
 from .monomial import MonomialIdeal, MonomialPrime
 from .poly import (
     GREVLEX,
-    LEX,
     FieldDescriptor,
     Polynomial,
     RingPresentation,
@@ -51,7 +50,7 @@ __all__ = [
     "FamilySpec", "expected_mismatches", "instantiate",
     "DepthResult", "IdealHandle", "buchberger", "s_polynomial",
     "MonomialIdeal", "MonomialPrime",
-    "GREVLEX", "LEX", "FieldDescriptor", "Polynomial", "RingPresentation",
+    "GREVLEX", "FieldDescriptor", "Polynomial", "RingPresentation",
     "VariableContext", "divide", "variables",
     "PrimeChain", "build_poset", "chain_dot", "construct_chain",
     "noncat_profile", "poset_dot", "verify_chain",

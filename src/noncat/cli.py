@@ -3,16 +3,18 @@ reports as text, JSON or DOT. A reported value is exact for
 T = K[[x]]/I or null with a reason; the unverified-completion stamp
 means some fact is null (the characteristic-p remark excepted).
 
-Exit codes: 0 ok, 1 parse error or unreadable script, 2 unsupported
-input class (no report, or a report stamped unverified-completion), 3
-resource budget exceeded. A script may contain several commands; with
---format json each command prints one JSON document per line.
+Exit codes: 0 ok, 1 parse error, unreadable script or closed output, 2
+unsupported input class (no report, or a report stamped
+unverified-completion), 3 resource budget exceeded. A script may contain
+several commands; with --format json each command prints one JSON
+document per line.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .analyzer import (CONDITION_KEYS, SEMANTICS_EXACT, SEMANTICS_UNVERIFIED,
@@ -20,7 +22,6 @@ from .analyzer import (CONDITION_KEYS, SEMANTICS_EXACT, SEMANTICS_UNVERIFIED,
 from .dsl import (
     AnalyzeCmd,
     ChainCmd,
-    FamilyCmd,
     GenList,
     IdealStmt,
     Intersect,
@@ -35,7 +36,6 @@ from .errors import (
     ChainInfeasibleError,
     DegenerateInputError,
     EmptyLocalizationError,
-    FamilyParameterError,
     ParseError,
     UnitIdealError,
     UnsupportedInputError,
@@ -186,8 +186,8 @@ class _Runner:
                 yield self.do_poset(self.analysis(stmt.ideal))
             elif isinstance(stmt, ChainCmd):
                 yield self.do_chain(self.analysis(stmt.ideal), stmt.from_vars)
-            elif isinstance(stmt, FamilyCmd):
-                ring, _ = instantiate(FamilySpec(stmt.kind, stmt.params))
+            elif isinstance(stmt, FamilySpec):
+                ring, _ = instantiate(stmt)
                 handle = IdealHandle.from_presentation(
                     ring, self.config.gb_step_budget)
                 yield self.do_analyze(self.shared(handle))
@@ -337,12 +337,18 @@ def main(argv=None):
     try:
         for output in runner.run(script):
             print(output)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader left; the interpreter's last flush goes to devnull
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
     except BudgetExceededError as exc:
         print(f"resource budget exceeded: {exc}", file=sys.stderr)
         return 3
     except (UnsupportedInputError, UnitIdealError, DegenerateInputError,
-            EmptyLocalizationError, ChainInfeasibleError,
-            FamilyParameterError) as exc:
+            EmptyLocalizationError, ChainInfeasibleError) as exc:
         print(f"unsupported input class: {exc}", file=sys.stderr)
         return 2
     return 2 if runner.flagged_unsupported else 0

@@ -16,8 +16,8 @@ punctuation, or a lexical error at any other non-space character), and
 the group that matched names the token's kind. Errors carry line, column,
 an error class (lexical, syntax or semantic) and the expected token set.
 Scripts parse into resolved values (each polynomial is built once against
-the active ring), and render_script emits canonical text that reparses to
-an equal Script.
+the active ring; a family statement is its FamilySpec), and render_script
+emits canonical text that reparses to an equal Script.
 """
 
 from __future__ import annotations
@@ -128,14 +128,6 @@ class ChainCmd(_Value):
     def __init__(self, ideal, from_vars):
         self.ideal = ideal
         self.from_vars = from_vars
-
-
-class FamilyCmd(_Value):
-    __slots__ = ("kind", "params")
-
-    def __init__(self, kind, params):
-        self.kind = kind
-        self.params = params
 
 
 class Script(_Value):
@@ -389,10 +381,9 @@ class _Parser:
             params = self.comma_list(
                 lambda: int(self.expect("int", "parameter").text), ")")
         try:
-            FamilySpec(tok.text, params)
+            return FamilySpec(tok.text, params)
         except FamilyParameterError as exc:
             self.error(str(exc), tok, code="semantic")
-        return FamilyCmd(tok.text, params)
 
 
 def parse_script(text):
@@ -426,7 +417,7 @@ def render_script(script):
             lines.append(f"{_COMMAND_WORDS[type(stmt)]} {stmt.ideal}")
         elif isinstance(stmt, ChainCmd):
             lines.append(f"chain {stmt.ideal} from ({', '.join(stmt.from_vars)})")
-        elif isinstance(stmt, FamilyCmd):
+        elif isinstance(stmt, FamilySpec):
             args = ", ".join(map(str, stmt.params))
             lines.append(f"family {stmt.kind}({args})" if args
                          else f"family {stmt.kind}")

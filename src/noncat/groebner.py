@@ -320,10 +320,7 @@ class IdealHandle:
             if all(g.is_term for g in self.generators):
                 mono = MonomialIdeal.from_polynomials(self.context,
                                                       self.generators)
-                one = self.field.one
-                basis = tuple(
-                    Polynomial(self.field, self.context, ((one, e),))
-                    for e in sorted(mono.gens, key=GREVLEX.key, reverse=True))
+                basis = mono.to_polynomials(self.field)
             else:
                 basis = buchberger(self.generators, GREVLEX,
                                    Budget(self.gb_step_budget,
@@ -619,7 +616,7 @@ class IdealHandle:
                 f = variable_sum(self.field, self.context, support)
             else:
                 f = variable_sum(self.field, self.context, support)
-                if self.contains(f) or not self.quotient_element(f).equals(self):
+                if self.contains(f) or not self.is_regular_element(f):
                     continue
                 cut = self.plus(f)
             return DepthResult.certified(f, not cut.maximal_ideal_associated())

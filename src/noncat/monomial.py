@@ -22,7 +22,8 @@ from .errors import (
     UnitIdealError,
     UnsupportedInputError,
 )
-from .poly import Polynomial, VariableContext, _Value, exps_divides, exps_lcm
+from .poly import (GREVLEX, Polynomial, VariableContext, _Value, exps_divides,
+                   exps_lcm)
 
 
 class MonomialPrime(_Value):
@@ -120,8 +121,9 @@ class MonomialIdeal:
         return cls(context, vectors)
 
     def to_polynomials(self, field):
+        """The reduced grevlex basis: monic minimal generators, descending."""
         return tuple(Polynomial(field, self.context, ((field.one, e),))
-                     for e in self.gens)
+                     for e in sorted(self.gens, key=GREVLEX.descending_key))
 
     # -- basic structure --
 

@@ -248,43 +248,13 @@ def exps_lcm(a, b):
     return tuple(map(max, a, b))
 
 
-# -- monomial orders --
+# -- monomial orders: key sorts ascending in the order, descending_key
+# sorts or heaps the largest monomial first without reverse=True --
 
-class MonomialOrder:
-    """A total monomial order, presented as a sort key on exponent vectors
-    (key(a) < key(b) exactly when a is smaller in the order), and as a
-    descending key (descending_key(a) < descending_key(b) exactly when a is
-    larger), which sorts or heaps the largest monomial first without
-    reverse=True."""
-
-    name = "order"
-
-    def key(self, exps):
-        raise NotImplementedError
-
-    def descending_key(self, exps):
-        raise NotImplementedError
-
-    def __repr__(self):
-        return self.name
-
-
-class _LexOrder(MonomialOrder):
-    name = "lex"
-
-    def key(self, exps):
-        return exps
-
-    def descending_key(self, exps):
-        return tuple(map(neg, exps))
-
-
-class _GrevlexOrder(MonomialOrder):
+class _GrevlexOrder:
     """Degree first; ties broken on the reversed exponent vector with the
     sign flipped, so among equal degrees a larger exponent in a later
     variable loses."""
-
-    name = "grevlex"
 
     def key(self, exps):
         return (sum(exps), tuple(map(neg, reversed(exps))))
@@ -293,17 +263,15 @@ class _GrevlexOrder(MonomialOrder):
         return (-sum(exps), exps[::-1])
 
 
-LEX = _LexOrder()
 GREVLEX = _GrevlexOrder()
 
 
-class BlockEliminationOrder(_Value, MonomialOrder):
+class BlockEliminationOrder(_Value):
     """Block order eliminating the first `block` variables: any monomial
     involving them sorts above every monomial that does not; grevlex is
     used inside each block."""
 
     __slots__ = ("block",)
-    name = "elim"
 
     def __init__(self, block):
         self.block = block
@@ -362,10 +330,6 @@ class Polynomial:
         return p
 
     # -- construction helpers --
-
-    @classmethod
-    def zero_poly(cls, field, context):
-        return cls(field, context, ())
 
     @classmethod
     def constant(cls, field, context, value):

@@ -639,7 +639,7 @@ class TestAnalyzeReports:
 
 def _parse_witness(text, ring):
     """Rebuild a witness polynomial from its rendered sum of variables."""
-    out = Polynomial.zero_poly(ring.field, ring.context)
+    out = Polynomial(ring.field, ring.context)
     for part in text.split(" + "):
         out = out + Polynomial.variable(ring.field, ring.context, part.strip())
     return out

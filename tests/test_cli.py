@@ -25,6 +25,10 @@ from noncat.monomial import MonomialIdeal
 from conftest import count_calls
 
 ROOT = Path(__file__).resolve().parent.parent
+# the environment of a `python -m noncat.cli` subprocess
+CLI_ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    [str(ROOT / "src")] + ([os.environ["PYTHONPATH"]]
+                           if "PYTHONPATH" in os.environ else [])))
 
 
 def invoke(capsys, script_text, *flags, tmp_path=None):
@@ -312,6 +316,15 @@ class TestSharedAnalysis:
         assert len(built) == 1
         assert len(list(outputs)) == 2
         assert len(built) == 2
+
+    def test_each_family_statement_constructs_one_spec(self, monkeypatch):
+        """The parser's FamilySpec is the statement the runner reads."""
+        specs = count_calls(monkeypatch, FamilySpec, "__init__")
+        outputs = run_script(parse_script(
+            "family example_domain\nfamily prop41(2, 4)\n"),
+            AnalysisConfig(), "json")
+        assert len(list(outputs)) == 2
+        assert len(specs) == 2
 
     def test_second_analyze_runs_no_buchberger(self, monkeypatch):
         calls = count_calls(monkeypatch, groebner, "buchberger")
@@ -744,11 +757,8 @@ class TestExitCodes:
     def run_stdin(data):
         """(exit code, stdout, stderr) of `noncat -` fed `data` in a
         subprocess, so that stdin is a real byte stream."""
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            [str(ROOT / "src")] + ([os.environ["PYTHONPATH"]]
-                                   if "PYTHONPATH" in os.environ else [])))
         proc = subprocess.run([sys.executable, "-m", "noncat.cli", "-"],
-                              input=data, env=env, capture_output=True,
+                              input=data, env=CLI_ENV, capture_output=True,
                               timeout=60)
         return proc.returncode, proc.stdout.decode(), proc.stderr.decode()
 
@@ -763,6 +773,23 @@ class TestExitCodes:
         assert code == 1 and out == ""
         assert err.startswith("cannot read script: ")
         assert "can't decode byte 0xff" in err
+
+    def test_closed_output_exits_1_quietly(self, tmp_path):
+        """A reader that closes stdout after one line, as `noncat s | head
+        -1` does, gets exit 1 and nothing on stderr: no traceback, and no
+        failed flush at interpreter exit. The script prints far more than
+        a pipe holds, so the closed pipe is always written to."""
+        script = tmp_path / "script.ncat"
+        script.write_text("ring Q[x,y]\nideal I = (x*y)\n"
+                          + "analyze I\n" * 2000)
+        with open(tmp_path / "err", "wb") as err:
+            proc = subprocess.Popen(
+                [sys.executable, "-m", "noncat.cli", str(script)],
+                env=CLI_ENV, stdout=subprocess.PIPE, stderr=err)
+            assert proc.stdout.readline().startswith(b"ring ")
+            proc.stdout.close()
+            assert proc.wait(timeout=60) == 1
+        assert (tmp_path / "err").read_bytes() == b""
 
     def test_fuzzed_invalid_inputs_never_exit_0(self, capsys, tmp_path):
         rng = random.Random(999)

@@ -10,7 +10,6 @@ from conftest import random_polynomial
 from noncat.dsl import (
     AnalyzeCmd,
     ChainCmd,
-    FamilyCmd,
     IdealStmt,
     Intersect,
     PosetCmd,
@@ -23,6 +22,7 @@ from noncat.dsl import (
     render_script,
 )
 from noncat.errors import ParseError
+from noncat.families import FamilySpec
 from noncat.poly import FieldDescriptor, Polynomial, VariableContext
 
 
@@ -66,10 +66,13 @@ class TestGrammar:
         """)
         kinds = [type(s) for s in script.statements]
         assert kinds == [RingStmt, IdealStmt, IdealStmt, AnalyzeCmd,
-                         ProfileCmd, PosetCmd, ChainCmd, FamilyCmd, FamilyCmd]
+                         ProfileCmd, PosetCmd, ChainCmd, FamilySpec,
+                         FamilySpec]
         chain = script.statements[6]
         assert chain.from_vars == ("y1", "y2")
         assert script.statements[2].expr == Ref("I")
+        assert script.statements[7:] == (FamilySpec("example_ufd", (2, 2)),
+                                         FamilySpec("example_domain"))
 
     def test_negative_and_fraction_coefficients(self):
         script = parse_script("ring Q[x,y]\nideal I = (-x + 2/3*y, +y)")
@@ -234,7 +237,7 @@ class TestValueSemantics:
     def test_equal_instances_hash_as_their_fields(self):
         def nodes():
             return [AnalyzeCmd("I"), ChainCmd("I", ("x", "y")),
-                    FamilyCmd("prop41", (2, 4)), Token("int", "3", 2, 7),
+                    FamilySpec("prop41", (2, 4)), Token("int", "3", 2, 7),
                     Intersect(Ref("I"), Ref("J"))]
 
         for a, b in zip(nodes(), nodes()):
@@ -250,13 +253,15 @@ class TestValueSemantics:
         assert repr(AnalyzeCmd("I")) == "AnalyzeCmd(ideal='I')"
         assert repr(ChainCmd("I", ("x",))) == (
             "ChainCmd(ideal='I', from_vars=('x',))")
+        assert repr(FamilySpec("prop41", (2, 4))) == (
+            "FamilySpec(kind='prop41', params=(2, 4))")
         assert repr(Token("int", "3", 2, 7)) == (
             "Token(kind='int', text='3', line=2, column=7)")
         assert repr(Intersect(Ref("I"), Ref("J"))) == (
             "Intersect(left=Ref(name='I'), right=Ref(name='J'))")
 
     def test_keyword_construction(self):
-        assert FamilyCmd(params=(3,), kind="example_catenary") == FamilyCmd(
+        assert FamilySpec(params=(3,), kind="example_catenary") == FamilySpec(
             "example_catenary", (3,))
         assert Token(kind="eof", text="", line=1, column=1) == Token(
             "eof", "", 1, 1)
@@ -338,6 +343,7 @@ class TestRoundTrip:
                 "ideal I = intersect((x), (y, z))\n"
                 "analyze I\n"
                 "chain I from (y, z)\n"
-                "family prop42(3, 5)\n")
+                "family prop42(3, 5)\n"
+                "family example_domain\n")
         script = parse_script(text)
         assert render_script(script) == text
