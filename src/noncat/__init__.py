@@ -4,7 +4,7 @@ witnesses: minimal and associated primes, noncatenarity profiles, depth
 certificates and saturated avoidance chains."""
 
 from .analyzer import AnalysisConfig, AnalysisReport, analyze
-from .dsl import Script, parse_script, render_script
+from .dsl import parse_script, render_script
 from .errors import (
     BudgetExceededError,
     ChainInfeasibleError,
@@ -43,7 +43,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AnalysisConfig", "AnalysisReport", "analyze",
-    "Script", "parse_script", "render_script",
+    "parse_script", "render_script",
     "BudgetExceededError", "ChainInfeasibleError", "ContextMismatchError",
     "DegenerateInputError", "EmptyLocalizationError", "FamilyParameterError",
     "NoncatError", "ParseError", "UnitIdealError", "UnsupportedInputError",

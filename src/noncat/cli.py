@@ -20,13 +20,10 @@ import sys
 from .analyzer import (CONDITION_KEYS, SEMANTICS_EXACT, SEMANTICS_UNVERIFIED,
                        VERDICT_KEYS, AnalysisConfig, _Analysis)
 from .dsl import (
-    AnalyzeCmd,
-    ChainCmd,
+    Command,
     GenList,
     IdealStmt,
     Intersect,
-    PosetCmd,
-    ProfileCmd,
     Ref,
     RingStmt,
     parse_script,
@@ -160,7 +157,8 @@ def report_text(report):
 
 
 class _Runner:
-    """Executes a parsed script statement by statement. Each presented ring
+    """Executes a parsed script, a tuple of statements, one by one; a
+    Command goes to the do_ method of its verb. Each presented ring
     (field, context and generator tuple) gets one _Analysis at its first
     command, and every command on it reads that, whether it names an
     ideal or instantiates a family."""
@@ -173,19 +171,16 @@ class _Runner:
         self.flagged_unsupported = False
 
     def run(self, script):
-        for stmt in script.statements:
+        by_verb = {"analyze": self.do_analyze, "profile": self.do_profile,
+                   "poset": self.do_poset, "chain": self.do_chain}
+        for stmt in script:
             if isinstance(stmt, RingStmt):
                 continue  # the parser has built every polynomial in its ring
             if isinstance(stmt, IdealStmt):
                 self.handles[stmt.name] = self.resolve(stmt.expr)
-            elif isinstance(stmt, AnalyzeCmd):
-                yield self.do_analyze(self.analysis(stmt.ideal))
-            elif isinstance(stmt, ProfileCmd):
-                yield self.do_profile(self.analysis(stmt.ideal))
-            elif isinstance(stmt, PosetCmd):
-                yield self.do_poset(self.analysis(stmt.ideal))
-            elif isinstance(stmt, ChainCmd):
-                yield self.do_chain(self.analysis(stmt.ideal), stmt.from_vars)
+            elif isinstance(stmt, Command):
+                yield by_verb[stmt.verb](self.analysis(stmt.ideal),
+                                         *stmt.start)
             elif isinstance(stmt, FamilySpec):
                 ring, _ = instantiate(stmt)
                 handle = IdealHandle.from_presentation(
@@ -226,18 +221,21 @@ class _Runner:
             # the witness chain, then every associated prime and M alone;
             # the UFD search starts at the same P, so Q' is on the chain
             mono = a.require_monomial("the witness diagram")
-            top = MonomialPrime(frozenset(range(a.v)))
-            alone = [PrimeChain(a.context, (p,))
-                     for p in (*mono.associated_primes(), top)]
+            alone = [PrimeChain(a.context, (p,)) for p in (
+                *mono.associated_primes(), MonomialPrime.maximal(a.v))]
             _, chain = a.noncat_domain
             return chain_dot(mono, [chain, *alone] if chain else alone)
         return report_text(report)
 
     def do_profile(self, a):
-        # edim > 1 without Min is refused before a.facts runs the depth search
+        # edim > 1 without Min, and then DOT, are refused before a.facts
+        # runs the depth search
         if a.mono is None and (a.handle.embedding_dimension() > 1
                                or a.facts.profile is None):
             a.require_monomial("the noncatenarity profile")
+        if self.fmt == "dot":
+            raise UnsupportedInputError(
+                "the profile command has no dot rendering")
         profile = a.facts.profile
         if self.fmt == "json":
             return json.dumps({
@@ -245,9 +243,6 @@ class _Runner:
                 "dim": a.facts.dim,
                 "profile": list(profile),
             })
-        if self.fmt == "dot":
-            raise UnsupportedInputError(
-                "the profile command has no dot rendering")
         return "profile {" + ", ".join(map(str, profile)) + "}"
 
     def do_poset(self, a):
@@ -258,9 +253,9 @@ class _Runner:
             return poset_json(mono)
         return poset_text(mono)
 
-    def do_chain(self, a, from_vars):
+    def do_chain(self, a, *start):
         a.require_monomial("the chain command")
-        chain = a.chain(MonomialPrime.of(a.context, *from_vars))
+        chain = a.chain(MonomialPrime.of(a.context, *start))
         if isinstance(chain, ChainInfeasibleError):
             raise chain
         if self.fmt == "dot":

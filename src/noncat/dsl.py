@@ -15,9 +15,10 @@ line once with one pattern of named groups (ASCII identifier, integer,
 punctuation, or a lexical error at any other non-space character), and
 the group that matched names the token's kind. Errors carry line, column,
 an error class (lexical, syntax or semantic) and the expected token set.
-Scripts parse into resolved values (each polynomial is built once against
-the active ring; a family statement is its FamilySpec), and render_script
-emits canonical text that reparses to an equal Script.
+A script parses into the tuple of its resolved statements: each polynomial
+is built once against the active ring, each of the four commands is one
+Command record, and a family statement is its FamilySpec. render_script
+emits canonical text that reparses to an equal tuple.
 """
 
 from __future__ import annotations
@@ -28,9 +29,6 @@ from fractions import Fraction
 from .errors import FamilyParameterError, ParseError
 from .families import FAMILY_KINDS, FamilySpec
 from .poly import FieldDescriptor, Polynomial, VariableContext, _Value
-
-KEYWORDS = frozenset({"ring", "ideal", "intersect", "analyze", "profile",
-                      "poset", "chain", "from", "family"})
 
 # no group around the alternatives, or lastgroup would name none of them
 _SCAN = re.compile(r"(?P<ident>[A-Za-z_][A-Za-z0-9_]*)|(?P<int>\d+)"
@@ -101,46 +99,22 @@ class IdealStmt(_Value):
         self.expr = expr
 
 
-class AnalyzeCmd(_Value):
-    __slots__ = ("ideal",)
+class Command(_Value):
+    """A command on a declared ideal: `verb` is analyze, profile, poset or
+    chain, and `start` names the variables of a chain's start prime (empty
+    for the other verbs)."""
 
-    def __init__(self, ideal):
+    __slots__ = ("verb", "ideal", "start")
+
+    def __init__(self, verb, ideal, start=()):
+        self.verb = verb
         self.ideal = ideal
+        self.start = start
 
 
-class ProfileCmd(_Value):
-    __slots__ = ("ideal",)
-
-    def __init__(self, ideal):
-        self.ideal = ideal
-
-
-class PosetCmd(_Value):
-    __slots__ = ("ideal",)
-
-    def __init__(self, ideal):
-        self.ideal = ideal
-
-
-class ChainCmd(_Value):
-    __slots__ = ("ideal", "from_vars")
-
-    def __init__(self, ideal, from_vars):
-        self.ideal = ideal
-        self.from_vars = from_vars
-
-
-class Script(_Value):
-    __slots__ = ("statements",)
-
-    def __init__(self, statements):
-        self.statements = statements
-
-
-_COMMANDS = {"analyze": AnalyzeCmd, "profile": ProfileCmd,
-             "poset": PosetCmd}
-_COMMAND_WORDS = {cls: word for word, cls in _COMMANDS.items()}
-_STATEMENTS = frozenset({"ring", "ideal", "chain", "family", *_COMMANDS})
+_VERBS = ("analyze", "profile", "poset", "chain")
+_STATEMENTS = frozenset({"ring", "ideal", "family", *_VERBS})
+KEYWORDS = _STATEMENTS | {"intersect", "from"}
 
 
 class _Parser:
@@ -215,7 +189,7 @@ class _Parser:
         statements = []
         while self.peek().kind != "eof":
             statements.append(self.parse_statement())
-        return Script(tuple(statements))
+        return tuple(statements)
 
     def parse_statement(self):
         tok = self.peek()
@@ -224,11 +198,11 @@ class _Parser:
             return self.parse_ring()
         if word == "ideal":
             return self.parse_ideal()
-        if word in _COMMANDS:
-            self.advance()
-            return _COMMANDS[word](self.require_ideal_name())
         if word == "chain":
             return self.parse_chain()
+        if word in _VERBS:
+            self.advance()
+            return Command(word, self.require_ideal_name())
         if word == "family":
             return self.parse_family()
         self.error(f"unknown statement {word!r}" if tok.kind == "ident" else
@@ -368,7 +342,7 @@ class _Parser:
                        expected={"from"})
         self.expect("(")
         _, context = self.ideal_contexts[name]
-        return ChainCmd(name, self.variables(")", context))
+        return Command("chain", name, self.variables(")", context))
 
     def parse_family(self):
         self.advance()
@@ -387,7 +361,7 @@ class _Parser:
 
 
 def parse_script(text):
-    """Parse script text into a fully resolved Script."""
+    """Parse script text into the tuple of its resolved statements."""
     return _Parser(_lex(text)).parse_script()
 
 
@@ -404,19 +378,20 @@ def _render_expr(expr):
 
 
 def render_script(script):
-    """Canonical text for a Script; reparses to an equal Script."""
+    """Canonical text for a tuple of statements; reparses to an equal
+    tuple."""
     lines = []
-    for stmt in script.statements:
+    for stmt in script:
         if isinstance(stmt, RingStmt):
             field = "Q" if stmt.field.characteristic == 0 \
                 else f"F {stmt.field.characteristic}"
             lines.append(f"ring {field}[{', '.join(stmt.names)}]")
         elif isinstance(stmt, IdealStmt):
             lines.append(f"ideal {stmt.name} = {_render_expr(stmt.expr)}")
-        elif type(stmt) in _COMMAND_WORDS:
-            lines.append(f"{_COMMAND_WORDS[type(stmt)]} {stmt.ideal}")
-        elif isinstance(stmt, ChainCmd):
-            lines.append(f"chain {stmt.ideal} from ({', '.join(stmt.from_vars)})")
+        elif isinstance(stmt, Command):
+            start = f" from ({', '.join(stmt.start)})" \
+                if stmt.verb == "chain" else ""
+            lines.append(f"{stmt.verb} {stmt.ideal}{start}")
         elif isinstance(stmt, FamilySpec):
             args = ", ".join(map(str, stmt.params))
             lines.append(f"family {stmt.kind}({args})" if args

@@ -33,11 +33,6 @@ class EmptyLocalizationError(NoncatError):
 class ChainInfeasibleError(NoncatError):
     """Saturated-chain construction found no eligible extension at a step."""
 
-    def __init__(self, message, step=None, node=None):
-        super().__init__(message)
-        self.step = step
-        self.node = node
-
 
 class FamilyParameterError(NoncatError):
     """Family parameters violate the family's defining inequalities."""

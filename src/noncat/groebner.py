@@ -616,7 +616,10 @@ class IdealHandle:
                 f = variable_sum(self.field, self.context, support)
             else:
                 f = variable_sum(self.field, self.context, support)
-                if self.contains(f) or not self.is_regular_element(f):
+                try:  # one membership test: f in I is no regular element
+                    if not self.is_regular_element(f):
+                        continue
+                except DegenerateInputError:
                     continue
                 cut = self.plus(f)
             return DepthResult.certified(f, not cut.maximal_ideal_associated())

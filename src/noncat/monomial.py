@@ -50,6 +50,11 @@ class MonomialPrime(_Value):
     def of(cls, context, *names):
         return cls(frozenset(context.index(n) for n in names))
 
+    @classmethod
+    def maximal(cls, var_count):
+        """The maximal ideal, generated by every variable."""
+        return cls(frozenset(range(var_count)))
+
     @property
     def sort_key(self):
         return (len(self.indices), tuple(sorted(self.indices)))
@@ -260,8 +265,8 @@ class MonomialIdeal:
 
     def maximal_ideal_associated(self):
         """Whether the ideal of all variables is an associated prime."""
-        top = MonomialPrime(frozenset(range(self.context.count)))
-        return top in self.associated_primes()
+        return (MonomialPrime.maximal(self.context.count)
+                in self.associated_primes())
 
     def is_regular(self, support):
         """Whether the sum of the variables at `support` (indices) is regular

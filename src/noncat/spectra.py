@@ -85,11 +85,6 @@ class PrimeChain(_Value):
         return self.render()
 
 
-def _top(ideal):
-    """The maximal ideal, generated by every variable."""
-    return MonomialPrime(frozenset(range(ideal.context.count)))
-
-
 def construct_chain(ideal, start):
     """Saturated chain from a minimal prime of the monomial ideal up to the
     maximal ideal, of length dim(T/P), every interior node avoiding Ass and
@@ -130,11 +125,10 @@ def construct_chain(ideal, start):
         if found is None:
             raise ChainInfeasibleError(
                 f"no eligible variable at step {step} above "
-                f"{MonomialPrime(current).render(ctx)}",
-                step=step, node=MonomialPrime(current))
+                f"{MonomialPrime(current).render(ctx)}")
         chain.append(found)
         current = found.indices
-    chain.append(_top(ideal))
+    chain.append(MonomialPrime.maximal(v))
     return PrimeChain(ctx, tuple(chain))
 
 
@@ -153,7 +147,7 @@ def verify_chain(ideal, chain, start=None):
         problems.append("chain does not start at the requested prime")
     if first not in mins:
         problems.append(f"start {first.render(ctx)} is not a minimal prime")
-    if last != _top(ideal):
+    if last != MonomialPrime.maximal(ctx.count):
         problems.append("chain does not end at the maximal ideal")
     if chain.length != first.quotient_dim(ctx.count):
         problems.append(

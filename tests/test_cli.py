@@ -14,7 +14,7 @@ import pytest
 from noncat import analyzer, groebner, spectra
 from noncat.analyzer import AnalysisConfig, analyze
 from noncat.cli import REPORT_SCHEMA, main, report_text, run_script
-from noncat.dsl import parse_script
+from noncat.dsl import Command, parse_script
 from noncat.families import (
     FamilySpec,
     expected_mismatches,
@@ -120,6 +120,21 @@ class TestSchema:
 
 
 class TestOtherCommands:
+    def test_runner_reads_each_verb_of_a_built_command(self):
+        """The runner takes a tuple of statements built by hand as it takes
+        a parsed one, and dispatches each Command on its verb."""
+        ring, ideal = parse_script("ring Q[x,y,z,v]\nideal I = (x*y, x*z)")
+        outputs = run_script((ring, ideal, Command("profile", "I"),
+                              Command("chain", "I", ("y", "z"))),
+                             AnalysisConfig(), "text")
+        assert list(outputs) == ["profile {3, 2}",
+                                 "(y,z) < (y,z,v) < (x,y,z,v)  (length 2)"]
+
+    def test_runner_refuses_what_is_not_a_statement(self):
+        outputs = run_script(("analyze I",), AnalysisConfig(), "text")
+        with pytest.raises(TypeError, match="not a statement: 'analyze I'"):
+            next(outputs)
+
     def test_profile_text(self, capsys, tmp_path):
         code, out, _ = invoke(
             capsys, "ring Q[x,y,z,v]\nideal I = (x*y, x*z)\nprofile I",
@@ -155,6 +170,20 @@ class TestOtherCommands:
                        "needs minimal primes, which are only computed for "
                        "monomial ideals\n")
         assert searches == []
+
+    def test_profile_under_dot_is_refused_before_any_analysis(
+            self, capsys, tmp_path, monkeypatch):
+        components = count_calls(monkeypatch, MonomialIdeal,
+                                 "irreducible_components")
+        searches = count_calls(monkeypatch, MonomialIdeal,
+                               "depth_at_least_two")
+        code, out, err = invoke(
+            capsys, "ring Q[x,y1,y2,z1,z2]\nideal I = (x*y1, x*y2)\n"
+            "profile I", "--format", "dot", tmp_path=tmp_path)
+        assert (code, out) == (2, "")
+        assert err == ("unsupported input class: the profile command has "
+                       "no dot rendering\n")
+        assert components == [] and searches == []
 
     @pytest.mark.parametrize("before", ["", "analyze I\n"],
                              ids=["alone", "after-analyze"])
@@ -374,6 +403,17 @@ class TestSharedAnalysis:
             AnalysisConfig(), "json"))
         assert json.loads(out)["conditions"]["depth_ge2"] is depth_ge2
         assert colons
+
+    def test_non_homogeneous_depth_tests_membership_once(self, monkeypatch):
+        """Each depth candidate f is tested for membership in I once, by
+        is_regular_element, before its colon (I : f) is compared to I."""
+        members = count_calls(monkeypatch, groebner.IdealHandle, "contains")
+        outputs = run_script(parse_script(
+            "ring Q[x,y,z,v]\nideal I = (x*y - z^3, x*z)\n"
+            "ideal J = (x*y - v^2*z, x*z - y^3)\nanalyze I\nanalyze J\n"),
+            AnalysisConfig(), "text")
+        assert len(list(outputs)) == 2
+        assert len(members) == 26
 
     def test_unused_unit_ideal_exits_0(self, capsys, tmp_path):
         code, out, err = invoke(capsys, "ring Q[x]\nideal I = (1)\n",

@@ -8,12 +8,9 @@ import pytest
 
 from conftest import random_polynomial
 from noncat.dsl import (
-    AnalyzeCmd,
-    ChainCmd,
+    Command,
     IdealStmt,
     Intersect,
-    PosetCmd,
-    ProfileCmd,
     Ref,
     RingStmt,
     Token,
@@ -30,16 +27,15 @@ class TestGrammar:
     def test_intersect_script(self):
         script = parse_script(
             "ring Q[x,y,z,v]  ideal I = intersect((x),(y,z))  analyze I")
-        ring, ideal, cmd = script.statements
+        ring, ideal, cmd = script
         assert isinstance(ring, RingStmt) and ring.names == ("x", "y", "z", "v")
         assert isinstance(ideal, IdealStmt) and isinstance(ideal.expr, Intersect)
-        assert cmd == AnalyzeCmd("I")
+        assert cmd == Command("analyze", "I")
 
     def test_polynomial_syntax(self):
         script = parse_script(
             "ring Q[x,y,z]\nideal I = (3*x^2*y - 1/2*z, x y, 2x^3)")
-        (genlist,) = [s.expr for s in script.statements
-                      if isinstance(s, IdealStmt)]
+        (genlist,) = [s.expr for s in script if isinstance(s, IdealStmt)]
         ctx = VariableContext(("x", "y", "z"))
         f = Polynomial(FieldDescriptor(0), ctx,
                        ((3, (2, 1, 0)), (Fraction(-1, 2), (0, 0, 1))))
@@ -49,7 +45,7 @@ class TestGrammar:
 
     def test_prime_field_declarations(self):
         for text in ("ring F 7[x,y]", "ring F7[x,y]"):
-            (stmt,) = parse_script(text).statements
+            (stmt,) = parse_script(text)
             assert stmt.field == FieldDescriptor(7)
 
     def test_all_commands(self):
@@ -64,30 +60,32 @@ class TestGrammar:
             family example_ufd(2, 2)
             family example_domain
         """)
-        kinds = [type(s) for s in script.statements]
-        assert kinds == [RingStmt, IdealStmt, IdealStmt, AnalyzeCmd,
-                         ProfileCmd, PosetCmd, ChainCmd, FamilySpec,
-                         FamilySpec]
-        chain = script.statements[6]
-        assert chain.from_vars == ("y1", "y2")
-        assert script.statements[2].expr == Ref("I")
-        assert script.statements[7:] == (FamilySpec("example_ufd", (2, 2)),
-                                         FamilySpec("example_domain"))
+        assert type(script) is tuple
+        kinds = [type(s) for s in script]
+        assert kinds == [RingStmt, IdealStmt, IdealStmt, Command, Command,
+                         Command, Command, FamilySpec, FamilySpec]
+        assert script[3:7] == (Command("analyze", "I"),
+                               Command("profile", "J"),
+                               Command("poset", "I"),
+                               Command("chain", "I", ("y1", "y2")))
+        assert script[2].expr == Ref("I")
+        assert script[7:] == (FamilySpec("example_ufd", (2, 2)),
+                              FamilySpec("example_domain"))
 
     def test_negative_and_fraction_coefficients(self):
         script = parse_script("ring Q[x,y]\nideal I = (-x + 2/3*y, +y)")
-        genlist = script.statements[1].expr
+        genlist = script[1].expr
         assert str(genlist.polys[0]) in ("-x + 2/3*y", "2/3*y - x")
 
     def test_coefficients_mod_p(self):
         script = parse_script("ring F 5[x]\nideal I = (7*x, 1/2*x)")
-        genlist = script.statements[1].expr
+        genlist = script[1].expr
         assert str(genlist.polys[0]) == "2*x"
         assert str(genlist.polys[1]) == "3*x"  # 1/2 = 3 mod 5
 
     def test_like_terms_combine(self):
         def gens(text):
-            return parse_script(text).statements[1].expr.polys
+            return parse_script(text)[1].expr.polys
 
         zero, y = gens("ring Q[x,y]\nideal I = (2/3*x - x + 1/3*x, y)")
         assert zero.is_zero and str(y) == "y"
@@ -228,31 +226,38 @@ class TestValueSemantics:
     """Script nodes compare and hash by type and fields, and print as
     Name(field=value, ...)."""
 
+    def test_commands_of_distinct_verbs_are_unequal(self):
+        assert Command("analyze", "I") != Command("profile", "I")
+        assert Command("analyze", "I") != Command("poset", "I")
+        assert Command("chain", "I", ("x",)) != Command("chain", "I", ("y",))
+        assert Command("analyze", "I") == Command("analyze", "I", ())
+
     def test_equal_fields_of_distinct_types_are_unequal(self):
-        assert AnalyzeCmd("I") != ProfileCmd("I")
-        assert AnalyzeCmd("I") != PosetCmd("I")
-        assert Ref("I") != AnalyzeCmd("I")
-        assert AnalyzeCmd("I") != "I" and AnalyzeCmd("I") != ("I",)
+        assert Ref("I") != Command("analyze", "I")
+        assert Command("analyze", "I") != "I"
+        assert Command("analyze", "I") != ("analyze", "I", ())
 
     def test_equal_instances_hash_as_their_fields(self):
         def nodes():
-            return [AnalyzeCmd("I"), ChainCmd("I", ("x", "y")),
+            return [Command("analyze", "I"), Command("chain", "I", ("x", "y")),
                     FamilySpec("prop41", (2, 4)), Token("int", "3", 2, 7),
                     Intersect(Ref("I"), Ref("J"))]
 
         for a, b in zip(nodes(), nodes()):
             assert a == b and a is not b
             assert hash(a) == hash(b)
-        assert hash(AnalyzeCmd("I")) == hash(("I",))
-        assert hash(ChainCmd("I", ("x",))) == hash(("I", ("x",)))
+        assert hash(Command("analyze", "I")) == hash(("analyze", "I", ()))
+        assert hash(Command("chain", "I", ("x",))) == hash(
+            ("chain", "I", ("x",)))
         assert hash(Token("eof", "", 3, 1)) == hash(("eof", "", 3, 1))
-        assert ChainCmd("I", ("x",)) != ChainCmd("I", ("y",))
-        assert len({AnalyzeCmd("I"), AnalyzeCmd("I"), ProfileCmd("I")}) == 2
+        assert len({Command("analyze", "I"), Command("analyze", "I"),
+                    Command("profile", "I")}) == 2
 
     def test_repr_names_each_field(self):
-        assert repr(AnalyzeCmd("I")) == "AnalyzeCmd(ideal='I')"
-        assert repr(ChainCmd("I", ("x",))) == (
-            "ChainCmd(ideal='I', from_vars=('x',))")
+        assert repr(Command("analyze", "I")) == (
+            "Command(verb='analyze', ideal='I', start=())")
+        assert repr(Command("chain", "I", ("x",))) == (
+            "Command(verb='chain', ideal='I', start=('x',))")
         assert repr(FamilySpec("prop41", (2, 4))) == (
             "FamilySpec(kind='prop41', params=(2, 4))")
         assert repr(Token("int", "3", 2, 7)) == (
@@ -335,8 +340,21 @@ class TestRoundTrip:
             for _ in range(60):
                 f = random_polynomial(rng, ctx, max_terms=5, field=field)
                 script = parse_script(f"ring {decl}[x, y, z]\nideal I = ({f})")
-                (g,) = script.statements[1].expr.polys
+                (g,) = script[1].expr.polys
                 assert g == f, str(f)
+
+    def test_every_verb_round_trips(self):
+        text = ("ring Q[x, y, z]\n"
+                "ideal I = (x*y, x*z)\n"
+                "analyze I\n"
+                "profile I\n"
+                "poset I\n"
+                "chain I from (y, z)\n")
+        script = parse_script(text)
+        assert [s.verb for s in script[2:]] == [
+            "analyze", "profile", "poset", "chain"]
+        assert render_script(script) == text
+        assert parse_script(render_script(script)) == script
 
     def test_named_round_trip(self):
         text = ("ring Q[x, y, z, v]\n"

@@ -639,7 +639,7 @@ class TestRationalsAsInts:
     def test_parsed_scripts(self, polys):
         script = parse_script(
             f"ring Q[x, y, z]\nideal I = ({', '.join(polys)})\n")
-        stmt, = (s for s in script.statements if isinstance(s, IdealStmt))
+        stmt, = (s for s in script if isinstance(s, IdealStmt))
         assert isinstance(stmt.expr, GenList)
         for p in stmt.expr.polys:
             assert_rational_canonical(p)

@@ -3,6 +3,7 @@
 import itertools
 import json
 import random
+import re
 
 import pytest
 
@@ -217,7 +218,8 @@ class TestConstructChain:
                 try:
                     chain = construct_chain(ideal, p)
                 except ChainInfeasibleError as exc:
-                    assert exc.step is not None and exc.node is not None
+                    assert re.fullmatch(r"no eligible variable at step \d+ "
+                                        r"above \(.+\)", str(exc)), exc
                     infeasible += 1
                     continue
                 assert verify_chain(ideal, chain, p) == []
