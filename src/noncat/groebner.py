@@ -5,10 +5,12 @@ chain criteria, normal pair selection), ideal membership and equality on
 each handle's cached grevlex basis, intersection and colon ideals, and
 the regularity and depth tests the ring classifiers rely on. Two ideals
 generated by linear forms meet in W + I*J, where W is the intersection of
-their spans (one Zassenhaus row reduction). When one is principal, (f),
-that is (f) or f*J, whose Groebner basis needs only interreduction; other
-pairs run Buchberger once. Every other intersection eliminates an
-auxiliary variable. A handle whose generators are all terms never runs
+their spans. When one is principal, (f), that is (f) or f*J, whose reduced
+basis is one row reduction of the products of f with the other side's
+echelon basis; other pairs run Zassenhaus and Buchberger once. Such a meet
+keeps its two operands, and its basis in moved coordinates is the meet of
+the moved operands. Every other intersection eliminates an auxiliary
+variable. A handle whose generators are all terms never runs
 Buchberger: the monomial engine supplies its reduced basis, the minimal
 generators. A handle's ideal is monomial when its reduced basis consists
 of terms, whatever its presentation (IdealHandle.monomial_ideal). Krull
@@ -167,10 +169,11 @@ def _coefficients(f):
     return row
 
 
-def _row_reduce(field, rows):
+def _row_reduce(field, rows, budget=None):
     """Reduced row echelon form of a nonempty list of rows (lists over the
     field): the nonzero rows, monic at their pivots, pivots left to right
-    and cleared from every other row."""
+    and cleared from every other row. Each entry cleared spends one unit of
+    the budget, when one is given."""
     rows = [r[:] for r in rows]
     done = []
     for col in range(len(rows[0])):
@@ -179,11 +182,13 @@ def _row_reduce(field, rows):
             continue
         rows.remove(pivot)
         inv = field.inv(pivot[col])
-        pivot[:] = [field.mul(inv, a) for a in pivot]
+        pivot[:] = [field.mul(inv, a) if a else a for a in pivot]
         for r in rows + done:
             if r[col]:
+                if budget is not None:
+                    budget.spend()
                 scale = r[col]
-                r[:] = [field.sub(a, field.mul(scale, b))
+                r[:] = [field.sub(a, field.mul(scale, b)) if b else a
                         for a, b in zip(r, pivot)]
         done.append(pivot)
     return done
@@ -197,29 +202,38 @@ def _linear_forms(field, context, rows):
             for r in rows]
 
 
-def _linear_meet(left, right, budget):
-    """The reduced grevlex basis of I cap J = W + I*J for nonempty lists of
-    linear forms over one ring. A basis of W, the intersection of the spans,
-    comes from Zassenhaus: in the reduced echelon form of the rows (f, f) for
-    f in left and (g, 0) for g in right, the rows zero on the left half carry
-    it on the right half. The echelon bases of the spans are Groebner bases.
-    When one side is (f), the meet is (f) if f lies in the other span (W != 0)
-    and f*J otherwise, whose Groebner basis is f*GB(J): only interreduction
-    is left. Otherwise one Buchberger run reduces W + I*J."""
-    field, context = left[0].field, left[0].context
-    v = context.count
-    a = [_coefficients(f) for f in left]
-    b = [_coefficients(g) for g in right]
-    stacked = [r + r for r in a] + [r + [field.zero] * v for r in b]
-    meet = _linear_forms(field, context, [
-        r[v:] for r in _row_reduce(field, stacked) if not any(r[:v])])
-    xs = _linear_forms(field, context, _row_reduce(field, a))
-    ys = _linear_forms(field, context, _row_reduce(field, b))
+def _linear_meet(field, context, a, b, budget):
+    """The reduced grevlex basis of I cap J = W + I*J for I and J spanned by
+    nonempty lists a and b of coefficient rows, W the meet of the spans. The
+    echelon bases of the spans are Groebner bases. When one side is (f), the
+    meet is (f) if f lies in the other span, else f*J, whose Groebner basis
+    f*GB(J) is made of quadrics: the reduced basis is the reduced echelon
+    form of the products' rows, each entry cleared spending one unit of the
+    budget. Otherwise W comes from Zassenhaus, the right halves of the rows
+    zero on the left in the echelon form of the rows (f, f), f in a, and
+    (g, 0), g in b, and one Buchberger run reduces W + I*J."""
+    v, mul = context.count, field.mul
+    xs, ys = _row_reduce(field, a), _row_reduce(field, b)
     if len(ys) == 1:
         xs, ys = ys, xs
     if len(xs) == 1:
-        return _reduce_basis(meet or [xs[0] * g for g in ys], GREVLEX, budget)
-    return buchberger(meet + [f * g for f in xs for g in ys], GREVLEX, budget)
+        f = xs[0]
+        if len(_row_reduce(field, ys + [f])) == len(ys):
+            return tuple(_linear_forms(field, context, [f]))
+        # x_i*x_j, i <= j, in ascending (j, i) is descending grevlex
+        quads = [(i, j) for j in range(v) for i in range(j + 1)]
+        rows = _row_reduce(field, [[mul(f[i], g[j]) if i == j else field.add(
+            mul(f[i], g[j]), mul(f[j], g[i])) for i, j in quads] for g in ys],
+            budget)
+        exps = [tuple((k == i) + (k == j) for k in range(v)) for i, j in quads]
+        return tuple(Polynomial._canonical(field, context, tuple(
+            (c, e) for c, e in zip(r, exps) if c)) for r in rows)
+    stacked = [r + r for r in a] + [r + [field.zero] * v for r in b]
+    meet = _linear_forms(field, context, [
+        r[v:] for r in _row_reduce(field, stacked) if not any(r[:v])])
+    return buchberger(meet + [f * g for f in _linear_forms(field, context, xs)
+                              for g in _linear_forms(field, context, ys)],
+                      GREVLEX, budget)
 
 
 def _fresh_name(context):
@@ -278,7 +292,7 @@ class IdealHandle:
     ideal calculus built on them."""
 
     __slots__ = ("field", "context", "generators", "gb_step_budget",
-                 "_lock", "_gb", "_m_assoc", "_moved")
+                 "_lock", "_gb", "_m_assoc", "_moved", "_operands")
 
     def __init__(self, field, context, generators=(),
                  gb_step_budget=DEFAULT_GB_STEP_BUDGET):
@@ -297,6 +311,7 @@ class IdealHandle:
         self._gb = None  # (reduced basis, MonomialIdeal or None), one store
         self._m_assoc = None
         self._moved = {}
+        self._operands = None  # coefficient rows of a linear meet's sides
 
     @classmethod
     def from_presentation(cls, ring, gb_step_budget=DEFAULT_GB_STEP_BUDGET):
@@ -323,8 +338,7 @@ class IdealHandle:
                 basis = mono.to_polynomials(self.field)
             else:
                 basis = buchberger(self.generators, GREVLEX,
-                                   Budget(self.gb_step_budget,
-                                          "groebner step budget"))
+                                   self._budget())
                 mono = (MonomialIdeal.from_polynomials(self.context, basis)
                         if all(g.is_term for g in basis) else None)
             with self._lock:
@@ -332,11 +346,14 @@ class IdealHandle:
                     self._gb = (basis, mono)
         return self._gb[0]
 
+    def _budget(self):
+        return Budget(self.gb_step_budget, "groebner step budget")
+
     def normal_form(self, f):
         basis = self.groebner_basis()
         if not basis:
             return f
-        _, r = divide(f, basis)
+        _, r = divide(f, basis, budget=self._budget())
         return r
 
     def monomial_ideal(self):
@@ -379,32 +396,40 @@ class IdealHandle:
 
     # -- intersection and colon ideals --
 
-    def _with_basis(self, context, basis):
+    def _with_basis(self, context, basis, operands=None):
         """Handle over `context` whose generators are `basis`, already the
         reduced grevlex basis of the ideal they span. The basis is stored
         with monomial_ideal()'s answer, so the handle never runs
-        Buchberger."""
+        Buchberger, and so are the coefficient rows of a linear meet's two
+        operands, before any other thread can see the handle."""
         handle = IdealHandle(self.field, context, basis, self.gb_step_budget)
         handle._gb = (handle.generators,
                       MonomialIdeal.from_polynomials(context, basis)
                       if all(g.is_term for g in basis) else None)
+        handle._operands = operands
         return handle
+
+    def _linear_meet_handle(self, context, a, b):
+        """The meet of the spans of the rows a and b, keeping both."""
+        return self._with_basis(context, _linear_meet(
+            self.field, context, a, b, self._budget()), (a, b))
 
     def intersection(self, other):
         """I cap J, whose generators are its reduced grevlex basis. When
         every generator of both is a linear form, I cap J = W + I*J with W
         the intersection of the spans: in coordinates where I = (W, X) and
         J = (W, Y), both are monomial in disjoint variables. A principal side
-        needs no Buchberger run; otherwise one reduces W + I*J. Any other
-        input is eliminated."""
+        needs one row reduction of the products and no Buchberger run;
+        otherwise one run reduces W + I*J. The result keeps both operands,
+        so its moved bases are meets too. Any other input is eliminated."""
         if self.field != other.field or self.context != other.context:
             raise ContextMismatchError("ideals over different rings")
         if not self.generators or not other.generators:
             return self._with_basis(self.context, ())
         if _all_linear(self.generators) and _all_linear(other.generators):
-            return self._with_basis(self.context, _linear_meet(
-                self.generators, other.generators,
-                Budget(self.gb_step_budget, "groebner step budget")))
+            return self._linear_meet_handle(
+                self.context, [_coefficients(f) for f in self.generators],
+                [_coefficients(g) for g in other.generators])
         return self._eliminate(other)
 
     def _eliminate(self, other):
@@ -420,8 +445,7 @@ class IdealHandle:
         one = Polynomial.constant(field, ext, 1)
         gens = [t * lift(f) for f in self.generators]
         gens += [(one - t) * lift(g) for g in other.generators]
-        basis = buchberger(gens, _ELIMINATE_T,
-                           Budget(self.gb_step_budget, "groebner step budget"))
+        basis = buchberger(gens, _ELIMINATE_T, self._budget())
         # the t-free elements of the reduced basis are the reduced basis of
         # I cap J: the block order is grevlex on t-free monomials, and they
         # are monic, fully reduced and sorted descending
@@ -439,7 +463,7 @@ class IdealHandle:
         inter = self.intersection(self.spawn((f,)))
         quotients = []
         for g in inter.generators:
-            (q,), r = divide(g, (f,))
+            (q,), r = divide(g, (f,), budget=self._budget())
             if not r.is_zero:
                 raise ArithmeticError("intersection member not divisible by f")
             quotients.append(q)
@@ -469,7 +493,10 @@ class IdealHandle:
         the last variable. The substitution x_k -> x_k - (the other x_i of
         f), k = max(support), sends f to x_k, which is then moved last, so
         f is regular on R/I exactly when that variable is on the image.
-        Support (v-1,) is I itself; other images are cached per support."""
+        Support (v-1,) is I itself; other images are cached per support.
+        A linear change of coordinates commutes with intersection, so a
+        linear meet moves its operands, which stay linear, and meets them
+        again without Buchberger; any other handle moves its generators."""
         v = self.context.count
         if support == (v - 1,):
             return self
@@ -477,15 +504,22 @@ class IdealHandle:
         if moved is None:
             k = support[-1]
             order = [i for i in range(v) if i != k] + [k]
-            place = {i: p for p, i in enumerate(order)}
-            one = self.field.one
-            forms = [((one, place[i]),) for i in range(v)]
-            forms[k] = ((one, v - 1),) + tuple(
-                (self.field.neg(one), place[i]) for i in support[:-1])
             context = VariableContext(self.context.names[i] for i in order)
-            gens = [substitute_linear(g, forms, context)
-                    for g in self.generators]
-            moved = IdealHandle(self.field, context, gens, self.gb_step_budget)
+            if self._operands is not None:  # each row under the same map
+                moved = self._linear_meet_handle(context, *(
+                    [[self.field.sub(r[i], r[k]) if i in support else r[i]
+                      for i in order[:-1]] + [r[k]] for r in side]
+                    for side in self._operands))
+            else:
+                place = {i: p for p, i in enumerate(order)}
+                one = self.field.one
+                forms = [((one, place[i]),) for i in range(v)]
+                forms[k] = ((one, v - 1),) + tuple(
+                    (self.field.neg(one), place[i]) for i in support[:-1])
+                gens = [substitute_linear(g, forms, context)
+                        for g in self.generators]
+                moved = IdealHandle(self.field, context, gens,
+                                    self.gb_step_budget)
             with self._lock:
                 moved = self._moved.setdefault(support, moved)
         return moved

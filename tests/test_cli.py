@@ -404,6 +404,29 @@ class TestSharedAnalysis:
         assert json.loads(out)["conditions"]["depth_ge2"] is depth_ge2
         assert colons
 
+    @pytest.mark.parametrize("field", ["Q", "F32003"])
+    @pytest.mark.parametrize("names,ideal,dim,depth_ge2", [
+        ("x,y1,y2", "intersect((x + y1 - 2*y2), (y1 + y2, y2))", 2, False),
+        ("x,y1,y2,y3",
+         "intersect((x - y1 + 2*y2), (y1 + 2*y2 - y3, y2 - 2*y3, y3))",
+         3, False),
+    ], ids=["tilted-line-and-plane", "tilted-hyperplane-3-0"])
+    def test_tilted_family_rings_run_no_buchberger(self, monkeypatch, field,
+                                                   names, ideal, dim,
+                                                   depth_ge2):
+        """A family ring written as a meet of linear forms with one side
+        principal is analyzed with no Buchberger run and no
+        interreduction: its basis is one row reduction, and each moved
+        basis the meet of the moved operands."""
+        runs = count_calls(monkeypatch, groebner, "buchberger")
+        reductions = count_calls(monkeypatch, groebner, "_reduce_basis")
+        report = json.loads(next(run_script(parse_script(
+            f"ring {field}[{names}]\nideal I = {ideal}\nanalyze I\n"),
+            AnalysisConfig(), "json")))
+        assert report["dim"] == dim
+        assert report["conditions"]["depth_ge2"] is depth_ge2
+        assert not runs and not reductions
+
     def test_non_homogeneous_depth_tests_membership_once(self, monkeypatch):
         """Each depth candidate f is tested for membership in I once, by
         is_regular_element, before its colon (I : f) is compared to I."""

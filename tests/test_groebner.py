@@ -251,6 +251,16 @@ class TestMembership:
         assert zero in handle(self.ctx, self.x)
         assert zero in handle(self.ctx)
 
+    def test_step_budget_bounds_normal_forms(self):
+        """A normal form draws on the step budget: x*y in (x) takes one
+        division step, x in (y) none."""
+        h = handle(self.ctx, self.x, gb_step_budget=0)
+        with pytest.raises(BudgetExceededError, match="groebner step budget"):
+            h.contains(self.x * self.y)
+        assert not h.contains(self.y)
+        assert handle(self.ctx, self.x, gb_step_budget=1).contains(
+            self.x * self.y)
+
     def test_la_oracle_agreement(self):
         """Membership agrees with the degree-truncated linear-algebra
         oracle on monomial and homogeneous ideals."""
@@ -498,6 +508,87 @@ class TestIntersection:
                 assert not runs
         assert seen == {True, False}
 
+    @pytest.mark.parametrize("field", FIELDS, ids=str)
+    def test_moved_meets_match_buchberger(self, monkeypatch, field):
+        """A linear meet moved to put a sum of variables last is the meet of
+        its moved operands. On seeded meets in 2-6 variables, principal with
+        f inside and outside the other span and two-sided, with either side
+        first, each moved basis is Buchberger's on the substituted basis of
+        the meet, for sums of 1, 2, 3 and all variables, and the moved
+        handle keeps its moved operands. A principal meet moves with no
+        Buchberger run, a two-sided one with one."""
+        rng = random.Random(5501)
+        runs = count_calls(monkeypatch, groebner, "buchberger")
+        seen = set()
+        for v in range(2, 7):
+            c = ctx(*(f"x{i}" for i in range(v)))
+            xs = variables(field, c)
+            zero = Polynomial(field, c)
+
+            def form():
+                while True:
+                    g = sum((rng.randint(-3, 3) * xi for xi in xs), zero)
+                    if g:
+                        return g
+
+            supports = sorted({tuple(sorted(rng.sample(range(v), size)))
+                               for size in {1, 2, 3, v} if size <= v
+                               for _ in range(2)})
+            for case in ("inside", "outside", "two-sided"):
+                gs = [form() for _ in range(rng.randint(2, min(3, v)))]
+                fs = ([sum((rng.randint(1, 3) * g for g in gs), zero)
+                       or gs[0]] if case == "inside" else
+                      [form() for _ in range(1 if case == "outside" else 2)])
+                i, j = IdealHandle(field, c, fs), IdealHandle(field, c, gs)
+                principal = v - max(i.embedding_dimension(),
+                                    j.embedding_dimension()) == 1
+                for lhs, rhs in ((i, j), (j, i)):
+                    meet = lhs.intersection(rhs)
+                    plain = meet.spawn(meet.generators)
+                    seen.add((principal, len(meet.generators) == 1))
+                    for support in supports:
+                        del runs[:]
+                        moved = meet._moved_to_last(support)
+                        assert len(runs) == int(
+                            not principal and support != (v - 1,))
+                        assert moved.groebner_basis() == buchberger(
+                            plain._moved_to_last(support).generators)
+                        # it keeps the moved operands, which meet in it
+                        assert moved._linear_meet_handle(
+                            moved.context, *moved._operands
+                        ).generators == moved.generators
+        assert {(True, True), (True, False), (False, False)} <= seen
+
+    def test_moved_meets_shared_across_threads(self):
+        """Threads moving one shared linear meet each read, per support,
+        the one published moved handle, whose operands are already set."""
+        import threading
+        meet = tilted_line_and_plane()
+        supports = list(groebner.regular_element_candidates(3))
+        expected = [meet.spawn(meet.generators)._moved_to_last(s)
+                    .groebner_basis() for s in supports]
+        results = []
+
+        def work():
+            moved = [meet._moved_to_last(s) for s in supports]
+            results.append([(m, m._operands is not None, m.groebner_basis())
+                            for m in moved])
+
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work) for _ in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(previous)
+        assert not any(t.is_alive() for t in threads) and len(results) == 8
+        for got in results:
+            assert all(g[0] is h[0] for g, h in zip(got, results[0]))
+            assert [(True, e) for e in expected] == [g[1:] for g in got]
+
     @pytest.mark.parametrize("lhs,rhs", [
         (lambda x, y, z: (x + 1,), lambda x, y, z: (y,)),
         (lambda x, y, z: (x ** 2,), lambda x, y, z: (y, z)),
@@ -692,7 +783,8 @@ class TestMaximalIdealAssociated:
         """The cut's last variable is a zero-divisor, and a generator of
         (I : x_last), read off the cut's stored basis, is a socle element:
         the socle test stops there and computes no moved basis. The whole
-        depth search on the tilted ring computes one, with x moved last."""
+        depth search on the tilted ring runs no Buchberger either: its one
+        moved basis, with x moved last, is the meet of the moved operands."""
         cut = tilted_cut(field)
         runs = count_calls(monkeypatch, groebner, "buchberger")
         assert cut.maximal_ideal_associated()
@@ -701,7 +793,7 @@ class TestMaximalIdealAssociated:
         h = tilted_line_and_plane(field)
         runs.clear()
         assert h.depth_at_least_two().verdict is False
-        assert len(runs) == 1
+        assert len(runs) == 0
 
     @pytest.mark.parametrize("ring,associated", [
         (coordinate_squares, True),
