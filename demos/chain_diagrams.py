@@ -38,13 +38,13 @@ for m, n in pairs:
     short_chain = construct_chain(
         mono,
         MonomialPrime.of(ring.context, *[f"y{i}" for i in range(1, a + 1)]))
-    assert (long_chain.length, short_chain.length) == (n, m)
+    assert (len(long_chain) - 1, len(short_chain) - 1) == (n, m)
     assert verify_chain(mono, long_chain) == []
     assert verify_chain(mono, short_chain) == []
 
     out = pathlib.Path(f"chains_{m}_{n}.dot")
     out.write_text(chain_dot(mono, [long_chain, short_chain]) + "\n")
     print(f"(m,n)=({m},{n}):")
-    print("  ", long_chain)
-    print("  ", short_chain)
+    for chain in (long_chain, short_chain):
+        print("  ", " < ".join(p.render(ring.context) for p in chain))
     print(f"  wrote {out}")

@@ -30,7 +30,6 @@ from .poly import (
     variables,
 )
 from .spectra import (
-    PrimeChain,
     build_poset,
     chain_dot,
     construct_chain,
@@ -52,6 +51,6 @@ __all__ = [
     "MonomialIdeal", "MonomialPrime",
     "GREVLEX", "FieldDescriptor", "Polynomial", "RingPresentation",
     "VariableContext", "divide", "variables",
-    "PrimeChain", "build_poset", "chain_dot", "construct_chain",
-    "noncat_profile", "poset_dot", "verify_chain",
+    "build_poset", "chain_dot", "construct_chain", "noncat_profile",
+    "poset_dot", "verify_chain",
 ]

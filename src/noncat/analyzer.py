@@ -63,9 +63,11 @@ _CHAR_P = ("unsupported (regularity remark check unavailable in "
 
 
 class AnalysisConfig(_Value):
-    """The work budgets of an analysis, each an int >= 0: Buchberger steps
+    """The work budgets of an analysis, each an int >= 0: reduction steps
     per Groebner computation, and regular-element candidates tried by the
-    depth search."""
+    depth search. The step budget bounds each computation on its own, each
+    Buchberger run, linear meet and division, not the analysis as a
+    whole."""
 
     __slots__ = ("gb_step_budget", "regular_candidate_budget")
 
@@ -376,17 +378,17 @@ class _Analysis:
         chain = self.chain(p)
         if isinstance(chain, ChainInfeasibleError):
             return None
-        qprime = chain.primes[-2]
+        qprime = chain[-2]
         if qprime.quotient_dim(self.v) != 1:
             raise AssertionError("chain's last interior node has dim != 1")
-        x_elem = self._witness_regular_start(chain.primes[-3])
+        x_elem = self._witness_regular_start(chain[-3])
         if x_elem is None:
             return None
         ldepth = monomial_depth(self.field, self.mono.localize(qprime),
                                 self.config.regular_candidate_budget)
         if ldepth.verdict is not True:
             return None
-        height = len(qprime.indices) - len(p.indices)
+        height = qprime.mask.bit_count() - p.mask.bit_count()
         return UfdWitness(qprime, height, x_elem, ldepth)
 
     def _witness_regular_start(self, inside):
@@ -396,7 +398,7 @@ class _Analysis:
         exactly when depth T_Q' = 1, which the localized depth certificate
         decides."""
         support = next((s for size in (1, 2) for s in
-                        itertools.combinations(sorted(inside.indices), size)
+                        itertools.combinations(inside.support, size)
                         if self.mono.is_regular(s)), None)
         return (None if support is None
                 else variable_sum(self.field, self.context, support))
@@ -463,7 +465,7 @@ def _report(a):
                 "within the monomial subposet; the verdict stands on "
                 "the characterization conditions")
         else:
-            chain_names = tuple(q.names(a.context) for q in chain.primes)
+            chain_names = tuple(q.names(a.context) for q in chain)
     if verdicts["noncat_ufd"]:
         ufd_witness = a.ufd_search
         if ufd_witness is None:

@@ -41,7 +41,7 @@ from .families import FamilySpec, instantiate
 from .groebner import DEFAULT_REGULAR_CANDIDATE_BUDGET, IdealHandle
 from .monomial import MonomialPrime
 from .poly import DEFAULT_GB_STEP_BUDGET
-from .spectra import PrimeChain, chain_dot, poset_dot, poset_json, poset_text
+from .spectra import chain_dot, poset_dot, poset_json, poset_text
 
 _TRISTATE = {True: "true", False: "false", None: "inconclusive"}
 
@@ -221,8 +221,8 @@ class _Runner:
             # the witness chain, then every associated prime and M alone;
             # the UFD search starts at the same P, so Q' is on the chain
             mono = a.require_monomial("the witness diagram")
-            alone = [PrimeChain(a.context, (p,)) for p in (
-                *mono.associated_primes(), MonomialPrime.maximal(a.v))]
+            alone = [(p,) for p in (*mono.associated_primes(),
+                                    MonomialPrime.maximal(a.v))]
             _, chain = a.noncat_domain
             return chain_dot(mono, [chain, *alone] if chain else alone)
         return report_text(report)
@@ -262,12 +262,13 @@ class _Runner:
             return chain_dot(a.mono, [chain])
         if self.fmt == "json":
             return json.dumps({
-                "chain": [list(p.names(a.context)) for p in chain.primes],
-                "length": chain.length,
+                "chain": [list(p.names(a.context)) for p in chain],
+                "length": len(chain) - 1,
                 "start_height": 0,  # a chain starts at a minimal prime
-                "dims": list(chain.dims),
+                "dims": [p.quotient_dim(a.v) for p in chain],
             })
-        return f"{chain.render()}  (length {chain.length})"
+        return (" < ".join(p.render(a.context) for p in chain)
+                + f"  (length {len(chain) - 1})")
 
 
 def run_script(script, config, fmt):
@@ -299,7 +300,10 @@ def _build_argparser():
                         default="text", help="output format")
     parser.add_argument("--budget-gb-steps", type=_count,
                         default=DEFAULT_GB_STEP_BUDGET,
-                        metavar="N", help="reduction steps per Groebner run")
+                        metavar="N",
+                        help="reduction steps allowed to each Groebner "
+                             "computation (each Buchberger run, linear meet "
+                             "and division), not to a whole analysis")
     parser.add_argument("--budget-regular-candidates", type=_count,
                         default=DEFAULT_REGULAR_CANDIDATE_BUDGET,
                         metavar="N", help="candidates per regular-element search")

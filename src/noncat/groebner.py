@@ -347,7 +347,7 @@ class IdealHandle:
         return self._gb[0]
 
     def _budget(self):
-        return Budget(self.gb_step_budget, "groebner step budget")
+        return Budget(self.gb_step_budget)
 
     def normal_form(self, f):
         basis = self.groebner_basis()

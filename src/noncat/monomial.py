@@ -27,13 +27,14 @@ from .poly import (GREVLEX, Polynomial, VariableContext, _Value, exps_divides,
 
 
 class MonomialPrime(_Value):
-    """Prime ideal generated by a subset of the variables; the empty subset
-    is the zero prime of a domain."""
+    """Prime ideal generated by a set of variables, held as the bitmask
+    `mask`, bit i standing for variable i; the empty set, mask 0, is the
+    zero prime of a domain."""
 
-    __slots__ = ("indices",)
+    __slots__ = ("mask",)
 
-    def __init__(self, indices):
-        self.indices = indices
+    def __init__(self, mask):
+        self.mask = mask
 
     # primes are compared and hashed in every set of Min and Ass, so these
     # skip _fields
@@ -41,37 +42,40 @@ class MonomialPrime(_Value):
     def __eq__(self, other):
         if other.__class__ is not MonomialPrime:
             return NotImplemented
-        return self.indices == other.indices
+        return self.mask == other.mask
 
     def __hash__(self):
-        return hash((self.indices,))
+        return hash((self.mask,))
 
     @classmethod
     def of(cls, context, *names):
-        return cls(frozenset(context.index(n) for n in names))
+        return cls(sum({1 << context.index(n) for n in names}))
 
     @classmethod
     def maximal(cls, var_count):
         """The maximal ideal, generated by every variable."""
-        return cls(frozenset(range(var_count)))
+        return cls((1 << var_count) - 1)
+
+    @property
+    def support(self):
+        """The indices of the prime's variables, ascending."""
+        m = self.mask
+        return tuple([i for i in range(m.bit_length()) if m >> i & 1])
 
     @property
     def sort_key(self):
-        return (len(self.indices), tuple(sorted(self.indices)))
+        return (self.mask.bit_count(), self.support)
 
     def quotient_dim(self, var_count):
         """dim of the residue ring modulo this prime: variables minus rank."""
-        return var_count - len(self.indices)
+        return var_count - self.mask.bit_count()
 
     def contains(self, other):
-        return other.indices <= self.indices
-
-    def contains_exps(self, exps):
-        """Whether the monomial x^exps lies in the prime."""
-        return any(exps[i] for i in self.indices)
+        return other.mask & self.mask == other.mask
 
     def names(self, context):
-        return tuple(context.names[i] for i in sorted(self.indices))
+        m = self.mask
+        return tuple([n for i, n in enumerate(context.names) if m >> i & 1])
 
     @staticmethod
     def label(names):
@@ -80,6 +84,11 @@ class MonomialPrime(_Value):
 
     def render(self, context):
         return self.label(self.names(context))
+
+
+def support_mask(exps):
+    """The variables of the monomial x^exps as a bitmask, bit i for x_i."""
+    return sum(1 << i for i, x in enumerate(exps) if x)
 
 
 def _minimalize(vectors):
@@ -144,9 +153,6 @@ class MonomialIdeal:
     def is_squarefree(self):
         return all(all(e <= 1 for e in g) for g in self.gens)
 
-    def contains_exps(self, exps):
-        return any(exps_divides(g, exps) for g in self.gens)
-
     def intersect(self, other):
         if self.context != other.context:
             raise ValueError("monomial ideals over different contexts")
@@ -180,7 +186,7 @@ class MonomialIdeal:
         """Minimal primes over the ideal: the minimal members of Ass."""
         if self.is_unit:
             raise UnitIdealError("the unit ideal has no minimal primes")
-        return self._decompose()[2]
+        return self._decompose()[3]
 
     def irreducible_components(self):
         """Irredundant irreducible decomposition, built one minimal
@@ -218,23 +224,24 @@ class MonomialIdeal:
         return tuple(comps)
 
     def _decompose(self):
-        """(irreducible components, Ass, Min), computed once. Ass is the
-        set of supports of the irredundant irreducible components, sorted
-        by MonomialPrime.sort_key, and Min its minimal members."""
+        """(irreducible components, their support masks, Ass, Min),
+        computed once. Ass is the set of supports of the irredundant
+        irreducible components, sorted by MonomialPrime.sort_key, and Min
+        its minimal members."""
         with self._lock:
             if self._decomposition is not None:
                 return self._decomposition
         comps = self.irreducible_components()
-        ass = tuple(sorted(
-            {MonomialPrime(frozenset(i for i, x in enumerate(a) if x))
-             for a in comps}, key=lambda p: p.sort_key))
+        supports = tuple(map(support_mask, comps))
+        ass = tuple(sorted(map(MonomialPrime, set(supports)),
+                           key=lambda p: p.sort_key))
         minimal = []
         for p in ass:  # a prime below p lies over a minimal one already met
-            if not any(q.indices < p.indices for q in minimal):
+            if not any(q.mask & p.mask == q.mask for q in minimal):
                 minimal.append(p)
         with self._lock:
             if self._decomposition is None:
-                self._decomposition = (comps, ass, tuple(minimal))
+                self._decomposition = (comps, supports, ass, tuple(minimal))
             return self._decomposition
 
     def primary_components(self):
@@ -243,17 +250,17 @@ class MonomialIdeal:
         components with that radical: unique for a minimal prime, one valid
         choice for an embedded one."""
         meets = {}
-        for a in self._decompose()[0]:
-            s = frozenset(i for i, x in enumerate(a) if x)
+        for a, s in zip(*self._decompose()[:2]):
             c = MonomialIdeal(self.context, (
-                tuple(x if j == i else 0 for j, x in enumerate(a)) for i in s))
+                tuple(x if j == i else 0 for j, x in enumerate(a))
+                for i, y in enumerate(a) if y))
             meets[s] = meets[s].intersect(c) if s in meets else c
-        return tuple((p, meets[p.indices]) for p in self.associated_primes())
+        return tuple((p, meets[p.mask]) for p in self.associated_primes())
 
     def associated_primes(self):
         """Exact Ass(R/I): the supports of the irredundant irreducible
         components, sorted by MonomialPrime.sort_key."""
-        return self._decompose()[1]
+        return self._decompose()[2]
 
     # -- derived facts --
 
@@ -272,15 +279,15 @@ class MonomialIdeal:
         """Whether the sum of the variables at `support` (indices) is regular
         on the quotient: zero divisors form the union of Ass, and a monomial
         prime contains that sum exactly when it contains each variable."""
-        return not any(p.indices.issuperset(support)
-                       for p in self.associated_primes())
+        s = sum(1 << i for i in support)
+        return not any(p.mask & s == s for p in self.associated_primes())
 
     def depth_at_least_two(self):
         """Whether depth R/I >= 2, read off the irredundant irreducible
         components C_b = (x_i^b_i : i in supp b) by Takayama's formula for
         H^1_M (Bull. Math. Soc. Sci. Math. Roumanie 48, 2005), where only
         degrees with at most one negative entry count. pieces(m) is the
-        list of connected pieces, as sets of variables, of the degree
+        list of connected pieces, as variable masks, of the degree
         complex at m - 1: its facets are the variables outside supp d, one
         for each C_d with d >= m on supp d. With M not associated,
         depth < 2 exactly when (a) some b whose support misses only x_i
@@ -299,19 +306,19 @@ class MonomialIdeal:
         if self.maximal_ideal_associated():
             return False
         full = (1 << self.context.count) - 1
-        comps = self._decompose()[0]
-        masks = [sum(1 << i for i, x in enumerate(b) if x) for b in comps]
+        comps, masks = self._decompose()[:2]
 
         def pieces(m):
             found = []
-            for d in comps:
+            for d, k in zip(comps, masks):
                 if all(x >= y for x, y in zip(d, m) if x):
-                    out = frozenset(i for i, x in enumerate(d) if not x)
-                    found = [p for p in found if p.isdisjoint(out)] + [
-                        out.union(*(p for p in found if not p.isdisjoint(out)))]
+                    out = full ^ k  # pieces are disjoint, so sum is union
+                    found = [p for p in found if not p & out] + [
+                        out | sum(p for p in found if p & out)]
             return found
 
-        if any(b.count(0) == 1 and {b.index(0)} in pieces(b) for b in comps):
+        if any((full ^ k).bit_count() == 1 and full ^ k in pieces(b)
+               for b, k in zip(comps, masks)):
             return False
         return all(len(pieces(m)) == 1 for m in {
             tuple(min(x, y) if x and y else x + y for x, y in zip(b, c))
@@ -328,7 +335,7 @@ class MonomialIdeal:
             raise EmptyLocalizationError(
                 f"{prime.render(self.context)} contains no minimal prime; "
                 "the localization is the zero ring")
-        keep = sorted(prime.indices)
+        keep = prime.support
         new_ctx = VariableContext(tuple(self.context.names[i] for i in keep))
         new_gens = []
         for g in self.gens:

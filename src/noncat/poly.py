@@ -576,19 +576,20 @@ def substitute_linear(f, forms, context):
 
 
 class Budget:
-    """Countdown of abstract work steps; raises once exhausted."""
+    """Countdown of the groebner step budget, in abstract work steps, for
+    one computation; raises once exhausted."""
 
-    __slots__ = ("limit", "used", "label")
+    __slots__ = ("limit", "used")
 
-    def __init__(self, limit, label="step budget"):
+    def __init__(self, limit):
         self.limit = limit
         self.used = 0
-        self.label = label
 
     def spend(self, n=1):
         self.used += n
         if self.used > self.limit:
-            raise BudgetExceededError(f"{self.label} exceeded ({self.limit} steps)")
+            raise BudgetExceededError(
+                f"groebner step budget exceeded ({self.limit} steps)")
 
 
 def divide(f, divisors, order=GREVLEX, budget=None):

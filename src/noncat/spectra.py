@@ -19,15 +19,9 @@ import json
 from itertools import combinations
 
 from .errors import BudgetExceededError, ChainInfeasibleError, DegenerateInputError
-from .monomial import MonomialPrime
-from .poly import _Value
+from .monomial import MonomialPrime, support_mask
 
 MAX_POSET_VARS = 16
-
-
-def _mask(prime):
-    """The prime's variable subset as a bitmask, bit i for variable i."""
-    return sum(1 << i for i in prime.indices)
 
 
 def build_poset(ideal):
@@ -44,7 +38,7 @@ def build_poset(ideal):
         raise BudgetExceededError(
             f"poset over {v} variables exceeds the cap of "
             f"{MAX_POSET_VARS} (2^{v} nodes)")
-    supports = [sum(1 << i for i, e in enumerate(g) if e) for g in ideal.gens]
+    supports = [support_mask(g) for g in ideal.gens]
     bits = [1 << i for i in range(v)]
     nodes = []
     for rank in range(v + 1):
@@ -59,36 +53,11 @@ def build_poset(ideal):
     return nodes
 
 
-class PrimeChain(_Value):
-    """Strictly increasing chain of monomial primes; a constructed chain
-    starts at a minimal prime, whose height is 0."""
-
-    __slots__ = ("context", "primes")
-
-    def __init__(self, context, primes):
-        self.context = context
-        self.primes = primes
-
-    @property
-    def length(self):
-        return len(self.primes) - 1
-
-    @property
-    def dims(self):
-        v = self.context.count
-        return tuple(p.quotient_dim(v) for p in self.primes)
-
-    def render(self):
-        return " < ".join(p.render(self.context) for p in self.primes)
-
-    def __str__(self):
-        return self.render()
-
-
 def construct_chain(ideal, start):
     """Saturated chain from a minimal prime of the monomial ideal up to the
-    maximal ideal, of length dim(T/P), every interior node avoiding Ass and
-    containing no minimal prime besides the start.
+    maximal ideal, as the tuple of its primes from the start to M: of
+    length dim(T/P), every interior node avoiding Ass and containing no
+    minimal prime besides the start.
 
     Deterministic: at each step the smallest eligible variable in declared
     order is added. A step with no eligible variable raises, naming the
@@ -106,42 +75,36 @@ def construct_chain(ideal, start):
     if ideal.maximal_ideal_associated():
         raise DegenerateInputError(
             "the maximal ideal is associated; no avoidance chain exists")
-    ass = set(ideal.associated_primes())
+    ass = {p.mask for p in ideal.associated_primes()}
+    min_masks = [p.mask for p in mins]
     chain = [start]
-    current = start.indices
+    current = start.mask
     for step in range(1, n):
-        found = None
         for i in range(v):
-            if i in current:
+            candidate = current | 1 << i
+            if candidate == current or candidate in ass:
                 continue
-            candidate = MonomialPrime(current | {i})
-            if candidate in ass:
-                continue
-            below = [p for p in mins if candidate.contains(p)]
-            if below != [start]:
-                continue
-            found = candidate
-            break
-        if found is None:
+            if [m for m in min_masks if m & candidate == m] == [start.mask]:
+                break
+        else:
             raise ChainInfeasibleError(
                 f"no eligible variable at step {step} above "
                 f"{MonomialPrime(current).render(ctx)}")
-        chain.append(found)
-        current = found.indices
+        current = candidate
+        chain.append(MonomialPrime(current))
     chain.append(MonomialPrime.maximal(v))
-    return PrimeChain(ctx, tuple(chain))
+    return tuple(chain)
 
 
 def verify_chain(ideal, chain, start=None):
-    """Independent checks of a chain against the monomial ideal; returns a
-    list of problems, empty when the chain is valid."""
-    problems = []
-    primes = chain.primes
+    """Independent checks of a chain, a tuple of primes, against the
+    monomial ideal; returns a list of problems, empty when the chain is
+    valid."""
     ctx = ideal.context
-    if len(primes) < 2:
-        problems.append("chain has fewer than two nodes")
-        return problems
-    first, last = primes[0], primes[-1]
+    if len(chain) < 2:
+        return ["chain has fewer than two nodes"]
+    problems = []
+    first, last = chain[0], chain[-1]
     mins = ideal.minimal_primes()
     if start is not None and first != start:
         problems.append("chain does not start at the requested prime")
@@ -149,21 +112,21 @@ def verify_chain(ideal, chain, start=None):
         problems.append(f"start {first.render(ctx)} is not a minimal prime")
     if last != MonomialPrime.maximal(ctx.count):
         problems.append("chain does not end at the maximal ideal")
-    if chain.length != first.quotient_dim(ctx.count):
-        problems.append(
-            f"length {chain.length} differs from dim(T/P) = "
-            f"{first.quotient_dim(ctx.count)}")
+    length, dim = len(chain) - 1, first.quotient_dim(ctx.count)
+    if length != dim:
+        problems.append(f"length {length} differs from dim(T/P) = {dim}")
     ass = set(ideal.associated_primes())
-    for a, b in zip(primes, primes[1:]):
-        if not (a.indices < b.indices):
+    supports = [support_mask(g) for g in ideal.gens]
+    for a, b in zip(chain, chain[1:]):
+        if a == b or not b.contains(a):
             problems.append(f"{b.render(ctx)} does not strictly contain "
                             f"{a.render(ctx)}")
-        elif len(b.indices) - len(a.indices) != 1:
+        elif b.mask.bit_count() - a.mask.bit_count() != 1:
             problems.append(f"step {a.render(ctx)} -> {b.render(ctx)} "
                             "is not saturated")
-        if not all(b.contains_exps(g) for g in ideal.gens):
+        if not all(b.mask & s for s in supports):
             problems.append(f"{b.render(ctx)} does not contain the ideal")
-    for q in primes[1:-1]:
+    for q in chain[1:-1]:
         if q in ass:
             problems.append(f"interior node {q.render(ctx)} is associated")
         below = [p for p in mins if q.contains(p)]
@@ -188,8 +151,8 @@ def noncat_profile(ideal):
 def _marks(ideal):
     """Min, Ass and the maximal ideal of the monomial ideal as variable
     masks."""
-    return ({_mask(p) for p in ideal.minimal_primes()},
-            {_mask(p) for p in ideal.associated_primes()},
+    return ({p.mask for p in ideal.minimal_primes()},
+            {p.mask for p in ideal.associated_primes()},
             (1 << ideal.context.count) - 1)
 
 
@@ -212,7 +175,7 @@ def _rows(ideal):
     height is the largest rank drop to a minimal prime below the node."""
     names = ideal.context.names
     v = ideal.context.count
-    mins = [(_mask(p), len(p.indices)) for p in ideal.minimal_primes()]
+    mins = [(p.mask, p.mask.bit_count()) for p in ideal.minimal_primes()]
     for mask, indices in build_poset(ideal):
         rank = len(indices)
         lowest = min(r for m, r in mins if m & mask == m)
@@ -286,11 +249,12 @@ def poset_text(ideal):
 def chain_dot(ideal, chains):
     """DOT digraph of just the given chains of the monomial ideal, marked
     as in `poset_dot`. Chains meet at shared nodes, and a step shared by
-    several chains is one edge; a length-0 chain adds its node alone."""
+    several chains is one edge; a length-0 chain, `(p,)`, adds its node
+    alone."""
     ctx = ideal.context
-    nodes = sorted({p for chain in chains for p in chain.primes},
+    nodes = sorted({p for chain in chains for p in chain},
                    key=lambda p: p.sort_key)
-    steps = dict.fromkeys((_mask(a), _mask(b)) for chain in chains
-                          for a, b in zip(chain.primes, chain.primes[1:]))
+    steps = dict.fromkeys((a.mask, b.mask) for chain in chains
+                          for a, b in zip(chain, chain[1:]))
     return _digraph("prime_chains", _marks(ideal),
-                    {_mask(p): _quoted(p.render(ctx)) for p in nodes}, steps)
+                    {p.mask: _quoted(p.render(ctx)) for p in nodes}, steps)

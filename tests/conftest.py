@@ -57,8 +57,8 @@ def brute_minimal_covers(supports, v):
 def ref_height(ideal, q):
     """Height of the monomial prime q over the monomial ideal: the largest
     rank drop to a minimal prime below it."""
-    return max(len(q.indices) - len(p.indices)
-               for p in ideal.minimal_primes() if p.indices <= q.indices)
+    return max(q.mask.bit_count() - p.mask.bit_count()
+               for p in ideal.minimal_primes() if q.contains(p))
 
 
 def brute_dimension(gens, v):

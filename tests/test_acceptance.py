@@ -101,8 +101,8 @@ def test_criterion_4_two_chain_lengths():
                                        *[f"y{i}" for i in range(1, a + 1)])
             long_chain = construct_chain(mono, p_line)
             short_chain = construct_chain(mono, p_block)
-            assert long_chain.length == n
-            assert short_chain.length == m
+            assert len(long_chain) - 1 == n
+            assert len(short_chain) - 1 == m
             assert verify_chain(mono, long_chain, p_line) == []
             assert verify_chain(mono, short_chain, p_block) == []
             elapsed = time.perf_counter() - start_time
@@ -143,8 +143,9 @@ def test_criterion_6_oracle_equivalence():
             checked += 1
             supports = [frozenset(i for i, e in enumerate(g) if e)
                         for g in mono.gens]
-            assert {p.indices for p in mono.minimal_primes()} == \
-                brute_minimal_covers(supports, v)
+            assert {p.mask for p in mono.minimal_primes()} == {
+                sum(1 << i for i in s)
+                for s in brute_minimal_covers(supports, v)}
             expected_dim = brute_dimension(mono.gens, v)
             assert mono.dimension() == expected_dim
             handle = IdealHandle(QQ, c, mono.to_polynomials(QQ))

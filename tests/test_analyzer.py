@@ -36,7 +36,7 @@ from noncat.poly import (
     RingPresentation,
     variables,
 )
-from noncat.spectra import PrimeChain, construct_chain, verify_chain
+from noncat.spectra import construct_chain, verify_chain
 
 from conftest import (
     QQ,
@@ -599,10 +599,9 @@ class TestAnalyzeReports:
                                                   ring.generators)
             handle = IdealHandle.from_presentation(ring)
             if report.verdicts["noncat_domain"]:
-                primes = tuple(MonomialPrime.of(ring.context, *names)
-                               for names in report.witnesses.chain)
+                chain = tuple(MonomialPrime.of(ring.context, *names)
+                              for names in report.witnesses.chain)
                 p = MonomialPrime.of(ring.context, *report.witnesses.P)
-                chain = PrimeChain(ring.context, primes)
                 assert verify_chain(mono, chain, p) == []
                 d = p.quotient_dim(ring.context.count)
                 assert 1 < d < report.dim

@@ -9,7 +9,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from noncat import groebner
-from noncat.errors import BudgetExceededError, DegenerateInputError, UnitIdealError
+from noncat.errors import (
+    BudgetExceededError,
+    ContextMismatchError,
+    DegenerateInputError,
+    UnitIdealError,
+)
 from noncat.groebner import IdealHandle, buchberger
 from noncat.monomial import MonomialIdeal
 from noncat.poly import (
@@ -611,8 +616,9 @@ class TestIntersection:
             lhs.intersection(handle(c, x + z, y + w))
 
     def test_step_budget_bounds_the_principal_interreduction(self):
-        """(b + c) cap (a + b, c): reducing (b + c)(a + b) by (b + c)c takes
-        one division step, drawn on the step budget."""
+        """(b + c) cap (a + b, c): the coefficient rows of (b + c)(a + b)
+        and (b + c)c are in echelon form already, and reducing them clears
+        one entry, the bc of the first row, drawn on the step budget."""
         c = ctx("a", "b", "cc")
         a, b, cc = variables(QQ, c)
         with pytest.raises(BudgetExceededError, match="groebner step budget"):
@@ -650,6 +656,41 @@ class TestIntersection:
                     g.is_term for g in got.generators)
 
 
+class TestInputChecks:
+    """Handles refuse generators and operands from another ring, and the
+    unit ideal, which presents no ring, has no socle test."""
+
+    def test_generator_from_another_ring(self):
+        c = ctx("x", "y")
+        for field, context in ((QQ, ctx("x", "z")), (FieldDescriptor(7), c)):
+            g = variables(field, context)[0]
+            with pytest.raises(ContextMismatchError,
+                               match="^generators must match the handle's "
+                                     "field and context$"):
+                IdealHandle(QQ, c, (g,))
+
+    def test_equals_and_intersection_across_rings(self):
+        c = ctx("x", "y")
+        h = handle(c, variables(QQ, c)[0])
+        others = (IdealHandle(FieldDescriptor(7), c,
+                              variables(FieldDescriptor(7), c)[:1]),
+                  handle(ctx("x", "z")))
+        for other in others:
+            for a, b in ((h, other), (other, h)):
+                for op in (a.equals, a.intersection):
+                    with pytest.raises(ContextMismatchError,
+                                       match="^ideals over different rings$"):
+                        op(b)
+
+    def test_unit_ideal_has_no_socle_test(self):
+        c = ctx("x", "y")
+        x, y = variables(QQ, c)
+        for gens in ((Polynomial.constant(QQ, c, 1),), (x + 1, x)):
+            with pytest.raises(UnitIdealError, match="^the unit ideal does "
+                               "not present a ring$"):
+                handle(c, *gens).maximal_ideal_associated()
+
+
 class TestQuotient:
     def setup_method(self):
         self.ctx = ctx("x", "y", "z")
@@ -673,6 +714,17 @@ class TestQuotient:
         h = handle(self.ctx, self.x)
         zero = Polynomial(QQ, self.ctx)
         assert h.quotient_element(zero).is_unit_ideal
+
+    def test_colon_by_the_zero_ideal_is_the_unit_ideal(self):
+        """(I : 0) = R, for the zero ideal with or without zero
+        generators."""
+        one = Polynomial.constant(QQ, self.ctx, 1)
+        for h in (handle(self.ctx, self.x * self.y), handle(self.ctx)):
+            for zero in (handle(self.ctx),
+                         handle(self.ctx, Polynomial(QQ, self.ctx))):
+                colon = h.quotient(zero)
+                assert colon.generators == (one,)
+                assert colon.is_unit_ideal
 
     def test_monotone_and_regularity_boundary(self):
         rng = random.Random(7)

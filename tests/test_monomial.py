@@ -12,7 +12,7 @@ from noncat.analyzer import monomial_depth
 from noncat.errors import EmptyLocalizationError, UnitIdealError, UnsupportedInputError
 from noncat.groebner import DEFAULT_REGULAR_CANDIDATE_BUDGET, IdealHandle
 from noncat.monomial import MonomialIdeal, MonomialPrime
-from noncat.poly import FieldDescriptor, variables
+from noncat.poly import FieldDescriptor, exps_divides, variables
 
 from conftest import (
     QQ,
@@ -47,31 +47,95 @@ class TestMinimalGenerators:
         assert not mono(c, (1,)).is_unit
         assert mono(c).is_zero
 
+    @pytest.mark.parametrize("vector,message", [
+        ((1,), "exponent vector length does not match context"),
+        ((1, 0, 0), "exponent vector length does not match context"),
+        ((1, -1), "exponents must be nonnegative")])
+    def test_malformed_exponent_vector(self, vector, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            mono(ctx("x", "y"), (1, 1), vector)
+
+    @pytest.mark.parametrize("call,message", [
+        (lambda i: i.irreducible_components(),
+         "the unit ideal has no decomposition"),
+        (lambda i: i.dimension(), "the unit ideal has no Krull dimension"),
+        (lambda i: i.localize(MonomialPrime.maximal(2)),
+         "cannot localize the unit ideal")],
+        ids=["irreducible_components", "dimension", "localize"])
+    def test_unit_ideal_refused(self, call, message):
+        unit = mono(ctx("x", "y"), (1, 0), (0, 0))
+        with pytest.raises(UnitIdealError, match=f"^{message}$"):
+            call(unit)
+
 
 class TestPrimeValue:
-    """A monomial prime compares and hashes by its index set alone, and
-    prints as MonomialPrime(indices=...)."""
+    """A monomial prime is the bitmask of its variables, bit i for variable
+    i: it compares and hashes by that int alone, and prints as
+    MonomialPrime(mask=...)."""
 
-    def test_equality_and_hash_follow_the_indices(self):
+    def test_equality_and_hash_follow_the_mask(self):
         c = ctx("x", "y", "z")
         p = MonomialPrime.of(c, "x", "z")
-        assert p == MonomialPrime(frozenset({0, 2}))
-        assert p == MonomialPrime(indices=frozenset({2, 0}))
+        assert p == MonomialPrime(0b101)
+        assert p == MonomialPrime(mask=5)
         assert p != MonomialPrime.of(c, "x")
-        assert hash(p) == hash(MonomialPrime(frozenset({0, 2})))
-        assert hash(p) == hash((frozenset({0, 2}),))
+        assert hash(p) == hash(MonomialPrime(0b101))
+        assert hash(p) == hash((5,))
         assert len({p, MonomialPrime.of(c, "z", "x"), MonomialPrime.of(c)}) == 2
 
-    def test_unequal_to_its_index_set(self):
-        indices = frozenset({0})
-        assert MonomialPrime(indices) != indices
-        assert MonomialPrime(indices) != (indices,)
+    def test_unequal_to_its_mask(self):
+        assert MonomialPrime(1) != 1
+        assert MonomialPrime(1) != (1,)
 
     def test_repr(self):
-        assert repr(MonomialPrime(frozenset({1}))) == (
-            "MonomialPrime(indices=frozenset({1}))")
-        assert repr(MonomialPrime(frozenset())) == (
-            "MonomialPrime(indices=frozenset())")
+        assert repr(MonomialPrime(2)) == "MonomialPrime(mask=2)"
+        assert repr(MonomialPrime(0)) == "MonomialPrime(mask=0)"
+
+    def test_the_mask_is_its_one_field(self):
+        p = MonomialPrime(0b11)
+        assert MonomialPrime.__slots__ == ("mask",)
+        assert not hasattr(p, "indices")
+        with pytest.raises(AttributeError):
+            p.other = 1
+
+    def test_of_counts_a_repeated_name_once(self):
+        c = ctx("x", "y", "z")
+        assert MonomialPrime.of(c, "z", "x", "z").mask == 0b101
+        assert MonomialPrime.of(c).mask == 0
+
+    def test_maximal_rank_and_containment(self):
+        c = ctx("x", "y", "z", "v")
+        top = MonomialPrime.maximal(4)
+        assert top.mask == 0b1111 and MonomialPrime.maximal(0).mask == 0
+        assert top.quotient_dim(4) == 0
+        xz = MonomialPrime.of(c, "x", "z")
+        assert xz.quotient_dim(4) == 2 and MonomialPrime(0).quotient_dim(4) == 4
+        assert top.contains(xz) and xz.contains(xz)
+        assert xz.contains(MonomialPrime(0))
+        assert not xz.contains(MonomialPrime.of(c, "x", "y"))
+        assert not xz.contains(top)
+
+    def test_support_names_and_render_read_the_set_bits(self):
+        c = ctx("x", "y", "z", "v")
+        p = MonomialPrime.of(c, "v", "y")
+        assert p.support == (1, 3)
+        assert p.names(c) == ("y", "v")
+        assert p.render(c) == "(y,v)"
+        assert MonomialPrime(0).support == ()
+        assert MonomialPrime(0).render(c) == "(0)"
+
+    def test_sort_key_is_rank_then_ascending_indices(self):
+        """The order of Ass, Min and every rendering: by rank, then by the
+        ascending index tuples compared lexicographically, as when a prime
+        was a frozenset of indices."""
+        v = 5
+        primes = [MonomialPrime(m) for m in range(1 << v)]
+        random.Random(5).shuffle(primes)
+        by_sets = sorted(primes, key=lambda p: (
+            bin(p.mask).count("1"), [i for i in range(v) if p.mask >> i & 1]))
+        assert sorted(primes, key=lambda p: p.sort_key) == by_sets
+        assert [p.support for p in by_sets] == [
+            s for r in range(v + 1) for s in itertools.combinations(range(v), r)]
 
 
 class TestMinimalPrimes:
@@ -90,7 +154,7 @@ class TestMinimalPrimes:
 
     def test_zero_ideal(self):
         c = ctx("x", "y")
-        assert mono(c).minimal_primes() == (MonomialPrime(frozenset()),)
+        assert mono(c).minimal_primes() == (MonomialPrime(0),)
 
     def test_unit_ideal_raises(self):
         c = ctx("x")
@@ -110,7 +174,8 @@ class TestMinimalPrimes:
                 supports = [frozenset(i for i, e in enumerate(g) if e)
                             for g in ideal.gens]
                 expected = brute_minimal_covers(supports, v)
-                assert {p.indices for p in ideal.minimal_primes()} == expected
+                assert {p.mask for p in ideal.minimal_primes()} == {
+                    sum(1 << i for i in s) for s in expected}
 
 
 class TestAssociatedPrimes:
@@ -126,7 +191,7 @@ class TestAssociatedPrimes:
 
     def test_zero_ideal(self):
         c = ctx("x", "y")
-        assert mono(c).associated_primes() == (MonomialPrime(frozenset()),)
+        assert mono(c).associated_primes() == (MonomialPrime(0),)
 
     def test_min_subset_ass_squarefree_equality(self):
         rng = random.Random(23)
@@ -324,7 +389,8 @@ class TestCrossEngine:
             h = IdealHandle(QQ, c, ideal.to_polynomials(QQ))
             assert h.krull_dimension() == expected
             mins = ideal.minimal_primes()
-            assert ideal.dimension() == v - min(len(p.indices) for p in mins)
+            assert ideal.dimension() == v - min(p.mask.bit_count()
+                                                for p in mins)
 
     def test_monomial_regularity_matches_colon_test(self):
         rng = random.Random(53)
@@ -359,12 +425,12 @@ class TestCrossEngine:
             if ideal.is_unit:
                 continue
             ass = set(ideal.associated_primes())
-            supports = [frozenset(i for i, e in enumerate(g) if e)
+            supports = [sum(1 << i for i, e in enumerate(g) if e)
                         for g in ideal.gens]
             for size in range(1, v + 1):
                 for combo in itertools.combinations(range(v), size):
-                    prime = MonomialPrime(frozenset(combo))
-                    if not all(prime.indices & s for s in supports):
+                    prime = MonomialPrime(sum(1 << i for i in combo))
+                    if not all(prime.mask & s for s in supports):
                         continue
                     # localizing at the top prime changes nothing
                     local = ideal.localize(prime)
@@ -433,7 +499,7 @@ def hochster_depth_at_least_two(ideal):
     or a single, hence isolated, vertex."""
     v = ideal.context.count
     faces = [f for f in itertools.product((0, 1), repeat=v)
-             if not ideal.contains_exps(f)]
+             if not any(exps_divides(g, f) for g in ideal.gens)]
     facets = [set(i for i, x in enumerate(f) if x) for f in faces
               if not any(g != f and all(a <= b for a, b in zip(f, g))
                          for g in faces)]

@@ -111,6 +111,44 @@ class TestField:
             FieldDescriptor(2 ** 64 + 13)
 
 
+class TestInputChecks:
+    """Each malformed argument is refused with its message."""
+
+    def test_gf_p_inverse_of_zero(self):
+        f = FieldDescriptor(7)
+        for zero in (0, 7, -14):
+            with pytest.raises(ZeroDivisionError, match="^inverse of zero "
+                               "in GF\\(p\\)$"):
+                f.inv(zero)
+
+    def test_term_of_the_wrong_length(self):
+        c = ctx("x", "y")
+        for exps in ((1,), (1, 0, 0)):
+            with pytest.raises(ContextMismatchError,
+                               match="^term length does not match the "
+                                     "context$"):
+                Polynomial(QQ, c, ((1, exps),))
+            with pytest.raises(ContextMismatchError,
+                               match="^term length does not match the "
+                                     "context$"):
+                variables(QQ, c)[0].term_multiple(1, exps)
+
+    def test_leading_term_of_zero(self):
+        zero = Polynomial(QQ, ctx("x"))
+        for order in (GREVLEX, BlockEliminationOrder(1)):
+            with pytest.raises(ValueError, match="^the zero polynomial has "
+                               "no leading term$"):
+                zero.leading_term(order)
+
+    def test_negative_or_non_integer_power(self):
+        x, = variables(QQ, ctx("x"))
+        for n in (-1, 2.0):
+            with pytest.raises(ValueError, match="^polynomial powers must be "
+                               "nonnegative integers$"):
+                x ** n
+        assert x ** 0 == Polynomial.constant(QQ, x.context, 1)
+
+
 class TestValueSemantics:
     """Fields, block orders and presentations compare and hash by type and
     fields, print as Name(field=value, ...), and check their input."""

@@ -18,7 +18,6 @@ from noncat.monomial import MonomialIdeal, MonomialPrime
 from noncat.poly import RingPresentation
 from noncat.spectra import (
     MAX_POSET_VARS,
-    PrimeChain,
     build_poset,
     chain_dot,
     construct_chain,
@@ -47,14 +46,27 @@ def family_ideal(a, b):
     return MonomialIdeal(c, gens)
 
 
-def names_of(chain):
-    return [p.names(chain.context) for p in chain.primes]
+def names_of(chain, context):
+    return [p.names(context) for p in chain]
+
+
+def bits(prime):
+    """The indices of the prime's variables, read off its mask bit by bit."""
+    return frozenset(i for i in range(prime.mask.bit_length())
+                     if prime.mask >> i & 1)
+
+
+def prime_of(indices):
+    """The prime generated by the variables at the given indices."""
+    return MonomialPrime(sum(1 << i for i in set(indices)))
 
 
 def nodes_of(ideal):
-    """Every node of the ideal's poset as a prime, in canonical order."""
-    return tuple(MonomialPrime(frozenset(indices))
-                 for _, indices in build_poset(ideal))
+    """Every node of the ideal's poset as a prime, in canonical order; the
+    index tuple of each node lists its mask's bits."""
+    poset = build_poset(ideal)
+    assert all(tuple(sorted(bits(MonomialPrime(m)))) == i for m, i in poset)
+    return tuple(MonomialPrime(mask) for mask, _ in poset)
 
 
 class TestBuildPoset:
@@ -73,7 +85,7 @@ class TestBuildPoset:
         c = ctx("x", "y")
         nodes = nodes_of(MonomialIdeal(c, ()))
         assert len(nodes) == 4
-        assert MonomialPrime(frozenset()) in nodes
+        assert MonomialPrime(0) in nodes
 
     def test_maximal_ideal_single_node(self):
         c = ctx("x", "y")
@@ -96,8 +108,8 @@ class TestBuildPoset:
             build_poset(MonomialIdeal(ctx(*[f"v{i}" for i in range(17)]), ()))
         # the cap guards only the 2^v node list; chains need no poset
         zero = MonomialIdeal(ctx(*[f"v{i}" for i in range(18)]), ())
-        chain = construct_chain(zero, MonomialPrime(frozenset()))
-        assert chain.length == 18
+        chain = construct_chain(zero, MonomialPrime(0))
+        assert len(chain) - 1 == 18
 
 
 def row_heights(ideal):
@@ -165,28 +177,28 @@ class TestConstructChain:
         ideal = family_ideal(2, 2)
         c = ideal.context
         chain = construct_chain(ideal, MonomialPrime.of(c, "y1", "y2"))
-        assert names_of(chain) == [("y1", "y2"), ("y1", "y2", "z1"),
-                                   ("y1", "y2", "z1", "z2"),
-                                   ("x", "y1", "y2", "z1", "z2")]
-        assert chain.length == 3
+        assert names_of(chain, c) == [("y1", "y2"), ("y1", "y2", "z1"),
+                                      ("y1", "y2", "z1", "z2"),
+                                      ("x", "y1", "y2", "z1", "z2")]
+        assert len(chain) - 1 == 3
 
     def test_family_chain_from_line(self):
         # greedy tie-breaking picks the earliest declared eligible variable
         ideal = family_ideal(2, 2)
         c = ideal.context
         chain = construct_chain(ideal, MonomialPrime.of(c, "x"))
-        assert chain.length == 4
-        assert chain.primes[0] == MonomialPrime.of(c, "x")
-        assert names_of(chain) == [("x",), ("x", "y1"), ("x", "y1", "z1"),
-                                   ("x", "y1", "z1", "z2"),
-                                   ("x", "y1", "y2", "z1", "z2")]
+        assert type(chain) is tuple and len(chain) - 1 == 4
+        assert chain[0] == MonomialPrime.of(c, "x")
+        assert chain[-1] == MonomialPrime.maximal(c.count)
+        assert names_of(chain, c) == [("x",), ("x", "y1"), ("x", "y1", "z1"),
+                                      ("x", "y1", "z1", "z2"),
+                                      ("x", "y1", "y2", "z1", "z2")]
 
     def test_zero_ideal_chain(self):
         c = ctx("x", "y")
-        chain = construct_chain(MonomialIdeal(c, ()),
-                                MonomialPrime(frozenset()))
-        assert names_of(chain) == [(), ("x",), ("x", "y")]
-        assert chain.length == 2
+        chain = construct_chain(MonomialIdeal(c, ()), MonomialPrime(0))
+        assert names_of(chain, c) == [(), ("x",), ("x", "y")]
+        assert len(chain) - 1 == 2
 
     def test_only_minimal_primes_accepted(self):
         ideal = family_ideal(2, 2)
@@ -232,24 +244,71 @@ class TestConstructChain:
         c = ideal.context
         good = construct_chain(ideal, MonomialPrime.of(c, "y1", "y2"))
         # skip a link: no longer saturated and too short
-        broken = PrimeChain(c, (good.primes[0], good.primes[2],
-                                good.primes[3]))
+        broken = (good[0], good[2], good[3])
         assert verify_chain(ideal, broken) != []
         # interior node picking up a second minimal prime
-        detour = PrimeChain(c, (good.primes[0],
-                                MonomialPrime.of(c, "x", "y1", "y2"),
-                                MonomialPrime.of(c, "x", "y1", "y2", "z1"),
-                                good.primes[3]))
+        detour = (good[0], MonomialPrime.of(c, "x", "y1", "y2"),
+                  MonomialPrime.of(c, "x", "y1", "y2", "z1"), good[3])
         assert any("minimal primes" in p for p in verify_chain(ideal, detour))
         # nodes that miss a generator x*y_i do not contain the ideal
-        outside = PrimeChain(c, tuple(MonomialPrime.of(c, *names) for names in (
+        outside = tuple(MonomialPrime.of(c, *names) for names in (
             ("z1",), ("z1", "z2"), ("y1", "z1", "z2"),
-            ("x", "y1", "z1", "z2"), ("x", "y1", "y2", "z1", "z2"))))
+            ("x", "y1", "z1", "z2"), ("x", "y1", "y2", "z1", "z2")))
         problems = verify_chain(ideal, outside)
         assert "(z1,z2) does not contain the ideal" in problems
         assert "(y1,z1,z2) does not contain the ideal" in problems
         assert not any(p.startswith("(x,y1,z1,z2) does not")
                        for p in problems)
+
+
+class TestVerifyChainProblems:
+    """Each problem branch of verify_chain, with its exact text."""
+
+    def setup_method(self):
+        self.ideal = family_ideal(2, 2)
+        self.c = self.ideal.context
+        self.good = construct_chain(self.ideal,
+                                    MonomialPrime.of(self.c, "y1", "y2"))
+
+    def test_fewer_than_two_nodes(self):
+        for chain in ((), self.good[:1]):
+            assert verify_chain(self.ideal, chain) == [
+                "chain has fewer than two nodes"]
+
+    def test_start_other_than_the_requested_prime(self):
+        assert verify_chain(self.ideal, self.good,
+                            MonomialPrime.of(self.c, "x")) == [
+            "chain does not start at the requested prime"]
+
+    def test_last_node_other_than_m(self):
+        assert verify_chain(self.ideal, self.good[:-1]) == [
+            "chain does not end at the maximal ideal",
+            "length 2 differs from dim(T/P) = 3"]
+
+    def test_repeated_node_is_no_strict_containment(self):
+        g = self.good
+        assert verify_chain(self.ideal, (g[0], g[1], g[1], g[2], g[3])) == [
+            "length 4 differs from dim(T/P) = 3",
+            "(y1,y2,z1) does not strictly contain (y1,y2,z1)"]
+
+    def test_step_to_an_incomparable_node(self):
+        chain = tuple(MonomialPrime.of(self.c, *names) for names in (
+            ("x",), ("x", "y1"), ("x", "z1"), ("x", "z1", "z2"),
+            ("x", "y1", "y2", "z1", "z2")))
+        assert verify_chain(self.ideal, chain) == [
+            "(x,z1) does not strictly contain (x,y1)",
+            "step (x,z1,z2) -> (x,y1,y2,z1,z2) is not saturated"]
+
+    def test_associated_interior_node(self):
+        """(x^2, x*y) has the embedded prime (x,y) below M = (x,y,z): the
+        constructed chain passes (x,z) instead."""
+        c = ctx("x", "y", "z")
+        ideal = MonomialIdeal(c, ((2, 0, 0), (1, 1, 0)))
+        start = MonomialPrime.of(c, "x")
+        assert construct_chain(ideal, start)[1] == MonomialPrime.of(c, "x", "z")
+        through = (start, MonomialPrime.of(c, "x", "y"), MonomialPrime.maximal(3))
+        assert verify_chain(ideal, through, start) == [
+            "interior node (x,y) is associated"]
 
 
 class TestProfile:
@@ -300,23 +359,23 @@ class TestGradedness:
 
             def upper_covers(prime):
                 """The primes one variable above, nodes or not."""
-                return [MonomialPrime(prime.indices | {i})
-                        for i in range(v) if i not in prime.indices]
+                return [prime_of(bits(prime) | {i})
+                        for i in range(v) if i not in bits(prime)]
 
             def saturated_lengths(lo, hi):
                 if lo == hi:
                     yield 0
                     return
                 for q in upper_covers(lo):
-                    if q in node_set and q.indices <= hi.indices:
+                    if q in node_set and bits(q) <= bits(hi):
                         for rest in saturated_lengths(q, hi):
                             yield rest + 1
 
             pairs = 0
             for lo, hi in itertools.combinations(nodes, 2):
-                if lo.indices < hi.indices:
+                if bits(lo) < bits(hi):
                     pairs += 1
-                    expected = len(hi.indices) - len(lo.indices)
+                    expected = len(bits(hi)) - len(bits(lo))
                     assert set(saturated_lengths(lo, hi)) == {expected}
                     if pairs > 25:
                         break
@@ -335,7 +394,7 @@ class TestDot:
         c = ideal.context
         left = construct_chain(ideal, MonomialPrime.of(c, "x"))
         right = construct_chain(ideal, MonomialPrime.of(c, "y1", "y2"))
-        assert (left.length, right.length) == (4, 3)
+        assert (len(left) - 1, len(right) - 1) == (4, 3)
         dot = chain_dot(ideal, [left, right])
         edges = [line for line in dot.splitlines() if "->" in line]
         assert len(edges) == 7  # the chains share only the top node
@@ -347,7 +406,7 @@ class TestDot:
             chain = construct_chain(ideal, p)
             dot = chain_dot(ideal, [chain])
             edges = [line for line in dot.splitlines() if "->" in line]
-            assert len(edges) == chain.length
+            assert len(edges) == len(chain) - 1
 
     def test_deterministic_output(self):
         assert poset_dot(family_ideal(2, 2)) == poset_dot(family_ideal(2, 2))
@@ -356,7 +415,8 @@ class TestDot:
 # -- reference renderings: the frozenset algorithm the mask walk replaced --
 
 def ref_nodes(ideal):
-    """Every node by brute force over frozenset subsets, sorted."""
+    """Every node by brute force over frozenset subsets, sorted by size
+    and then by the ascending index lists."""
     v = ideal.context.count
     supports = [frozenset(i for i, e in enumerate(g) if e)
                 for g in ideal.gens]
@@ -365,20 +425,20 @@ def ref_nodes(ideal):
         for subset in itertools.combinations(range(v), r):
             subset = frozenset(subset)
             if all(subset & s for s in supports):
-                found.append(MonomialPrime(subset))
-    found.sort(key=lambda p: p.sort_key)
-    return tuple(found)
+                found.append(subset)
+    found.sort(key=lambda s: (len(s), sorted(s)))
+    return tuple(map(prime_of, found))
 
 
 def ref_marks(ideal):
     """Min, Ass and the maximal ideal of the ideal."""
     return (ideal.minimal_primes(), ideal.associated_primes(),
-            MonomialPrime(frozenset(range(ideal.context.count))))
+            prime_of(range(ideal.context.count)))
 
 
 def ref_covers(ideal, p):
-    return [MonomialPrime(p.indices | {i})
-            for i in range(ideal.context.count) if i not in p.indices]
+    return [prime_of(bits(p) | {i})
+            for i in range(ideal.context.count) if i not in bits(p)]
 
 
 def ref_digraph(name, ideal, nodes, edges):
@@ -412,11 +472,11 @@ def ref_poset_dot(ideal):
 def ref_chain_dot(ideal, chains):
     """The chains' primes, rank by rank and lexicographic within a rank,
     and each step once, in the order the chains first take it."""
-    nodes = sorted({p for chain in chains for p in chain.primes},
-                   key=lambda p: (len(p.indices), sorted(p.indices)))
+    nodes = sorted({p for chain in chains for p in chain},
+                   key=lambda p: (len(bits(p)), sorted(bits(p))))
     steps = []
     for chain in chains:
-        for step in zip(chain.primes, chain.primes[1:]):
+        for step in zip(chain, chain[1:]):
             if step not in steps:
                 steps.append(step)
     return ref_digraph("prime_chains", ideal, nodes, steps)
