@@ -40,8 +40,8 @@ from .errors import ContextMismatchError, DegenerateInputError, UnitIdealError
 from .monomial import MonomialIdeal
 from .poly import (
     DEFAULT_GB_STEP_BUDGET,
+    ELIMINATION,
     GREVLEX,
-    BlockEliminationOrder,
     Budget,
     Polynomial,
     VariableContext,
@@ -56,10 +56,6 @@ from .poly import (
 )
 
 DEFAULT_REGULAR_CANDIDATE_BUDGET = 200
-
-# the one order instance intersection uses, so every polynomial's cached
-# lead under it is found again (Polynomial.leading_term compares by identity)
-_ELIMINATE_T = BlockEliminationOrder(1)
 
 
 def s_polynomial(f, g, order=GREVLEX):
@@ -162,7 +158,7 @@ def _all_linear(gens):
 
 def _coefficients(f):
     """The coefficient vector of the linear part of f, as a list."""
-    row = [f.field.zero] * f.context.count
+    row = [0] * f.context.count
     for c, e in f.pairs():
         if sum(e) == 1:
             row[e.index(1)] = c
@@ -228,7 +224,7 @@ def _linear_meet(field, context, a, b, budget):
         exps = [tuple((k == i) + (k == j) for k in range(v)) for i, j in quads]
         return tuple(Polynomial._canonical(field, context, tuple(
             (c, e) for c, e in zip(r, exps) if c)) for r in rows)
-    stacked = [r + r for r in a] + [r + [field.zero] * v for r in b]
+    stacked = [r + r for r in a] + [r + [0] * v for r in b]
     meet = _linear_forms(field, context, [
         r[v:] for r in _row_reduce(field, stacked) if not any(r[:v])])
     return buchberger(meet + [f * g for f in _linear_forms(field, context, xs)
@@ -445,9 +441,9 @@ class IdealHandle:
         one = Polynomial.constant(field, ext, 1)
         gens = [t * lift(f) for f in self.generators]
         gens += [(one - t) * lift(g) for g in other.generators]
-        basis = buchberger(gens, _ELIMINATE_T, self._budget())
+        basis = buchberger(gens, ELIMINATION, self._budget())
         # the t-free elements of the reduced basis are the reduced basis of
-        # I cap J: the block order is grevlex on t-free monomials, and they
+        # I cap J: the order is grevlex on t-free monomials, and they
         # are monic, fully reduced and sorted descending
         kept = []
         for g in basis:
@@ -512,10 +508,9 @@ class IdealHandle:
                     for side in self._operands))
             else:
                 place = {i: p for p, i in enumerate(order)}
-                one = self.field.one
-                forms = [((one, place[i]),) for i in range(v)]
-                forms[k] = ((one, v - 1),) + tuple(
-                    (self.field.neg(one), place[i]) for i in support[:-1])
+                forms = [((1, place[i]),) for i in range(v)]
+                forms[k] = ((1, v - 1),) + tuple(
+                    (self.field.neg(1), place[i]) for i in support[:-1])
                 gens = [substitute_linear(g, forms, context)
                         for g in self.generators]
                 moved = IdealHandle(self.field, context, gens,

@@ -136,7 +136,7 @@ class MonomialIdeal:
 
     def to_polynomials(self, field):
         """The reduced grevlex basis: monic minimal generators, descending."""
-        return tuple(Polynomial(field, self.context, ((field.one, e),))
+        return tuple(Polynomial(field, self.context, ((1, e),))
                      for e in sorted(self.gens, key=GREVLEX.descending_key))
 
     # -- basic structure --

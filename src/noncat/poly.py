@@ -120,14 +120,6 @@ class FieldDescriptor(_Value):
     def is_prime_field(self):
         return self.characteristic != 0
 
-    @property
-    def zero(self):
-        return 0
-
-    @property
-    def one(self):
-        return 1
-
     def coerce(self, value):
         """Turn an int or Fraction into a canonical element of the field."""
         p = self.characteristic
@@ -182,9 +174,6 @@ class FieldDescriptor(_Value):
 
     def div(self, a, b):
         return self.mul(a, self.inv(b))
-
-    def render(self, a):
-        return str(a)
 
     def __str__(self):
         return f"F{self.characteristic}" if self.characteristic else "Q"
@@ -266,23 +255,21 @@ class _GrevlexOrder:
 GREVLEX = _GrevlexOrder()
 
 
-class BlockEliminationOrder(_Value):
-    """Block order eliminating the first `block` variables: any monomial
-    involving them sorts above every monomial that does not; grevlex is
-    used inside each block."""
-
-    __slots__ = ("block",)
-
-    def __init__(self, block):
-        self.block = block
+class _EliminationOrder:
+    """Eliminates the first variable: a monomial with a higher power of it
+    sorts above every monomial with a lower one, and grevlex on the other
+    variables breaks ties."""
 
     def key(self, exps):
-        b = self.block
-        return (GREVLEX.key(exps[:b]), GREVLEX.key(exps[b:]))
+        return (exps[0], GREVLEX.key(exps[1:]))
 
     def descending_key(self, exps):
-        head, tail = exps[:self.block], exps[self.block:]
-        return (-sum(head), head[::-1], -sum(tail), tail[::-1])
+        return (-exps[0],) + GREVLEX.descending_key(exps[1:])
+
+
+# one instance, so every polynomial's cached lead under it is found again
+# (Polynomial.leading_term compares orders by identity)
+ELIMINATION = _EliminationOrder()
 
 
 _grevlex_first = GREVLEX.descending_key
@@ -299,16 +286,15 @@ class Polynomial:
 
     def __init__(self, field, context, terms=()):
         acc = {}
-        zero = field.zero
         for coeff, exps in terms:
             exps = tuple(exps)
             if len(exps) != context.count:
                 raise ContextMismatchError("term length does not match the context")
             c = field.coerce(coeff)
-            if c == zero:
+            if c == 0:
                 continue
-            c = field.add(acc.get(exps, zero), c)
-            if c == zero:
+            c = field.add(acc.get(exps, 0), c)
+            if c == 0:
                 acc.pop(exps, None)
             else:
                 acc[exps] = c
@@ -339,7 +325,7 @@ class Polynomial:
     def variable(cls, field, context, which):
         i = which if isinstance(which, int) else context.index(which)
         exps = tuple(1 if j == i else 0 for j in range(context.count))
-        return cls(field, context, ((field.one, exps),))
+        return cls(field, context, ((1, exps),))
 
     # -- inspection --
 
@@ -384,7 +370,7 @@ class Polynomial:
         if self.is_zero:
             return self
         c = self.leading_term(order)[0]
-        if c == self.field.one:
+        if c == 1:
             return self
         f = self.field
         inv = f.inv(c)
@@ -409,7 +395,6 @@ class Polynomial:
         result is sorted once: it is two descending runs, which the sort
         merges in linear time."""
         f = self.field
-        zero = f.zero
         acc = {e: c for c, e in self._terms}
         for c, e in terms:
             if negate:
@@ -419,7 +404,7 @@ class Polynomial:
                 acc[e] = c
             else:
                 c = f.add(old, c)
-                if c == zero:
+                if c == 0:
                     del acc[e]
                 else:
                     acc[e] = c
@@ -458,12 +443,11 @@ class Polynomial:
             return NotImplemented
         f = self.field
         acc = {}
-        zero = f.zero
         for c1, e1 in self._terms:
             for c2, e2 in other._terms:
                 e = exps_add(e1, e2)
-                c = f.add(acc.get(e, zero), f.mul(c1, c2))
-                if c == zero:
+                c = f.add(acc.get(e, 0), f.mul(c1, c2))
+                if c == 0:
                     acc.pop(e, None)
                 else:
                     acc[e] = c
@@ -489,7 +473,7 @@ class Polynomial:
         if len(exps) != self.context.count:
             raise ContextMismatchError("term length does not match the context")
         c0 = f.coerce(coeff)
-        if c0 == f.zero:
+        if c0 == 0:
             return Polynomial._canonical(f, self.context, ())
         return Polynomial._canonical(f, self.context, tuple(
             (f.mul(c0, c), exps_add(e, exps)) for c, e in self._terms))
@@ -497,8 +481,6 @@ class Polynomial:
     # -- equality and rendering --
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = Polynomial.constant(self.field, self.context, other)
         if not isinstance(other, Polynomial):
             return NotImplemented
         return (self.field == other.field and self.context == other.context
@@ -520,11 +502,11 @@ class Polynomial:
             if rational and c < 0:
                 sign, c = "-", -c
             if not mono:
-                body = field.render(c)
-            elif c == field.one:
+                body = str(c)
+            elif c == 1:
                 body = mono
             else:
-                body = f"{field.render(c)}*{mono}"
+                body = f"{c}*{mono}"
             pieces.append((sign, body))
         first_sign, first_body = pieces[0]
         out = ("-" if first_sign == "-" else "") + first_body
@@ -585,8 +567,8 @@ class Budget:
         self.limit = limit
         self.used = 0
 
-    def spend(self, n=1):
-        self.used += n
+    def spend(self):
+        self.used += 1
         if self.used > self.limit:
             raise BudgetExceededError(
                 f"groebner step budget exceeded ({self.limit} steps)")
@@ -616,7 +598,6 @@ def divide(f, divisors, order=GREVLEX, budget=None):
         leads.append((m, c, g._terms))
 
     key = order.descending_key
-    zero = field.zero
     # work maps each monomial on the heap to its coefficient; one that
     # cancels stays with coefficient zero, so it is never pushed twice
     work = {e: c for c, e in f._terms}
@@ -627,7 +608,7 @@ def divide(f, divisors, order=GREVLEX, budget=None):
     while heap:
         m = heapq.heappop(heap)[1]
         c = work[m]
-        if c != zero:
+        if c != 0:
             for i, (lm, lc, gterms) in enumerate(leads):
                 if exps_divides(lm, m):
                     if budget is not None:

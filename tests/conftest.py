@@ -259,7 +259,6 @@ def divide_reference(f, divisors, order=GREVLEX, budget=None):
         leads.append((m, c, g.pairs()))
 
     key = order.key
-    zero = field.zero
     work = {e: c for c, e in f.pairs()}
     quotients = [dict() for _ in divisors]
     remainder = {}
@@ -273,11 +272,11 @@ def divide_reference(f, divisors, order=GREVLEX, budget=None):
                 u = exps_sub(m, lm)
                 factor = field.div(c, lc)
                 q = quotients[i]
-                q[u] = field.add(q.get(u, zero), factor)
+                q[u] = field.add(q.get(u, 0), factor)
                 for gc, ge in gterms:
                     t = exps_add(ge, u)
-                    nv = field.sub(work.get(t, zero), field.mul(factor, gc))
-                    if nv == zero:
+                    nv = field.sub(work.get(t, 0), field.mul(factor, gc))
+                    if nv == 0:
                         work.pop(t, None)
                     else:
                         work[t] = nv

@@ -654,7 +654,7 @@ def monomial_ideals(draw, max_vars=5, max_gens=4):
 
 def monomial_ring(field, v, vectors):
     c = ctx(*(f"x{i}" for i in range(v)))
-    return ring_of(c, *(Polynomial(field, c, ((field.one, e),))
+    return ring_of(c, *(Polynomial(field, c, ((1, e),))
                         for e in vectors), field=field)
 
 

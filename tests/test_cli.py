@@ -14,7 +14,7 @@ import pytest
 from noncat import analyzer, groebner, spectra
 from noncat.analyzer import AnalysisConfig, analyze
 from noncat.cli import REPORT_SCHEMA, main, report_text, run_script
-from noncat.dsl import Command, parse_script
+from noncat.dsl import Command, IdealStmt, Intersect, Ref, parse_script
 from noncat.families import (
     FamilySpec,
     expected_mismatches,
@@ -134,6 +134,15 @@ class TestOtherCommands:
         outputs = run_script(("analyze I",), AnalysisConfig(), "text")
         with pytest.raises(TypeError, match="not a statement: 'analyze I'"):
             next(outputs)
+
+    def test_runner_refuses_what_is_not_an_ideal_expression(self):
+        ring, ideal = parse_script("ring Q[x]\nideal J = (x)")
+        for expr in ("(x)", Intersect(Ref("J"), "(x)")):
+            outputs = run_script((ring, ideal, IdealStmt("I", expr)),
+                                 AnalysisConfig(), "text")
+            with pytest.raises(TypeError,
+                               match="^not an ideal expression: '\\(x\\)'$"):
+                next(outputs)
 
     def test_profile_text(self, capsys, tmp_path):
         code, out, _ = invoke(

@@ -356,6 +356,15 @@ class TestRoundTrip:
         assert render_script(script) == text
         assert parse_script(render_script(script)) == script
 
+    def test_render_refuses_what_is_not_a_statement_or_expression(self):
+        ring, = parse_script("ring Q[x]")
+        with pytest.raises(TypeError, match="^not a statement: 'ring Q'$"):
+            render_script((ring, "ring Q"))
+        for expr in ("(x)", Intersect(Ref("J"), "(x)")):
+            with pytest.raises(TypeError,
+                               match="^not an ideal expression: '\\(x\\)'$"):
+                render_script((ring, IdealStmt("I", expr)))
+
     def test_named_round_trip(self):
         text = ("ring Q[x, y, z, v]\n"
                 "ideal I = intersect((x), (y, z))\n"

@@ -203,6 +203,14 @@ class TestMismatchHelper:
         assert any("dim" in p for p in problems)
         assert any("noncat_ufd" in p for p in problems)
 
+    def test_mapping_expected_where_the_report_has_a_value(self):
+        actual = {"verdicts": True, "witnesses": {"P": ["y"]}}
+        assert expected_mismatches(actual, {
+            "verdicts": {"noncat_domain": True},
+            "witnesses": {"P": ["y", "z"]}}) == [
+            "verdicts: expected a mapping, got True",
+            "witnesses.P: expected ['y', 'z'], got ['y']"]
+
     def test_accepts_subset(self):
         actual = {"dim": 3, "profile": [3, 2], "extra": "ignored"}
         assert expected_mismatches(actual, {"dim": 3}) == []

@@ -18,7 +18,7 @@ from noncat.errors import (
 from noncat.groebner import IdealHandle, buchberger
 from noncat.monomial import MonomialIdeal
 from noncat.poly import (
-    BlockEliminationOrder,
+    ELIMINATION,
     FieldDescriptor,
     Polynomial,
     variables,
@@ -111,7 +111,7 @@ class TestBuchberger:
         # intersection runs) reduces to {x - z, y - z}
         c = ctx("x", "y", "z")
         x, y, z = variables(QQ, c)
-        basis = buchberger([x - y, y - z], BlockEliminationOrder(1))
+        basis = buchberger([x - y, y - z], ELIMINATION)
         assert set(basis) == {x - z, y - z}
 
     def test_unit_ideal_detected(self):
@@ -1020,6 +1020,14 @@ class TestDepth:
         assert (result.verdict, result.regular_element) == (
             verdict, variables(QQ, c)[0])
         assert colons
+
+    def test_non_homogeneous_candidate_in_the_ideal_is_skipped(self):
+        """x lies in (x, y^2 - z^3), so it represents zero and certifies
+        nothing; y is regular, and its cut (x, y, z^3) has M associated."""
+        c = ctx("x", "y", "z")
+        x, y, z = variables(QQ, c)
+        result = handle(c, x, y ** 2 - z ** 3).depth_at_least_two()
+        assert (result.verdict, result.regular_element) == (False, y)
 
     def test_new_groebner_runs_draw_on_the_step_budget(self):
         """Two lines in the tilted plane x + y1 - 2*y2. The generators are

@@ -12,7 +12,7 @@ from noncat.analyzer import monomial_depth
 from noncat.errors import EmptyLocalizationError, UnitIdealError, UnsupportedInputError
 from noncat.groebner import DEFAULT_REGULAR_CANDIDATE_BUDGET, IdealHandle
 from noncat.monomial import MonomialIdeal, MonomialPrime
-from noncat.poly import FieldDescriptor, exps_divides, variables
+from noncat.poly import FieldDescriptor, Polynomial, exps_divides, variables
 
 from conftest import (
     QQ,
@@ -66,6 +66,40 @@ class TestMinimalGenerators:
         unit = mono(ctx("x", "y"), (1, 0), (0, 0))
         with pytest.raises(UnitIdealError, match=f"^{message}$"):
             call(unit)
+
+
+class TestIdealValue:
+    def test_from_polynomials_skips_zero(self):
+        c = ctx("x", "y")
+        x, y = variables(QQ, c)
+        zero = Polynomial(QQ, c)
+        assert MonomialIdeal.from_polynomials(
+            c, (zero, x * y, zero, y ** 2)) == mono(c, (1, 1), (0, 2))
+        assert MonomialIdeal.from_polynomials(c, (zero,)).is_zero
+
+    def test_intersect_across_contexts_refused(self):
+        with pytest.raises(ValueError, match="^monomial ideals over "
+                                             "different contexts$"):
+            mono(ctx("x", "y"), (1, 0)).intersect(mono(ctx("x", "z"), (1, 0)))
+
+    def test_repr(self):
+        c = ctx("x", "y")
+        assert repr(mono(c, (0, 2), (1, 0))) == "MonomialIdeal(x, y^2)"
+        assert repr(mono(c, (2, 1))) == "MonomialIdeal(x^2*y)"
+        assert repr(mono(c)) == "MonomialIdeal(0)"
+        assert repr(mono(c, (1, 0), (0, 0))) == "MonomialIdeal(1)"
+
+    def test_hash_agrees_with_equality(self):
+        """Equal ideals, whatever generators present them, hash alike;
+        another context or another ideal is unequal."""
+        c = ctx("x", "y")
+        a = mono(c, (1, 0), (0, 2), (1, 1))
+        b = mono(c, (0, 2), (1, 0), (0, 2))
+        assert a == b and hash(a) == hash(b)
+        assert len({a, b, mono(c, (1, 0), (0, 1))}) == 2
+        assert a != mono(ctx("x", "z"), (1, 0), (0, 2))
+        assert a != mono(c, (1, 0), (0, 1))
+        assert a != a.gens
 
 
 class TestPrimeValue:

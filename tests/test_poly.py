@@ -1,6 +1,7 @@
 """Polynomial arithmetic, monomial orders and multivariate division."""
 
 import itertools
+import operator
 import random
 import sys
 import threading
@@ -14,8 +15,8 @@ from noncat.dsl import GenList, IdealStmt, parse_script
 from noncat.errors import BudgetExceededError, ContextMismatchError
 from noncat.groebner import IdealHandle, buchberger
 from noncat.poly import (
+    ELIMINATION,
     GREVLEX,
-    BlockEliminationOrder,
     Budget,
     RATIONALS,
     FieldDescriptor,
@@ -42,14 +43,13 @@ class TestField:
     def test_rationals_are_exact(self):
         f = QQ
         third = f.coerce(Fraction(1, 3))
-        assert f.mul(third, f.coerce(3)) == f.one
+        assert f.mul(third, f.coerce(3)) == 1
 
     def test_integral_rationals_are_ints(self):
         """An element of Q is an int when integral and a Fraction with
         denominator above 1 otherwise, whatever the operation."""
         f = QQ
-        for value, want in [(f.zero, 0), (f.one, 1),
-                            (f.coerce(Fraction(4, 2)), 2),
+        for value, want in [(f.coerce(Fraction(4, 2)), 2),
                             (f.coerce(Fraction(-3)), -3), (f.coerce(5), 5),
                             (f.inv(Fraction(1, 3)), 3),
                             (f.inv(Fraction(-1, 4)), -4),
@@ -135,7 +135,7 @@ class TestInputChecks:
 
     def test_leading_term_of_zero(self):
         zero = Polynomial(QQ, ctx("x"))
-        for order in (GREVLEX, BlockEliminationOrder(1)):
+        for order in (GREVLEX, ELIMINATION):
             with pytest.raises(ValueError, match="^the zero polynomial has "
                                "no leading term$"):
                 zero.leading_term(order)
@@ -150,8 +150,8 @@ class TestInputChecks:
 
 
 class TestValueSemantics:
-    """Fields, block orders and presentations compare and hash by type and
-    fields, print as Name(field=value, ...), and check their input."""
+    """Fields and presentations compare and hash by type and fields, print
+    as Name(field=value, ...), and check their input."""
 
     def test_field_defaults_to_the_rationals(self):
         assert FieldDescriptor() == FieldDescriptor(0) == RATIONALS
@@ -171,12 +171,6 @@ class TestValueSemantics:
         with pytest.raises(ValueError, match="0 or a prime"):
             FieldDescriptor(characteristic=4)
 
-    def test_block_order_value(self):
-        assert repr(BlockEliminationOrder(1)) == "BlockEliminationOrder(block=1)"
-        assert BlockEliminationOrder(block=2) == BlockEliminationOrder(2)
-        assert BlockEliminationOrder(1) != BlockEliminationOrder(2)
-        assert hash(BlockEliminationOrder(2)) == hash((2,))
-
     def test_presentation_value(self):
         c = ctx("x", "y")
         x, y = variables(QQ, c)
@@ -190,6 +184,16 @@ class TestValueSemantics:
         assert repr(RingPresentation(QQ, c, (y,))) == (
             "RingPresentation(field=FieldDescriptor(characteristic=0), "
             "context=VariableContext(x, y), generators=(<y>,))")
+
+    def test_presentation_text(self):
+        """A presentation prints as K[[names]]/(generators), zero
+        generators left out."""
+        c = ctx("x", "y")
+        x, y = variables(QQ, c)
+        ring = RingPresentation(QQ, c, (x * y, Polynomial(QQ, c), y - 1))
+        assert str(ring) == ring.render() == "Q[[x,y]]/(x*y, y - 1)"
+        assert str(RingPresentation(FieldDescriptor(7), c, ())) == (
+            "F7[[x,y]]/(0)")
 
     def test_presentation_rejects_a_foreign_generator(self):
         x, _ = variables(QQ, ctx("x", "y"))
@@ -211,12 +215,45 @@ class TestContext:
             c.index("w")
 
 
+class BlockOrder:
+    """Grevlex on the first `block` variables, then grevlex on the rest:
+    the reference that ELIMINATION (block 1) must sort like, and with
+    block 2 a third order for the division and canonical-form tests."""
+
+    def __init__(self, block):
+        self.block = block
+
+    def key(self, exps):
+        b = self.block
+        return (GREVLEX.key(exps[:b]), GREVLEX.key(exps[b:]))
+
+    def descending_key(self, exps):
+        b = self.block
+        return GREVLEX.descending_key(exps[:b]) + GREVLEX.descending_key(
+            exps[b:])
+
+
+ORDERS = (GREVLEX, ELIMINATION, BlockOrder(2))
+
+
 class TestCompare:
     """Monomial orders act on exponent tuples through their sort keys."""
 
     def test_reflexive_equal(self):
-        for order in (BlockEliminationOrder(1), GREVLEX):
+        for order in (ELIMINATION, GREVLEX):
             assert order.key((1, 2, 0)) == order.key((1, 2, 0))
+
+    def test_elimination_sorts_as_the_first_variable_block(self):
+        """ELIMINATION orders every pair of monomials as the block order
+        with the first variable as its block does."""
+        block = BlockOrder(1)
+        for v in (1, 2, 3, 4):
+            monomials = list(itertools.product(range(3), repeat=v))
+            for key in ("key", "descending_key"):
+                ours, ref = getattr(ELIMINATION, key), getattr(block, key)
+                assert (sorted(monomials, key=ours)
+                        == sorted(monomials, key=ref))
+        assert ELIMINATION.key((1, 0, 0)) > ELIMINATION.key((0, 5, 5))
 
     def test_grevlex_xz_below_y2(self):
         # grevlex(x>y>z): equal degree, the larger z-exponent loses
@@ -224,7 +261,7 @@ class TestCompare:
 
     def test_order_axioms_randomized(self):
         rng = random.Random(101)
-        for order in (BlockEliminationOrder(1), GREVLEX):
+        for order in (ELIMINATION, GREVLEX):
             key = order.key
             for _ in range(300):
                 a, b, c = (tuple(rng.randint(0, 4) for _ in range(3))
@@ -246,7 +283,7 @@ class TestCompare:
     def test_descending_key_reverses_key(self, pair):
         """divide's heap and every Polynomial sort read descending_key."""
         a, b = pair
-        for order in (GREVLEX, BlockEliminationOrder(1)):
+        for order in ORDERS:
             assert ((order.descending_key(a) < order.descending_key(b))
                     == (order.key(a) > order.key(b)))
 
@@ -291,6 +328,30 @@ class TestArithmetic:
         g = Polynomial(QQ, self.ctx, ((2, (0, 1)), (1, (1, 0))))
         assert f == g and hash(f) == hash(g)
 
+    def test_equal_only_to_a_polynomial(self):
+        """A constant polynomial is not the number it holds, so equality
+        agrees with the hash; is_constant and is_zero test for numbers."""
+        three = Polynomial.constant(QQ, self.ctx, 3)
+        for number in (3, Fraction(3)):
+            assert three != number and number != three
+        assert three not in {3, Fraction(3)}
+        assert Polynomial(QQ, self.ctx) != 0
+        same = Polynomial(QQ, self.ctx, ((Fraction(6, 2), (0, 0)),))
+        assert three == same and hash(three) == hash(same)
+        assert three.is_constant and Polynomial(QQ, self.ctx).is_zero
+
+    def test_number_minus_polynomial(self):
+        assert (1 - self.x).pairs() == ((-1, (1, 0)), (1, (0, 0)))
+        assert Fraction(1, 2) - self.y == -self.y + Fraction(1, 2)
+
+    @pytest.mark.parametrize("other", [1.5, "x", None], ids=repr)
+    def test_arithmetic_with_a_non_number_raises(self, other):
+        for op in (operator.add, operator.sub, operator.mul):
+            with pytest.raises(TypeError):
+                op(self.x, other)
+            with pytest.raises(TypeError):
+                op(other, self.x)
+
 
 class TestRendering:
     def test_readme_shape(self):
@@ -329,14 +390,13 @@ class TestDivision:
         # x^2*y - x*(x*y - z) = x*z, and neither x*z nor z is a multiple
         # of the lead x*y
         f = self.x ** 2 * self.y + self.z
-        (q,), r = divide(f, [self.x * self.y - self.z],
-                         BlockEliminationOrder(1))
+        (q,), r = divide(f, [self.x * self.y - self.z], ELIMINATION)
         assert r == self.x * self.z + self.z
         assert q == self.x
 
     def test_recombination_randomized(self):
         rng = random.Random(2024)
-        for order in (GREVLEX, BlockEliminationOrder(1)):
+        for order in (GREVLEX, ELIMINATION):
             for _ in range(120):
                 f = random_polynomial(rng, self.ctx, max_terms=4)
                 divisors = [random_nonzero_polynomial(rng, self.ctx)
@@ -366,7 +426,7 @@ class TestDivision:
                 f = random_polynomial(rng, c, max_terms=5, field=field)
                 divisors = [random_nonzero_polynomial(rng, twin_c, field=twin)
                             for _ in range(rng.randint(1, 3))]
-                for order in (GREVLEX, BlockEliminationOrder(1)):
+                for order in (GREVLEX, ELIMINATION):
                     assert (divide(f, divisors, order)
                             == divide_reference(f, divisors, order))
             foreign = [Polynomial.variable(field, ctx("x", "y", "w"), 0),
@@ -413,7 +473,7 @@ class TestSubstituteLinear:
         have the same coefficients."""
         rng = random.Random(47)
         source, moved = ctx("x", "y", "z"), ctx("x", "z", "y")
-        one, minus = field.one, field.neg(field.one)
+        one, minus = 1, field.neg(1)
         forward = [((one, 0),), ((one, 2), (minus, 0)), ((one, 1),)]
         back = [((one, 0),), ((one, 2),), ((one, 1), (one, 0))]
         x, y, z = variables(field, source)
@@ -456,9 +516,6 @@ class TestSubstituteLinear:
         f = x ** 12 * y - 3 * y ** 2 + x ** 5
         assert (substitute_linear(f, two_term, target)
                 == expand(f, two_term, target))
-
-
-ORDERS = (GREVLEX, BlockEliminationOrder(1), BlockEliminationOrder(2))
 
 
 #: small rationals, drawn both as ints and as Fractions (integral ones too)
