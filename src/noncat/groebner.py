@@ -4,27 +4,28 @@ Provides reduced Groebner bases (Buchberger with the coprime-lead and
 chain criteria, normal pair selection), ideal membership and equality on
 each handle's cached grevlex basis, intersection and colon ideals, and
 the regularity and depth tests the ring classifiers rely on. Two ideals
-generated by linear forms meet in W + I*J, where W is the intersection of
-their spans. When one is principal, (f), that is (f) or f*J, whose reduced
-basis is one row reduction of the products of f with the other side's
-echelon basis; other pairs run Zassenhaus and Buchberger once. Such a meet
-keeps its two operands, and its basis in moved coordinates is the meet of
-the moved operands. Every other intersection eliminates an auxiliary
-variable. A handle whose generators are all terms never runs
-Buchberger: the monomial engine supplies its reduced basis, the minimal
-generators. A handle's ideal is monomial when its reduced basis consists
-of terms, whatever its presentation (IdealHandle.monomial_ideal). Krull
-dimension is read off the supports of the leading terms by the monomial
-engine. The socle test and depth >= 2 are this engine's own on every
-ideal, monomial or not; the analyzer sends monomial I to the monomial
-engine instead. Homogeneous I reads one grevlex basis per candidate sum of
-variables, moved to the last variable (Bayer-Stillman); moving a single
-variable last is a renaming. The socle test reads one such basis per
-variable, last first, and stops at the first regular variable or socle
-element among the generators of that (I : x_i), before it computes the
-next; only when no variable decides are the (I : x_i) intersected into
-(I : M). The colon calculus serves only non-homogeneous ideals, and is the
-oracle in the tests.
+generated by linear forms meet in W + I*J, where W is the intersection
+of their spans. When one is principal, (f), that is (f) or f*J, whose
+reduced basis is one row reduction of the products of f with the other
+side's echelon basis; other pairs run Zassenhaus and Buchberger once.
+Such a meet keeps the echelon bases of its two operands, which are
+primes, and its socle test, regular elements, depth and dimension are
+read off their ranks. Every other intersection eliminates an auxiliary
+variable. A handle whose generators are all terms never runs Buchberger:
+the monomial engine supplies its reduced basis, the minimal generators.
+A handle's ideal is monomial when its reduced basis consists of terms,
+whatever its presentation (IdealHandle.monomial_ideal). Krull dimension
+is read off the supports of the leading terms by the monomial engine.
+The socle test and depth >= 2 are this engine's own on every ideal,
+monomial or not; the analyzer sends monomial I to the monomial engine
+instead. Other homogeneous I reads one grevlex basis per candidate sum
+of variables, moved to the last variable (Bayer-Stillman); moving a
+single variable last is a renaming. The socle test reads one such basis
+per variable, last first, and stops at the first regular variable or
+socle element among the generators of that (I : x_i), before it computes
+the next; only when no variable decides are the (I : x_i) intersected
+into (I : M). The colon calculus serves only non-homogeneous ideals, and
+is the oracle in the tests.
 
 Handles are immutable apart from fill-once caches guarded by a lock, so
 one handle can serve several threads.
@@ -190,6 +191,17 @@ def _row_reduce(field, rows, budget=None):
     return done
 
 
+def _reduce_row(field, basis, row):
+    """The row reduced by a reduced echelon basis, each basis row cleared at
+    its pivot: zero exactly when the row lies in the span of the basis."""
+    for b in basis:
+        c = row[next(i for i, a in enumerate(b) if a)]
+        if c:
+            row = [field.sub(a, field.mul(c, p)) if p else a
+                   for a, p in zip(row, b)]
+    return row
+
+
 def _linear_forms(field, context, rows):
     """The linear forms whose coefficient vectors are the rows."""
     zero = (0,) * context.count
@@ -198,23 +210,22 @@ def _linear_forms(field, context, rows):
             for r in rows]
 
 
-def _linear_meet(field, context, a, b, budget):
+def _linear_meet(field, context, xs, ys, budget):
     """The reduced grevlex basis of I cap J = W + I*J for I and J spanned by
-    nonempty lists a and b of coefficient rows, W the meet of the spans. The
-    echelon bases of the spans are Groebner bases. When one side is (f), the
-    meet is (f) if f lies in the other span, else f*J, whose Groebner basis
-    f*GB(J) is made of quadrics: the reduced basis is the reduced echelon
-    form of the products' rows, each entry cleared spending one unit of the
-    budget. Otherwise W comes from Zassenhaus, the right halves of the rows
-    zero on the left in the echelon form of the rows (f, f), f in a, and
-    (g, 0), g in b, and one Buchberger run reduces W + I*J."""
+    the reduced echelon bases xs and ys, W the meet of the spans. Echelon
+    bases are Groebner bases. When one side is (f), the meet is (f) if f
+    lies in the other span, else f*J, whose Groebner basis f*GB(J) is made
+    of quadrics: the reduced basis is the reduced echelon form of the
+    products' rows, each entry cleared spending one unit of the budget.
+    Otherwise W comes from Zassenhaus, the right halves of the rows zero on
+    the left in the echelon form of the rows (f, f), f in xs, and (g, 0), g
+    in ys, and one Buchberger run reduces W + I*J."""
     v, mul = context.count, field.mul
-    xs, ys = _row_reduce(field, a), _row_reduce(field, b)
     if len(ys) == 1:
         xs, ys = ys, xs
     if len(xs) == 1:
         f = xs[0]
-        if len(_row_reduce(field, ys + [f])) == len(ys):
+        if not any(_reduce_row(field, ys, f)):
             return tuple(_linear_forms(field, context, [f]))
         # x_i*x_j, i <= j, in ascending (j, i) is descending grevlex
         quads = [(i, j) for j in range(v) for i in range(j + 1)]
@@ -224,7 +235,7 @@ def _linear_meet(field, context, a, b, budget):
         exps = [tuple((k == i) + (k == j) for k in range(v)) for i, j in quads]
         return tuple(Polynomial._canonical(field, context, tuple(
             (c, e) for c, e in zip(r, exps) if c)) for r in rows)
-    stacked = [r + r for r in a] + [r + [0] * v for r in b]
+    stacked = [r + r for r in xs] + [r + [0] * v for r in ys]
     meet = _linear_forms(field, context, [
         r[v:] for r in _row_reduce(field, stacked) if not any(r[:v])])
     return buchberger(meet + [f * g for f in _linear_forms(field, context, xs)
@@ -307,7 +318,7 @@ class IdealHandle:
         self._gb = None  # (reduced basis, MonomialIdeal or None), one store
         self._m_assoc = None
         self._moved = {}
-        self._operands = None  # coefficient rows of a linear meet's sides
+        self._operands = None  # echelon bases of a linear meet's sides
 
     @classmethod
     def from_presentation(cls, ring, gb_step_budget=DEFAULT_GB_STEP_BUDGET):
@@ -396,7 +407,7 @@ class IdealHandle:
         """Handle over `context` whose generators are `basis`, already the
         reduced grevlex basis of the ideal they span. The basis is stored
         with monomial_ideal()'s answer, so the handle never runs
-        Buchberger, and so are the coefficient rows of a linear meet's two
+        Buchberger, and so are the echelon bases of a linear meet's two
         operands, before any other thread can see the handle."""
         handle = IdealHandle(self.field, context, basis, self.gb_step_budget)
         handle._gb = (handle.generators,
@@ -405,27 +416,24 @@ class IdealHandle:
         handle._operands = operands
         return handle
 
-    def _linear_meet_handle(self, context, a, b):
-        """The meet of the spans of the rows a and b, keeping both."""
-        return self._with_basis(context, _linear_meet(
-            self.field, context, a, b, self._budget()), (a, b))
-
     def intersection(self, other):
         """I cap J, whose generators are its reduced grevlex basis. When
         every generator of both is a linear form, I cap J = W + I*J with W
         the intersection of the spans: in coordinates where I = (W, X) and
         J = (W, Y), both are monomial in disjoint variables. A principal side
         needs one row reduction of the products and no Buchberger run;
-        otherwise one run reduces W + I*J. The result keeps both operands,
-        so its moved bases are meets too. Any other input is eliminated."""
+        otherwise one run reduces W + I*J. The result keeps the echelon
+        bases of both sides, whose ranks decide its socle test, depth and
+        dimension. Any other input is eliminated."""
         if self.field != other.field or self.context != other.context:
             raise ContextMismatchError("ideals over different rings")
         if not self.generators or not other.generators:
             return self._with_basis(self.context, ())
         if _all_linear(self.generators) and _all_linear(other.generators):
-            return self._linear_meet_handle(
-                self.context, [_coefficients(f) for f in self.generators],
-                [_coefficients(g) for g in other.generators])
+            sides = tuple(_row_reduce(self.field, [
+                _coefficients(g) for g in h.generators]) for h in (self, other))
+            return self._with_basis(self.context, _linear_meet(
+                self.field, self.context, *sides, self._budget()), sides)
         return self._eliminate(other)
 
     def _eliminate(self, other):
@@ -489,10 +497,7 @@ class IdealHandle:
         the last variable. The substitution x_k -> x_k - (the other x_i of
         f), k = max(support), sends f to x_k, which is then moved last, so
         f is regular on R/I exactly when that variable is on the image.
-        Support (v-1,) is I itself; other images are cached per support.
-        A linear change of coordinates commutes with intersection, so a
-        linear meet moves its operands, which stay linear, and meets them
-        again without Buchberger; any other handle moves its generators."""
+        Support (v-1,) is I itself; other images are cached per support."""
         v = self.context.count
         if support == (v - 1,):
             return self
@@ -501,20 +506,13 @@ class IdealHandle:
             k = support[-1]
             order = [i for i in range(v) if i != k] + [k]
             context = VariableContext(self.context.names[i] for i in order)
-            if self._operands is not None:  # each row under the same map
-                moved = self._linear_meet_handle(context, *(
-                    [[self.field.sub(r[i], r[k]) if i in support else r[i]
-                      for i in order[:-1]] + [r[k]] for r in side]
-                    for side in self._operands))
-            else:
-                place = {i: p for p, i in enumerate(order)}
-                forms = [((1, place[i]),) for i in range(v)]
-                forms[k] = ((1, v - 1),) + tuple(
-                    (self.field.neg(1), place[i]) for i in support[:-1])
-                gens = [substitute_linear(g, forms, context)
-                        for g in self.generators]
-                moved = IdealHandle(self.field, context, gens,
-                                    self.gb_step_budget)
+            place = {i: p for p, i in enumerate(order)}
+            forms = [((1, place[i]),) for i in range(v)]
+            forms[k] = ((1, v - 1),) + tuple(
+                (self.field.neg(1), place[i]) for i in support[:-1])
+            gens = [substitute_linear(g, forms, context)
+                    for g in self.generators]
+            moved = IdealHandle(self.field, context, gens, self.gb_step_budget)
             with self._lock:
                 moved = self._moved.setdefault(support, moved)
         return moved
@@ -590,9 +588,12 @@ class IdealHandle:
         """dim K[x..]/I, computed by the monomial engine on the supports of
         the leading terms: dim R/I = dim R/LT(I) for any monomial order, and
         dim sees only the radical of LT(I), which the supports generate; a
-        squarefree ideal splits into primes only."""
+        squarefree ideal splits into primes only. A linear meet P cap Q has
+        dim v - min(rk P, rk Q), the smaller operand being minimal."""
         if self.is_unit_ideal:
             raise UnitIdealError("the unit ideal has no Krull dimension")
+        if self._operands is not None:
+            return self.context.count - min(map(len, self._operands))
         return MonomialIdeal(self.context, (
             tuple(min(e, 1) for e in g.leading_monomial())
             for g in self.groebner_basis())).dimension()
@@ -606,13 +607,16 @@ class IdealHandle:
         alone. Failing both, M is associated exactly when the intersection
         (I : M) of the (I : x_i) is not I: on (x^2, y^2) the socle element
         xy generates no (I : x_i), and on (xy, xz, yz) M is not associated.
-        A non-homogeneous ideal gets that socle test from the colon
-        calculus."""
+        A linear meet P cap Q has Ass the minimal members of {P, Q}, so M is
+        associated exactly when rk P = rk Q = v. A non-homogeneous ideal
+        gets the socle test from the colon calculus."""
         if self._m_assoc is not None:
             return self._m_assoc
         if self.is_unit_ideal:
             raise UnitIdealError("the unit ideal does not present a ring")
-        if self.is_homogeneous:
+        if self._operands is not None:
+            result = min(map(len, self._operands)) == self.context.count
+        elif self.is_homogeneous:
             result = self._homogeneous_socle_test()
         else:
             result = not self.quotient(self.maximal_ideal()).equals(self)
@@ -629,22 +633,38 @@ class IdealHandle:
         I moves it to the last variable of one grevlex basis, other I uses
         the colon calculus, and a spent budget is reported as inconclusive,
         never as False.
+
+        A linear meet P cap Q, rk P <= rk Q, cuts nothing. Its associated
+        primes are P, and Q unless P lies in Q, and f is regular when its
+        row lies in neither span. If P lies in Q, I = P has depth v - rk P.
+        Otherwise R/(P + Q) has the least depth in the exact sequence
+        0 -> R/I -> R/P + R/Q -> R/(P + Q) -> 0, so the depth lemma
+        (Bruns-Herzog 1.2.9) gives depth R/I = v - rk(P + Q) + 1.
         """
         if self.maximal_ideal_associated():
             return DepthResult(False, None,
                                "depth 0: the maximal ideal is associated")
-        homogeneous = self.is_homogeneous
-        stream = list(itertools.islice(
-            regular_element_candidates(self.context.count), candidate_budget))
+        v, homogeneous = self.context.count, self.is_homogeneous
+        if self._operands is not None:
+            p, q = sorted(self._operands, key=len)
+            total = len(_row_reduce(self.field, p + q))
+            primes = [p] if total == len(q) else [p, q]
+            depth = v - (len(p) if total == len(q) else total - 1)
+        stream = list(itertools.islice(regular_element_candidates(v),
+                                       candidate_budget))
         for support in stream:
+            f = variable_sum(self.field, self.context, support)
+            if self._operands is not None:
+                if all(any(_reduce_row(self.field, b, _coefficients(f)))
+                       for b in primes):
+                    return DepthResult.certified(f, depth >= 2)
+                continue
             if homogeneous:
                 moved = self._moved_to_last(support)
                 if not moved._last_variable_regular():
                     continue
                 cut = moved._cut_by_last_variable()
-                f = variable_sum(self.field, self.context, support)
             else:
-                f = variable_sum(self.field, self.context, support)
                 try:  # one membership test: f in I is no regular element
                     if not self.is_regular_element(f):
                         continue

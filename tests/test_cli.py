@@ -29,6 +29,14 @@ ROOT = Path(__file__).resolve().parent.parent
 CLI_ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(
     [str(ROOT / "src")] + ([os.environ["PYTHONPATH"]]
                            if "PYTHONPATH" in os.environ else [])))
+# JSON reports of linear meets at the edges of the rank facts
+LINEAR_MEETS = json.loads(
+    (ROOT / "tests" / "golden" / "linear_meets.json").read_text())
+# (x - y1 + 2*y2) cap (y1 + y2 - z1, y2 - 2*z1): a principal meet whose
+# basis clears no entry, so it fits a budget of zero steps
+PRINCIPAL_MEET = ("ring Q[x,y1,y2,z1]\n"
+                  "ideal I = intersect((x - y1 + 2*y2), "
+                  "(y1 + y2 - z1, y2 - 2*z1))\nanalyze I\n")
 
 
 def invoke(capsys, script_text, *flags, tmp_path=None):
@@ -425,8 +433,8 @@ class TestSharedAnalysis:
                                                    depth_ge2):
         """A family ring written as a meet of linear forms with one side
         principal is analyzed with no Buchberger run and no
-        interreduction: its basis is one row reduction, and each moved
-        basis the meet of the moved operands."""
+        interreduction: its basis is one row reduction, and its socle
+        test, depth and dim are read off the ranks of the operands."""
         runs = count_calls(monkeypatch, groebner, "buchberger")
         reductions = count_calls(monkeypatch, groebner, "_reduce_basis")
         report = json.loads(next(run_script(parse_script(
@@ -435,6 +443,21 @@ class TestSharedAnalysis:
         assert report["dim"] == dim
         assert report["conditions"]["depth_ge2"] is depth_ge2
         assert not runs and not reductions
+
+    def test_linear_meet_analysis_moves_no_basis(self, monkeypatch):
+        """The analysis of a linear meet makes the meet once and moves no
+        basis: its socle test, depth and dim are read off the ranks of its
+        operands."""
+        meets = count_calls(monkeypatch, groebner, "_linear_meet")
+        moves = count_calls(monkeypatch, groebner.IdealHandle,
+                            "_moved_to_last")
+        runs = count_calls(monkeypatch, groebner, "buchberger")
+        report = json.loads(next(run_script(parse_script(
+            "ring Q[x,y,z,w]\nideal I = intersect((x + y), (y + z, z - 2*w))"
+            "\nanalyze I\n"), AnalysisConfig(), "json")))
+        assert (report["dim"], report["conditions"]["depth_ge2"],
+                report["witnesses"]["regular_element"]) == (3, True, "x")
+        assert (len(meets), len(moves), len(runs)) == (1, 0, 0)
 
     def test_non_homogeneous_depth_tests_membership_once(self, monkeypatch):
         """Each depth candidate f is tested for membership in I once, by
@@ -476,6 +499,20 @@ class TestSharedAnalysis:
             "ideal J = intersect(I, (z))\nanalyze J\n", tmp_path=tmp_path)
         assert code == 1 and out == ""
         assert "parse error" in err
+
+
+class TestLinearMeets:
+    """Meets of linear ideals at the edges of the rank facts: one operand
+    inside the other, in coordinates and tilted, two equal operands, and
+    two of rank 2 that together span M. Each report is the stored one."""
+
+    @pytest.mark.parametrize("case", LINEAR_MEETS,
+                             ids=[case["name"] for case in LINEAR_MEETS])
+    def test_report(self, capsys, tmp_path, case):
+        code, out, err = invoke(capsys, case["script"], "--format", "json",
+                                tmp_path=tmp_path)
+        assert (code, json.loads(out), err) == (
+            case["exit_code"], case["report"], "")
 
 
 class TestWitnessDiagram:
@@ -666,6 +703,20 @@ class TestRegularCandidateBudget:
                 "every associated P") in report["notes"]
 
 
+    def test_zero_budget_linear_meet_stays_inconclusive(self, capsys,
+                                                        tmp_path):
+        """The rank path walks the same candidates under the same budget."""
+        code, out, _ = invoke(capsys, PRINCIPAL_MEET,
+                              "--budget-regular-candidates", "0",
+                              "--format", "json", tmp_path=tmp_path)
+        report = json.loads(out)
+        assert (code, report["dim"]) == (2, 3)
+        assert report["conditions"]["depth_ge2"] is None
+        assert report["inconclusive"][0] == (
+            "depth_ge2: inconclusive: no regular element among the first 0 "
+            "candidates")
+
+
 class TestStamp:
     """A report is stamped monomial-exact exactly when every value is
     exact for T: no dim, profile, condition or verdict is null, except
@@ -754,6 +805,16 @@ class TestExitCodes:
                                 tmp_path=tmp_path)
         assert code == 3 and out == ""
         assert "groebner step budget exceeded" in err
+
+    def test_principal_linear_meet_needs_no_steps(self, capsys, tmp_path):
+        """The meet's basis clears no entry, and its socle test, depth and
+        dim spend no Groebner step, so a zero step budget changes nothing."""
+        code, out, err = invoke(capsys, PRINCIPAL_MEET, "--budget-gb-steps",
+                                "0", "--format", "json", tmp_path=tmp_path)
+        assert (code, err) == (2, "")
+        assert out == invoke(capsys, PRINCIPAL_MEET, "--format", "json",
+                             tmp_path=tmp_path)[1]
+        assert json.loads(out)["conditions"]["depth_ge2"] is True
 
     def test_linear_intersection_budget_exceeded_exits_3(self, capsys,
                                                          tmp_path):

@@ -514,18 +514,46 @@ class TestIntersection:
         assert seen == {True, False}
 
     @pytest.mark.parametrize("field", FIELDS, ids=str)
-    def test_moved_meets_match_buchberger(self, monkeypatch, field):
-        """A linear meet moved to put a sum of variables last is the meet of
-        its moved operands. On seeded meets in 2-6 variables, principal with
-        f inside and outside the other span and two-sided, with either side
-        first, each moved basis is Buchberger's on the substituted basis of
-        the meet, for sums of 1, 2, 3 and all variables, and the moved
-        handle keeps its moved operands. A principal meet moves with no
-        Buchberger run, a two-sided one with one."""
-        rng = random.Random(5501)
+    def test_one_row_span_test(self, field):
+        """A row reduced against a reduced echelon basis is zero exactly
+        when the basis and the row have the rank of the basis alone, and
+        what is left differs from the row by a member of the span."""
+        rng = random.Random(4409)
+        for _ in range(200):
+            v = rng.randint(1, 5)
+            rows = [[field.coerce(rng.randint(-2, 2)) for _ in range(v)]
+                    for _ in range(rng.randint(1, v))]
+            basis = groebner._row_reduce(field, rows)
+            if not basis:
+                continue
+            row = [rng.randint(-2, 2) for _ in range(v)]
+            if rng.random() < 0.4:  # a member of the span
+                row = [sum(rng.randint(-2, 2) * r[i] for r in rows)
+                       for i in range(v)]
+            row = [field.coerce(a) for a in row]
+            left = groebner._reduce_row(field, basis, row)
+            inside = len(groebner._row_reduce(field, basis + [row])) == len(
+                basis)
+            assert (not any(left)) == inside
+            diff = [field.sub(a, b) for a, b in zip(row, left)]
+            assert len(groebner._row_reduce(
+                field, basis + [diff])) == len(basis)
+
+    @pytest.mark.parametrize("field", FIELDS + (FieldDescriptor(3),),
+                             ids=str)
+    def test_rank_path_matches_groebner_oracle(self, monkeypatch, field):
+        """A meet of linear ideals decides its socle test, depth search and
+        dimension from the ranks of its operands, with no Buchberger run
+        and no moved basis. On seeded meets in 1-6 variables, comparable,
+        equal, principal, two-sided and with one side M, either side first,
+        it agrees with the Groebner paths of the same ideal presented by
+        its basis: M associated, the whole depth result (verdict, regular
+        element and detail) at several candidate budgets, and dim."""
+        rng = random.Random(7717)
         runs = count_calls(monkeypatch, groebner, "buchberger")
+        moves = count_calls(monkeypatch, IdealHandle, "_moved_to_last")
         seen = set()
-        for v in range(2, 7):
+        for v in range(1, 7):
             c = ctx(*(f"x{i}" for i in range(v)))
             xs = variables(field, c)
             zero = Polynomial(field, c)
@@ -536,63 +564,84 @@ class TestIntersection:
                     if g:
                         return g
 
-            supports = sorted({tuple(sorted(rng.sample(range(v), size)))
-                               for size in {1, 2, 3, v} if size <= v
-                               for _ in range(2)})
-            for case in ("inside", "outside", "two-sided"):
-                gs = [form() for _ in range(rng.randint(2, min(3, v)))]
-                fs = ([sum((rng.randint(1, 3) * g for g in gs), zero)
-                       or gs[0]] if case == "inside" else
-                      [form() for _ in range(1 if case == "outside" else 2)])
+            for case in ("comparable", "equal", "principal", "two-sided",
+                         "maximal") * 3:
+                fs = [form() for _ in range(rng.randint(1, v))]
+                if case == "comparable":
+                    gs = fs + [form() for _ in range(rng.randint(1, 2))]
+                elif case == "equal":  # a unitriangular recombination
+                    gs = [f + sum((rng.randint(-2, 2) * g
+                                   for g in fs[k + 1:]), zero)
+                          for k, f in enumerate(fs)]
+                elif case == "principal":
+                    fs, gs = fs[:1], [form() for _ in range(rng.randint(1, v))]
+                elif case == "two-sided":
+                    gs = [form() for _ in range(rng.randint(2, max(2, v)))]
+                else:
+                    gs = list(xs)
                 i, j = IdealHandle(field, c, fs), IdealHandle(field, c, gs)
-                principal = v - max(i.embedding_dimension(),
-                                    j.embedding_dimension()) == 1
                 for lhs, rhs in ((i, j), (j, i)):
                     meet = lhs.intersection(rhs)
-                    plain = meet.spawn(meet.generators)
-                    seen.add((principal, len(meet.generators) == 1))
-                    for support in supports:
-                        del runs[:]
-                        moved = meet._moved_to_last(support)
-                        assert len(runs) == int(
-                            not principal and support != (v - 1,))
-                        assert moved.groebner_basis() == buchberger(
-                            plain._moved_to_last(support).generators)
-                        # it keeps the moved operands, which meet in it
-                        assert moved._linear_meet_handle(
-                            moved.context, *moved._operands
-                        ).generators == moved.generators
-        assert {(True, True), (True, False), (False, False)} <= seen
+                    oracle = meet.spawn(meet.generators)
+                    del runs[:], moves[:]
+                    got = [meet.maximal_ideal_associated(),
+                           meet.krull_dimension()]
+                    got += [meet.depth_at_least_two(budget)
+                            for budget in (0, 1, 2, 200)]
+                    assert not runs and not moves
+                    expected = [oracle.maximal_ideal_associated(),
+                                oracle.krull_dimension()]
+                    expected += [oracle.depth_at_least_two(budget)
+                                 for budget in (0, 1, 2, 200)]
+                    assert got[:2] == expected[:2]
+                    assert [(r.verdict, str(r.regular_element), r.detail)
+                            for r in got[2:]] == [
+                        (r.verdict, str(r.regular_element), r.detail)
+                        for r in expected[2:]]
+                    seen.add((case, got[0], got[-1].verdict))
+        assert {("maximal", True, False), ("equal", True, False)} <= seen
+        assert {r[2] for r in seen} == {True, False}
+        assert {r[0] for r in seen if r[2]} == {
+            "comparable", "equal", "principal", "two-sided", "maximal"}
 
-    def test_moved_meets_shared_across_threads(self):
-        """Threads moving one shared linear meet each read, per support,
-        the one published moved handle, whose operands are already set."""
+    def test_shared_meet_gives_one_answer_across_threads(self):
+        """Threads asking one shared, fresh linear meet for its socle test,
+        depth result and dimension all get the answer of the Groebner
+        paths on the same ideal."""
         import threading
-        meet = tilted_line_and_plane()
-        supports = list(groebner.regular_element_candidates(3))
-        expected = [meet.spawn(meet.generators)._moved_to_last(s)
-                    .groebner_basis() for s in supports]
-        results = []
+        c = ctx("x", "y", "z", "w")
+        x, y, z, w = variables(QQ, c)
+        expected = None
+        for _ in range(3):
+            meet = handle(c, x + y - 2 * z).intersection(
+                handle(c, y + z, z - 2 * w))
+            oracle = meet.spawn(meet.generators)
+            result = oracle.depth_at_least_two()
+            expected = (oracle.maximal_ideal_associated(), result.verdict,
+                        result.regular_element, result.detail,
+                        oracle.krull_dimension())
+            results = []
 
-        def work():
-            moved = [meet._moved_to_last(s) for s in supports]
-            results.append([(m, m._operands is not None, m.groebner_basis())
-                            for m in moved])
+            def work():
+                result = meet.depth_at_least_two()
+                results.append((meet.maximal_ideal_associated(),
+                                result.verdict, result.regular_element,
+                                result.detail, meet.krull_dimension()))
 
-        previous = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            threads = [threading.Thread(target=work) for _ in range(8)]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join(timeout=60)
-        finally:
-            sys.setswitchinterval(previous)
-        assert not any(t.is_alive() for t in threads) and len(results) == 8
-        for got in results:
-            assert all(g[0] is h[0] for g, h in zip(got, results[0]))
-            assert [(True, e) for e in expected] == [g[1:] for g in got]
+            previous = sys.getswitchinterval()
+            sys.setswitchinterval(1e-6)
+            try:
+                threads = [threading.Thread(target=work) for _ in range(8)]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=60)
+            finally:
+                sys.setswitchinterval(previous)
+            assert not any(t.is_alive() for t in threads)
+            assert results == [expected] * 8
+        assert expected == (False, True, x, f"regular element {x} with "
+                            "depth >= 1 quotient", 3)
 
     @pytest.mark.parametrize("lhs,rhs", [
         (lambda x, y, z: (x + 1,), lambda x, y, z: (y,)),
@@ -835,8 +884,8 @@ class TestMaximalIdealAssociated:
         """The cut's last variable is a zero-divisor, and a generator of
         (I : x_last), read off the cut's stored basis, is a socle element:
         the socle test stops there and computes no moved basis. The whole
-        depth search on the tilted ring runs no Buchberger either: its one
-        moved basis, with x moved last, is the meet of the moved operands."""
+        depth search on the tilted ring runs no Buchberger either: it reads
+        the ranks of the meet's operands."""
         cut = tilted_cut(field)
         runs = count_calls(monkeypatch, groebner, "buchberger")
         assert cut.maximal_ideal_associated()
@@ -985,9 +1034,8 @@ class TestDepth:
         assert result.regular_element == sum(xs[1:], xs[0])
 
     def test_tilted_line_and_plane_depth_one(self, monkeypatch):
-        """x is regular; the cut by it has M associated and no regular
-        variable, and its socle test reads each (I : x_i) off a moved
-        basis instead of computing a colon."""
+        """x is regular, and depth is 1: the meet's operands span M
+        together. The ranks decide it, and no colon is computed."""
         h = tilted_line_and_plane()
         x = variables(QQ, h.context)[0]
         colons = count_calls(monkeypatch, IdealHandle, "quotient_element")
